@@ -19,12 +19,12 @@ from .typecheck import (
     infer_call_subst, type_of_value,
 )
 from .eval import (
-    FixpointResult, RelTable, enumerate_type, eval_goal, eval_relation,
-    eval_value, fixpoint, index_value, type_size, value_index,
+    FixpointResult, RelTable, enumerate_type, eval_relation, fixpoint,
+    index_value, type_size, value_index,
 )
 from .poly import (
     Hole, InstanceExplosion, InstanceKey, LoweringError, NonIdempotentSemiring,
-    NotLargeEnough, canonical_type, collect_instances, compile_call,
+    canonical_type, collect_instances, compile_call,
     count_env, count_goal, count_relation, count_type, enforce_eqpat_codegen,
     envholes, envshell, eqpat_check, holes_of, instantiate_relation,
     lower_program, shell_of, smallest_large_enough,

@@ -1,8 +1,11 @@
-"""Batch driver: load a program, check it, lower it, run the fixpoint,
-and emit relation tables as TSV or JSON.
+"""Batch driver: load a program (parse, check, read its factor literals,
+lower it), run the fixpoint, and emit relation tables as TSV or JSON.
+``--diff`` loads the program under both lowering modes instead and
+compares their tables.
 
 Exit codes: 0 ok, 1 parse/type/weight-literal errors, 2 lowering errors,
-3 fixpoint non-convergence, 4 table divergence in --diff mode.
+3 fixpoint non-convergence (in either mode under --diff), 4 table
+divergence in --diff mode.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 from . import poly, semiring, syntax, typecheck
 from .eval import FixpointResult, RelTable, fixpoint, index_value
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError, render_weight
-from .syntax import Factor, Goal, ParseError, Program, render_program, render_type, render_value
+from .syntax import Factor, ParseError, Program, render_program, render_type, render_value
 
 EXIT_BAD_PROGRAM = 1
 EXIT_LOWERING = 2
@@ -45,44 +48,36 @@ class RunConfig:
             raise ValueError("max-iters must be at least 1")
 
 
-def check_factor_literals(p: Program, spec: SemiringSpec) -> None:
-    def walk(g: Goal) -> None:
-        match g:
-            case syntax.Conj(a, b) | syntax.Disj(a, b):
-                walk(a)
-                walk(b)
-            case syntax.Fresh(_, _, body):
-                walk(body)
-            case Factor(lit):
-                semiring.parse_weight_literal(lit, spec)
-            case _:
-                pass
+class UnknownRelation(LookupError):
+    """A relation named with --rel is not in the lowered program."""
 
+
+def check_factor_literals(p: Program, spec: SemiringSpec) -> None:
     for rel in p.relations:
-        walk(rel.body)
+        for g in syntax.subgoals(rel.body):
+            if isinstance(g, Factor):
+                semiring.parse_weight_literal(g.literal, spec)
+
+
+def _json_weight(w: np.generic) -> object:
+    # JSON has no infinity; the zero of min-tropical is written "inf".
+    return "inf" if w == np.inf else w.item()
+
+
+def _cell_values(t: RelTable, idx: tuple[int, ...]) -> list[str]:
+    """The rendered argument values of one table cell."""
+    return [render_value(index_value(i, ty)) for i, (_, ty) in zip(idx, t.params)]
 
 
 def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
     if fmt == "json":
-        out = []
-        for t in tables:
-            entries = []
-            for idx in np.ndindex(*t.sizes):
-                values = [render_value(index_value(i, ty))
-                          for i, (_, ty) in zip(idx, t.params)]
-                w = t.cells[idx]
-                if spec.name == "boolean":
-                    jw = bool(w)
-                elif float(w) == float("inf"):
-                    jw = "inf"
-                else:
-                    jw = float(w)
-                entries.append({"values": values, "weight": jw})
-            out.append({
-                "relation": t.rel,
-                "params": [{"name": x, "type": render_type(ty)} for x, ty in t.params],
-                "entries": entries,
-            })
+        out = [{
+            "relation": t.rel,
+            "params": [{"name": x, "type": render_type(ty)} for x, ty in t.params],
+            "entries": [{"values": _cell_values(t, idx),
+                         "weight": _json_weight(t.cells[idx])}
+                        for idx in np.ndindex(*t.sizes)],
+        } for t in tables]
         return json.dumps(out, indent=2) + "\n"
 
     blocks = []
@@ -90,40 +85,51 @@ def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
         lines = [f"# {t.rel}"]
         lines.append("\t".join([x for x, _ in t.params] + ["weight"]))
         for idx in np.ndindex(*t.sizes):
-            values = [render_value(index_value(i, ty))
-                      for i, (_, ty) in zip(idx, t.params)]
-            lines.append("\t".join(values + [render_weight(t.cells[idx], spec)]))
+            lines.append("\t".join(_cell_values(t, idx) + [render_weight(t.cells[idx], spec)]))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
+def load_program(text: str, spec: SemiringSpec, mode: str) -> Program:
+    """Parse, check and lower one program, reading its factor literals
+    under `spec` before lowering."""
+    checked = typecheck.check_program(syntax.parse_program(text))
+    check_factor_literals(checked, spec)
+    return poly.lower_program(checked, mode, spec)
+
+
+def _fixpoint(cfg: RunConfig, lowered: Program, spec: SemiringSpec) -> FixpointResult:
+    # --epsilon applies to the semirings whose convergence is a tolerance.
+    epsilon = cfg.epsilon if spec.equality_tolerance else None
+    return fixpoint(lowered, spec, epsilon=epsilon, max_iters=cfg.max_iters)
+
+
 def _select_tables(result: FixpointResult, lowered: Program,
                    wanted: list) -> list[RelTable]:
-    order = [rel.name for rel in lowered.relations]
+    order = lowered.names()
     if wanted:
         missing = [w for w in wanted if w not in result.tables]
         if missing:
-            raise KeyError(f"no such relation: {', '.join(missing)}")
+            raise UnknownRelation(f"no such relation: {', '.join(missing)}")
         order = [n for n in order if n in wanted]
     return [result.tables[n] for n in order]
-
-
-def _pipeline(cfg: RunConfig, text: str, spec: SemiringSpec, mode: str):
-    program = syntax.parse_program(text)
-    checked = typecheck.check_program(program)
-    check_factor_literals(checked, spec)
-    lowered = poly.lower_program(checked, mode, spec)
-    epsilon = cfg.epsilon if spec.name == "real" else None
-    result = fixpoint(lowered, spec, epsilon=epsilon, max_iters=cfg.max_iters)
-    return lowered, result
 
 
 def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
                out=None) -> int:
     """Run both lowering modes and compare every shared relation table."""
     out = sys.stdout if out is None else out
-    lowered_m, result_m = _pipeline(cfg, text, spec, "monomorphize")
-    lowered_l, result_l = _pipeline(cfg, text, spec, "large-enough")
+    runs = {}
+    for mode in ("monomorphize", "large-enough"):
+        lowered = load_program(text, spec, mode)
+        runs[mode] = lowered, _fixpoint(cfg, lowered, spec)
+    stuck = [mode for mode, (_, result) in runs.items() if not result.converged]
+    if stuck:
+        print(f"no convergence: {' and '.join(stuck)} did not converge within "
+              f"{cfg.max_iters} iterations", file=out)
+        return EXIT_NO_CONVERGENCE
+    lowered_m, result_m = runs["monomorphize"]
+    result_l = runs["large-enough"][1]
     # Same-size instances of differently shaped types can share a mangled
     # name across modes; only tables over identical parameter types are
     # directly comparable.
@@ -135,9 +141,7 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
         if not np.array_equal(a.cells, b.cells):
             bad = next(idx for idx in np.ndindex(*a.sizes)
                        if not np.array_equal(a.cells[idx], b.cells[idx]))
-            cellvals = [render_value(index_value(i, ty))
-                        for i, (_, ty) in zip(bad, a.params)]
-            print(f"divergence in {name} at ({', '.join(cellvals)}): "
+            print(f"divergence in {name} at ({', '.join(_cell_values(a, bad))}): "
                   f"monomorphize={render_weight(a.cells[bad], spec)} "
                   f"large-enough={render_weight(b.cells[bad], spec)}", file=out)
             return EXIT_DIVERGENCE
@@ -148,45 +152,25 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
 def run(cfg: RunConfig, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    spec = SEMIRINGS[cfg.semiring]
     try:
         with open(cfg.source, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_BAD_PROGRAM
-
-    spec = SEMIRINGS[cfg.semiring]
-    try:
         if cfg.diff:
             return diff_modes(cfg, text, spec, out=out)
-        program = syntax.parse_program(text)
-        checked = typecheck.check_program(program)
-        check_factor_literals(checked, spec)
-    except (ParseError, typecheck.TypeCheckError, WeightLiteralError) as e:
-        print(f"error: {e}", file=err)
-        return EXIT_BAD_PROGRAM
-    except poly.LoweringError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_LOWERING
-
-    try:
-        lowered = poly.lower_program(checked, cfg.poly_mode, spec)
-    except poly.LoweringError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_LOWERING
-
-    if cfg.emit_lowered:
-        with open(cfg.emit_lowered, "w", encoding="utf-8") as fh:
-            fh.write(render_program(lowered))
-
-    epsilon = cfg.epsilon if spec.name == "real" else None
-    result = fixpoint(lowered, spec, epsilon=epsilon, max_iters=cfg.max_iters)
-
-    try:
+        lowered = load_program(text, spec, cfg.poly_mode)
+        if cfg.emit_lowered:
+            with open(cfg.emit_lowered, "w", encoding="utf-8") as fh:
+                fh.write(render_program(lowered))
+        result = _fixpoint(cfg, lowered, spec)
         tables = _select_tables(result, lowered, cfg.relations)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=err)
+    except (OSError, ParseError, typecheck.TypeCheckError, WeightLiteralError,
+            UnknownRelation) as e:
+        print(f"error: {e}", file=err)
         return EXIT_BAD_PROGRAM
+    except poly.LoweringError as e:
+        print(f"error: {e}", file=err)
+        return EXIT_LOWERING
     out.write(emit_tables(tables, cfg.fmt, spec))
 
     if not result.converged:

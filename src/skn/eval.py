@@ -20,7 +20,8 @@ grid.
 
 A program's tables are the least fixed point of re-evaluating every
 relation against the previous round's tables, starting from tables that
-are semiring-zero everywhere.
+are semiring-zero everywhere.  This array engine is the only evaluator in
+the package; the brute-force cell-by-cell reference lives with the tests.
 """
 from __future__ import annotations
 
@@ -29,14 +30,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .semiring import SemiringSpec, Weight, parse_weight_literal
+from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
     Unit, ValueExpr, Var, free_vars,
 )
-
-ValueEnv = dict  # name -> concrete ValueExpr
 
 
 # ---------------------------------------------------------------------------
@@ -97,23 +96,6 @@ def index_value(i: int, t: TypeExpr) -> ValueExpr:
     raise TypeError(t)
 
 
-def eval_value(v: ValueExpr, env: ValueEnv) -> ValueExpr:
-    """Substitute the environment through a value; the result is concrete
-    and carries no annotations."""
-    match v:
-        case Var(name):
-            return env[name]
-        case Left(inner, _):
-            return Left(eval_value(inner, env))
-        case Right(inner, _):
-            return Right(eval_value(inner, env))
-        case Pair(a, b):
-            return Pair(eval_value(a, env), eval_value(b, env))
-        case Sole():
-            return v
-    raise TypeError(v)
-
-
 # ---------------------------------------------------------------------------
 # relation tables
 
@@ -122,10 +104,6 @@ class RelTable:
     rel: str
     params: tuple[tuple[str, TypeExpr], ...]
     cells: np.ndarray
-
-    @property
-    def dims(self) -> tuple[tuple[TypeExpr, int], ...]:
-        return tuple((ty, type_size(ty)) for _, ty in self.params)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -188,6 +166,12 @@ def _index_factor(v: ValueExpr, t: TypeExpr, scope: dict[str, tuple[TypeExpr, in
     raise TypeError(v)
 
 
+def _free_dims(order: tuple[str, ...], values) -> tuple[str, ...]:
+    """The variables of `order` that occur in `values`, in `order`."""
+    fv = {d for v in values for d in free_vars(v)}
+    return tuple(d for d in order if d in fv)
+
+
 def _flatten_conj(g: Goal, out: list[Goal]) -> None:
     if isinstance(g, Conj):
         _flatten_conj(g.g1, out)
@@ -207,8 +191,7 @@ def _eval_array(g: Goal, scope: dict[str, tuple[TypeExpr, int]],
             return _Factor((), np.asarray(w, dtype=spec.dtype))
         case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
             assert ty is not None, "goal must be type-checked"
-            fv = [d for d in order if d in set(free_vars(v1)) | set(free_vars(v2))]
-            dims = tuple(fv)
+            dims = _free_dims(order, (v1, v2))
             i1 = _index_factor(v1, ty, scope, dims)
             i2 = _index_factor(v2, ty, scope, dims)
             hit = (i1 == i2) if isinstance(g, Unify) else (i1 != i2)
@@ -224,12 +207,7 @@ def _eval_array(g: Goal, scope: dict[str, tuple[TypeExpr, int]],
                             _eval_array(b, scope, tables, spec), spec.add, order, sizes)
         case Call(rel, args, _):
             table = tables[rel]
-            fv: list[str] = []
-            for a in args:
-                for d in free_vars(a):
-                    if d not in fv:
-                        fv.append(d)
-            dims = tuple(d for d in order if d in fv)
+            dims = _free_dims(order, args)
             shape = tuple(sizes[d] for d in dims)
             indices = tuple(
                 np.broadcast_to(
@@ -315,40 +293,6 @@ def eval_relation(rel: RelationDef, tables: dict[str, RelTable],
 
 
 # ---------------------------------------------------------------------------
-# scalar goal evaluation
-
-def eval_goal(g: Goal, tables: dict[str, RelTable], env: ValueEnv,
-              spec: SemiringSpec) -> Weight:
-    """Weight of one goal under one full variable assignment."""
-    match g:
-        case Conj(a, b):
-            return spec.mul(eval_goal(a, tables, env, spec),
-                            eval_goal(b, tables, env, spec))
-        case Disj(a, b):
-            return spec.add(eval_goal(a, tables, env, spec),
-                            eval_goal(b, tables, env, spec))
-        case Fresh(x, ty, body):
-            acc = np.asarray(spec.zero, dtype=spec.dtype)
-            for v in enumerate_type(ty):
-                acc = spec.add(acc, eval_goal(body, tables, {**env, x: v}, spec))
-            return acc
-        case Unify(v1, v2, _):
-            hit = eval_value(v1, env) == eval_value(v2, env)
-            return spec.one if hit else spec.zero
-        case Disunify(v1, v2, _):
-            hit = eval_value(v1, env) != eval_value(v2, env)
-            return spec.one if hit else spec.zero
-        case Call(rel, args, _):
-            table = tables[rel]
-            idx = tuple(value_index(eval_value(a, env), ty)
-                        for a, (_, ty) in zip(args, table.params))
-            return table.cells[idx]
-        case Factor(lit):
-            return parse_weight_literal(lit, spec)
-    raise TypeError(g)
-
-
-# ---------------------------------------------------------------------------
 # fixpoint
 
 @dataclass
@@ -375,11 +319,7 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
         new = {rel.name: eval_relation(rel, tables, spec) for rel in program.relations}
         if on_round is not None:
             on_round(it, tables, new)
-        if tol == 0.0:
-            done = all(np.array_equal(tables[n].cells, new[n].cells) for n in new)
-        else:
-            done = all(np.allclose(tables[n].cells, new[n].cells, rtol=0.0, atol=tol)
-                       for n in new)
+        done = all(spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
         tables = new
         if done:
             return FixpointResult(tables, True, it)

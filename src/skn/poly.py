@@ -34,9 +34,10 @@ from typing import Optional
 
 from .semiring import SemiringSpec
 from .syntax import (
-    Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
-    Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
-    Unit, ValueExpr, Var, render_type, _all_var_names,
+    Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod, Program,
+    RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
+    ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value,
+    render_type, var_names,
 )
 from .typecheck import CallInfo, apply_subst, check_program
 from .eval import type_size
@@ -44,10 +45,6 @@ from .eval import type_size
 
 class LoweringError(Exception):
     pass
-
-
-class NotLargeEnough(LoweringError):
-    """The call's sizes are below the target instance's sizes."""
 
 
 class NonIdempotentSemiring(LoweringError):
@@ -121,12 +118,7 @@ def eqpat_check(delta_types, env1: dict, env2: dict) -> bool:
     delta_types = tuple(delta_types)
     if envshell(delta_types, env1) != envshell(delta_types, env2):
         return False
-    tyvars: list[str] = []
-    for _, ty in delta_types:
-        for tv in _type_tyvars(ty):
-            if tv not in tyvars:
-                tyvars.append(tv)
-    for alpha in tyvars:
+    for alpha in free_type_vars(*(ty for _, ty in delta_types)):
         hs1 = envholes(alpha, delta_types, env1)
         hs2 = envholes(alpha, delta_types, env2)
         assert len(hs1) == len(hs2)  # shells agree, so hole counts agree
@@ -135,16 +127,6 @@ def eqpat_check(delta_types, env1: dict, env2: dict) -> bool:
                 if (hs1[i] == hs1[j]) != (hs2[i] == hs2[j]):
                     return False
     return True
-
-
-def _type_tyvars(t: TypeExpr) -> list[str]:
-    match t:
-        case TyVar(name):
-            return [name]
-        case Sum(a, b) | Prod(a, b):
-            return _type_tyvars(a) + _type_tyvars(b)
-        case _:
-            return []
 
 
 # ---------------------------------------------------------------------------
@@ -201,53 +183,32 @@ def smallest_large_enough(rel: RelationDef) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # instantiation
 
-def _subst_value(sigma: dict, v: ValueExpr) -> ValueExpr:
-    match v:
-        case Left(inner, annot):
-            return Left(_subst_value(sigma, inner),
-                        None if annot is None else apply_subst(sigma, annot))
-        case Right(inner, annot):
-            return Right(_subst_value(sigma, inner),
-                         None if annot is None else apply_subst(sigma, annot))
-        case Pair(a, b):
-            return Pair(_subst_value(sigma, a), _subst_value(sigma, b))
-        case _:
-            return v
-
-
-def _subst_goal(sigma: dict, g: Goal) -> Goal:
-    match g:
-        case Conj(a, b):
-            return Conj(_subst_goal(sigma, a), _subst_goal(sigma, b))
-        case Disj(a, b):
-            return Disj(_subst_goal(sigma, a), _subst_goal(sigma, b))
-        case Fresh(x, ty, body):
-            return Fresh(x, apply_subst(sigma, ty), _subst_goal(sigma, body))
-        case Unify(v1, v2, ty):
-            return Unify(_subst_value(sigma, v1), _subst_value(sigma, v2),
-                         None if ty is None else apply_subst(sigma, ty))
-        case Disunify(v1, v2, ty):
-            return Disunify(_subst_value(sigma, v1), _subst_value(sigma, v2),
-                            None if ty is None else apply_subst(sigma, ty))
-        case Call(rel, args, info):
-            new_info = info
-            if isinstance(info, CallInfo):
-                new_info = replace(info, subst=tuple(
-                    (tv, apply_subst(sigma, ty)) for tv, ty in info.subst))
-            return Call(rel, tuple(_subst_value(sigma, a) for a in args), new_info)
-        case Factor(_):
-            return g
-    raise TypeError(g)
-
-
 def instantiate_relation(rel: RelationDef, sigma: dict[str, TypeExpr],
                          name: Optional[str] = None) -> RelationDef:
     """Apply a concrete substitution through a relation definition."""
     if not sigma and name is None:
         return rel
+
+    def sub_type(t: Optional[TypeExpr]) -> Optional[TypeExpr]:
+        return None if t is None else apply_subst(sigma, t)
+
+    def sub_leaf(g: Goal) -> Goal:
+        match g:
+            case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
+                return type(g)(map_value(v1, annot=sub_type),
+                               map_value(v2, annot=sub_type), sub_type(ty))
+            case Call(callee, args, info):
+                if isinstance(info, CallInfo):
+                    info = replace(info, subst=tuple(
+                        (tv, apply_subst(sigma, ty)) for tv, ty in info.subst))
+                return Call(callee, tuple(map_value(a, annot=sub_type) for a in args),
+                            info)
+        return g
+
     params = tuple((x, apply_subst(sigma, ty)) for x, ty in rel.params)
     tyvars = tuple(tv for tv in rel.tyvars if tv not in sigma)
-    return RelationDef(name or rel.name, tyvars, params, _subst_goal(sigma, rel.body))
+    return RelationDef(name or rel.name, tyvars, params,
+                       map_goal(rel.body, sub_leaf, sub_type))
 
 
 # ---------------------------------------------------------------------------
@@ -263,54 +224,44 @@ def mangle(rel: str, sizes: tuple[int, ...]) -> str:
     return f"{rel}${'_'.join(str(n) for n in sizes)}" if sizes else rel
 
 
-class _NameSupply:
-    def __init__(self, used: set[str]):
-        self.used = set(used)
-        self.counter = 0
-
-    def fresh(self, base: str) -> str:
-        while True:
-            self.counter += 1
-            cand = f"{base}~{self.counter}"
-            if cand not in self.used:
-                self.used.add(cand)
-                return cand
-
-    def relation_name(self, base: str) -> str:
-        if base not in self.used:
-            self.used.add(base)
-            return base
-        k = 1
-        while f"{base}#{k}" in self.used:
-            k += 1
-        name = f"{base}#{k}"
-        self.used.add(name)
-        return name
-
-
 MAX_INSTANCES = 10000
 MAX_TYVAR_SIZE = 4096
 
 
 class _Lowering:
-    def __init__(self, program: Program, mode: str, spec: SemiringSpec,
+    def __init__(self, program: Program, mode: str,
                  max_instances: int = MAX_INSTANCES,
                  max_tyvar_size: int = MAX_TYVAR_SIZE):
         self.source = {rel.name: rel for rel in program.relations}
         self.mode = mode
-        self.spec = spec
         self.max_instances = max_instances
         self.max_tyvar_size = max_tyvar_size
         used = set(self.source)
         for rel in program.relations:
             used.update(x for x, _ in rel.params)
-            used.update(_all_var_names(rel.body))
+            used.update(var_names(rel.body))
         self.names = _NameSupply(used)
         # (rel, concrete types per tyvar) -> mangled name
         self.instances: dict[tuple[str, tuple[TypeExpr, ...]], str] = {}
-        self.order: list[tuple[str, tuple[TypeExpr, ...], str]] = []
         self.pending: deque = deque()
         self.notes: list[str] = []
+
+    def run(self) -> list[RelationDef]:
+        """The worklist: rewrite every monomorphic relation, then
+        instantiate and rewrite each instance the rewritten calls demand,
+        until none is pending."""
+        out = [self.rewrite(rel) for rel in self.source.values() if not rel.tyvars]
+        while self.pending:
+            relname, sigma_types = key = self.pending.popleft()
+            source = self.source[relname]
+            sigma = dict(zip(source.tyvars, sigma_types))
+            out.append(self.rewrite(instantiate_relation(source, sigma, self.instances[key])))
+        return out
+
+    def rewrite(self, rel: RelationDef) -> RelationDef:
+        body = map_goal(rel.body,
+                        lambda g: self.rewrite_call(g) if isinstance(g, Call) else g)
+        return RelationDef(rel.name, (), rel.params, body)
 
     def demand(self, rel: str, sigma_types: tuple[TypeExpr, ...]) -> str:
         key = (rel, sigma_types)
@@ -328,7 +279,6 @@ class _Lowering:
             )
         name = self.names.relation_name(mangle(rel, sizes))
         self.instances[key] = name
-        self.order.append((rel, sigma_types, name))
         self.pending.append(key)
         return name
 
@@ -357,19 +307,6 @@ class _Lowering:
         sigma2 = dict(zip(callee.tyvars, target_types))
         return compile_call(g, target_name, sigma2, self.names)
 
-    def rewrite_goal(self, g: Goal) -> Goal:
-        match g:
-            case Conj(a, b):
-                return Conj(self.rewrite_goal(a), self.rewrite_goal(b))
-            case Disj(a, b):
-                return Disj(self.rewrite_goal(a), self.rewrite_goal(b))
-            case Fresh(x, ty, body):
-                return Fresh(x, ty, self.rewrite_goal(body))
-            case Call():
-                return self.rewrite_call(g)
-            case _:
-                return g
-
 
 # ---------------------------------------------------------------------------
 # equality-pattern code generation
@@ -386,11 +323,7 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
     slots, product components concatenate them.
     """
     delta_generic = tuple(delta_generic)
-    tyvars: list[str] = []
-    for _, ty in delta_generic:
-        for tv in _type_tyvars(ty):
-            if tv not in tyvars:
-                tyvars.append(tv)
+    tyvars = free_type_vars(*(ty for _, ty in delta_generic))
     slots = {tv: count_env(tv, delta_generic) for tv in tyvars}
     h1 = {tv: [supply.fresh("h") for _ in range(slots[tv])] for tv in tyvars}
     h2 = {tv: [supply.fresh("h") for _ in range(slots[tv])] for tv in tyvars}
@@ -494,7 +427,9 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     vars2 = {x: supply.fresh(x) for x, _ in generic_env}
 
     renamed_args = tuple(
-        _subst_value(sigma2, _rename_value(a, vars2)) for a in info.generic_args
+        map_value(a, var=lambda v: Var(vars2.get(v.name, v.name)),
+                  annot=lambda t: None if t is None else apply_subst(sigma2, t))
+        for a in info.generic_args
     )
     inner = Conj(
         Call(target_name, renamed_args, None),
@@ -504,20 +439,6 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     for x, ty in reversed(generic_env):
         body = Fresh(vars2[x], apply_subst(sigma2, ty), body)
     return body
-
-
-def _rename_value(v: ValueExpr, mapping: dict[str, str]) -> ValueExpr:
-    match v:
-        case Var(name):
-            return Var(mapping.get(name, name))
-        case Left(inner, annot):
-            return Left(_rename_value(inner, mapping), annot)
-        case Right(inner, annot):
-            return Right(_rename_value(inner, mapping), annot)
-        case Pair(a, b):
-            return Pair(_rename_value(a, mapping), _rename_value(b, mapping))
-        case _:
-            return v
 
 
 # ---------------------------------------------------------------------------
@@ -539,53 +460,20 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
             f"the large-enough pipeline needs idempotent addition; "
             f"the {spec.name} semiring does not have it"
         )
-    ctx = _Lowering(p, mode, spec, max_instances, max_tyvar_size)
-    out: list[RelationDef] = []
-    for rel in p.relations:
-        if not rel.tyvars:
-            out.append(RelationDef(rel.name, (), rel.params,
-                                   ctx.rewrite_goal(rel.body)))
-    done: set = set()
-    while ctx.pending:
-        key = ctx.pending.popleft()
-        if key in done:
-            continue
-        done.add(key)
-        relname, sigma_types = key
-        name = ctx.instances[key]
-        source = ctx.source[relname]
-        sigma = dict(zip(source.tyvars, sigma_types))
-        inst = instantiate_relation(source, sigma, name)
-        out.append(RelationDef(inst.name, (), inst.params,
-                               ctx.rewrite_goal(inst.body)))
+    ctx = _Lowering(p, mode, max_instances, max_tyvar_size)
+    lowered = Program(tuple(ctx.run()))
     if notes is not None:
         notes.extend(ctx.notes)
-    return check_program(Program(tuple(out)))
+    return check_program(lowered)
 
 
 def collect_instances(p: Program, mode: str,
-                      spec: Optional[SemiringSpec] = None,
                       max_instances: int = MAX_INSTANCES,
                       max_tyvar_size: int = MAX_TYVAR_SIZE) -> set[InstanceKey]:
     """The instance keys the lowered program will contain: one per
     monomorphic relation (empty sizes) plus one per generated instance."""
-    from .semiring import BOOLEAN
-    spec = spec or BOOLEAN
-    ctx = _Lowering(p, mode, spec, max_instances, max_tyvar_size)
-    for rel in p.relations:
-        if not rel.tyvars:
-            ctx.rewrite_goal(rel.body)
-    done: set = set()
-    while ctx.pending:
-        key = ctx.pending.popleft()
-        if key in done:
-            continue
-        done.add(key)
-        relname, sigma_types = key
-        source = ctx.source[relname]
-        sigma = dict(zip(source.tyvars, sigma_types))
-        inst = instantiate_relation(source, sigma, ctx.instances[key])
-        ctx.rewrite_goal(inst.body)
+    ctx = _Lowering(p, mode, max_instances, max_tyvar_size)
+    ctx.run()
     keys = {InstanceKey(rel.name, ()) for rel in p.relations if not rel.tyvars}
     for (relname, sigma_types), _ in ctx.instances.items():
         source = ctx.source[relname]

@@ -1,15 +1,17 @@
 """Commutative semirings that weight tables can be computed over.
 
 A :class:`SemiringSpec` bundles the scalar identities with the numpy
-ufuncs the dense evaluator uses, so the rest of the engine never needs to
+ufuncs the dense evaluator uses, and with how its weights are read from
+factor literals and written out, so the rest of the engine never needs to
 know which instance is active.  Three instances are provided: boolean
 (or/and), real (+/*), and min-tropical (min/+).
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,18 +32,42 @@ class SemiringSpec:
     idempotent_add: bool
     equality_tolerance: float  # used only by fixpoint convergence; 0 = exact
     dtype: np.dtype
+    read_literal: Callable[[str], Optional[Weight]]  # None: not in the carrier
+    render: Callable[[Weight], str]  # text of one weight
 
     def sum(self, array: np.ndarray, axis: int) -> np.ndarray:
         """Reduce one axis with semiring addition."""
         return self.add.reduce(array, axis=axis)
 
-    def tables_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
-        if self.equality_tolerance == 0.0:
+    def tables_equal(self, a: np.ndarray, b: np.ndarray, tolerance: float) -> bool:
+        if tolerance == 0.0:
             return bool(np.array_equal(a, b))
-        return bool(np.allclose(a, b, rtol=0.0, atol=self.equality_tolerance))
+        return bool(np.allclose(a, b, rtol=0.0, atol=tolerance))
 
     def __repr__(self) -> str:
         return f"SemiringSpec({self.name!r})"
+
+
+_BOOL_LITERALS = {
+    "true": True, "#t": True, "1": True,
+    "false": False, "#f": False, "0": False,
+}
+_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+
+
+def _read_decimal(text: str) -> Optional[float]:
+    # A decimal that overflows to +-inf is outside every carrier: -inf
+    # would break the min-tropical annihilator law below.
+    if _DECIMAL.match(text):
+        w = float(text)
+        if math.isfinite(w):
+            return w
+    return None
+
+
+def _render_float(w: Weight) -> str:
+    w = float(w)
+    return "inf" if w == math.inf else repr(w)
 
 
 BOOLEAN = SemiringSpec(
@@ -53,6 +79,8 @@ BOOLEAN = SemiringSpec(
     idempotent_add=True,
     equality_tolerance=0.0,
     dtype=np.dtype(bool),
+    read_literal=_BOOL_LITERALS.get,
+    render=lambda w: "true" if bool(w) else "false",
 )
 
 REAL = SemiringSpec(
@@ -64,58 +92,41 @@ REAL = SemiringSpec(
     idempotent_add=False,
     equality_tolerance=1e-9,
     dtype=np.dtype(np.float64),
+    read_literal=_read_decimal,
+    render=_render_float,
 )
 
 # The zero is +inf; mul is real addition, and since the carrier has no -inf
 # the annihilator law inf + x = inf holds under IEEE arithmetic as well.
 MIN_TROPICAL = SemiringSpec(
     name="min-tropical",
-    zero=float("inf"),
+    zero=math.inf,
     one=0.0,
     add=np.minimum,
     mul=np.add,
     idempotent_add=True,
     equality_tolerance=0.0,
     dtype=np.dtype(np.float64),
+    read_literal=lambda text: math.inf if text == "inf" else _read_decimal(text),
+    render=_render_float,
 )
 
 SEMIRINGS = {s.name: s for s in (BOOLEAN, REAL, MIN_TROPICAL)}
-
-_BOOL_LITERALS = {
-    "true": True, "#t": True, "1": True,
-    "false": False, "#f": False, "0": False,
-}
-_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
 
 def parse_weight_literal(text: str, semiring: SemiringSpec) -> Weight:
     """Read a factor literal as an element of `semiring`.
 
-    boolean accepts true/false/#t/#f/0/1; real accepts decimal literals;
-    min-tropical accepts decimal literals and `inf`.
+    boolean accepts true/false/#t/#f/0/1; real accepts finite decimal
+    literals; min-tropical accepts finite decimal literals and `inf`.
     """
-    if semiring.name == "boolean":
-        if text in _BOOL_LITERALS:
-            return _BOOL_LITERALS[text]
-    elif semiring.name == "real":
-        if _DECIMAL.match(text):
-            return float(text)
-    elif semiring.name == "min-tropical":
-        if text == "inf":
-            return float("inf")
-        if _DECIMAL.match(text):
-            return float(text)
-    else:
-        raise ValueError(f"unknown semiring {semiring.name!r}")
-    raise WeightLiteralError(
-        f"cannot read weight literal {text!r} under the {semiring.name} semiring"
-    )
+    w = semiring.read_literal(text)
+    if w is None:
+        raise WeightLiteralError(
+            f"cannot read weight literal {text!r} under the {semiring.name} semiring"
+        )
+    return w
 
 
 def render_weight(w: Weight, semiring: SemiringSpec) -> str:
-    if semiring.name == "boolean":
-        return "true" if bool(w) else "false"
-    w = float(w)
-    if w == float("inf"):
-        return "inf"
-    return repr(w)
+    return semiring.render(w)

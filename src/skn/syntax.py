@@ -23,7 +23,7 @@ within one relation body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # types
@@ -54,8 +54,8 @@ TypeExpr = Union[Unit, Sum, Prod, TyVar]
 UNIT = Unit()
 
 
-def free_type_vars(t: TypeExpr) -> list[str]:
-    """All type-variable names in `t`, in first-occurrence order."""
+def free_type_vars(*ts: TypeExpr) -> list[str]:
+    """All type-variable names in the types `ts`, in first-occurrence order."""
     out: list[str] = []
 
     def walk(u: TypeExpr) -> None:
@@ -72,7 +72,8 @@ def free_type_vars(t: TypeExpr) -> list[str]:
             case Unit():
                 pass
 
-    walk(t)
+    for t in ts:
+        walk(t)
     return out
 
 
@@ -111,18 +112,6 @@ ValueExpr = Union[Sole, Left, Right, Pair, Var]
 SOLE = Sole()
 
 
-def is_concrete(v: ValueExpr) -> bool:
-    match v:
-        case Var(_):
-            return False
-        case Left(inner, _) | Right(inner, _):
-            return is_concrete(inner)
-        case Pair(a, b):
-            return is_concrete(a) and is_concrete(b)
-        case _:
-            return True
-
-
 def free_vars(v: ValueExpr) -> list[str]:
     out: list[str] = []
 
@@ -141,6 +130,27 @@ def free_vars(v: ValueExpr) -> list[str]:
 
     walk(v)
     return out
+
+
+def _keep(x):
+    return x
+
+
+def map_value(v: ValueExpr, var: Callable[[Var], ValueExpr] = _keep,
+              annot: Callable[[Optional[TypeExpr]], Optional[TypeExpr]] = _keep
+              ) -> ValueExpr:
+    """Rebuild `v`, replacing each variable node `u` by `var(u)` and each
+    sum annotation `a` (None when absent) by `annot(a)`."""
+    match v:
+        case Var():
+            return var(v)
+        case Left(inner, a):
+            return Left(map_value(inner, var, annot), annot(a))
+        case Right(inner, a):
+            return Right(map_value(inner, var, annot), annot(a))
+        case Pair(a, b):
+            return Pair(map_value(a, var, annot), map_value(b, var, annot))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +202,51 @@ class Factor:
 
 
 Goal = Union[Conj, Disj, Fresh, Unify, Disunify, Call, Factor]
+
+
+def map_goal(g: Goal, leaf: Callable[[Goal], Goal],
+             ty: Callable[[TypeExpr], TypeExpr] = _keep) -> Goal:
+    """Rebuild `g`, replacing each leaf goal (==, =/=, call, factor) by
+    `leaf(goal)` and each fresh binder's type by `ty(type)`."""
+    match g:
+        case Conj(a, b):
+            return Conj(map_goal(a, leaf, ty), map_goal(b, leaf, ty))
+        case Disj(a, b):
+            return Disj(map_goal(a, leaf, ty), map_goal(b, leaf, ty))
+        case Fresh(x, t, body):
+            return Fresh(x, ty(t), map_goal(body, leaf, ty))
+    return leaf(g)
+
+
+def subgoals(g: Goal) -> Iterator[Goal]:
+    """Every goal node of `g`, `g` first, in left-to-right pre-order.
+
+    Iterative, so the nesting depth is not bounded by the recursion limit.
+    """
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        yield h
+        match h:
+            case Conj(a, b) | Disj(a, b):
+                stack += (b, a)
+            case Fresh(_, _, body):
+                stack.append(body)
+
+
+def var_names(g: Goal) -> set[str]:
+    """Every variable name `g` binds or mentions."""
+    out: set[str] = set()
+    for h in subgoals(g):
+        match h:
+            case Fresh(x, _, _):
+                out.add(x)
+            case Unify(v1, v2, _) | Disunify(v1, v2, _):
+                out.update(free_vars(v1), free_vars(v2))
+            case Call(_, args, _):
+                for a in args:
+                    out.update(free_vars(a))
+    return out
 
 
 @dataclass(frozen=True)
@@ -472,78 +527,46 @@ def _build_defrel(sx) -> RelationDef:
         raise ParseError(f"duplicate parameter name in relation {name!r}", header.line, header.col)
 
     if tyvars is None:
-        seen: list[str] = []
-        for _, ty in params:
-            for tv in free_type_vars(ty):
-                if tv not in seen:
-                    seen.append(tv)
-        tyvars = tuple(seen)
+        tyvars = tuple(free_type_vars(*(ty for _, ty in params)))
 
     body = build_goal(sx.items[2])
-    body = _rename_shadowed(body, set(names), set(names) | _all_var_names(body))
-    return RelationDef(name, tyvars, tuple(params), body)
+    supply = _NameSupply(set(names) | var_names(body))
+    return RelationDef(name, tyvars, tuple(params),
+                       _rename_shadowed(body, set(names), supply))
 
 
-def _all_var_names(g: Goal) -> set[str]:
-    out: set[str] = set()
+class _NameSupply:
+    """Generates names that collide with none in `used` nor with each other."""
 
-    def walk_v(v: ValueExpr) -> None:
-        match v:
-            case Var(name):
-                out.add(name)
-            case Left(inner, _) | Right(inner, _):
-                walk_v(inner)
-            case Pair(a, b):
-                walk_v(a)
-                walk_v(b)
-            case Sole():
-                pass
+    def __init__(self, used: set[str]):
+        self.used = set(used)
+        self.counter = 0
 
-    def walk(h: Goal) -> None:
-        match h:
-            case Conj(a, b) | Disj(a, b):
-                walk(a)
-                walk(b)
-            case Fresh(x, _, body):
-                out.add(x)
-                walk(body)
-            case Unify(v1, v2, _) | Disunify(v1, v2, _):
-                walk_v(v1)
-                walk_v(v2)
-            case Call(_, args, _):
-                for a in args:
-                    walk_v(a)
-            case Factor(_):
-                pass
-
-    walk(g)
-    return out
-
-
-def _rename_shadowed(body: Goal, params: set[str], used: set[str]) -> Goal:
-    """Rename apart fresh binders that shadow an enclosing variable."""
-    counter = [0]
-
-    def fresh_name(base: str) -> str:
+    def fresh(self, base: str) -> str:
         while True:
-            counter[0] += 1
-            cand = f"{base}~{counter[0]}"
-            if cand not in used:
-                used.add(cand)
+            self.counter += 1
+            cand = f"{base}~{self.counter}"
+            if cand not in self.used:
+                self.used.add(cand)
                 return cand
 
-    def sub_value(v: ValueExpr, env: dict[str, str]) -> ValueExpr:
-        match v:
-            case Var(name):
-                return Var(env.get(name, name))
-            case Left(inner, annot):
-                return Left(sub_value(inner, env), annot)
-            case Right(inner, annot):
-                return Right(sub_value(inner, env), annot)
-            case Pair(a, b):
-                return Pair(sub_value(a, env), sub_value(b, env))
-            case _:
-                return v
+    def relation_name(self, base: str) -> str:
+        if base not in self.used:
+            self.used.add(base)
+            return base
+        k = 1
+        while f"{base}#{k}" in self.used:
+            k += 1
+        name = f"{base}#{k}"
+        self.used.add(name)
+        return name
+
+
+def _rename_shadowed(body: Goal, params: set[str], supply: _NameSupply) -> Goal:
+    """Rename apart fresh binders that shadow an enclosing variable."""
+
+    def rename(v: ValueExpr, env: dict[str, str]) -> ValueExpr:
+        return map_value(v, var=lambda u: Var(env.get(u.name, u.name)))
 
     def walk(g: Goal, scope: set[str], env: dict[str, str]) -> Goal:
         match g:
@@ -553,23 +576,22 @@ def _rename_shadowed(body: Goal, params: set[str], used: set[str]) -> Goal:
                 return Disj(walk(a, scope, env), walk(b, scope, env))
             case Fresh(x, ty, inner):
                 if x in scope:
-                    nx = fresh_name(x)
+                    nx = supply.fresh(x)
                     env = {**env, x: nx}
                 else:
                     nx = x
                     env = {k: v for k, v in env.items() if k != x}
                 return Fresh(nx, ty, walk(inner, scope | {nx}, env))
-            case Unify(v1, v2, ty):
-                return Unify(sub_value(v1, env), sub_value(v2, env), ty)
-            case Disunify(v1, v2, ty):
-                return Disunify(sub_value(v1, env), sub_value(v2, env), ty)
+            case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
+                return type(g)(rename(v1, env), rename(v2, env), ty)
             case Call(rel, args, info):
-                return Call(rel, tuple(sub_value(a, env) for a in args), info)
+                return Call(rel, tuple(rename(a, env) for a in args), info)
             case Factor(_):
                 return g
 
     # Scope starts as the parameter names; other body names are only in
-    # `used` so generated names never collide with anything in the body.
+    # the supply's used set so generated names never collide with anything
+    # in the body.
     return walk(body, set(params), {})
 
 
@@ -609,14 +631,10 @@ def render_value_expr(v: ValueExpr) -> str:
             return "sole"
         case Var(name):
             return name
-        case Left(inner, annot):
-            if annot is None:
-                return f"(left {render_value_expr(inner)})"
-            return f"(left {{{render_type(annot)}}} {render_value_expr(inner)})"
-        case Right(inner, annot):
-            if annot is None:
-                return f"(right {render_value_expr(inner)})"
-            return f"(right {{{render_type(annot)}}} {render_value_expr(inner)})"
+        case Left(inner, annot) | Right(inner, annot):
+            tag = "left" if isinstance(v, Left) else "right"
+            braces = "" if annot is None else f"{{{render_type(annot)}}} "
+            return f"({tag} {braces}{render_value_expr(inner)})"
         case Pair(a, b):
             return f"(pair {render_value_expr(a)} {render_value_expr(b)})"
     raise TypeError(v)
@@ -624,18 +642,9 @@ def render_value_expr(v: ValueExpr) -> str:
 
 def render_value(v: ValueExpr) -> str:
     """Canonical text for a concrete value; annotations are omitted."""
-    if not is_concrete(v):
+    if free_vars(v):
         raise ValueError(f"cannot render non-concrete value {v!r}")
-    match v:
-        case Sole():
-            return "sole"
-        case Left(inner, _):
-            return f"(left {render_value(inner)})"
-        case Right(inner, _):
-            return f"(right {render_value(inner)})"
-        case Pair(a, b):
-            return f"(pair {render_value(a)} {render_value(b)})"
-    raise TypeError(v)
+    return render_value_expr(map_value(v, annot=lambda _: None))
 
 
 def render_goal(g: Goal, indent: int = 0) -> str:

@@ -23,7 +23,8 @@ from typing import Optional
 from .syntax import (
     Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit,
-    UNIT, ValueExpr, Var, free_type_vars, render_type, render_value_expr,
+    UNIT, ValueExpr, Var, free_type_vars, map_value, render_type,
+    render_value_expr,
 )
 
 
@@ -53,9 +54,6 @@ class TypeEnv:
             if x == name:
                 return ty
         raise TypeCheckError(f"unbound variable {name!r}")
-
-    def __contains__(self, name: str) -> bool:
-        return any(x == name for x, _ in self.vars)
 
 
 @dataclass(frozen=True)
@@ -276,21 +274,9 @@ def _generic_args(call: Call, generic_env: tuple[tuple[str, TypeExpr], ...],
     env = TypeEnv(generic_env, frozenset(callee_tyvars))
     out = []
     for pattern, arg in zip(call.info.params, call.args):
-        ann, _ = annotate_value(env, _strip_annots(arg), pattern)
+        ann, _ = annotate_value(env, map_value(arg, annot=lambda _: None), pattern)
         out.append(ann)
     return tuple(out)
-
-
-def _strip_annots(v: ValueExpr) -> ValueExpr:
-    match v:
-        case Left(inner, _):
-            return Left(_strip_annots(inner), None)
-        case Right(inner, _):
-            return Right(_strip_annots(inner), None)
-        case Pair(a, b):
-            return Pair(_strip_annots(a), _strip_annots(b))
-        case _:
-            return v
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +384,7 @@ def check_relation(relenv: RelEnv, rel: RelationDef) -> RelationDef:
     env = TypeEnv(rel.params, frozenset(rel.tyvars))
     for _, ty in rel.params:
         check_type_valid(env, ty)
-    in_params: set[str] = set()
-    for _, ty in rel.params:
-        in_params.update(free_type_vars(ty))
+    in_params = free_type_vars(*(ty for _, ty in rel.params))
     for tv in rel.tyvars:
         if tv not in in_params:
             raise TypeCheckError(

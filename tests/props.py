@@ -13,7 +13,7 @@ import numpy as np
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, Program, RelationDef, check_program,
-    enumerate_type, eval_relation, eval_value, fixpoint, index_value,
+    enumerate_type, eval_relation, fixpoint, index_value,
     lower_program, parse_program, type_size, value_index,
 )
 from skn.poly import (
@@ -23,6 +23,7 @@ from skn.syntax import Prod, Sum, TyVar, UNIT, render_type
 from skn.typecheck import apply_subst
 
 import gen
+import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,8 @@ def check_eqpat_substitution(n_cases=1000, seed=2):
             continue
         s1 = {x: v for x, v in env1.items()}
         s2 = {x: v for x, v in env2.items()}
-        lhs = eval_value(v1, s1) == eval_value(v2, s1)
-        rhs = eval_value(v1, s2) == eval_value(v2, s2)
+        lhs = oracle.substitute(v1, s1) == oracle.substitute(v2, s1)
+        rhs = oracle.substitute(v1, s2) == oracle.substitute(v2, s2)
         assert lhs == rhs, (delta, env1, env2, v1, v2)
         cases += 1
     return cases

@@ -83,6 +83,15 @@ def test_weight_literal_error_is_load_time():
     assert "0.7" in err and "boolean" in err
 
 
+@pytest.mark.parametrize("semiring", ["real", "min-tropical"])
+def test_non_finite_literal_exit_code(tmp_path, semiring):
+    src = tmp_path / "big.skn"
+    src.write_text("(defrel (big (x : Unit)) (factor 1e400))\n")
+    status, out, err = run_capture(RunConfig(str(src), semiring))
+    assert status == 1 and out == ""
+    assert "1e400" in err
+
+
 def test_lowering_error_exit_code():
     status, _, err = run_capture(
         RunConfig(path("equal.skn"), "real", poly_mode="large-enough"))
@@ -156,6 +165,13 @@ def test_diff_corpus_identical():
             assert diff_modes(cfg, load(name), __import__("skn").SEMIRINGS[sr],
                               out=out) == 0
             assert out.getvalue().strip() == "identical"
+
+
+def test_diff_reports_non_convergence():
+    cfg = RunConfig(path("connect.skn"), "boolean", diff=True, max_iters=1)
+    status, out, _ = run_capture(cfg)
+    assert status == 3
+    assert "identical" not in out and "did not converge" in out
 
 
 def test_diff_real_gated():

@@ -67,6 +67,14 @@ def test_real_rejects_inf_and_garbage():
             parse_weight_literal(bad, REAL)
 
 
+def test_decimal_overflowing_to_inf_rejected():
+    # -1e400 would read as -inf and break min-tropical's annihilator law
+    for spec in (REAL, MIN_TROPICAL):
+        for bad in ("1e400", "-1e400"):
+            with pytest.raises(WeightLiteralError):
+                parse_weight_literal(bad, spec)
+
+
 def test_render_weight():
     assert render_weight(True, BOOLEAN) == "true"
     assert render_weight(False, BOOLEAN) == "false"
