@@ -3,9 +3,11 @@ lower it), run the fixpoint, and emit relation tables as TSV or JSON.
 ``--diff`` loads the program under both lowering modes instead and
 compares their tables.
 
-Exit codes: 0 ok, 1 parse/type/weight-literal errors, 2 lowering errors,
-3 fixpoint non-convergence (in either mode under --diff), 4 table
-divergence in --diff mode.
+Exit codes: 0 ok, 1 parse/type/weight-literal errors, a program nested
+too deeply for the recursion limit, or --diff given with a flag it would
+ignore; 2 lowering errors; 3 fixpoint non-convergence (in either mode
+under --diff), including a round that yields nan; 4 table divergence in
+--diff mode.
 """
 from __future__ import annotations
 
@@ -46,6 +48,12 @@ class RunConfig:
             raise ValueError("epsilon must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max-iters must be at least 1")
+        ignored = [flag for flag, given in (("--emit-lowered", self.emit_lowered),
+                                            ("--rel", self.relations),
+                                            ("--format json", self.fmt == "json"))
+                   if given]
+        if self.diff and ignored:
+            raise ValueError(f"--diff emits no tables; drop {', '.join(ignored)}")
 
 
 class UnknownRelation(LookupError):
@@ -163,19 +171,25 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
             with open(cfg.emit_lowered, "w", encoding="utf-8") as fh:
                 fh.write(render_program(lowered))
         result = _fixpoint(cfg, lowered, spec)
-        tables = _select_tables(result, lowered, cfg.relations)
+        text = emit_tables(_select_tables(result, lowered, cfg.relations), cfg.fmt, spec)
     except (OSError, ParseError, typecheck.TypeCheckError, WeightLiteralError,
             UnknownRelation) as e:
         print(f"error: {e}", file=err)
         return EXIT_BAD_PROGRAM
+    except RecursionError:
+        print("error: program nests too deeply for the recursion limit", file=err)
+        return EXIT_BAD_PROGRAM
     except poly.LoweringError as e:
         print(f"error: {e}", file=err)
         return EXIT_LOWERING
-    out.write(emit_tables(tables, cfg.fmt, spec))
+    out.write(text)
 
     if not result.converged:
-        print(f"warning: fixpoint did not converge within {cfg.max_iters} "
-              f"iterations; tables are from the last round", file=err)
+        # fixpoint stops before max_iters only at a round that yielded nan
+        stop = (f"stopped at round {result.iterations}, which yielded nan"
+                if result.iterations < cfg.max_iters
+                else f"did not converge within {cfg.max_iters} iterations")
+        print(f"warning: fixpoint {stop}; tables are from the last round", file=err)
         return EXIT_NO_CONVERGENCE
     return 0
 

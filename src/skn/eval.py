@@ -311,16 +311,20 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     tables.  Convergence is exact equality for discrete semirings and an
     absolute tolerance for the real semiring (`epsilon` overrides the
     semiring default).  If `max_iters` rounds pass without stabilizing,
-    the last tables are returned with ``converged=False``.
+    or a round yields a nan cell (weights that overflowed), the last
+    tables are returned with ``converged=False``.
     """
     tol = spec.equality_tolerance if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
-    for it in range(1, max_iters + 1):
-        new = {rel.name: eval_relation(rel, tables, spec) for rel in program.relations}
-        if on_round is not None:
-            on_round(it, tables, new)
-        done = all(spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
-        tables = new
-        if done:
-            return FixpointResult(tables, True, it)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            new = {rel.name: eval_relation(rel, tables, spec) for rel in program.relations}
+            if on_round is not None:
+                on_round(it, tables, new)
+            if any(np.isnan(t.cells).any() for t in new.values()):
+                return FixpointResult(new, False, it)
+            done = all(spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
+            tables = new
+            if done:
+                return FixpointResult(tables, True, it)
     return FixpointResult(tables, False, max_iters)

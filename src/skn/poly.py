@@ -426,10 +426,11 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     vars1 = {x: x for x, _ in generic_env}
     vars2 = {x: supply.fresh(x) for x, _ in generic_env}
 
+    # The caller's annotations name its own types; without them the
+    # re-check infers each argument from the target's parameter types.
     renamed_args = tuple(
-        map_value(a, var=lambda v: Var(vars2.get(v.name, v.name)),
-                  annot=lambda t: None if t is None else apply_subst(sigma2, t))
-        for a in info.generic_args
+        map_value(a, var=lambda v: Var(vars2.get(v.name, v.name)), annot=lambda _: None)
+        for a in call.args
     )
     inner = Conj(
         Call(target_name, renamed_args, None),
@@ -451,7 +452,7 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
     """Produce a monomorphic program whose tables agree with `p`'s.
 
     The result is re-checked under the base typing rules before being
-    returned, so downstream evaluation can rely on its annotations.
+    returned, so downstream evaluation can rely on its recorded types.
     """
     if mode not in ("monomorphize", "large-enough"):
         raise ValueError(f"unknown poly mode {mode!r}")

@@ -13,8 +13,8 @@ lists may be written flat (as above) or wrapped in one extra pair of
 parens.  ``conj``/``disj`` take two or more subgoals and right-nest into
 the binary AST forms; ``fresh`` may bind several variables and nests the
 same way.  Sum constructors take an optional brace-wrapped annotation,
-``(left {(Sum Unit Unit)} sole)``, which the type checker infers when
-absent.  Comments run from ``;`` to end of line.
+``(left {(Sum Unit Unit)} sole)``; when it is absent the type checker
+infers the sum type without writing it in.  Comments run from ``;`` to end of line.
 
 Parsing also renames apart any ``fresh`` binder that would shadow an
 enclosing variable, so later passes can treat variable names as unique
@@ -88,7 +88,7 @@ class Sole:
 @dataclass(frozen=True)
 class Left:
     inner: "ValueExpr"
-    annot: Optional[TypeExpr] = None  # always a Sum type once checked
+    annot: Optional[TypeExpr] = None  # as written; a Sum type once checked
 
 
 @dataclass(frozen=True)

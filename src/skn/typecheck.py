@@ -1,12 +1,13 @@
 """Typing judgements for values, goals, relations, and programs.
 
-Checking rewrites the AST: sum-constructor annotations are filled in,
-every ``==``/``=/=`` records its common argument type, and every relation
-call records a :class:`CallInfo` carrying the inferred type-variable
-substitution plus (when the call is "generic enough") a pre-substitution
-typing of the caller variables appearing in the arguments.  That generic
-environment is what the non-monomorphizing lowering later needs to stitch
-a call to a differently-sized relation instance.
+Checking keeps every value as written.  It records type facts in two
+places only: every ``==``/``=/=`` records its common argument type, and
+every relation call records a :class:`CallInfo` carrying the inferred
+type-variable substitution plus (when the call is "generic enough") a
+pre-substitution typing of the caller variables appearing in the
+arguments.  That generic environment is what the non-monomorphizing
+lowering later needs to stitch a call to a differently-sized relation
+instance.
 
 Call-site inference is one-way matching, not unification: argument types
 are always fully known in the caller's context, so matching the declared
@@ -23,7 +24,7 @@ from typing import Optional
 from .syntax import (
     Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit,
-    UNIT, ValueExpr, Var, free_type_vars, map_value, render_type,
+    UNIT, ValueExpr, Var, free_type_vars, render_type,
     render_value_expr,
 )
 
@@ -67,12 +68,9 @@ RelEnv = dict  # name -> RelSig
 
 @dataclass(frozen=True)
 class CallInfo:
-    rel: str
-    tyvars: tuple[str, ...]                 # callee type variables, declaration order
     params: tuple[TypeExpr, ...]            # declared (pre-substitution) parameter types
     subst: tuple[tuple[str, TypeExpr], ...]  # tyvar -> caller-context type
     generic_env: Optional[tuple[tuple[str, TypeExpr], ...]] = None
-    generic_args: Optional[tuple[ValueExpr, ...]] = None
 
     def subst_dict(self) -> dict[str, TypeExpr]:
         return dict(self.subst)
@@ -158,9 +156,9 @@ def check_type_valid(env: TypeEnv, t: TypeExpr) -> None:
             pass
 
 
-def annotate_value(env: TypeEnv, v: ValueExpr,
-                   expected: Optional[TypeExpr] = None) -> tuple[ValueExpr, TypeExpr]:
-    """Type a value, filling in sum-constructor annotations.
+def type_of_value(env: TypeEnv, v: ValueExpr,
+                  expected: Optional[TypeExpr] = None) -> TypeExpr:
+    """The type of a value.
 
     `expected` drives inference for bare left/right; when both an
     annotation and an expectation are present they must agree.
@@ -169,14 +167,14 @@ def annotate_value(env: TypeEnv, v: ValueExpr,
         case Sole():
             if expected is not None and expected != UNIT:
                 raise TypeCheckError(f"sole has type Unit, expected {render_type(expected)}")
-            return v, UNIT
+            return UNIT
         case Var(name):
             ty = env.lookup(name)
             if expected is not None and expected != ty:
                 raise TypeCheckError(
                     f"{name} has type {render_type(ty)}, expected {render_type(expected)}"
                 )
-            return v, ty
+            return ty
         case Left(inner, annot) | Right(inner, annot):
             is_left = isinstance(v, Left)
             target = annot if annot is not None else expected
@@ -196,9 +194,8 @@ def annotate_value(env: TypeEnv, v: ValueExpr,
                     f"{'left' if is_left else 'right'} constructor needs a Sum type, "
                     f"got {render_type(target)}"
                 )
-            side = target.left if is_left else target.right
-            inner2, _ = annotate_value(env, inner, side)
-            return (Left(inner2, target) if is_left else Right(inner2, target)), target
+            type_of_value(env, inner, target.left if is_left else target.right)
+            return target
         case Pair(a, b):
             if expected is None:
                 ea, eb = None, None
@@ -206,15 +203,8 @@ def annotate_value(env: TypeEnv, v: ValueExpr,
                 ea, eb = expected.first, expected.second
             else:
                 raise TypeCheckError(f"pair value cannot have type {render_type(expected)}")
-            a2, ta = annotate_value(env, a, ea)
-            b2, tb = annotate_value(env, b, eb)
-            return Pair(a2, b2), Prod(ta, tb)
+            return Prod(type_of_value(env, a, ea), type_of_value(env, b, eb))
     raise TypeError(v)
-
-
-def type_of_value(env: TypeEnv, v: ValueExpr,
-                  expected: Optional[TypeExpr] = None) -> TypeExpr:
-    return annotate_value(env, v, expected)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +259,6 @@ def generic_arg_env(call: Call, caller_env: TypeEnv) -> tuple[tuple[str, TypeExp
     return tuple((x, assign[x]) for x, _ in caller_env.vars if x in assign)
 
 
-def _generic_args(call: Call, generic_env: tuple[tuple[str, TypeExpr], ...],
-                  callee_tyvars: tuple[str, ...]) -> tuple[ValueExpr, ...]:
-    env = TypeEnv(generic_env, frozenset(callee_tyvars))
-    out = []
-    for pattern, arg in zip(call.info.params, call.args):
-        ann, _ = annotate_value(env, map_value(arg, annot=lambda _: None), pattern)
-        out.append(ann)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # goal / relation / program checking
 
@@ -305,7 +285,6 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
     marked_names = frozenset(tv + _MARK for tv in sig.tyvars)
 
     binding: dict[str, TypeExpr] = {}
-    ann_args: list[Optional[ValueExpr]] = [None] * len(g.args)
     arg_types: list[Optional[TypeExpr]] = [None] * len(g.args)
     pending = set(range(len(g.args)))
     progress = True
@@ -313,15 +292,13 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
         progress = False
         for i in sorted(pending):
             expect = apply_subst(binding, params_m[i])
-            if not _contains_marked(expect):
-                ann, ty = annotate_value(env, g.args[i], expect)
-            else:
-                try:
-                    ann, ty = annotate_value(env, g.args[i], None)
-                except UninferableValue:
-                    continue
+            try:
+                ty = type_of_value(env, g.args[i],
+                                   None if _contains_marked(expect) else expect)
+            except UninferableValue:
+                continue
             match_type(params_m[i], ty, binding, marked_names)
-            ann_args[i], arg_types[i] = ann, ty
+            arg_types[i] = ty
             pending.discard(i)
             progress = True
     if pending:
@@ -332,22 +309,14 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
         )
 
     subst = infer_call_subst((tuple(marked_names), params_m), tuple(arg_types))
-    sigma = {tv: subst[tv + _MARK] for tv in sig.tyvars}
-    info = CallInfo(
-        rel=g.rel,
-        tyvars=sig.tyvars,
-        params=sig.params,
-        subst=tuple((tv, sigma[tv]) for tv in sig.tyvars),
-    )
-    checked = Call(g.rel, tuple(ann_args), info)
+    info = CallInfo(sig.params,
+                    tuple((tv, subst[tv + _MARK]) for tv in sig.tyvars))
+    checked = Call(g.rel, g.args, info)
     try:
-        generic_env = generic_arg_env(checked, env)
-        generic_args = _generic_args(checked, generic_env, sig.tyvars)
-        info = replace(info, generic_env=generic_env, generic_args=generic_args)
-        checked = Call(g.rel, tuple(ann_args), info)
+        info = replace(info, generic_env=generic_arg_env(checked, env))
     except NonGenericCall:
-        pass
-    return checked
+        return checked
+    return Call(g.rel, g.args, info)
 
 
 def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
@@ -361,13 +330,12 @@ def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
             return Fresh(x, ty, check_goal(relenv, env.bind(x, ty), body))
         case Unify(v1, v2, _) | Disunify(v1, v2, _):
             try:
-                a1, ty = annotate_value(env, v1, None)
-                a2, _ = annotate_value(env, v2, ty)
+                ty = type_of_value(env, v1, None)
+                type_of_value(env, v2, ty)
             except UninferableValue:
-                a2, ty = annotate_value(env, v2, None)
-                a1, _ = annotate_value(env, v1, ty)
-            ctor = Unify if isinstance(g, Unify) else Disunify
-            return ctor(a1, a2, ty)
+                ty = type_of_value(env, v2, None)
+                type_of_value(env, v1, ty)
+            return type(g)(v1, v2, ty)
         case Call():
             return _check_call(relenv, env, g)
         case Factor(_):

@@ -24,6 +24,21 @@ def load(name: str) -> str:
         return fh.read()
 
 
+def chain_source(n: int) -> str:
+    """chain-n: an (n-1)-edge path over a right-nested sum of n Units, with
+    its transitive closure `connect` and the one-row `from0`."""
+    t = "Unit"
+    for _ in range(n - 1):
+        t = f"(Sum Unit {t})"
+    vals = ["(right " * k + "(left sole)" + ")" * k for k in range(n - 1)]
+    vals.append("(right " * (n - 1) + "sole" + ")" * (n - 1))
+    edges = "\n".join(f"    (conj (== x {a}) (== y {b}))" for a, b in zip(vals, vals[1:]))
+    return (f"(defrel (graph (x : {t}) (y : {t}))\n  (disj\n{edges}))\n"
+            f"(defrel (connect (x : {t}) (y : {t}))\n  (disj (graph x y)\n"
+            f"    (fresh ((z : {t})) (conj (connect x z) (connect z y)))))\n"
+            f"(defrel (from0 (y : {t})) (connect {vals[0]} y))\n")
+
+
 def checked(source: str):
     return check_program(parse_program(source))
 

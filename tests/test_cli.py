@@ -1,12 +1,14 @@
 import io
 import json
 import os
+import re
+import warnings
 
 import pytest
 
 from skn.cli import RunConfig, diff_modes, main, run
 
-from helpers import PROGRAM_DIR, load
+from helpers import IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load
 
 
 def path(name):
@@ -146,10 +148,11 @@ def test_run_is_deterministic():
     assert first == second
 
 
-def test_emit_lowered_reruns_identically(tmp_path):
+@pytest.mark.parametrize("mode", ["monomorphize", "large-enough"])
+@pytest.mark.parametrize("name", IDEMPOTENT_CORPUS)
+def test_emit_lowered_reruns_identically(tmp_path, name, mode):
     lowered_path = str(tmp_path / "lowered.skn")
-    cfg = RunConfig(path("sum-swap.skn"), "boolean", poly_mode="large-enough",
-                    emit_lowered=lowered_path)
+    cfg = RunConfig(path(name), "boolean", poly_mode=mode, emit_lowered=lowered_path)
     status, out, _ = run_capture(cfg)
     assert status == 0
     again = RunConfig(lowered_path, "boolean")
@@ -172,6 +175,39 @@ def test_diff_reports_non_convergence():
     status, out, _ = run_capture(cfg)
     assert status == 3
     assert "identical" not in out and "did not converge" in out
+
+
+@pytest.mark.parametrize("flag", [["--emit-lowered", "LOWERED"], ["--rel", "connect"],
+                                  ["--format", "json"]])
+def test_diff_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
+    lowered = tmp_path / "lowered.skn"
+    argv = ["run", path("connect.skn"), "--semiring", "boolean", "--diff"]
+    status = main(argv + [str(lowered) if a == "LOWERED" else a for a in flag])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag[0] in captured.err
+    assert not lowered.exists()
+
+
+def test_real_overflow_stops_at_first_nan_round():
+    # connect counts paths around a cycle, so real weights overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out, err = run_capture(RunConfig(path("connect.skn"), "real"))
+    assert status == 3 and "# connect" in out
+    stopped = re.search(r"stopped at round (\d+), which yielded nan", err)
+    assert stopped and int(stopped.group(1)) < 100
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_deep_nesting_exit_code(tmp_path):
+    src = tmp_path / "chain-500.skn"
+    src.write_text(chain_source(500))
+    status, out, err = run_capture(RunConfig(str(src), "boolean"))
+    assert status == 1 and out == ""
+    assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
 
 
 def test_diff_real_gated():

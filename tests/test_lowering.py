@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from skn import (
     NonIdempotentSemiring, Sum, check_program, collect_instances,
     eqpat_check, index_value, lower_program, parse_program, canonical_type,
 )
-from skn.syntax import TyVar
+from skn.syntax import (
+    Call, Disunify, TyVar, Unify, map_goal, render_program,
+)
 from skn.typecheck import apply_subst
 
 import gen
 import props
-from helpers import IDEMPOTENT_CORPUS, load, run_source
+from helpers import IDEMPOTENT_CORPUS, chain_source, load, run_source
 
 
 def _keys(src, mode):
@@ -93,6 +97,25 @@ def test_lowered_output_passes_base_checking():
                                     mode, BOOLEAN)
             assert all(rel.tyvars == () for rel in lowered.relations)
             check_program(lowered)  # must not raise
+
+
+@pytest.mark.parametrize("mode", ["monomorphize", "large-enough"])
+def test_checking_and_lowering_add_no_annotations(mode):
+    # checked values stay as written, and the re-check of the lowered
+    # program infers sum types instead of writing them in
+    sources = [chain_source(8)] + [load(n) for n in IDEMPOTENT_CORPUS]
+    for src in [s for s in sources if "{" not in s]:
+        program = parse_program(src)
+        checked = check_program(program)
+        assert [replace(r, body=_unchecked(r.body)) for r in checked.relations] == \
+            list(program.relations)
+        assert "{" not in render_program(lower_program(checked, mode, BOOLEAN))
+
+
+def _unchecked(g):
+    """`g` without the types and call infos that checking records."""
+    return map_goal(g, lambda h: replace(h, ty=None) if isinstance(h, (Unify, Disunify))
+                    else replace(h, info=None) if isinstance(h, Call) else h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from skn import (
-    Left, Pair, Prod, SOLE, Sum, TyVar, UNIT, Var, check_program,
+    Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var, check_program,
     check_type_valid, generic_arg_env, infer_call_subst, parse_program,
     type_of_value,
 )
@@ -164,7 +164,8 @@ def test_bare_constructor_inferred_through_call():
     p = check_program(parse_program(load("option-map.skn")))
     calls = _collect_calls(p.relations[2].body)
     om = next(c for c in calls if c.rel == "option-map")
-    assert om.args[1].annot == Sum(UNIT, S2)
+    assert om.args[1] == Right(Left(SOLE))  # kept as written
+    assert dict(om.info.subst) == {"a": S2, "b": S2}
 
 
 # ---------------------------------------------------------------------------
