@@ -125,12 +125,13 @@ def _select_tables(result: FixpointResult, lowered: Program,
 
 def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
                out=None) -> int:
-    """Run both lowering modes and compare every shared relation table."""
+    """Run both lowering modes and compare every shared relation table.
+    Both modes are lowered before either is solved, so a lowering error
+    costs no fixpoint."""
     out = sys.stdout if out is None else out
-    runs = {}
-    for mode in ("monomorphize", "large-enough"):
-        lowered = load_program(text, spec, mode)
-        runs[mode] = lowered, _fixpoint(cfg, lowered, spec)
+    lowered = {mode: load_program(text, spec, mode)
+               for mode in ("monomorphize", "large-enough")}
+    runs = {mode: (p, _fixpoint(cfg, p, spec)) for mode, p in lowered.items()}
     stuck = [mode for mode, (_, result) in runs.items() if not result.converged]
     if stuck:
         print(f"no convergence: {' and '.join(stuck)} did not converge within "

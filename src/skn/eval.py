@@ -18,10 +18,14 @@ intermediate arrays small, a fresh over a conjunction eliminates its
 bound variables factor-by-factor instead of materializing the full joint
 grid.
 
-A program's tables are the least fixed point of re-evaluating every
-relation against the previous round's tables, starting from tables that
-are semiring-zero everywhere.  This array engine is the only evaluator in
-the package; the brute-force cell-by-cell reference lives with the tests.
+A program's tables are the least fixed point of its relations, starting
+from tables that are semiring-zero everywhere.  The fixpoint is solved one
+strongly connected component of the call graph at a time, callees first:
+a relation that does not call itself, directly or through others, reads
+only finished tables and is evaluated once; a group of mutually recursive
+relations is re-evaluated against its own previous round until it
+stabilizes.  This array engine is the only evaluator in the package; the
+brute-force cell-by-cell reference lives with the tests.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
-    Unit, ValueExpr, Var, free_vars,
+    Unit, ValueExpr, Var, free_vars, subgoals,
 )
 
 
@@ -302,29 +306,91 @@ class FixpointResult:
     iterations: int
 
 
+def _call_graph_sccs(program: Program) -> list[tuple[list[RelationDef], bool]]:
+    """The strongly connected components of the call graph, callees first,
+    each with whether it is recursive (more than one relation, or one that
+    calls itself).
+
+    Tarjan's algorithm with an explicit stack, so the length of a call
+    chain is not bounded by the recursion limit.
+    """
+    rels = {rel.name: rel for rel in program.relations}
+    calls = {name: [g.rel for g in subgoals(rel.body) if isinstance(g, Call)]
+             for name, rel in rels.items()}
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    unvisited = {}   # relation -> iterator over the callees it has yet to visit
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    out = []
+    for root in calls:
+        work = [] if root in index else [root]
+        while work:
+            v = work[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+                unvisited[v] = iter(calls[v])
+            for w in unvisited[v]:
+                if w not in index:
+                    work.append(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    names = []
+                    while not names or names[-1] != v:
+                        names.append(stack.pop())
+                        on_stack.discard(names[-1])
+                    recursive = len(names) > 1 or v in calls[v]
+                    out.append(([rels[n] for n in names], recursive))
+    return out
+
+
 def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = None,
              max_iters: int = 10000,
              on_round: Optional[Callable] = None) -> FixpointResult:
-    """Iterate all relations from all-zero tables until they stabilize.
+    """Solve the relations from all-zero tables, one call-graph component
+    at a time, callees first.
 
-    Each round evaluates every relation against the previous round's
-    tables.  Convergence is exact equality for discrete semirings and an
-    absolute tolerance for the real semiring (`epsilon` overrides the
-    semiring default).  If `max_iters` rounds pass without stabilizing,
-    or a round yields a nan cell (weights that overflowed), the last
-    tables are returned with ``converged=False``.
+    A non-recursive component is evaluated once.  A recursive one is
+    re-evaluated, each round against its own previous round and the
+    finished tables of its callees, until it stabilizes: exact equality
+    for discrete semirings, an absolute tolerance for the real semiring
+    (`epsilon` overrides the semiring default).  If a component runs
+    `max_iters` rounds without stabilizing, or a round yields a nan cell
+    (weights that overflowed), solving stops there and the tables so far
+    are returned with ``converged=False`` and that component's round
+    count.  Otherwise ``iterations`` is the most rounds any component took.
+
+    ``on_round(round, old, new)`` is called after every round of every
+    component, before the round's tables are stored: `round` counts from
+    1 within the component, `new` holds only the component's new tables,
+    and `old` maps every relation to its table before the round (the dict
+    is then updated in place).
     """
     tol = spec.equality_tolerance if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
+    rounds = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iters + 1):
-            new = {rel.name: eval_relation(rel, tables, spec) for rel in program.relations}
-            if on_round is not None:
-                on_round(it, tables, new)
-            if any(np.isnan(t.cells).any() for t in new.values()):
-                return FixpointResult(new, False, it)
-            done = all(spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
-            tables = new
-            if done:
-                return FixpointResult(tables, True, it)
-    return FixpointResult(tables, False, max_iters)
+        for rels, recursive in _call_graph_sccs(program):
+            for it in range(1, max_iters + 1 if recursive else 2):
+                new = {rel.name: eval_relation(rel, tables, spec) for rel in rels}
+                if on_round is not None:
+                    on_round(it, tables, new)
+                if any(np.isnan(t.cells).any() for t in new.values()):
+                    return FixpointResult(tables | new, False, it)
+                done = not recursive or all(
+                    spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
+                tables.update(new)
+                if done:
+                    rounds = max(rounds, it)
+                    break
+            else:
+                return FixpointResult(tables, False, max_iters)
+    return FixpointResult(tables, True, rounds)

@@ -164,7 +164,7 @@ def test_criterion_9_property_suites():
     counts["no-factor-weight"] = props.check_no_factor_weight(500)
     counts["boolean-monotonicity"] = props.check_boolean_monotonicity(
         [load(n) for n in IDEMPOTENT_CORPUS]
-        + [gen.random_program(s) for s in range(200, 230)])
+        + [gen.random_program(s) for s in range(200, 300)])
     exhaustive_ok = {"semiring-axioms-boolean"}  # two-element carrier: 8 triples
     for name, n in counts.items():
         assert n >= 1000 or name in exhaustive_ok, (name, n)

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from skn import eval as skn_eval
 from skn.cli import RunConfig, diff_modes, main, run
 
 from helpers import IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load
@@ -175,6 +176,26 @@ def test_diff_reports_non_convergence():
     status, out, _ = run_capture(cfg)
     assert status == 3
     assert "identical" not in out and "did not converge" in out
+
+
+def test_diff_lowers_both_modes_before_solving(monkeypatch, capsys):
+    # large-enough refuses real, so --diff must fail before any fixpoint
+    evaluated = []
+    original = skn_eval.eval_relation
+    monkeypatch.setattr(skn_eval, "eval_relation",
+                        lambda rel, *a: evaluated.append(rel.name) or original(rel, *a))
+    status = main(["run", path("coins.skn"), "--semiring", "real", "--diff"])
+    assert status == 2 and evaluated == []
+    assert "idempotent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, status", [
+    ("sum-swap.skn", 0), ("option-map.skn", 0), ("two-valued.skn", 0),
+    ("connect.skn", 3),
+])
+def test_max_iters_bounds_rounds_per_recursive_component(name, status):
+    # relations without recursion need one round; connect is recursive
+    assert run_capture(RunConfig(path(name), "boolean", max_iters=1))[0] == status
 
 
 @pytest.mark.parametrize("flag", [["--emit-lowered", "LOWERED"], ["--rel", "connect"],

@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from skn import (
     UNIT, Var, check_program, enumerate_type, eval_relation, fixpoint,
     index_value, parse_program, type_size, value_index,
 )
+from skn import eval as skn_eval
 from skn.eval import zero_table
 from skn.semiring import parse_weight_literal
 from skn.syntax import Disunify, Factor, Fresh, Unify
@@ -16,7 +19,7 @@ from skn.syntax import Disunify, Factor, Fresh, Unify
 import gen
 import oracle
 import props
-from helpers import CORPUS, IDEMPOTENT_CORPUS, load, run_source
+from helpers import CORPUS, IDEMPOTENT_CORPUS, chain_source, load, run_source
 
 S2 = Sum(UNIT, UNIT)
 S4 = Sum(UNIT, Sum(UNIT, Sum(UNIT, UNIT)))
@@ -188,6 +191,65 @@ def test_idempotent_fixpoints_terminate_exactly():
 def test_boolean_monotonicity_small():
     assert props.check_boolean_monotonicity(
         [load(n) for n in IDEMPOTENT_CORPUS], min_cases=100) >= 100
+
+
+# ---------------------------------------------------------------------------
+# solving order: one call-graph component at a time, callees first
+
+@pytest.fixture
+def evals(monkeypatch):
+    """Counts `eval.eval_relation` calls by relation name."""
+    counts = collections.Counter()
+    original = skn_eval.eval_relation
+
+    def counting(rel, tables, spec):
+        counts[rel.name] += 1
+        return original(rel, tables, spec)
+
+    monkeypatch.setattr(skn_eval, "eval_relation", counting)
+    return counts
+
+
+def test_relations_off_a_cycle_evaluated_once(evals):
+    _, res = run_source(chain_source(8), BOOLEAN)
+    assert res.converged
+    assert evals["graph"] == evals["from0"] == 1
+    assert evals["connect"] == res.iterations > 1
+
+
+def test_program_without_recursion_takes_one_round(evals):
+    t = "(Sum Unit (Sum Unit (Sum Unit (Sum Unit Unit))))"
+    src = f"""(defrel (distinct3 (forall a) (x : a) (y : a) (z : a))
+  (conj (=/= x y) (conj (=/= x z) (=/= y z))))
+(defrel (distinct3-at (x : {t}) (y : {t}) (z : {t}))
+  (distinct3 x y z))
+"""
+    lowered, res = run_source(src, BOOLEAN, "large-enough")
+    assert res.converged and res.iterations == 1
+    assert evals == {rel.name: 1 for rel in lowered.relations}
+    assert res.tables["distinct3-at"].cells.sum() == 5 * 4 * 3
+
+
+def _call_chain_source(n: int) -> str:
+    """Relations r0 .. r(n-1), each calling the next, with the last calling
+    into the mutually recursive pair ping/pong."""
+    s2 = "(Sum Unit Unit)"
+    lines = [f"(defrel (r{i} (x : {s2})) (r{i + 1} x))" for i in range(n - 1)]
+    lines.append(f"(defrel (r{n - 1} (x : {s2})) (ping x))")
+    lines.append(f"(defrel (ping (x : {s2})) (disj (== x (left sole)) (pong x)))")
+    lines.append(f"(defrel (pong (x : {s2})) (ping x))")
+    return "\n".join(lines) + "\n"
+
+
+def test_long_call_chain_solved_once_per_relation(evals):
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    _, res = run_source(_call_chain_source(n), BOOLEAN)
+    assert res.converged
+    assert all(evals[f"r{i}"] == 1 for i in range(n))
+    # the pair iterates as one component: set, propagate, confirm
+    assert evals["ping"] == evals["pong"] == res.iterations == 3
+    assert res.tables["r0"].cells.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import importlib
 
 import pytest
 
-from skn import REAL
+from skn import BOOLEAN, REAL, fixpoint, lower_program
 from skn import eval as skn_eval
 from skn import poly
 
-from helpers import load, run_source
+from helpers import CORPUS, chain_source, checked, load, run_source
 
 PATCHED = [
     ("syntax", "parse_program"),
@@ -42,3 +42,20 @@ def test_inner_calls_go_through_module_attributes(monkeypatch):
                             lambda *a, _f=original, _n=name: seen.add(_n) or _f(*a))
     run_source(load("coins.skn"), REAL)
     assert seen == {"check_program", "eval_relation", "parse_weight_literal"}
+
+
+@pytest.mark.parametrize("name", CORPUS + ["chain-6"])
+def test_on_round_contract(name):
+    # the tracer and the monotonicity property read old[name] for every
+    # name in new, and expect to see every relation's table at least once
+    source = chain_source(6) if name == "chain-6" else load(name)
+    spec = REAL if name == "coins.skn" else BOOLEAN
+    lowered = lower_program(checked(source), "monomorphize", spec)
+    seen = set()
+
+    def watch(_round, old, new):
+        assert new.keys() <= old.keys()
+        seen.update(new)
+
+    fixpoint(lowered, spec, on_round=watch)
+    assert seen == set(lowered.names())
