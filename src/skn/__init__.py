@@ -20,7 +20,7 @@ from .typecheck import (
 )
 from .eval import (
     FixpointResult, RelTable, enumerate_type, eval_relation, fixpoint,
-    index_value, type_size, value_index,
+    type_size,
 )
 from .poly import (
     Hole, InstanceExplosion, InstanceKey, LoweringError, NonIdempotentSemiring,

@@ -12,16 +12,17 @@ under --diff), including a round that yields nan; 4 table divergence in
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import poly, semiring, syntax, typecheck
-from .eval import FixpointResult, RelTable, fixpoint, index_value
+from .eval import FixpointResult, RelTable, enumerate_type, fixpoint
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError, render_weight
 from .syntax import Factor, ParseError, Program, render_program, render_type, render_value
 
@@ -72,9 +73,12 @@ def _json_weight(w: np.generic) -> object:
     return "inf" if w == np.inf else w.item()
 
 
-def _cell_values(t: RelTable, idx: tuple[int, ...]) -> list[str]:
-    """The rendered argument values of one table cell."""
-    return [render_value(index_value(i, ty)) for i, (_, ty) in zip(idx, t.params)]
+def _rows(t: RelTable) -> Iterator[tuple[tuple[str, ...], np.generic]]:
+    """Each cell's rendered argument values with its weight, in table
+    order: every parameter type is enumerated once, and both the product
+    of the listings and the flat cells are first-axis-major."""
+    axes = [[render_value(v) for v in enumerate_type(ty)] for _, ty in t.params]
+    return zip(itertools.product(*axes), t.cells.flat)
 
 
 def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
@@ -82,9 +86,8 @@ def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
         out = [{
             "relation": t.rel,
             "params": [{"name": x, "type": render_type(ty)} for x, ty in t.params],
-            "entries": [{"values": _cell_values(t, idx),
-                         "weight": _json_weight(t.cells[idx])}
-                        for idx in np.ndindex(*t.sizes)],
+            "entries": [{"values": list(values), "weight": _json_weight(w)}
+                        for values, w in _rows(t)],
         } for t in tables]
         return json.dumps(out, indent=2) + "\n"
 
@@ -92,8 +95,8 @@ def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
     for t in tables:
         lines = [f"# {t.rel}"]
         lines.append("\t".join([x for x, _ in t.params] + ["weight"]))
-        for idx in np.ndindex(*t.sizes):
-            lines.append("\t".join(_cell_values(t, idx) + [render_weight(t.cells[idx], spec)]))
+        for values, w in _rows(t):
+            lines.append("\t".join(values + (render_weight(w, spec),)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
@@ -147,13 +150,14 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
               and result_l.tables[rel.name].params == rel.params]
     for name in shared:
         a, b = result_m.tables[name], result_l.tables[name]
-        if not np.array_equal(a.cells, b.cells):
-            bad = next(idx for idx in np.ndindex(*a.sizes)
-                       if not np.array_equal(a.cells[idx], b.cells[idx]))
-            print(f"divergence in {name} at ({', '.join(_cell_values(a, bad))}): "
-                  f"monomorphize={render_weight(a.cells[bad], spec)} "
-                  f"large-enough={render_weight(b.cells[bad], spec)}", file=out)
-            return EXIT_DIVERGENCE
+        if np.array_equal(a.cells, b.cells):
+            continue
+        for (values, wa), wb in zip(_rows(a), b.cells.flat):
+            if not np.array_equal(wa, wb):
+                print(f"divergence in {name} at ({', '.join(values)}): "
+                      f"monomorphize={render_weight(wa, spec)} "
+                      f"large-enough={render_weight(wb, spec)}", file=out)
+                return EXIT_DIVERGENCE
     print("identical", file=out)
     return 0
 

@@ -66,37 +66,10 @@ def enumerate_type(t: TypeExpr) -> list[ValueExpr]:
             return [Left(v) for v in enumerate_type(a)] + \
                    [Right(v) for v in enumerate_type(b)]
         case Prod(a, b):
-            return [Pair(v1, v2) for v1 in enumerate_type(a) for v2 in enumerate_type(b)]
+            vs2 = enumerate_type(b)
+            return [Pair(v1, v2) for v1 in enumerate_type(a) for v2 in vs2]
         case TyVar(name):
             raise ValueError(f"type variable {name} has no values")
-    raise TypeError(t)
-
-
-def value_index(v: ValueExpr, t: TypeExpr) -> int:
-    match (v, t):
-        case (Sole(), Unit()):
-            return 0
-        case (Left(inner, _), Sum(a, _)):
-            return value_index(inner, a)
-        case (Right(inner, _), Sum(a, b)):
-            return type_size(a) + value_index(inner, b)
-        case (Pair(v1, v2), Prod(a, b)):
-            return value_index(v1, a) * type_size(b) + value_index(v2, b)
-    raise ValueError(f"value {v!r} does not inhabit {t!r}")
-
-
-def index_value(i: int, t: TypeExpr) -> ValueExpr:
-    if not 0 <= i < type_size(t):
-        raise ValueError(f"index {i} out of range for type of size {type_size(t)}")
-    match t:
-        case Unit():
-            return SOLE
-        case Sum(a, b):
-            n = type_size(a)
-            return Left(index_value(i, a)) if i < n else Right(index_value(i - n, b))
-        case Prod(a, b):
-            n = type_size(b)
-            return Pair(index_value(i // n, a), index_value(i % n, b))
     raise TypeError(t)
 
 
@@ -108,10 +81,6 @@ class RelTable:
     rel: str
     params: tuple[tuple[str, TypeExpr], ...]
     cells: np.ndarray
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(type_size(ty) for _, ty in self.params)
 
 
 def zero_table(rel: RelationDef, spec: SemiringSpec) -> RelTable:
@@ -362,11 +331,14 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     re-evaluated, each round against its own previous round and the
     finished tables of its callees, until it stabilizes: exact equality
     for discrete semirings, an absolute tolerance for the real semiring
-    (`epsilon` overrides the semiring default).  If a component runs
-    `max_iters` rounds without stabilizing, or a round yields a nan cell
-    (weights that overflowed), solving stops there and the tables so far
-    are returned with ``converged=False`` and that component's round
-    count.  Otherwise ``iterations`` is the most rounds any component took.
+    (`epsilon` overrides the semiring default).  ``iterations`` is the
+    most rounds any component took.  If a component runs `max_iters`
+    rounds without stabilizing, the result has ``converged=False`` and the
+    components after it are solved against its last round.  If a round
+    yields a nan cell (weights that overflowed), solving stops there: the
+    tables so far are returned with ``converged=False`` and that
+    component's round count, and the components after it keep all-zero
+    tables.
 
     ``on_round(round, old, new)`` is called after every round of every
     component, before the round's tables are stored: `round` counts from
@@ -376,7 +348,7 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     """
     tol = spec.equality_tolerance if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
-    rounds = 0
+    rounds, converged = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
         for rels, recursive in _call_graph_sccs(program):
             for it in range(1, max_iters + 1 if recursive else 2):
@@ -389,8 +361,8 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                     spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
                 tables.update(new)
                 if done:
-                    rounds = max(rounds, it)
                     break
             else:
-                return FixpointResult(tables, False, max_iters)
-    return FixpointResult(tables, True, rounds)
+                converged = False
+            rounds = max(rounds, it)
+    return FixpointResult(tables, converged, rounds)

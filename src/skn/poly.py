@@ -37,7 +37,7 @@ from .syntax import (
     Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod, Program,
     RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
     ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value,
-    render_type, var_names,
+    render_type, subgoals,
 )
 from .typecheck import CallInfo, apply_subst, check_program
 from .eval import type_size
@@ -236,10 +236,12 @@ class _Lowering:
         self.mode = mode
         self.max_instances = max_instances
         self.max_tyvar_size = max_tyvar_size
+        # In a checked program every variable is a parameter or a fresh
+        # binder, so these are all the names a variable can have.
         used = set(self.source)
         for rel in program.relations:
             used.update(x for x, _ in rel.params)
-            used.update(var_names(rel.body))
+            used.update(g.var for g in subgoals(rel.body) if isinstance(g, Fresh))
         self.names = _NameSupply(used)
         # (rel, concrete types per tyvar) -> mangled name
         self.instances: dict[tuple[str, tuple[TypeExpr, ...]], str] = {}

@@ -12,9 +12,9 @@ import random
 import numpy as np
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, Program, RelationDef, check_program,
-    enumerate_type, eval_relation, fixpoint, index_value,
-    lower_program, parse_program, type_size, value_index,
+    BOOLEAN, MIN_TROPICAL, Program, RelationDef, Unify, Var, check_program,
+    enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
+    type_size,
 )
 from skn.poly import (
     _NameSupply, enforce_eqpat_codegen, eqpat_check, holes_of, shell_of,
@@ -74,18 +74,25 @@ def check_semiring_axioms(spec, n_triples=1000, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# index / enumerate bijection
+# the engine's index agrees with value enumeration
+
+def unify_hot_cells(v, t):
+    """The cells the engine sets in the table of `x == v` over `x : t`."""
+    rel = RelationDef("at", (), (("x", t),), Unify(Var("x"), v, t))
+    cells = eval_relation(rel, {}, BOOLEAN).cells
+    assert cells.shape == (type_size(t),), render_type(t)
+    return np.flatnonzero(cells).tolist()
+
 
 def check_index_bijection(min_cases=1000, seed=0):
+    """For the value v at position i of `enumerate_type(t)`, the engine's
+    table of `x == v` is one-hot at i."""
     rng = random.Random(seed)
     cases = 0
     while cases < min_cases:
         t = _random_sized_type(rng, 64)
-        values = enumerate_type(t)
-        assert len(values) == type_size(t), render_type(t)
-        for i, v in enumerate(values):
-            assert value_index(v, t) == i, (render_type(t), i)
-            assert index_value(i, t) == v, (render_type(t), i)
+        for i, v in enumerate(enumerate_type(t)):
+            assert unify_hot_cells(v, t) == [i], (render_type(t), i)
             cases += 1
     return cases
 
@@ -284,11 +291,11 @@ def check_enforce_eqpat():
         table = eval_relation(program.relations[0], {}, BOOLEAN)
         assert table.cells.size <= 4096
         k = len(delta)
-        for idx in np.ndindex(*table.sizes):
-            env1 = {x: index_value(i, apply_subst(sigma1, ty))
-                    for i, (x, ty) in zip(idx[:k], delta)}
-            env2 = {x: index_value(i, apply_subst(sigma2, ty))
-                    for i, (x, ty) in zip(idx[k:], delta)}
+        values1 = [enumerate_type(apply_subst(sigma1, ty)) for _, ty in delta]
+        values2 = [enumerate_type(apply_subst(sigma2, ty)) for _, ty in delta]
+        for idx in np.ndindex(*table.cells.shape):
+            env1 = {x: vs[i] for i, (x, _), vs in zip(idx[:k], delta, values1)}
+            env2 = {x: vs[i] for i, (x, _), vs in zip(idx[k:], delta, values2)}
             expected = eqpat_check(delta, env1, env2)
             got = bool(table.cells[idx])
             assert got == expected, (delta, idx, env1, env2)

@@ -1,15 +1,19 @@
 import io
+import itertools
 import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
+from skn import SEMIRINGS, cli, render_value
 from skn import eval as skn_eval
-from skn.cli import RunConfig, diff_modes, main, run
+from skn.cli import RunConfig, diff_modes, load_program, main, run
 
-from helpers import IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load
+import oracle
+from helpers import CORPUS, IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load
 
 
 def path(name):
@@ -102,18 +106,14 @@ def test_lowering_error_exit_code():
     assert "idempotent" in err
 
 
-def test_non_convergence_exit_code():
-    src = os.path.join(PROGRAM_DIR, "..", "diverge.skn")
-    with open(src, "w") as fh:
-        fh.write("(defrel (grow (x : Unit))"
-                 " (disj (factor 1) (conj (factor 2.0) (grow x))))\n")
-    try:
-        status, out, err = run_capture(RunConfig(src, "real", max_iters=30))
-        assert status == 3
-        assert "did not converge" in err
-        assert "# grow" in out  # last tables still emitted
-    finally:
-        os.remove(src)
+def test_non_convergence_exit_code(tmp_path):
+    src = tmp_path / "diverge.skn"
+    src.write_text("(defrel (grow (x : Unit))"
+                   " (disj (factor 1) (conj (factor 2.0) (grow x))))\n")
+    status, out, err = run_capture(RunConfig(str(src), "real", max_iters=30))
+    assert status == 3
+    assert "did not converge" in err
+    assert "# grow" in out  # last tables still emitted
 
 
 def test_unknown_relation_filter():
@@ -140,6 +140,55 @@ def test_json_output_round_trips():
     values = [render_value(v) for v in enumerate_type(four)]
     for k, entry in enumerate(connect["entries"]):
         assert entry["values"] == [values[k // 4], values[k % 4]]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_rows_follow_value_enumeration(tmp_path, fmt):
+    # each table's rows are the product of its parameters' values, listed
+    # by the oracle's own enumeration
+    zero_ary = tmp_path / "yes.skn"
+    zero_ary.write_text("(defrel (yes) (factor true))\n")
+    sources = [(path(name), "real" if name == "coins.skn" else "boolean")
+               for name in CORPUS] + [(str(zero_ary), "boolean")]
+    seen = set()
+    for src, sr in sources:
+        status, out, _ = run_capture(RunConfig(src, sr, fmt=fmt))
+        assert status == 0
+        if fmt == "json":
+            emitted = {r["relation"]: [tuple(e["values"]) for e in r["entries"]]
+                       for r in json.loads(out)}
+        else:
+            blocks = [b.splitlines() for b in out.split("\n\n")]
+            emitted = {lines[0][2:]: [tuple(row.split("\t")[:-1]) for row in lines[2:]]
+                       for lines in blocks}
+        lowered = load_program(Path(src).read_text(), SEMIRINGS[sr], "monomorphize")
+        assert list(emitted) == lowered.names()
+        for rel in lowered.relations:
+            axes = [[render_value(v) for v in oracle.type_values(ty)]
+                    for _, ty in rel.params]
+            assert emitted[rel.name] == list(itertools.product(*axes)), rel.name
+        seen.update(emitted)
+    assert {"yes", "equal-pairs", "connect", "fair-coin-flip"} <= seen
+
+
+def test_diff_reports_first_divergent_cell(monkeypatch):
+    # the second solve is large-enough's; flip one of its connect cells
+    original = cli.fixpoint
+    solved = []
+
+    def fixpoint(program, *args, **kwargs):
+        result = original(program, *args, **kwargs)
+        solved.append(program)
+        if len(solved) == 2:
+            cells = result.tables["connect"].cells
+            cells[3, 0] = not cells[3, 0]
+        return result
+
+    monkeypatch.setattr(cli, "fixpoint", fixpoint)
+    status, out, _ = run_capture(RunConfig(path("connect.skn"), "boolean", diff=True))
+    assert status == 4 and len(solved) == 2
+    assert out == ("divergence in connect at ((right (right (right sole))), (left sole)): "
+                   "monomorphize=false large-enough=true\n")
 
 
 def test_run_is_deterministic():

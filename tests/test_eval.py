@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, Left, Pair, Prod, Right, SOLE, Sum, TyVar,
     UNIT, Var, check_program, enumerate_type, eval_relation, fixpoint,
-    index_value, parse_program, type_size, value_index,
+    parse_program, type_size,
 )
 from skn import eval as skn_eval
 from skn.eval import zero_table
@@ -52,19 +52,6 @@ def test_enumerate_prod_first_major():
         [Pair(Left(SOLE), SOLE), Pair(Right(SOLE), SOLE)]
 
 
-def test_value_index_examples():
-    assert value_index(Right(SOLE), S2) == 1
-    assert index_value(0, UNIT) == SOLE
-    assert value_index(Pair(Right(SOLE), Left(SOLE)), Prod(S2, S2)) == 2
-
-
-def test_index_out_of_range():
-    with pytest.raises(ValueError):
-        index_value(2, S2)
-    with pytest.raises(ValueError):
-        value_index(Pair(SOLE, SOLE), S2)
-
-
 @st.composite
 def small_types(draw):
     t = draw(st.recursive(
@@ -81,8 +68,7 @@ def test_index_bijection(t):
     values = enumerate_type(t)
     assert len(values) == type_size(t)
     for i, v in enumerate(values):
-        assert index_value(i, t) == v
-        assert value_index(v, t) == i
+        assert props.unify_hot_cells(v, t) == [i]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +214,16 @@ def test_program_without_recursion_takes_one_round(evals):
     assert res.converged and res.iterations == 1
     assert evals == {rel.name: 1 for rel in lowered.relations}
     assert res.tables["distinct3-at"].cells.sum() == 5 * 4 * 3
+
+
+def test_components_above_one_out_of_rounds_still_solved(evals):
+    # connect runs out of rounds; from0 is solved against its last round
+    _, res = run_source(chain_source(6), BOOLEAN, max_iters=2)
+    assert not res.converged and res.iterations == 2
+    assert evals["from0"] == 1
+    assert res.tables["from0"].cells.tolist() == \
+        res.tables["connect"].cells[0].tolist() == \
+        [False, True, True, False, False, False]
 
 
 def _call_chain_source(n: int) -> str:

@@ -6,7 +6,7 @@ import pytest
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, InstanceExplosion, InstanceKey,
     NonIdempotentSemiring, Sum, check_program, collect_instances,
-    eqpat_check, index_value, lower_program, parse_program, canonical_type,
+    enumerate_type, eqpat_check, lower_program, parse_program, canonical_type,
 )
 from skn.syntax import (
     Call, Disunify, TyVar, Unify, map_goal, render_program,
@@ -135,13 +135,13 @@ def test_sum_swap_tables_agree_on_related_cells():
     delta = (("x", Sum(TyVar("a"), TyVar("b"))), ("y", Sum(TyVar("b"), TyVar("a"))))
     sig33 = {"a": canonical_type(3), "b": canonical_type(3)}
     sig34 = {"a": canonical_type(3), "b": canonical_type(4)}
+    values33 = [enumerate_type(apply_subst(sig33, ty)) for _, ty in delta]
+    values34 = [enumerate_type(apply_subst(sig34, ty)) for _, ty in delta]
     checked = 0
-    for i33 in np.ndindex(*t33.sizes):
-        env1 = {x: index_value(i, apply_subst(sig33, ty))
-                for i, (x, ty) in zip(i33, delta)}
-        for i34 in np.ndindex(*t34.sizes):
-            env2 = {x: index_value(i, apply_subst(sig34, ty))
-                    for i, (x, ty) in zip(i34, delta)}
+    for i33 in np.ndindex(*t33.cells.shape):
+        env1 = {x: vs[i] for i, (x, _), vs in zip(i33, delta, values33)}
+        for i34 in np.ndindex(*t34.cells.shape):
+            env2 = {x: vs[i] for i, (x, _), vs in zip(i34, delta, values34)}
             if eqpat_check(delta, env1, env2):
                 assert t33.cells[i33] == t34.cells[i34], (i33, i34)
                 checked += 1
