@@ -108,6 +108,48 @@ def test_parse_errors_carry_location():
     assert e.value.line == 2
 
 
+_R = "(defrel (r (x : Unit)) "
+
+
+@pytest.mark.parametrize("source, msg, line, col", [
+    pytest.param(_R + "\n  (== x (left sole", "missing ')'", 2, 9, id="end-of-input"),
+    pytest.param(_R + "(== x sole)))", "unexpected ')'", 1, 36, id="stray-close"),
+    pytest.param(_R + "(== x sole})", "unexpected '}'", 1, 34, id="mismatched-brace"),
+    pytest.param(_R + "(== x sole) (== x sole))",
+                 "expected (defrel (name params...) goal)", 1, 1, id="three-item-defrel"),
+    pytest.param("(define (r (x : Unit)) (== x sole))",
+                 "expected defrel, got 'define'", 1, 1, id="define"),
+    pytest.param(_R + "(factor))", "factor takes one weight literal", 1, 24, id="factor"),
+    pytest.param("(defrel (r (x : (Sum Unit Unit))) (== x (left {} sole)))",
+                 "annotation braces hold exactly one type", 1, 41, id="empty-annotation"),
+    pytest.param(_R + "(fresh () (== x sole)))",
+                 "fresh needs a non-empty binder list", 1, 24, id="fresh-no-binders"),
+    pytest.param(_R + "(conj (== x sole)))",
+                 "conj takes at least two subgoals", 1, 24, id="one-goal-conj"),
+    pytest.param(_R + "\n  (== x (badctor sole)))",
+                 "unknown value constructor 'badctor'", 2, 9, id="value-constructor"),
+    pytest.param("(defrel (r (x : (Arrow Unit Unit))) (== x x))",
+                 "unknown type constructor 'Arrow'", 1, 17, id="type-constructor"),
+    pytest.param("(defrel (r (x Unit)) (== x sole))",
+                 "expected (name : type)", 1, 12, id="param-without-colon"),
+    pytest.param("(defrel (r (sole : Unit)) (== sole sole))",
+                 "'sole' is reserved and cannot name a variable", 1, 13, id="reserved-param"),
+    pytest.param("(defrel (r (forall a a) (x : a)) (== x x))",
+                 "duplicate type variable in forall", 1, 9, id="duplicate-forall"),
+    pytest.param("(defrel (r (x : (Prod Unit Unit))) (== x (pair sole)))",
+                 "pair takes two values", 1, 42, id="one-value-pair"),
+    pytest.param(_R + "(== x x x))", "== takes two values", 1, 24, id="three-value-unify"),
+    pytest.param(_R + "(sole x))", "misplaced 'sole'", 1, 24, id="sole-goal"),
+    pytest.param(_R + "{== x x})", "expected a goal", 1, 24, id="braced-goal"),
+    pytest.param(_R + "(== x sole)\n(defrel (s (y : Unit)) (== y sole))",
+                 "missing ')'", 1, 1, id="unclosed-defrel"),
+])
+def test_single_fault_parse_errors(source, msg, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_program(source)
+    assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
+
+
 def test_render_value_examples():
     assert render_value(SOLE) == "sole"
     assert render_value(Left(SOLE)) == "(left sole)"
