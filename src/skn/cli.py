@@ -3,11 +3,11 @@ lower it), run the fixpoint, and emit relation tables as TSV or JSON.
 ``--diff`` loads the program under both lowering modes instead and
 compares their tables.
 
-Exit codes: 0 ok, 1 parse/type/weight-literal errors, a program nested
-too deeply for the recursion limit, or --diff given with a flag it would
-ignore; 2 lowering errors; 3 fixpoint non-convergence (in either mode
-under --diff), including a round that yields nan; 4 table divergence in
---diff mode.
+Exit codes: 0 ok; 1 an unreadable or undecodable source file,
+parse/type/weight-literal errors, a program nested too deeply for the
+recursion limit, or --diff given with a flag it would ignore; 2 lowering
+errors; 3 fixpoint non-convergence (in either mode under --diff),
+including a round that yields nan; 4 table divergence in --diff mode.
 """
 from __future__ import annotations
 
@@ -177,8 +177,8 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 fh.write(render_program(lowered))
         result = _fixpoint(cfg, lowered, spec)
         text = emit_tables(_select_tables(result, lowered, cfg.relations), cfg.fmt, spec)
-    except (OSError, ParseError, typecheck.TypeCheckError, WeightLiteralError,
-            UnknownRelation) as e:
+    except (OSError, UnicodeDecodeError, ParseError, typecheck.TypeCheckError,
+            WeightLiteralError, UnknownRelation) as e:
         print(f"error: {e}", file=err)
         return EXIT_BAD_PROGRAM
     except RecursionError:

@@ -16,12 +16,15 @@ same way.  Sum constructors take an optional brace-wrapped annotation,
 ``(left {(Sum Unit Unit)} sole)``; when it is absent the type checker
 infers the sum type without writing it in.  Comments run from ``;`` to end of line.
 
-Parsing also renames apart any ``fresh`` binder that would shadow an
-enclosing variable, so later passes can treat variable names as unique
-within one relation body.
+The text is read in one pass: one regex splits it into tokens, and a
+recursive-descent reader builds the AST from them.  The reader renames
+apart any ``fresh`` binder that would shadow an enclosing variable as it
+goes, so later passes can treat variable names as unique within one
+relation body.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
@@ -234,21 +237,6 @@ def subgoals(g: Goal) -> Iterator[Goal]:
                 stack.append(body)
 
 
-def var_names(g: Goal) -> set[str]:
-    """Every variable name `g` binds or mentions."""
-    out: set[str] = set()
-    for h in subgoals(g):
-        match h:
-            case Fresh(x, _, _):
-                out.add(x)
-            case Unify(v1, v2, _) | Disunify(v1, v2, _):
-                out.update(free_vars(v1), free_vars(v2))
-            case Call(_, args, _):
-                for a in args:
-                    out.update(free_vars(a))
-    return out
-
-
 @dataclass(frozen=True)
 class RelationDef:
     name: str
@@ -275,11 +263,9 @@ class Program:
 # reader
 
 class ParseError(Exception):
-    def __init__(self, msg: str, line: int = 0, col: int = 0):
-        super().__init__(f"line {line}, column {col}: {msg}" if line else msg)
-        self.msg = msg
-        self.line = line
-        self.col = col
+    def __init__(self, msg: str, line: int, col: int):
+        super().__init__(f"line {line}, column {col}: {msg}")
+        self.msg, self.line, self.col = msg, line, col
 
 
 RESERVED = {
@@ -287,260 +273,16 @@ RESERVED = {
     "sole", "left", "right", "pair", "Unit", "Sum", "Prod", "Pair",
 }
 
-_DELIMS = set("(){};:") | set(" \t\r\n")
-
-
-@dataclass(frozen=True)
-class SAtom:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class SList:
-    items: tuple
-    line: int
-    col: int
-    braced: bool = False
-
-
-def _tokenize(text: str):
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "(){}:":
-            yield (c, c, line, col)
-            i += 1
-            col += 1
-        else:
-            start, scol = i, col
-            while i < n and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            yield ("atom", text[start:i], line, scol)
-    yield ("eof", "", line, col)
-
-
-def _read_all(text: str) -> list:
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def read_one():
-        kind, value, line, col = advance()
-        if kind == "atom" or kind == ":":
-            return SAtom(value, line, col)
-        if kind in "({":
-            close = ")" if kind == "(" else "}"
-            items = []
-            while True:
-                k, _, l, c = peek()
-                if k == "eof":
-                    raise ParseError(f"missing {close!r}", line, col)
-                if k == close:
-                    advance()
-                    return SList(tuple(items), line, col, braced=(kind == "{"))
-                if k in ")}":
-                    raise ParseError(f"unexpected {k!r}", l, c)
-                items.append(read_one())
-        raise ParseError(f"unexpected {value!r}", line, col)
-
-    forms = []
-    while peek()[0] != "eof":
-        forms.append(read_one())
-    return forms
-
-
-# ---------------------------------------------------------------------------
-# AST construction
-
-def _want_atom(sx, what: str) -> str:
-    if not isinstance(sx, SAtom) or sx.text == ":":
-        raise ParseError(f"expected {what}", sx.line, sx.col)
-    return sx.text
-
-
-def _want_name(sx, what: str) -> str:
-    name = _want_atom(sx, what)
-    if name in RESERVED:
-        raise ParseError(f"{name!r} is reserved and cannot name a {what}", sx.line, sx.col)
-    return name
-
-
-def build_type(sx) -> TypeExpr:
-    if isinstance(sx, SAtom):
-        if sx.text == "Unit":
-            return UNIT
-        if sx.text in RESERVED or sx.text == ":":
-            raise ParseError(f"expected a type, got {sx.text!r}", sx.line, sx.col)
-        return TyVar(sx.text)
-    if sx.braced:
-        raise ParseError("unexpected annotation braces in type", sx.line, sx.col)
-    if not sx.items:
-        raise ParseError("empty type form", sx.line, sx.col)
-    head = _want_atom(sx.items[0], "a type constructor")
-    if head in ("Sum", "Prod", "Pair"):  # Pair accepted as an alias for Prod
-        if len(sx.items) != 3:
-            raise ParseError(f"{head} takes two types", sx.line, sx.col)
-        a, b = build_type(sx.items[1]), build_type(sx.items[2])
-        return Sum(a, b) if head == "Sum" else Prod(a, b)
-    raise ParseError(f"unknown type constructor {head!r}", sx.line, sx.col)
-
-
-def build_value(sx) -> ValueExpr:
-    if isinstance(sx, SAtom):
-        if sx.text == "sole":
-            return SOLE
-        return Var(_want_name(sx, "variable"))
-    if sx.braced:
-        raise ParseError("annotation braces are only valid after left/right", sx.line, sx.col)
-    if not sx.items:
-        raise ParseError("empty value form", sx.line, sx.col)
-    head = _want_atom(sx.items[0], "a value constructor")
-    if head in ("left", "right"):
-        rest = list(sx.items[1:])
-        annot = None
-        if rest and isinstance(rest[0], SList) and rest[0].braced:
-            if len(rest[0].items) != 1:
-                raise ParseError("annotation braces hold exactly one type", sx.line, sx.col)
-            annot = build_type(rest[0].items[0])
-            rest = rest[1:]
-        if len(rest) != 1:
-            raise ParseError(f"{head} takes one value", sx.line, sx.col)
-        inner = build_value(rest[0])
-        return Left(inner, annot) if head == "left" else Right(inner, annot)
-    if head == "pair":
-        if len(sx.items) != 3:
-            raise ParseError("pair takes two values", sx.line, sx.col)
-        return Pair(build_value(sx.items[1]), build_value(sx.items[2]))
-    raise ParseError(f"unknown value constructor {head!r}", sx.line, sx.col)
-
-
-def build_goal(sx) -> Goal:
-    if isinstance(sx, SAtom):
-        raise ParseError(f"expected a goal, got {sx.text!r}", sx.line, sx.col)
-    if sx.braced or not sx.items:
-        raise ParseError("expected a goal", sx.line, sx.col)
-    head_sx = sx.items[0]
-    head = _want_atom(head_sx, "a goal form")
-    args = sx.items[1:]
-    if head in ("conj", "disj"):
-        if len(args) < 2:
-            raise ParseError(f"{head} takes at least two subgoals", sx.line, sx.col)
-        goals = [build_goal(a) for a in args]
-        node = goals[-1]
-        ctor = Conj if head == "conj" else Disj
-        for g in reversed(goals[:-1]):
-            node = ctor(g, node)
-        return node
-    if head == "fresh":
-        if len(args) != 2:
-            raise ParseError("fresh takes a binder list and one body goal", sx.line, sx.col)
-        binders_sx = args[0]
-        if not isinstance(binders_sx, SList) or binders_sx.braced or not binders_sx.items:
-            raise ParseError("fresh needs a non-empty binder list", sx.line, sx.col)
-        binders = [_build_param(b) for b in binders_sx.items]
-        body = build_goal(args[1])
-        for name, ty in reversed(binders):
-            body = Fresh(name, ty, body)
-        return body
-    if head in ("==", "=/="):
-        if len(args) != 2:
-            raise ParseError(f"{head} takes two values", sx.line, sx.col)
-        v1, v2 = build_value(args[0]), build_value(args[1])
-        return Unify(v1, v2) if head == "==" else Disunify(v1, v2)
-    if head == "factor":
-        if len(args) != 1 or not isinstance(args[0], SAtom) or args[0].text == ":":
-            raise ParseError("factor takes one weight literal", sx.line, sx.col)
-        return Factor(args[0].text)
-    if head in RESERVED:
-        raise ParseError(f"misplaced {head!r}", sx.line, sx.col)
-    return Call(head, tuple(build_value(a) for a in args))
-
-
-def _is_param_shape(sx) -> bool:
-    return (
-        isinstance(sx, SList)
-        and not sx.braced
-        and len(sx.items) == 3
-        and isinstance(sx.items[1], SAtom)
-        and sx.items[1].text == ":"
-    )
-
-
-def _build_param(sx) -> tuple[str, TypeExpr]:
-    if not _is_param_shape(sx):
-        line, col = (sx.line, sx.col) if hasattr(sx, "line") else (0, 0)
-        raise ParseError("expected (name : type)", line, col)
-    name = _want_name(sx.items[0], "variable")
-    return name, build_type(sx.items[2])
-
-
-def _build_defrel(sx) -> RelationDef:
-    if not isinstance(sx, SList) or sx.braced or len(sx.items) != 3:
-        line, col = (sx.line, sx.col) if isinstance(sx, (SAtom, SList)) else (0, 0)
-        raise ParseError("expected (defrel (name params...) goal)", line, col)
-    kw = _want_atom(sx.items[0], "defrel")
-    if kw != "defrel":
-        raise ParseError(f"expected defrel, got {kw!r}", sx.line, sx.col)
-    header = sx.items[1]
-    if not isinstance(header, SList) or header.braced or not header.items:
-        raise ParseError("defrel needs a (name params...) header", sx.line, sx.col)
-    name = _want_name(header.items[0], "relation")
-    rest = list(header.items[1:])
-
-    tyvars: Optional[tuple[str, ...]] = None
-    if rest and isinstance(rest[0], SList) and not rest[0].braced and rest[0].items \
-            and isinstance(rest[0].items[0], SAtom) and rest[0].items[0].text == "forall":
-        declared = [_want_name(t, "type variable") for t in rest[0].items[1:]]
-        if len(set(declared)) != len(declared):
-            raise ParseError("duplicate type variable in forall", header.line, header.col)
-        tyvars = tuple(declared)
-        rest = rest[1:]
-
-    # Accept both a flat parameter list and one wrapped in an extra list.
-    if len(rest) == 1 and isinstance(rest[0], SList) and not rest[0].braced \
-            and rest[0].items and all(_is_param_shape(p) for p in rest[0].items):
-        rest = list(rest[0].items)
-    params = [_build_param(p) for p in rest]
-    names = [p for p, _ in params]
-    if len(set(names)) != len(names):
-        raise ParseError(f"duplicate parameter name in relation {name!r}", header.line, header.col)
-
-    if tyvars is None:
-        tyvars = tuple(free_type_vars(*(ty for _, ty in params)))
-
-    body = build_goal(sx.items[2])
-    supply = _NameSupply(set(names) | var_names(body))
-    return RelationDef(name, tyvars, tuple(params),
-                       _rename_shadowed(body, set(names), supply))
+_TOKEN = re.compile(r";[^\n]*|([(){}:]|[^(){};: \t\r\n]+)")
+_PUNCT = {"(", ")", "{", "}", ":", ""}  # "" ends the token list
+_CLOSER = {"(": ")", "{": "}"}
 
 
 class _NameSupply:
     """Generates names that collide with none in `used` nor with each other."""
 
     def __init__(self, used: set[str]):
-        self.used = set(used)
-        self.counter = 0
+        self.used, self.counter = set(used), 0
 
     def fresh(self, base: str) -> str:
         while True:
@@ -551,62 +293,249 @@ class _NameSupply:
                 return cand
 
     def relation_name(self, base: str) -> str:
-        if base not in self.used:
-            self.used.add(base)
-            return base
-        k = 1
-        while f"{base}#{k}" in self.used:
+        name, k = base, 0
+        while name in self.used:
             k += 1
-        name = f"{base}#{k}"
+            name = f"{base}#{k}"
         self.used.add(name)
         return name
 
 
-def _rename_shadowed(body: Goal, params: set[str], supply: _NameSupply) -> Goal:
-    """Rename apart fresh binders that shadow an enclosing variable."""
+class _Reader:
+    """One method per form and one Python frame per nesting level.  A form
+    reads its children up to its own closing bracket, then checks how many
+    it got.  Within a relation, `scope` holds the variables in scope and
+    `env` maps each shadowing binder to its new name; the relation's name
+    supply avoids every token of the file."""
 
-    def rename(v: ValueExpr, env: dict[str, str]) -> ValueExpr:
-        return map_value(v, var=lambda u: Var(env.get(u.name, u.name)))
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+        self.toks = [(m[1], m.start()) for m in _TOKEN.finditer(text) if m[1]] + [("", len(text))]
+        self.atoms = {tok for tok, _ in self.toks}
 
-    def walk(g: Goal, scope: set[str], env: dict[str, str]) -> Goal:
-        match g:
-            case Conj(a, b):
-                return Conj(walk(a, scope, env), walk(b, scope, env))
-            case Disj(a, b):
-                return Disj(walk(a, scope, env), walk(b, scope, env))
-            case Fresh(x, ty, inner):
-                if x in scope:
-                    nx = supply.fresh(x)
-                    env = {**env, x: nx}
-                else:
-                    nx = x
-                    env = {k: v for k, v in env.items() if k != x}
-                return Fresh(nx, ty, walk(inner, scope | {nx}, env))
-            case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
-                return type(g)(rename(v1, env), rename(v2, env), ty)
-            case Call(rel, args, info):
-                return Call(rel, tuple(rename(a, env) for a in args), info)
-            case Factor(_):
-                return g
+    def fail(self, msg: str, off: int):
+        """Raise `msg` at offset `off`, unless a bracket is unmatched: then
+        raise the first such bracket, wherever it is in the file."""
+        stack = []
+        for tok, at in self.toks:
+            if tok in _CLOSER:
+                stack.append((_CLOSER[tok], at))
+            elif tok in (")", "}") and (not stack or stack.pop()[0] != tok):
+                msg, off = f"unexpected {tok!r}", at
+                break
+            elif tok == "" and stack:
+                msg, off = f"missing {stack[-1][0]!r}", stack[-1][1]
+        line = self.text.count("\n", 0, off) + 1
+        raise ParseError(msg, line, off - self.text.rfind("\n", 0, off))
 
-    # Scope starts as the parameter names; other body names are only in
-    # the supply's used set so generated names never collide with anything
-    # in the body.
-    return walk(body, set(params), {})
+    def next(self) -> tuple[str, int]:
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def more(self, close: str = ")") -> bool:
+        """Whether another child follows; consumes the closing bracket."""
+        tok, off = self.toks[self.pos]
+        if tok == close:
+            self.pos += 1
+            return False
+        if tok in (")", "}", ""):
+            self.fail("", off)  # an unmatched bracket, which `fail` reports
+        return True
+
+    def name(self, what: str) -> str:
+        tok, off = self.next()
+        if tok in _PUNCT:
+            self.fail(f"expected {what}", off)
+        if tok in RESERVED:
+            self.fail(f"{tok!r} is reserved and cannot name a {what}", off)
+        return tok
+
+    def head(self, off: int, what: str, empty: str) -> str:
+        if not self.more():
+            self.fail(empty, off)
+        tok, at = self.next()
+        if tok in _PUNCT:
+            self.fail(f"expected {what}", at)
+        return tok
+
+    def type(self) -> TypeExpr:
+        tok, off = self.next()
+        if tok == "(":
+            head = self.head(off, "a type constructor", "empty type form")
+            if head not in ("Sum", "Prod", "Pair"):  # Pair is an alias for Prod
+                self.fail(f"unknown type constructor {head!r}", off)
+            kids = []
+            while self.more():
+                kids.append(self.type())
+            if len(kids) != 2:
+                self.fail(f"{head} takes two types", off)
+            return Sum(*kids) if head == "Sum" else Prod(*kids)
+        if tok == "{":
+            self.fail("unexpected annotation braces in type", off)
+        if tok == "Unit":
+            return UNIT
+        if tok in RESERVED or tok == ":":
+            self.fail(f"expected a type, got {tok!r}", off)
+        return TyVar(tok)
+
+    def value(self) -> ValueExpr:
+        tok, off = self.toks[self.pos]
+        if tok == "sole":
+            self.pos += 1
+            return SOLE
+        if tok == "{":
+            self.fail("annotation braces are only valid after left/right", off)
+        if tok != "(":
+            name = self.name("variable")
+            return Var(self.env.get(name, name))
+        self.pos += 1
+        head = self.head(off, "a value constructor", "empty value form")
+        if head not in ("left", "right", "pair"):
+            self.fail(f"unknown value constructor {head!r}", off)
+        annots = []
+        if head != "pair" and self.toks[self.pos][0] == "{":
+            self.pos += 1
+            while self.more("}"):
+                annots.append(self.type())
+            if len(annots) != 1:
+                self.fail("annotation braces hold exactly one type", off)
+        kids = []
+        while self.more():
+            kids.append(self.value())
+        if head == "pair":
+            if len(kids) != 2:
+                self.fail("pair takes two values", off)
+            return Pair(*kids)
+        if len(kids) != 1:
+            self.fail(f"{head} takes one value", off)
+        return Left(kids[0], *annots) if head == "left" else Right(kids[0], *annots)
+
+    def goal(self) -> Goal:
+        tok, off = self.next()
+        if tok != "(":
+            self.fail("expected a goal" if tok == "{" else f"expected a goal, got {tok!r}", off)
+        head = self.head(off, "a goal form", "expected a goal")
+        if head in ("conj", "disj"):
+            goals = []
+            while self.more():
+                goals.append(self.goal())
+            if len(goals) < 2:
+                self.fail(f"{head} takes at least two subgoals", off)
+            node = goals.pop()
+            for g in reversed(goals):
+                node = Conj(g, node) if head == "conj" else Disj(g, node)
+            return node
+        if head == "fresh":
+            arity = "fresh takes a binder list and one body goal"
+            if not self.more():
+                self.fail(arity, off)
+            env, binders = self.env, []
+            if self.toks[self.pos][0] == "(":
+                self.pos += 1
+                while self.more():
+                    x, ty = self.param()
+                    if x in self.scope:
+                        self.env = {**self.env, x: self.supply.fresh(x)}
+                    binders.append((self.env.get(x, x), ty))
+                    self.scope.add(binders[-1][0])
+            if not binders:
+                self.fail("fresh needs a non-empty binder list", off)
+            if not self.more():
+                self.fail(arity, off)
+            body = self.goal()
+            if self.more():
+                self.fail(arity, off)
+            self.scope.difference_update(x for x, _ in binders)
+            self.env = env
+            for x, ty in reversed(binders):
+                body = Fresh(x, ty, body)
+            return body
+        if head == "factor":
+            lit, _ = self.next()
+            if lit in _PUNCT or self.more():
+                self.fail("factor takes one weight literal", off)
+            return Factor(lit)
+        if head in RESERVED and head not in ("==", "=/="):
+            self.fail(f"misplaced {head!r}", off)
+        args = []
+        while self.more():
+            args.append(self.value())
+        if head not in ("==", "=/="):
+            return Call(head, tuple(args))
+        if len(args) != 2:
+            self.fail(f"{head} takes two values", off)
+        return Unify(*args) if head == "==" else Disunify(*args)
+
+    def param(self, at: Optional[int] = None) -> tuple[str, TypeExpr]:
+        """One `(name : type)`, reported at `at`, else at its `(`, if malformed."""
+        tok, off = self.next()
+        at = off if at is None else at
+        if tok != "(" or not self.more() or (self.toks[self.pos][0] not in _CLOSER
+                                             and self.toks[self.pos + 1][0] != ":"):
+            self.fail("expected (name : type)", at)
+        name = self.name("variable")
+        self.pos += 1  # the ':'
+        if not self.more() or self.toks[self.pos][0] == ":":
+            self.fail("expected (name : type)", at)
+        ty = self.type()
+        if self.more():
+            self.fail("expected (name : type)", at)
+        return name, ty
+
+    def defrel(self) -> RelationDef:
+        tok, off = self.next()
+        shape = "expected (defrel (name params...) goal)"
+        if tok != "(":
+            self.fail(shape, off)
+        kw = self.head(off, "defrel", shape)
+        if kw != "defrel":
+            self.fail(f"expected defrel, got {kw!r}", off)
+        if not self.more():
+            self.fail(shape, off)
+        tok, hoff = self.next()
+        if tok != "(" or not self.more():
+            self.fail("defrel needs a (name params...) header", off)
+        name, tyvars = self.name("relation"), None
+        if self.toks[self.pos][0] == "(" and self.toks[self.pos + 1][0] == "forall":
+            self.pos += 2
+            tyvars = []
+            while self.more():
+                tyvars.append(self.name("type variable"))
+            if len(set(tyvars)) != len(tyvars):
+                self.fail("duplicate type variable in forall", hoff)
+        # Accept both a flat parameter list and one wrapped in an extra list.
+        params, wrap = [], None
+        if self.toks[self.pos][0] == "(" and self.toks[self.pos + 1][0] == "(":
+            wrap = self.next()[1]
+        while self.more():
+            params.append(self.param(wrap))
+        if wrap is not None and self.more():
+            self.fail("expected (name : type)", wrap)
+        names = [x for x, _ in params]
+        if len(set(names)) != len(names):
+            self.fail(f"duplicate parameter name in relation {name!r}", hoff)
+        if tyvars is None:
+            tyvars = free_type_vars(*(ty for _, ty in params))
+        if not self.more():
+            self.fail(shape, off)
+        self.scope, self.env, self.supply = set(names), {}, _NameSupply(self.atoms)
+        body = self.goal()
+        if self.more():
+            self.fail(shape, off)
+        return RelationDef(name, tuple(tyvars), tuple(params), body)
 
 
 def parse_program(text: str) -> Program:
     """Parse source text into a `Program`, normalizing surface sugar."""
-    forms = _read_all(text)
-    rels = []
-    names: set[str] = set()
-    for form in forms:
-        rel = _build_defrel(form)
-        if rel.name in names:
-            raise ParseError(f"duplicate relation name {rel.name!r}", form.line, form.col)
-        names.add(rel.name)
-        rels.append(rel)
-    return Program(tuple(rels))
+    reader = _Reader(text)
+    rels: dict[str, RelationDef] = {}
+    while reader.toks[reader.pos][0]:
+        off = reader.toks[reader.pos][1]
+        rel = reader.defrel()
+        if rel.name in rels:
+            reader.fail(f"duplicate relation name {rel.name!r}", off)
+        rels[rel.name] = rel
+    return Program(tuple(rels.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,15 @@ def test_deep_nesting_exit_code(tmp_path):
     assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("diff", [False, True])
+def test_undecodable_source_exit_code(tmp_path, diff):
+    src = tmp_path / "latin1.skn"
+    src.write_bytes(b"(defrel (r (x : Unit)) (== x \xff))\n")
+    status, out, err = run_capture(RunConfig(str(src), "boolean", diff=diff))
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_diff_real_gated():
     cfg = RunConfig(path("equal.skn"), "real", diff=True)
     status, _, err = run_capture(cfg)

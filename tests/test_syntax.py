@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skn import (
-    Conj, Disj, Factor, Fresh, Left, Pair, ParseError, Prod, Right, SOLE,
-    Sum, TyVar, UNIT, Unify, Var, enumerate_type, free_type_vars,
-    parse_program, render_program, render_value, type_size,
+    SEMIRINGS, Conj, Disj, Factor, Fresh, Left, Pair, ParseError, Prod, Right,
+    SOLE, Sum, TyVar, UNIT, Unify, Var, check_program, enumerate_type,
+    free_type_vars, lower_program, parse_program, render_program, render_value,
+    type_size,
 )
+from skn.syntax import render_relation
 
-from helpers import CORPUS, load
+import gen
+from helpers import CORPUS, chain_source, load
 
 
 def test_coin_flip_shape():
@@ -101,6 +104,23 @@ def test_shadowed_fresh_binder_renamed():
     inner = body.body.body
     assert inner.v1 == Var(body.body.var)
 
+    # The generated name avoids a name the body spells only after the binder.
+    p = parse_program(
+        "(defrel (r (x : Unit))"
+        " (fresh ((x : Unit)) (fresh ((x~1 : Unit)) (== x x~1))))")
+    body = p.relations[0].body
+    assert body.var not in ("x", "x~1")
+    assert body.body.body == Unify(Var(body.var), Var("x~1"))
+
+    # Each relation numbers its own renames, so the text of one relation
+    # does not depend on the relations before it.
+    r = "(defrel (r (x : Unit)) (fresh ((x : Unit)) (== x sole)))\n"
+    s = "(defrel (s (x : Unit)) (fresh ((x : Unit)) (conj (== x sole) (r x))))\n"
+    rs, sr = parse_program(r + s), parse_program(s + r)
+    assert [rel.body.var for rel in rs.relations] == ["x~1", "x~1"]
+    assert {render_relation(rel) for rel in rs.relations} == \
+        {render_relation(rel) for rel in sr.relations}
+
 
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as e:
@@ -170,8 +190,14 @@ def test_free_type_vars():
 
 
 def test_corpus_parses_and_round_trips():
-    for name in CORPUS:
-        program = parse_program(load(name))
+    sources = [load(name) for name in CORPUS]
+    sources += [gen.random_program(s) for s in range(50)] + [chain_source(6)]
+    # lowered output adds generated names such as x~1 and two-valued$1
+    sources += [render_program(lower_program(check_program(parse_program(load(name))),
+                                             mode, SEMIRINGS["boolean"]))
+                for name in CORPUS for mode in ("monomorphize", "large-enough")]
+    for source in sources:
+        program = parse_program(source)
         assert parse_program(render_program(program)) == program
 
 
