@@ -24,11 +24,16 @@ strongly connected component of the call graph at a time, callees first:
 a relation that does not call itself, directly or through others, reads
 only finished tables and is evaluated once; a group of mutually recursive
 relations is re-evaluated against its own previous round until it
-stabilizes.  This array engine is the only evaluator in the package; the
-brute-force cell-by-cell reference lives with the tests.
+stabilizes.  Over a field (the real semiring), a small group whose bodies
+are affine in its own tables is instead solved exactly: its least fixed
+point is the solution of x = A·x + b, the first step of Newton's method
+for program analysis (Esparza, Kiefer and Luttenberger, JACM 2010).  This
+array engine is the only evaluator in the package; the brute-force
+cell-by-cell reference lives with the tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -321,44 +326,144 @@ def _call_graph_sccs(program: Program) -> list[tuple[list[RelationDef], bool]]:
     return out
 
 
+# A recursive group with more cells than this is iterated, not solved:
+# probing its matrix takes one round per cell, so a larger group whose
+# rounds contract fast converges sooner by iteration.
+MAX_SOLVE_CELLS = 64
+
+
+def _affine(rels: list[RelationDef]) -> bool:
+    """Whether the bodies of a group are affine in the group's own tables,
+    by syntax: no conj has a call into the group on both sides.  A call is
+    linear in its table, disj and fresh add, and conj then only scales."""
+    names = {rel.name for rel in rels}
+
+    def calls_group(g: Goal) -> bool:
+        return any(isinstance(h, Call) and h.rel in names for h in subgoals(g))
+
+    return not any(isinstance(g, Conj) and calls_group(g.g1) and calls_group(g.g2)
+                   for rel in rels for g in subgoals(rel.body))
+
+
+def _solve_affine(rels: list[RelationDef], tables: dict[str, RelTable],
+                  spec: SemiringSpec, tol: float
+                  ) -> Optional[tuple[dict[str, RelTable], dict[str, RelTable]]]:
+    """Solve an affine recursive group over a field with one linear solve.
+
+    With the group's cells flattened into one vector, a round maps x to
+    f(x) = A·x + b: b is f at zero, and column j of A is f at the j-th unit
+    vector minus b.  If A is finite with spectral radius below 1, the rounds
+    from zero converge, to the solution of (I - A)·x = b.  One round at x
+    verifies it.  Returns x and that round's tables, or None if a check
+    fails.
+    """
+    zeros = [zero_table(rel, spec) for rel in rels]
+    ends = np.cumsum([t.cells.size for t in zeros])
+    n = int(ends[-1])
+    if n > MAX_SOLVE_CELLS or not _affine(rels):
+        return None
+
+    def unflatten(vec: np.ndarray) -> dict[str, RelTable]:
+        return {t.rel: RelTable(t.rel, t.params, part.reshape(t.cells.shape))
+                for t, part in zip(zeros, np.split(vec, ends[:-1]))}
+
+    def f(vec: np.ndarray) -> np.ndarray:
+        probe = tables | unflatten(vec)
+        return np.concatenate([eval_relation(rel, probe, spec).cells.ravel()
+                               for rel in rels])
+
+    unit = np.eye(n, dtype=spec.dtype)
+    b = f(np.zeros(n, dtype=spec.dtype))
+    a = np.column_stack([f(e) - b for e in unit])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return None
+    try:
+        if np.abs(np.linalg.eigvals(a)).max() >= 1:
+            return None
+        x = unflatten(np.linalg.solve(unit - a, b))
+    except np.linalg.LinAlgError:
+        return None
+    new = {rel.name: eval_relation(rel, tables | x, spec) for rel in rels}
+    if any(np.isnan(t.cells).any() or not spec.tables_equal(x[name].cells, t.cells, tol)
+           for name, t in new.items()):
+        return None
+    return x, new
+
+
+def _within_tolerance(old: dict[str, RelTable], new: dict[str, RelTable],
+                      last_delta: float, tol: float) -> tuple[bool, float]:
+    """Whether a round over the reals is within `tol` of the fixed point,
+    and the round's largest change Δ.
+
+    The rounds contract at a rate estimated as ρ = Δ / (the last round's
+    Δ), so the fixed point is at most Δ·ρ/(1 - ρ) away.  With no last
+    round (`last_delta` nan) only Δ = 0 is close enough.
+    """
+    delta = max(float(np.abs(t.cells - old[name].cells).max()) for name, t in new.items())
+    if delta == 0:
+        return True, delta
+    rho = delta / last_delta
+    return bool(rho < 1 and delta * rho / (1 - rho) <= tol), delta
+
+
 def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = None,
              max_iters: int = 10000,
              on_round: Optional[Callable] = None) -> FixpointResult:
     """Solve the relations from all-zero tables, one call-graph component
     at a time, callees first.
 
-    A non-recursive component is evaluated once.  A recursive one is
-    re-evaluated, each round against its own previous round and the
-    finished tables of its callees, until it stabilizes: exact equality
-    for discrete semirings, an absolute tolerance for the real semiring
-    (`epsilon` overrides the semiring default).  ``iterations`` is the
-    most rounds any component took.  If a component runs `max_iters`
-    rounds without stabilizing, the result has ``converged=False`` and the
-    components after it are solved against its last round.  If a round
-    yields a nan cell (weights that overflowed), solving stops there: the
-    tables so far are returned with ``converged=False`` and that
-    component's round count, and the components after it keep all-zero
-    tables.
+    A non-recursive component is evaluated once.  Over a field, a recursive
+    component of at most `MAX_SOLVE_CELLS` cells whose bodies are affine in
+    its own tables is solved exactly (`_solve_affine`); that counts as one
+    round.  Any other recursive component is re-evaluated, each round
+    against its own previous round and the finished tables of its callees,
+    until it stabilizes: exact equality for discrete semirings, and over a
+    field until the contraction bound puts the round within the tolerance
+    of the fixed point (`epsilon` overrides the semiring default).
+    ``iterations`` is the most rounds any component took.  If a component
+    runs `max_iters` rounds without stabilizing, the result has
+    ``converged=False`` and the components after it are solved against its
+    last round.  If a round yields a nan cell (weights that overflowed),
+    solving stops there: the tables so far are returned with
+    ``converged=False`` and that component's round count, and the
+    components after it keep all-zero tables.
 
     ``on_round(round, old, new)`` is called after every round of every
     component, before the round's tables are stored: `round` counts from
     1 within the component, `new` holds only the component's new tables,
     and `old` maps every relation to its table before the round (the dict
-    is then updated in place).
+    is then updated in place).  A solved component's one round is the
+    round that verifies the solution.
     """
     tol = spec.equality_tolerance if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
     rounds, converged = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
         for rels, recursive in _call_graph_sccs(program):
+            solved = _solve_affine(rels, tables, spec, tol) \
+                if recursive and spec.field else None
+            if solved is not None:
+                x, new = solved
+                tables.update(x)
+                if on_round is not None:
+                    on_round(1, tables, new)
+                tables.update(new)
+                rounds = max(rounds, 1)
+                continue
+            delta = math.nan
             for it in range(1, max_iters + 1 if recursive else 2):
                 new = {rel.name: eval_relation(rel, tables, spec) for rel in rels}
                 if on_round is not None:
                     on_round(it, tables, new)
                 if any(np.isnan(t.cells).any() for t in new.values()):
                     return FixpointResult(tables | new, False, it)
-                done = not recursive or all(
-                    spec.tables_equal(tables[n].cells, new[n].cells, tol) for n in new)
+                if not recursive:
+                    done = True
+                elif spec.field:
+                    done, delta = _within_tolerance(tables, new, delta, tol)
+                else:
+                    done = all(spec.tables_equal(tables[n].cells, new[n].cells, tol)
+                               for n in new)
                 tables.update(new)
                 if done:
                     break

@@ -30,6 +30,7 @@ class SemiringSpec:
     add: Callable  # commutative, associative; binary ufunc, reducible
     mul: Callable  # commutative, associative, distributes over add
     idempotent_add: bool
+    field: bool  # the carrier is a field: a recursive group may be solved linearly
     equality_tolerance: float  # used only by fixpoint convergence; 0 = exact
     dtype: np.dtype
     read_literal: Callable[[str], Optional[Weight]]  # None: not in the carrier
@@ -77,6 +78,7 @@ BOOLEAN = SemiringSpec(
     add=np.logical_or,
     mul=np.logical_and,
     idempotent_add=True,
+    field=False,
     equality_tolerance=0.0,
     dtype=np.dtype(bool),
     read_literal=_BOOL_LITERALS.get,
@@ -90,6 +92,7 @@ REAL = SemiringSpec(
     add=np.add,
     mul=np.multiply,
     idempotent_add=False,
+    field=True,
     equality_tolerance=1e-9,
     dtype=np.dtype(np.float64),
     read_literal=_read_decimal,
@@ -105,6 +108,7 @@ MIN_TROPICAL = SemiringSpec(
     add=np.minimum,
     mul=np.add,
     idempotent_add=True,
+    field=False,
     equality_tolerance=0.0,
     dtype=np.dtype(np.float64),
     read_literal=lambda text: math.inf if text == "inf" else _read_decimal(text),

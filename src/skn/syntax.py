@@ -41,11 +41,23 @@ class Sum:
     left: "TypeExpr"
     right: "TypeExpr"
 
+    def __eq__(self, other: object) -> bool:
+        return _type_eq(self, other) if type(other) is Sum else NotImplemented
+
+    def __hash__(self) -> int:
+        return _type_hash(self)
+
 
 @dataclass(frozen=True)
 class Prod:
     first: "TypeExpr"
     second: "TypeExpr"
+
+    def __eq__(self, other: object) -> bool:
+        return _type_eq(self, other) if type(other) is Prod else NotImplemented
+
+    def __hash__(self) -> int:
+        return _type_hash(self)
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,44 @@ class TyVar:
 
 TypeExpr = Union[Unit, Sum, Prod, TyVar]
 UNIT = Unit()
+
+
+# Sum and Prod compare and hash with an explicit stack rather than the
+# dataclass methods, which recurse once per type level: the depth of a
+# type is then not bounded by the recursion limit.
+
+def _type_eq(t: TypeExpr, u: TypeExpr) -> bool:
+    stack = [(t, u)]
+    while stack:
+        t, u = stack.pop()
+        if t is u:
+            continue
+        if type(t) is not type(u):
+            return False
+        if type(t) is Sum:
+            stack += ((t.left, u.left), (t.right, u.right))
+        elif type(t) is Prod:
+            stack += ((t.first, u.first), (t.second, u.second))
+        elif t != u:
+            return False
+    return True
+
+
+def _type_hash(t: TypeExpr) -> int:
+    """The hash of the type's nodes in pre-order, so equal types hash equal."""
+    nodes: list[object] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Sum:
+            nodes.append(Sum)
+            stack += (u.right, u.left)
+        elif type(u) is Prod:
+            nodes.append(Prod)
+            stack += (u.second, u.first)
+        else:
+            nodes.append(u)
+    return hash(tuple(nodes))
 
 
 def free_type_vars(*ts: TypeExpr) -> list[str]:

@@ -24,6 +24,12 @@ def load(name: str) -> str:
         return fh.read()
 
 
+def skewed_coins_source() -> str:
+    """coins.skn with the unfair coin at p = 0.99, where a round shrinks the
+    error of fair-coin-flip only by 1 - 2p(1 - p) = 0.9802."""
+    return load("coins.skn").replace("0.7", "0.99").replace("0.3", "0.01")
+
+
 def chain_source(n: int) -> str:
     """chain-n: an (n-1)-edge path over a right-nested sum of n Units, with
     its transitive closure `connect` and the one-row `from0`."""

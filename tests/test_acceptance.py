@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
 per criterion.
 """
+import collections
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, InstanceKey, check_program,
-    collect_instances, parse_program,
+    collect_instances, fixpoint, lower_program, parse_program,
 )
 from skn.cli import emit_tables
 from skn.semiring import parse_weight_literal
@@ -18,7 +19,9 @@ from skn.semiring import parse_weight_literal
 import gen
 import oracle
 import props
-from helpers import CORPUS, IDEMPOTENT_CORPUS, load, run_source
+from helpers import (
+    CORPUS, IDEMPOTENT_CORPUS, checked, load, run_source, skewed_coins_source,
+)
 
 
 def _report(n, text):
@@ -46,6 +49,20 @@ def test_criterion_2_fair_coin_fixpoint():
         assert abs(cell - 0.5) < 1e-6
     _report(2, f"fair-coin-flip converges to [0.5, 0.5] within 1e-6 "
                f"in {res.iterations} iterations")
+
+
+def test_criterion_2b_skewed_fair_coin_solved_exactly():
+    # a stop on two close rounds ends far from the fixed point at this
+    # skew; the affine group is solved instead, in one round
+    rounds = collections.Counter()
+    lowered = lower_program(checked(skewed_coins_source()), "monomorphize", REAL)
+    res = fixpoint(lowered, REAL, epsilon=1e-9,
+                   on_round=lambda _it, _old, new: rounds.update(new.keys()))
+    assert res.converged
+    assert rounds["fair-coin-flip"] == 1
+    for cell in res.tables["fair-coin-flip"].cells:
+        assert abs(cell - 0.5) <= 1e-9
+    _report("2b", "fair-coin-flip at p = 0.99 is within 1e-9 of 0.5 after one round")
 
 
 def test_criterion_3_boolean_reachability():

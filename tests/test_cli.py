@@ -247,6 +247,24 @@ def test_max_iters_bounds_rounds_per_recursive_component(name, status):
     assert run_capture(RunConfig(path(name), "boolean", max_iters=1))[0] == status
 
 
+def test_solved_real_group_counts_as_one_round():
+    assert run_capture(RunConfig(path("coins.skn"), "real", max_iters=1))[0] == 0
+
+
+@pytest.mark.parametrize("body, semiring, last", [
+    # loop = 1 + loop: A = [1], so there is no finite fixed point to solve for
+    ("(disj (factor 1) (loop x))", "real", "50.0"),
+    # a cycle of negative weight: every round finds a shorter walk
+    ("(disj (factor 0) (conj (factor -1) (loop x)))", "min-tropical", "-49.0"),
+])
+def test_group_without_least_fixed_point_runs_out_of_rounds(tmp_path, body, semiring, last):
+    src = tmp_path / "loop.skn"
+    src.write_text(f"(defrel (loop (x : Unit)) {body})\n")
+    status, out, err = run_capture(RunConfig(str(src), semiring, max_iters=50))
+    assert status == 3 and "did not converge within 50" in err
+    assert f"sole\t{last}\n" in out
+
+
 @pytest.mark.parametrize("flag", [["--emit-lowered", "LOWERED"], ["--rel", "connect"],
                                   ["--format", "json"]])
 def test_diff_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
@@ -278,6 +296,15 @@ def test_deep_nesting_exit_code(tmp_path):
     status, out, err = run_capture(RunConfig(str(src), "boolean"))
     assert status == 1 and out == ""
     assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
+
+
+def test_deep_type_equality_within_recursion_limit(tmp_path):
+    # checking chain-400 compares 399-deep sum types
+    src = tmp_path / "chain-400.skn"
+    src.write_text(chain_source(400))
+    status, out, err = run_capture(RunConfig(str(src), "boolean", relations=["from0"]))
+    assert status == 0 and not err
+    assert out.count("\ttrue") == 399
 
 
 @pytest.mark.parametrize("diff", [False, True])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, Left, Pair, Prod, Right, SOLE, Sum, TyVar,
     UNIT, Var, check_program, enumerate_type, eval_relation, fixpoint,
-    parse_program, type_size,
+    lower_program, parse_program, type_size,
 )
 from skn import eval as skn_eval
 from skn.eval import zero_table
@@ -19,7 +19,10 @@ from skn.syntax import Disunify, Factor, Fresh, Unify
 import gen
 import oracle
 import props
-from helpers import CORPUS, IDEMPOTENT_CORPUS, chain_source, load, run_source
+from helpers import (
+    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, run_source,
+    skewed_coins_source,
+)
 
 S2 = Sum(UNIT, UNIT)
 S4 = Sum(UNIT, Sum(UNIT, Sum(UNIT, UNIT)))
@@ -159,6 +162,43 @@ def test_non_convergence_reported():
     src = "(defrel (grow (x : Unit)) (disj (factor 1) (conj (factor 2.0) (grow x))))"
     _, res = run_source(src, REAL, epsilon=1e-9, max_iters=50)
     assert not res.converged and res.iterations == 50
+
+
+def test_overflow_to_inf_is_not_convergence():
+    # w <- 2w + 1 reaches inf after about 1024 rounds, and inf = 2 inf + 1;
+    # a round that changes by inf - inf = nan is not within any tolerance
+    src = "(defrel (grow (x : Unit)) (disj (factor 1) (conj (factor 2.0) (grow x))))"
+    _, res = run_source(src, REAL, max_iters=1100)
+    assert not res.converged and res.iterations == 1100
+
+
+def _recursive_group(source):
+    lowered = lower_program(checked(source), "monomorphize", REAL)
+    [rels] = [rels for rels, recursive in skn_eval._call_graph_sccs(lowered) if recursive]
+    return rels
+
+
+def test_affinity_by_syntax():
+    assert skn_eval._affine(_recursive_group(load("coins.skn")))
+    # (conj (connect x z) (connect z y)) calls the group on both sides
+    assert not skn_eval._affine(_recursive_group(load("connect.skn")))
+
+
+def test_negative_real_weights_solved():
+    # alt = 1 - alt / 2 has A = [-0.5]: the solve needs no sign condition
+    src = "(defrel (alt (x : Unit)) (disj (factor 1) (conj (factor -0.5) (alt x))))"
+    _, res = run_source(src, REAL)
+    assert res.converged and res.iterations == 1
+    assert abs(res.tables["alt"].cells[0] - 2 / 3) <= 1e-12
+
+
+def test_group_above_cell_bound_iterates(monkeypatch):
+    monkeypatch.setattr(skn_eval, "MAX_SOLVE_CELLS", 1)
+    _, res = run_source(skewed_coins_source(), REAL, epsilon=1e-9)
+    assert res.converged and res.iterations > 100
+    # stopped by the contraction bound, not by two rounds within 1e-9
+    for cell in res.tables["fair-coin-flip"].cells:
+        assert abs(cell - 0.5) <= 1e-9
 
 
 def test_idempotent_fixpoints_terminate_exactly():

@@ -189,6 +189,19 @@ def test_free_type_vars():
     assert free_type_vars(Prod(TyVar("a"), TyVar("a"))) == ["a"]
 
 
+def test_deep_type_equality_and_hash():
+    def nest(depth, leaf):
+        t = leaf
+        for i in range(depth):
+            t = Sum(UNIT, t) if i % 2 else Prod(t, UNIT)
+        return t
+
+    a, b = nest(5000, TyVar("a")), nest(5000, TyVar("a"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != nest(5000, TyVar("b")) and a != nest(4999, TyVar("a"))
+    assert Sum(UNIT, UNIT) != Prod(UNIT, UNIT)
+
+
 def test_corpus_parses_and_round_trips():
     sources = [load(name) for name in CORPUS]
     sources += [gen.random_program(s) for s in range(50)] + [chain_source(6)]
