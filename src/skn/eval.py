@@ -43,7 +43,7 @@ from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
-    Unit, ValueExpr, Var, free_vars, subgoals,
+    Unit, ValueExpr, Var, free_type_vars, free_vars, subgoals,
 )
 
 
@@ -51,16 +51,9 @@ from .syntax import (
 # types as index spaces
 
 def type_size(t: TypeExpr) -> int:
-    match t:
-        case Unit():
-            return 1
-        case Sum(a, b):
-            return type_size(a) + type_size(b)
-        case Prod(a, b):
-            return type_size(a) * type_size(b)
-        case TyVar(name):
-            raise ValueError(f"type variable {name} has no size")
-    raise TypeError(t)
+    if t.size is None:
+        raise ValueError(f"type variable {free_type_vars(t)[0]} has no size")
+    return t.size
 
 
 def enumerate_type(t: TypeExpr) -> list[ValueExpr]:
@@ -103,27 +96,26 @@ class _Factor:
     arr: np.ndarray
 
 
-def _aligned(f: _Factor, dims_out: tuple[str, ...], sizes: dict[str, int]) -> np.ndarray:
+def _aligned(f: _Factor, dims_out: tuple[str, ...]) -> np.ndarray:
     """View a factor's array in `dims_out` order with broadcastable axes."""
     perm = [f.dims.index(d) for d in dims_out if d in f.dims]
     arr = f.arr.transpose(perm)
-    shape = tuple(sizes[d] if d in f.dims else 1 for d in dims_out)
-    return arr.reshape(shape)
+    sizes = iter(arr.shape)
+    return arr.reshape(tuple(next(sizes) if d in f.dims else 1 for d in dims_out))
 
 
-def _combine(f1: _Factor, f2: _Factor, op, order: tuple[str, ...],
-             sizes: dict[str, int]) -> _Factor:
-    dims = tuple(d for d in order if d in f1.dims or d in f2.dims)
-    return _Factor(dims, op(_aligned(f1, dims, sizes), _aligned(f2, dims, sizes)))
+def _combine(f1: _Factor, f2: _Factor, op, scope: dict[str, TypeExpr]) -> _Factor:
+    dims = tuple(d for d in scope if d in f1.dims or d in f2.dims)
+    return _Factor(dims, op(_aligned(f1, dims), _aligned(f2, dims)))
 
 
-def _index_factor(v: ValueExpr, t: TypeExpr, scope: dict[str, tuple[TypeExpr, int]],
+def _index_factor(v: ValueExpr, t: TypeExpr, scope: dict[str, TypeExpr],
                   dims: tuple[str, ...]) -> np.ndarray:
     """Integer array over `dims` giving the index of this value under each
     assignment; broadcastable against shape (sizes of dims)."""
     match v:
         case Var(name):
-            size = scope[name][1]
+            size = scope[name].size
             axis = dims.index(name)
             shape = [1] * len(dims)
             shape[axis] = size
@@ -135,19 +127,19 @@ def _index_factor(v: ValueExpr, t: TypeExpr, scope: dict[str, tuple[TypeExpr, in
             return _index_factor(inner, t.left, scope, dims)
         case Right(inner, _):
             assert isinstance(t, Sum)
-            return type_size(t.left) + _index_factor(inner, t.right, scope, dims)
+            return t.left.size + _index_factor(inner, t.right, scope, dims)
         case Pair(a, b):
             assert isinstance(t, Prod)
             ia = _index_factor(a, t.first, scope, dims)
             ib = _index_factor(b, t.second, scope, dims)
-            return ia * type_size(t.second) + ib
+            return ia * t.second.size + ib
     raise TypeError(v)
 
 
-def _free_dims(order: tuple[str, ...], values) -> tuple[str, ...]:
-    """The variables of `order` that occur in `values`, in `order`."""
+def _free_dims(scope: dict[str, TypeExpr], values) -> tuple[str, ...]:
+    """The variables of `scope` that occur in `values`, in scope order."""
     fv = {d for v in values for d in free_vars(v)}
-    return tuple(d for d in order if d in fv)
+    return tuple(d for d in scope if d in fv)
 
 
 def _flatten_conj(g: Goal, out: list[Goal]) -> None:
@@ -158,35 +150,32 @@ def _flatten_conj(g: Goal, out: list[Goal]) -> None:
         out.append(g)
 
 
-def _eval_array(g: Goal, scope: dict[str, tuple[TypeExpr, int]],
+def _eval_array(g: Goal, scope: dict[str, TypeExpr],
                 tables: dict[str, RelTable], spec: SemiringSpec) -> _Factor:
-    order = tuple(scope)
-    sizes = {name: size for name, (_, size) in scope.items()}
-
     match g:
         case Factor(lit):
             w = parse_weight_literal(lit, spec)
             return _Factor((), np.asarray(w, dtype=spec.dtype))
         case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
             assert ty is not None, "goal must be type-checked"
-            dims = _free_dims(order, (v1, v2))
+            dims = _free_dims(scope, (v1, v2))
             i1 = _index_factor(v1, ty, scope, dims)
             i2 = _index_factor(v2, ty, scope, dims)
             hit = (i1 == i2) if isinstance(g, Unify) else (i1 != i2)
-            shape = tuple(sizes[d] for d in dims)
+            shape = tuple(scope[d].size for d in dims)
             hit = np.broadcast_to(hit, shape)
             arr = np.where(hit, spec.one, spec.zero).astype(spec.dtype, copy=False)
             return _Factor(dims, arr)
         case Conj(a, b):
             return _combine(_eval_array(a, scope, tables, spec),
-                            _eval_array(b, scope, tables, spec), spec.mul, order, sizes)
+                            _eval_array(b, scope, tables, spec), spec.mul, scope)
         case Disj(a, b):
             return _combine(_eval_array(a, scope, tables, spec),
-                            _eval_array(b, scope, tables, spec), spec.add, order, sizes)
+                            _eval_array(b, scope, tables, spec), spec.add, scope)
         case Call(rel, args, _):
             table = tables[rel]
-            dims = _free_dims(order, args)
-            shape = tuple(sizes[d] for d in dims)
+            dims = _free_dims(scope, args)
+            shape = tuple(scope[d].size for d in dims)
             indices = tuple(
                 np.broadcast_to(
                     _index_factor(a, ty, scope, dims), shape)
@@ -196,31 +185,27 @@ def _eval_array(g: Goal, scope: dict[str, tuple[TypeExpr, int]],
                 np.broadcast_to(table.cells, shape).copy()
             return _Factor(dims, np.asarray(arr))
         case Fresh():
-            binders: list[tuple[str, TypeExpr, int]] = []
+            binders: list[str] = []
             body: Goal = g
             inner_scope = dict(scope)
             while isinstance(body, Fresh):
                 assert body.var not in inner_scope, "shadowed binder survived parsing"
-                n = type_size(body.ty)
-                binders.append((body.var, body.ty, n))
-                inner_scope[body.var] = (body.ty, n)
+                binders.append(body.var)
+                inner_scope[body.var] = body.ty
                 body = body.body
             parts: list[Goal] = []
             _flatten_conj(body, parts)
             factors = [_eval_array(p, inner_scope, tables, spec) for p in parts]
-            return _eliminate(factors, binders, dict(inner_scope), spec, tuple(scope))
+            return _eliminate(factors, binders, inner_scope, spec, scope)
     raise TypeError(g)
 
 
-def _eliminate(factors: list[_Factor], binders: list[tuple[str, TypeExpr, int]],
-               scope: dict[str, tuple[TypeExpr, int]], spec: SemiringSpec,
-               outer_order: tuple[str, ...]) -> _Factor:
-    """Sum the bound variables out of a product of factors, smallest
-    intermediate first."""
-    order = tuple(scope)
-    sizes = {name: size for name, (_, size) in scope.items()}
-    pending = {name: size for name, _, size in binders}
-
+def _eliminate(factors: list[_Factor], binders: list[str],
+               scope: dict[str, TypeExpr], spec: SemiringSpec,
+               outer_scope: dict[str, TypeExpr]) -> _Factor:
+    """Sum the bound variables `binders` out of a product of factors,
+    smallest intermediate first, ties in binder order."""
+    pending = list(binders)
     while pending:
         best, best_cost = None, None
         for name in pending:
@@ -230,21 +215,21 @@ def _eliminate(factors: list[_Factor], binders: list[tuple[str, TypeExpr, int]],
                     group_dims.update(f.dims)
             cost = 1
             for d in group_dims or {name}:
-                cost *= sizes[d]
+                cost *= scope[d].size
             if best_cost is None or cost < best_cost:
                 best, best_cost = name, cost
         name = best
-        size = pending.pop(name)
+        pending.remove(name)
         group = [f for f in factors if name in f.dims]
         factors = [f for f in factors if name not in f.dims]
         if not group:
             # unused binder: the sum contributes |type| copies of one
-            ones = np.full(size, spec.one, dtype=spec.dtype)
+            ones = np.full(scope[name].size, spec.one, dtype=spec.dtype)
             factors.append(_Factor((), spec.add.reduce(ones)))
             continue
         acc = group[0]
         for f in group[1:]:
-            acc = _combine(acc, f, spec.mul, order, sizes)
+            acc = _combine(acc, f, spec.mul, scope)
         axis = acc.dims.index(name)
         reduced = spec.sum(acc.arr, axis)
         factors.append(_Factor(tuple(d for d in acc.dims if d != name), reduced))
@@ -253,20 +238,18 @@ def _eliminate(factors: list[_Factor], binders: list[tuple[str, TypeExpr, int]],
         return _Factor((), np.asarray(spec.one, dtype=spec.dtype))
     acc = factors[0]
     for f in factors[1:]:
-        acc = _combine(acc, f, spec.mul, order, sizes)
-    assert all(d in outer_order for d in acc.dims)
+        acc = _combine(acc, f, spec.mul, scope)
+    assert all(d in outer_scope for d in acc.dims)
     return acc
 
 
 def eval_relation(rel: RelationDef, tables: dict[str, RelTable],
                   spec: SemiringSpec) -> RelTable:
     """Tabulate one relation's body over its full argument grid."""
-    scope = {name: (ty, type_size(ty)) for name, ty in rel.params}
+    scope = dict(rel.params)
     f = _eval_array(rel.body, scope, tables, spec)
-    dims = tuple(scope)
-    sizes = {name: size for name, (_, size) in scope.items()}
-    shape = tuple(sizes[d] for d in dims)
-    cells = np.broadcast_to(_aligned(f, dims, sizes), shape).copy()
+    shape = tuple(type_size(ty) for ty in scope.values())
+    cells = np.broadcast_to(_aligned(f, tuple(scope)), shape).copy()
     return RelTable(rel.name, rel.params, cells)
 
 
@@ -396,14 +379,16 @@ def _within_tolerance(old: dict[str, RelTable], new: dict[str, RelTable],
     and the round's largest change Δ.
 
     The rounds contract at a rate estimated as ρ = Δ / (the last round's
-    Δ), so the fixed point is at most Δ·ρ/(1 - ρ) away.  With no last
-    round (`last_delta` nan) only Δ = 0 is close enough.
+    Δ), so the fixed point is about Δ·ρ/(1 - ρ) away.  That estimate
+    approaches the true rate from below, and near ρ = 1 the bound is
+    steep in ρ, so the round must bring it within half of `tol`.  With no
+    last round (`last_delta` nan) only Δ = 0 is close enough.
     """
     delta = max(float(np.abs(t.cells - old[name].cells).max()) for name, t in new.items())
     if delta == 0:
         return True, delta
     rho = delta / last_delta
-    return bool(rho < 1 and delta * rho / (1 - rho) <= tol), delta
+    return bool(rho < 1 and delta * rho / (1 - rho) <= tol / 2), delta
 
 
 def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = None,

@@ -229,13 +229,9 @@ MAX_TYVAR_SIZE = 4096
 
 
 class _Lowering:
-    def __init__(self, program: Program, mode: str,
-                 max_instances: int = MAX_INSTANCES,
-                 max_tyvar_size: int = MAX_TYVAR_SIZE):
+    def __init__(self, program: Program, mode: str):
         self.source = {rel.name: rel for rel in program.relations}
         self.mode = mode
-        self.max_instances = max_instances
-        self.max_tyvar_size = max_tyvar_size
         # In a checked program every variable is a parameter or a fresh
         # binder, so these are all the names a variable can have.
         used = set(self.source)
@@ -270,14 +266,14 @@ class _Lowering:
         if key in self.instances:
             return self.instances[key]
         sizes = tuple(type_size(t) for t in sigma_types)
-        if any(n > self.max_tyvar_size for n in sizes):
+        if any(n > MAX_TYVAR_SIZE for n in sizes):
             raise InstanceExplosion(
                 f"instance of {rel} needs a type variable of size {max(sizes)}; "
                 f"polymorphic recursion appears to grow types without bound"
             )
-        if len(self.instances) >= self.max_instances:
+        if len(self.instances) >= MAX_INSTANCES:
             raise InstanceExplosion(
-                f"more than {self.max_instances} relation instances requested"
+                f"more than {MAX_INSTANCES} relation instances requested"
             )
         name = self.names.relation_name(mangle(rel, sizes))
         self.instances[key] = name
@@ -448,8 +444,6 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
 # whole-program lowering
 
 def lower_program(p: Program, mode: str, spec: SemiringSpec,
-                  max_instances: int = MAX_INSTANCES,
-                  max_tyvar_size: int = MAX_TYVAR_SIZE,
                   notes: Optional[list] = None) -> Program:
     """Produce a monomorphic program whose tables agree with `p`'s.
 
@@ -463,19 +457,17 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
             f"the large-enough pipeline needs idempotent addition; "
             f"the {spec.name} semiring does not have it"
         )
-    ctx = _Lowering(p, mode, max_instances, max_tyvar_size)
+    ctx = _Lowering(p, mode)
     lowered = Program(tuple(ctx.run()))
     if notes is not None:
         notes.extend(ctx.notes)
     return check_program(lowered)
 
 
-def collect_instances(p: Program, mode: str,
-                      max_instances: int = MAX_INSTANCES,
-                      max_tyvar_size: int = MAX_TYVAR_SIZE) -> set[InstanceKey]:
+def collect_instances(p: Program, mode: str) -> set[InstanceKey]:
     """The instance keys the lowered program will contain: one per
     monomorphic relation (empty sizes) plus one per generated instance."""
-    ctx = _Lowering(p, mode, max_instances, max_tyvar_size)
+    ctx = _Lowering(p, mode)
     ctx.run()
     keys = {InstanceKey(rel.name, ()) for rel in p.relations if not rel.tyvars}
     for (relname, sigma_types), _ in ctx.instances.items():

@@ -25,108 +25,103 @@ relation body.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
 # types
+#
+# Types are hash-consed: building a type equal to one that exists returns
+# that object.  So equal types are one object, `==` and `hash` are the
+# object's identity, and each node's `size` (its number of values, None
+# when a type variable occurs below it) is computed once, when it is built.
 
-@dataclass(frozen=True)
+_TYPES: dict[tuple, "TypeExpr"] = {}
+
+
+def _intern(cls, *children) -> "TypeExpr":
+    """The one `cls` node with these children, built on first request."""
+    key = (cls, *children)
+    t = _TYPES.get(key)
+    if t is None:
+        t = _TYPES[key] = object.__new__(cls)
+        for name, child in zip(cls.__match_args__, children):
+            object.__setattr__(t, name, child)
+        object.__setattr__(t, "size", cls._size(*children))
+    return t
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Unit:
-    pass
+    size: Optional[int] = field(init=False, repr=False)
+
+    def __new__(cls) -> "Unit":
+        return _intern(cls)
+
+    @staticmethod
+    def _size() -> int:
+        return 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Sum:
     left: "TypeExpr"
     right: "TypeExpr"
+    size: Optional[int] = field(init=False, repr=False)
 
-    def __eq__(self, other: object) -> bool:
-        return _type_eq(self, other) if type(other) is Sum else NotImplemented
+    def __new__(cls, left: "TypeExpr", right: "TypeExpr") -> "Sum":
+        return _intern(cls, left, right)
 
-    def __hash__(self) -> int:
-        return _type_hash(self)
+    @staticmethod
+    def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
+        return None if a.size is None or b.size is None else a.size + b.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Prod:
     first: "TypeExpr"
     second: "TypeExpr"
+    size: Optional[int] = field(init=False, repr=False)
 
-    def __eq__(self, other: object) -> bool:
-        return _type_eq(self, other) if type(other) is Prod else NotImplemented
+    def __new__(cls, first: "TypeExpr", second: "TypeExpr") -> "Prod":
+        return _intern(cls, first, second)
 
-    def __hash__(self) -> int:
-        return _type_hash(self)
+    @staticmethod
+    def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
+        return None if a.size is None or b.size is None else a.size * b.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TyVar:
     name: str
+    size: Optional[int] = field(init=False, repr=False)
+
+    def __new__(cls, name: str) -> "TyVar":
+        return _intern(cls, name)
+
+    @staticmethod
+    def _size(name: str) -> None:
+        return None
 
 
 TypeExpr = Union[Unit, Sum, Prod, TyVar]
 UNIT = Unit()
 
 
-# Sum and Prod compare and hash with an explicit stack rather than the
-# dataclass methods, which recurse once per type level: the depth of a
-# type is then not bounded by the recursion limit.
-
-def _type_eq(t: TypeExpr, u: TypeExpr) -> bool:
-    stack = [(t, u)]
-    while stack:
-        t, u = stack.pop()
-        if t is u:
-            continue
-        if type(t) is not type(u):
-            return False
-        if type(t) is Sum:
-            stack += ((t.left, u.left), (t.right, u.right))
-        elif type(t) is Prod:
-            stack += ((t.first, u.first), (t.second, u.second))
-        elif t != u:
-            return False
-    return True
-
-
-def _type_hash(t: TypeExpr) -> int:
-    """The hash of the type's nodes in pre-order, so equal types hash equal."""
-    nodes: list[object] = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if type(u) is Sum:
-            nodes.append(Sum)
-            stack += (u.right, u.left)
-        elif type(u) is Prod:
-            nodes.append(Prod)
-            stack += (u.second, u.first)
-        else:
-            nodes.append(u)
-    return hash(tuple(nodes))
-
-
 def free_type_vars(*ts: TypeExpr) -> list[str]:
     """All type-variable names in the types `ts`, in first-occurrence order."""
     out: list[str] = []
-
-    def walk(u: TypeExpr) -> None:
+    stack = list(reversed(ts))
+    while stack:
+        u = stack.pop()
+        if u.size is not None:
+            continue
         match u:
             case TyVar(name):
                 if name not in out:
                     out.append(name)
-            case Sum(l, r):
-                walk(l)
-                walk(r)
-            case Prod(a, b):
-                walk(a)
-                walk(b)
-            case Unit():
-                pass
-
-    for t in ts:
-        walk(t)
+            case Sum(a, b) | Prod(a, b):
+                stack += (b, a)
     return out
 
 

@@ -80,6 +80,8 @@ class CallInfo:
 # substitutions and matching
 
 def apply_subst(subst: dict[str, TypeExpr], t: TypeExpr) -> TypeExpr:
+    if t.size is not None:  # ground: no type variable to replace
+        return t
     match t:
         case TyVar(name):
             return subst.get(name, t)
@@ -145,15 +147,9 @@ def infer_call_subst(callee_sig: tuple[tuple[str, ...], tuple[TypeExpr, ...]],
 # type validity and value typing
 
 def check_type_valid(env: TypeEnv, t: TypeExpr) -> None:
-    match t:
-        case TyVar(name):
-            if name not in env.tyvars:
-                raise TypeCheckError(f"unbound type variable {name}")
-        case Sum(a, b) | Prod(a, b):
-            check_type_valid(env, a)
-            check_type_valid(env, b)
-        case Unit():
-            pass
+    for name in free_type_vars(t):
+        if name not in env.tyvars:
+            raise TypeCheckError(f"unbound type variable {name}")
 
 
 def type_of_value(env: TypeEnv, v: ValueExpr,

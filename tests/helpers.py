@@ -1,5 +1,6 @@
 """Shared plumbing for the test suite: corpus loading and one-call runs."""
 import os
+import random
 
 from skn import parse_program, check_program, fixpoint, lower_program
 
@@ -43,6 +44,27 @@ def chain_source(n: int) -> str:
             f"(defrel (connect (x : {t}) (y : {t}))\n  (disj (graph x y)\n"
             f"    (fresh ((z : {t})) (conj (connect x z) (connect z y)))))\n"
             f"(defrel (from0 (y : {t})) (connect {vals[0]} y))\n")
+
+
+def walk_source(seed: int, n: int = 8, p: float = 0.99) -> str:
+    """A random walk on n nodes that goes on with probability p: `step`
+    holds row weights p·w/Σw, with each w drawn from a seeded generator,
+    and `hit` is the weight of every walk from x that reaches y."""
+    t = "Unit"
+    for _ in range(n - 1):
+        t = f"(Sum Unit {t})"
+    vals = ["(right " * k + "(left sole)" + ")" * k for k in range(n - 1)]
+    vals.append("(right " * (n - 1) + "sole" + ")" * (n - 1))
+    rng = random.Random(seed)
+    rows = []
+    for a in vals:
+        w = [rng.random() for _ in vals]
+        rows += [f"    (conj (== x {a}) (== y {b}) (factor {p * wb / sum(w)!r}))"
+                 for b, wb in zip(vals, w)]
+    steps = "\n".join(rows)
+    return (f"(defrel (step (x : {t}) (y : {t}))\n  (disj\n{steps}))\n"
+            f"(defrel (hit (x : {t}) (y : {t}))\n  (disj (== x y)\n"
+            f"    (fresh ((z : {t})) (conj (step x z) (hit z y)))))\n")
 
 
 def checked(source: str):

@@ -21,7 +21,7 @@ import oracle
 import props
 from helpers import (
     CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, run_source,
-    skewed_coins_source,
+    skewed_coins_source, walk_source,
 )
 
 S2 = Sum(UNIT, UNIT)
@@ -199,6 +199,19 @@ def test_group_above_cell_bound_iterates(monkeypatch):
     # stopped by the contraction bound, not by two rounds within 1e-9
     for cell in res.tables["fair-coin-flip"].cells:
         assert abs(cell - 0.5) <= 1e-9
+
+
+def test_contraction_stop_within_tolerance(monkeypatch):
+    # The rate estimate from consecutive rounds approaches the true rate
+    # from below.  Stopping once the bound it gives is within ε ended this
+    # walk 1.02e-9 from its solved table.
+    src = walk_source(4)
+    _, solved = run_source(src, REAL, epsilon=1e-9)
+    assert solved.iterations == 1
+    monkeypatch.setattr(skn_eval, "MAX_SOLVE_CELLS", 0)
+    _, res = run_source(src, REAL, epsilon=1e-9)
+    assert res.converged and res.iterations > 1000
+    assert np.abs(res.tables["hit"].cells - solved.tables["hit"].cells).max() <= 1e-9
 
 
 def test_idempotent_fixpoints_terminate_exactly():

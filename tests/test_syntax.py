@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from skn import (
     SEMIRINGS, Conj, Disj, Factor, Fresh, Left, Pair, ParseError, Prod, Right,
-    SOLE, Sum, TyVar, UNIT, Unify, Var, check_program, enumerate_type,
+    SOLE, Sum, TyVar, TypeEnv, UNIT, Unify, Unit, Var, apply_subst,
+    canonical_type, check_program, check_type_valid, enumerate_type,
     free_type_vars, lower_program, parse_program, render_program, render_value,
     type_size,
 )
@@ -197,9 +198,18 @@ def test_deep_type_equality_and_hash():
         return t
 
     a, b = nest(5000, TyVar("a")), nest(5000, TyVar("a"))
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != nest(5000, TyVar("b")) and a != nest(4999, TyVar("a"))
     assert Sum(UNIT, UNIT) != Prod(UNIT, UNIT)
+    assert Sum(UNIT, UNIT) is Sum(UNIT, UNIT)
+    assert TyVar("a") is TyVar("a") and Unit() is UNIT
+
+    # A ground type carries its size, so these return at once however deep.
+    t = canonical_type(5000)
+    assert type_size(t) == 5000
+    assert apply_subst({}, t) is t
+    check_type_valid(TypeEnv(), t)
+    assert free_type_vars(t) == []
 
 
 def test_corpus_parses_and_round_trips():
