@@ -51,12 +51,20 @@ def _intern(cls, *children) -> "TypeExpr":
     return t
 
 
+def _reduce(t: "TypeExpr") -> tuple:
+    """Pickle and copy a type as a call that rebuilds it, so the copy is
+    the interned node."""
+    return type(t), tuple(getattr(t, name) for name in t.__match_args__)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Unit:
     size: Optional[int] = field(init=False, repr=False)
 
     def __new__(cls) -> "Unit":
         return _intern(cls)
+
+    __reduce__ = _reduce
 
     @staticmethod
     def _size() -> int:
@@ -72,6 +80,8 @@ class Sum:
     def __new__(cls, left: "TypeExpr", right: "TypeExpr") -> "Sum":
         return _intern(cls, left, right)
 
+    __reduce__ = _reduce
+
     @staticmethod
     def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
         return None if a.size is None or b.size is None else a.size + b.size
@@ -86,6 +96,8 @@ class Prod:
     def __new__(cls, first: "TypeExpr", second: "TypeExpr") -> "Prod":
         return _intern(cls, first, second)
 
+    __reduce__ = _reduce
+
     @staticmethod
     def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
         return None if a.size is None or b.size is None else a.size * b.size
@@ -98,6 +110,8 @@ class TyVar:
 
     def __new__(cls, name: str) -> "TyVar":
         return _intern(cls, name)
+
+    __reduce__ = _reduce
 
     @staticmethod
     def _size(name: str) -> None:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,6 +213,13 @@ def test_deep_type_equality_and_hash():
     assert apply_subst({}, t) is t
     check_type_valid(TypeEnv(), t)
     assert free_type_vars(t) == []
+
+
+def test_pickle_and_copy_keep_types_interned():
+    p = check_program(parse_program(load("sum-swap.skn")))
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert q == p
+        assert q.relations[0].params[0][1] is p.relations[0].params[0][1]
 
 
 def test_corpus_parses_and_round_trips():
