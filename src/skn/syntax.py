@@ -25,7 +25,7 @@ relation body.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -51,20 +51,20 @@ def _intern(cls, *children) -> "TypeExpr":
     return t
 
 
-def _reduce(t: "TypeExpr") -> tuple:
-    """Pickle and copy a type as a call that rebuilds it, so the copy is
-    the interned node."""
-    return type(t), tuple(getattr(t, name) for name in t.__match_args__)
+class _Type:
+    """What every type node has: its `size`, set by `_intern`."""
+    size: Optional[int]
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy a type as a call that rebuilds it, so the copy
+        is the interned node."""
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Unit:
-    size: Optional[int] = field(init=False, repr=False)
-
+class Unit(_Type):
     def __new__(cls) -> "Unit":
         return _intern(cls)
-
-    __reduce__ = _reduce
 
     @staticmethod
     def _size() -> int:
@@ -72,15 +72,12 @@ class Unit:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Sum:
+class Sum(_Type):
     left: "TypeExpr"
     right: "TypeExpr"
-    size: Optional[int] = field(init=False, repr=False)
 
     def __new__(cls, left: "TypeExpr", right: "TypeExpr") -> "Sum":
         return _intern(cls, left, right)
-
-    __reduce__ = _reduce
 
     @staticmethod
     def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
@@ -88,15 +85,12 @@ class Sum:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Prod:
+class Prod(_Type):
     first: "TypeExpr"
     second: "TypeExpr"
-    size: Optional[int] = field(init=False, repr=False)
 
     def __new__(cls, first: "TypeExpr", second: "TypeExpr") -> "Prod":
         return _intern(cls, first, second)
-
-    __reduce__ = _reduce
 
     @staticmethod
     def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
@@ -104,14 +98,11 @@ class Prod:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class TyVar:
+class TyVar(_Type):
     name: str
-    size: Optional[int] = field(init=False, repr=False)
 
     def __new__(cls, name: str) -> "TyVar":
         return _intern(cls, name)
-
-    __reduce__ = _reduce
 
     @staticmethod
     def _size(name: str) -> None:
