@@ -31,14 +31,21 @@ def skewed_coins_source() -> str:
     return load("coins.skn").replace("0.7", "0.99").replace("0.3", "0.01")
 
 
-def chain_source(n: int) -> str:
-    """chain-n: an (n-1)-edge path over a right-nested sum of n Units, with
-    its transitive closure `connect` and the one-row `from0`."""
+def right_nested_sum(n: int) -> tuple[str, list[str]]:
+    """The text of a right-nested sum of n Units and of its n values, in
+    index order."""
     t = "Unit"
     for _ in range(n - 1):
         t = f"(Sum Unit {t})"
     vals = ["(right " * k + "(left sole)" + ")" * k for k in range(n - 1)]
     vals.append("(right " * (n - 1) + "sole" + ")" * (n - 1))
+    return t, vals
+
+
+def chain_source(n: int) -> str:
+    """chain-n: an (n-1)-edge path over a right-nested sum of n Units, with
+    its transitive closure `connect` and the one-row `from0`."""
+    t, vals = right_nested_sum(n)
     edges = "\n".join(f"    (conj (== x {a}) (== y {b}))" for a, b in zip(vals, vals[1:]))
     return (f"(defrel (graph (x : {t}) (y : {t}))\n  (disj\n{edges}))\n"
             f"(defrel (connect (x : {t}) (y : {t}))\n  (disj (graph x y)\n"
@@ -50,11 +57,7 @@ def walk_source(seed: int, n: int = 8, p: float = 0.99) -> str:
     """A random walk on n nodes that goes on with probability p: `step`
     holds row weights p·w/Σw, with each w drawn from a seeded generator,
     and `hit` is the weight of every walk from x that reaches y."""
-    t = "Unit"
-    for _ in range(n - 1):
-        t = f"(Sum Unit {t})"
-    vals = ["(right " * k + "(left sole)" + ")" * k for k in range(n - 1)]
-    vals.append("(right " * (n - 1) + "sole" + ")" * (n - 1))
+    t, vals = right_nested_sum(n)
     rng = random.Random(seed)
     rows = []
     for a in vals:
