@@ -23,8 +23,8 @@ from .eval import (
     type_size,
 )
 from .poly import (
-    Hole, InstanceExplosion, InstanceKey, LoweringError, NonIdempotentSemiring,
-    canonical_type, collect_instances, compile_call,
+    Hole, InstanceExplosion, LargeEnoughCall, LoweringError,
+    NonIdempotentSemiring, canonical_type, compile_call,
     count_env, count_goal, count_relation, count_type, enforce_eqpat_codegen,
     envholes, envshell, eqpat_check, holes_of, instantiate_relation,
     lower_program, shell_of, smallest_large_enough,

@@ -18,6 +18,17 @@ intermediate arrays small, a fresh over a conjunction eliminates its
 bound variables factor-by-factor instead of materializing the full joint
 grid.
 
+A large-enough wrapper (see :mod:`skn.poly`) sums the target instance's
+weight over every copy of the caller's arguments with their equality
+pattern.  When its outer fresh carries the wrapper's record, it is
+evaluated instead as one gather from the instance's table at a canonical
+copy: the arguments' shell, with each type variable's distinct hole
+values numbered in order of first occurrence.  The instance has the same
+weight at every copy with that pattern, and addition is idempotent on
+this path, so the result is the wrapper's sum exactly.  Without the
+record, as in a program read back from its rendered text, the wrapper
+is evaluated as written.
+
 A program's tables are the least fixed point of its relations, starting
 from tables that are semiring-zero everywhere.  The fixpoint is solved one
 strongly connected component of the call graph at a time, callees first:
@@ -35,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -45,6 +56,7 @@ from .syntax import (
     Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
     Unit, ValueExpr, Var, free_type_vars, free_vars, subgoals,
 )
+from .typecheck import apply_subst
 
 
 # ---------------------------------------------------------------------------
@@ -109,31 +121,107 @@ def _combine(f1: _Factor, f2: _Factor, op, scope: dict[str, TypeExpr]) -> _Facto
     return _Factor(dims, op(_aligned(f1, dims), _aligned(f2, dims)))
 
 
-def _index_factor(v: ValueExpr, t: TypeExpr, scope: dict[str, TypeExpr],
-                  dims: tuple[str, ...]) -> np.ndarray:
-    """Integer array over `dims` giving the index of this value under each
-    assignment; broadcastable against shape (sizes of dims)."""
+def _axes(scope: dict[str, TypeExpr], dims: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Each variable of `dims` as the index array along its own axis."""
+    out = {}
+    for axis, d in enumerate(dims):
+        shape = [1] * len(dims)
+        shape[axis] = scope[d].size
+        out[d] = np.arange(scope[d].size, dtype=np.int64).reshape(shape)
+    return out
+
+
+def _index_factor(v: ValueExpr, t: TypeExpr, index: dict[str, np.ndarray]) -> np.ndarray:
+    """Integer array giving the index of this value under each assignment,
+    where `index` holds the index array of each variable."""
     match v:
         case Var(name):
-            size = scope[name].size
-            axis = dims.index(name)
-            shape = [1] * len(dims)
-            shape[axis] = size
-            return np.arange(size, dtype=np.int64).reshape(shape)
+            return index[name]
         case Sole():
-            return np.zeros((1,) * len(dims), dtype=np.int64)
+            return np.zeros((), dtype=np.int64)
         case Left(inner, _):
             assert isinstance(t, Sum)
-            return _index_factor(inner, t.left, scope, dims)
+            return _index_factor(inner, t.left, index)
         case Right(inner, _):
             assert isinstance(t, Sum)
-            return t.left.size + _index_factor(inner, t.right, scope, dims)
+            return t.left.size + _index_factor(inner, t.right, index)
         case Pair(a, b):
             assert isinstance(t, Prod)
-            ia = _index_factor(a, t.first, scope, dims)
-            ib = _index_factor(b, t.second, scope, dims)
+            ia = _index_factor(a, t.first, index)
+            ib = _index_factor(b, t.second, index)
             return ia * t.second.size + ib
     raise TypeError(v)
+
+
+def _gather(table: RelTable, args, index: dict[str, np.ndarray],
+            shape: tuple[int, ...]) -> np.ndarray:
+    """The table's cells at the indices of `args` under each assignment."""
+    indices = tuple(np.broadcast_to(_index_factor(a, ty, index), shape)
+                    for a, (_, ty) in zip(args, table.params))
+    if not indices:
+        return np.broadcast_to(table.cells, shape).copy()
+    return np.asarray(table.cells[indices])
+
+
+def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.ndarray,
+                     mask: Union[bool, np.ndarray], holes: dict) -> np.ndarray:
+    """The index in `target` of the canonical copy of a value of generic
+    type `t`, given its index `idx` in `caller`.
+
+    The copy keeps the value's shell and replaces its hole of each type
+    variable by the number of distinct values that variable's holes took
+    before that hole's first occurrence.  `mask` says where this
+    position is realized (its sum branches were taken); `holes` maps each
+    type variable to the holes seen so far, with their masks and numbers,
+    and the count of distinct values among them.
+    """
+    if t.size is not None:  # ground: a copy has the caller's value
+        return idx
+    match t:
+        case TyVar(name):
+            seen, count = holes.get(name, ([], 0))
+            num, first = count, mask
+            for value, m, n in seen:
+                same = m & mask & (value == idx)
+                num = np.where(same, n, num)
+                first = first & ~same
+            seen.append((idx, mask, num))
+            holes[name] = (seen, count + first)
+            return num
+        case Sum(a, b):
+            left = idx < caller.left.size
+            ia = _canonical_index(a, caller.left, target.left, idx, mask & left, holes)
+            ib = _canonical_index(b, caller.right, target.right,
+                                  idx - caller.left.size, mask & ~left, holes)
+            return np.where(left, ia, target.left.size + ib)
+        case Prod(a, b):
+            n = caller.second.size
+            ia = _canonical_index(a, caller.first, target.first, idx // n, mask, holes)
+            ib = _canonical_index(b, caller.second, target.second, idx % n, mask, holes)
+            return ia * target.second.size + ib
+    raise TypeError(t)
+
+
+def _gather_canonical(w, scope: dict[str, TypeExpr],
+                      tables: dict[str, RelTable]) -> _Factor:
+    """A large-enough wrapper (`w` is its `poly.LargeEnoughCall`) as one
+    gather from the target instance's table.
+
+    The wrapper sums the target's weight over every copy with the
+    caller's equality pattern.  The target has the same weight at all of
+    them, and addition is idempotent on this path, so the sum is the
+    weight at one canonical copy, built by `_canonical_index`.
+    """
+    generic = dict(w.generic_env)
+    sigma2 = dict(w.sigma2)
+    dims = tuple(d for d in scope if d in generic)
+    axes = _axes(scope, dims)
+    holes: dict = {}
+    copies = {x2: _canonical_index(generic[x], scope[x], apply_subst(sigma2, generic[x]),
+                                   axes[x], True, holes)
+              for x, x2 in w.copies}
+    shape = tuple(scope[d].size for d in dims)
+    return _Factor(dims, _gather(tables[w.call.rel], w.call.args, copies, shape))
 
 
 def _free_dims(scope: dict[str, TypeExpr], values) -> tuple[str, ...]:
@@ -159,8 +247,9 @@ def _eval_array(g: Goal, scope: dict[str, TypeExpr],
         case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
             assert ty is not None, "goal must be type-checked"
             dims = _free_dims(scope, (v1, v2))
-            i1 = _index_factor(v1, ty, scope, dims)
-            i2 = _index_factor(v2, ty, scope, dims)
+            axes = _axes(scope, dims)
+            i1 = _index_factor(v1, ty, axes)
+            i2 = _index_factor(v2, ty, axes)
             hit = (i1 == i2) if isinstance(g, Unify) else (i1 != i2)
             shape = tuple(scope[d].size for d in dims)
             hit = np.broadcast_to(hit, shape)
@@ -173,17 +262,11 @@ def _eval_array(g: Goal, scope: dict[str, TypeExpr],
             return _combine(_eval_array(a, scope, tables, spec),
                             _eval_array(b, scope, tables, spec), spec.add, scope)
         case Call(rel, args, _):
-            table = tables[rel]
             dims = _free_dims(scope, args)
             shape = tuple(scope[d].size for d in dims)
-            indices = tuple(
-                np.broadcast_to(
-                    _index_factor(a, ty, scope, dims), shape)
-                for a, (_, ty) in zip(args, table.params)
-            )
-            arr = table.cells[indices] if indices else \
-                np.broadcast_to(table.cells, shape).copy()
-            return _Factor(dims, np.asarray(arr))
+            return _Factor(dims, _gather(tables[rel], args, _axes(scope, dims), shape))
+        case Fresh(wrap=w) if w is not None:
+            return _gather_canonical(w, scope, tables)
         case Fresh():
             binders: list[str] = []
             body: Goal = g

@@ -16,8 +16,16 @@ Two lowering modes produce a monomorphic program ready for tabulation:
   equal/disequal relationships between the variable-typed pieces
   (the holes).  Calls below the bound, and calls whose arguments cannot
   be typed generically, fall back to monomorphization.  The technique
-  requires semiring addition to be idempotent: the generated wrappers
-  sum over many equivalent witnesses and must not change the weight.
+  requires semiring addition to be idempotent: the generated wrapper
+  sums the instance's weight over every tuple with the caller's equality
+  pattern, and the instance has the same weight at all of them.
+
+The wrapper is emitted as the paper defines it, and its shape is also
+recorded on its outer ``fresh`` as a :class:`LargeEnoughCall`.  The
+evaluator reads that record and gathers the instance's weight at one
+canonical tuple of the pattern instead of summing over all of them; a
+program read back from its rendered text has no record and evaluates the
+wrapper as written.
 
 Hole bookkeeping uses the occurrence count as a static slot allocator:
 within a sum type both branches share the same slots (a value only ever
@@ -214,12 +222,6 @@ def instantiate_relation(rel: RelationDef, sigma: dict[str, TypeExpr],
 # ---------------------------------------------------------------------------
 # instance bookkeeping
 
-@dataclass(frozen=True)
-class InstanceKey:
-    rel: str
-    sizes: tuple[tuple[str, int], ...]  # per tyvar, in declaration order
-
-
 def mangle(rel: str, sizes: tuple[int, ...]) -> str:
     return f"{rel}${'_'.join(str(n) for n in sizes)}" if sizes else rel
 
@@ -410,12 +412,27 @@ def _conj(goals: list[Goal]) -> Goal:
     return node
 
 
+@dataclass(frozen=True)
+class LargeEnoughCall:
+    """The shape of a large-enough wrapper, kept on its outer ``fresh``:
+    `call` calls the target instance over the copies; `copies` pairs each
+    caller variable with its copy, in `generic_env` order; `generic_env`
+    types the caller variables over the callee's type variables, which
+    `sigma1` maps to the caller's types and `sigma2` to the target's."""
+    call: Call
+    copies: tuple[tuple[str, str], ...]
+    generic_env: tuple[tuple[str, TypeExpr], ...]
+    sigma1: tuple[tuple[str, TypeExpr], ...]
+    sigma2: tuple[tuple[str, TypeExpr], ...]
+
+
 def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
                  supply: _NameSupply) -> Goal:
     """Rewrite a large-enough polymorphic call into a call to the target
     instance over fresh copies of the argument variables, conjoined with
     the generated equality-pattern enforcement between the original
-    variables and the copies."""
+    variables and the copies.  The outer ``fresh`` carries the wrapper's
+    :class:`LargeEnoughCall`."""
     info = call.info
     assert isinstance(info, CallInfo) and info.generic_env is not None
     sigma1 = info.subst_dict()
@@ -430,13 +447,16 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
         map_value(a, var=lambda v: Var(vars2.get(v.name, v.name)), annot=lambda _: None)
         for a in call.args
     )
-    inner = Conj(
-        Call(target_name, renamed_args, None),
+    target = Call(target_name, renamed_args, None)
+    body: Goal = Conj(
+        target,
         enforce_eqpat_codegen(generic_env, vars1, vars2, sigma1, sigma2, supply),
     )
-    body: Goal = inner
     for x, ty in reversed(generic_env):
         body = Fresh(vars2[x], apply_subst(sigma2, ty), body)
+    if isinstance(body, Fresh):
+        body = replace(body, wrap=LargeEnoughCall(
+            target, tuple(vars2.items()), generic_env, info.subst, tuple(sigma2.items())))
     return body
 
 
@@ -463,16 +483,3 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
         notes.extend(ctx.notes)
     return check_program(lowered)
 
-
-def collect_instances(p: Program, mode: str) -> set[InstanceKey]:
-    """The instance keys the lowered program will contain: one per
-    monomorphic relation (empty sizes) plus one per generated instance."""
-    ctx = _Lowering(p, mode)
-    ctx.run()
-    keys = {InstanceKey(rel.name, ()) for rel in p.relations if not rel.tyvars}
-    for (relname, sigma_types), _ in ctx.instances.items():
-        source = ctx.source[relname]
-        sizes = tuple((tv, type_size(t))
-                      for tv, t in zip(source.tyvars, sigma_types))
-        keys.add(InstanceKey(relname, sizes))
-    return keys

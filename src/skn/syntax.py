@@ -25,7 +25,7 @@ relation body.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -60,8 +60,28 @@ class _Type:
         is the interned node."""
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
+    def __repr__(self) -> str:
+        """The dataclass form, such as ``Sum(left=Unit(), right=TyVar(name='a'))``,
+        written with an explicit stack so that depth is not bounded by the
+        recursion limit."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, TyVar):
+                out.append(f"TyVar(name={t.name!r})")
+            else:
+                items: list = [")"]
+                for i, name in reversed(list(enumerate(t.__match_args__))):
+                    items += [getattr(t, name), f"{', ' if i else ''}{name}="]
+                stack += items
+                out.append(f"{type(t).__name__}(")
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False, init=False)
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Unit(_Type):
     def __new__(cls) -> "Unit":
         return _intern(cls)
@@ -71,7 +91,7 @@ class Unit(_Type):
         return 1
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Sum(_Type):
     left: "TypeExpr"
     right: "TypeExpr"
@@ -84,7 +104,7 @@ class Sum(_Type):
         return None if a.size is None or b.size is None else a.size + b.size
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Prod(_Type):
     first: "TypeExpr"
     second: "TypeExpr"
@@ -97,7 +117,7 @@ class Prod(_Type):
         return None if a.size is None or b.size is None else a.size * b.size
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class TyVar(_Type):
     name: str
 
@@ -226,6 +246,9 @@ class Fresh:
     var: str
     ty: TypeExpr
     body: "Goal"
+    # poly.LargeEnoughCall on the outer binder of a large-enough wrapper;
+    # not part of the text, so the renderer and `==` ignore it
+    wrap: Optional[object] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -260,14 +283,15 @@ Goal = Union[Conj, Disj, Fresh, Unify, Disunify, Call, Factor]
 def map_goal(g: Goal, leaf: Callable[[Goal], Goal],
              ty: Callable[[TypeExpr], TypeExpr] = _keep) -> Goal:
     """Rebuild `g`, replacing each leaf goal (==, =/=, call, factor) by
-    `leaf(goal)` and each fresh binder's type by `ty(type)`."""
+    `leaf(goal)` and each fresh binder's type by `ty(type)`.  A fresh keeps
+    its `wrap` record as it is."""
     match g:
         case Conj(a, b):
             return Conj(map_goal(a, leaf, ty), map_goal(b, leaf, ty))
         case Disj(a, b):
             return Disj(map_goal(a, leaf, ty), map_goal(b, leaf, ty))
-        case Fresh(x, t, body):
-            return Fresh(x, ty(t), map_goal(body, leaf, ty))
+        case Fresh(x, t, body, wrap):
+            return Fresh(x, ty(t), map_goal(body, leaf, ty), wrap)
     return leaf(g)
 
 

@@ -321,9 +321,9 @@ def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
             return Conj(check_goal(relenv, env, a), check_goal(relenv, env, b))
         case Disj(a, b):
             return Disj(check_goal(relenv, env, a), check_goal(relenv, env, b))
-        case Fresh(x, ty, body):
+        case Fresh(x, ty, body, wrap):
             check_type_valid(env, ty)
-            return Fresh(x, ty, check_goal(relenv, env.bind(x, ty), body))
+            return Fresh(x, ty, check_goal(relenv, env.bind(x, ty), body), wrap)
         case Unify(v1, v2, _) | Disunify(v1, v2, _):
             try:
                 ty = type_of_value(env, v1, None)

@@ -1,8 +1,10 @@
 """Shared plumbing for the test suite: corpus loading and one-call runs."""
 import os
 import random
+from dataclasses import dataclass
 
-from skn import parse_program, check_program, fixpoint, lower_program
+from skn import parse_program, check_program, fixpoint, lower_program, type_size
+from skn.poly import _Lowering
 
 PROGRAM_DIR = os.path.join(os.path.dirname(__file__), "programs")
 
@@ -78,3 +80,33 @@ def run_source(source: str, spec, mode: str = "monomorphize",
                epsilon=None, max_iters: int = 10000):
     lowered = lower_program(checked(source), mode, spec)
     return lowered, fixpoint(lowered, spec, epsilon=epsilon, max_iters=max_iters)
+
+
+def distinct3_source(t: str) -> str:
+    """The 3-ary `=/=` program: pairwise-distinct triples of one type
+    variable, called at the type with text `t`."""
+    return f"""(defrel (distinct3 (forall a) (x : a) (y : a) (z : a))
+  (conj (=/= x y) (conj (=/= x z) (=/= y z))))
+(defrel (distinct3-at (x : {t}) (y : {t}) (z : {t}))
+  (distinct3 x y z))
+"""
+
+
+@dataclass(frozen=True)
+class InstanceKey:
+    rel: str
+    sizes: tuple[tuple[str, int], ...]  # per tyvar, in declaration order
+
+
+def collect_instances(p, mode: str) -> set[InstanceKey]:
+    """The instance keys the lowered program will contain: one per
+    monomorphic relation (empty sizes) plus one per generated instance."""
+    ctx = _Lowering(p, mode)
+    ctx.run()
+    keys = {InstanceKey(rel.name, ()) for rel in p.relations if not rel.tyvars}
+    for (relname, sigma_types), _ in ctx.instances.items():
+        source = ctx.source[relname]
+        sizes = tuple((tv, type_size(t))
+                      for tv, t in zip(source.tyvars, sigma_types))
+        keys.add(InstanceKey(relname, sizes))
+    return keys

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, REAL, InstanceKey, check_program,
-    collect_instances, fixpoint, lower_program, parse_program,
+    BOOLEAN, MIN_TROPICAL, REAL, check_program, fixpoint, lower_program,
+    parse_program,
 )
 from skn.cli import emit_tables
 from skn.semiring import parse_weight_literal
@@ -20,7 +20,8 @@ import gen
 import oracle
 import props
 from helpers import (
-    CORPUS, IDEMPOTENT_CORPUS, checked, load, run_source, skewed_coins_source,
+    CORPUS, IDEMPOTENT_CORPUS, InstanceKey, checked, collect_instances, load,
+    run_source, skewed_coins_source,
 )
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, REAL, InstanceExplosion, InstanceKey,
-    NonIdempotentSemiring, Sum, check_program, collect_instances,
-    enumerate_type, eqpat_check, lower_program, parse_program, canonical_type,
+    BOOLEAN, MIN_TROPICAL, REAL, InstanceExplosion, NonIdempotentSemiring, Sum,
+    check_program, enumerate_type, eqpat_check, lower_program, parse_program,
+    canonical_type,
 )
 from skn.syntax import (
     Call, Disunify, TyVar, Unify, map_goal, render_program,
@@ -15,7 +15,9 @@ from skn.typecheck import apply_subst
 
 import gen
 import props
-from helpers import IDEMPOTENT_CORPUS, chain_source, load, run_source
+from helpers import (
+    IDEMPOTENT_CORPUS, InstanceKey, chain_source, collect_instances, load, run_source,
+)
 
 
 def _keys(src, mode):

@@ -215,6 +215,17 @@ def test_deep_type_equality_and_hash():
     assert free_type_vars(t) == []
 
 
+def test_type_repr_is_dataclass_form_at_any_depth():
+    assert repr(UNIT) == "Unit()"
+    assert repr(TyVar("a")) == "TyVar(name='a')"
+    assert repr(Prod(UNIT, Sum(TyVar("b"), UNIT))) == \
+        "Prod(first=Unit(), second=Sum(left=TyVar(name='b'), right=Unit()))"
+    text = repr(canonical_type(5000))
+    assert text.startswith("Sum(left=Unit(), right=Sum(left=Unit(), ")
+    assert text.endswith("right=Unit()" + ")" * 4999)
+    assert text.count("Unit()") == 5000
+
+
 def test_pickle_and_copy_keep_types_interned():
     p = check_program(parse_program(load("sum-swap.skn")))
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
