@@ -14,9 +14,9 @@ from .syntax import (
     render_program, render_type, render_value,
 )
 from .typecheck import (
-    CallInfo, NonGenericCall, RelSig, TypeCheckError, TypeEnv, apply_subst,
+    CallInfo, NonGenericCall, TypeCheckError, TypeEnv, apply_subst,
     check_goal, check_program, check_type_valid, generic_arg_env,
-    infer_call_subst, type_of_value,
+    type_of_value,
 )
 from .eval import (
     FixpointResult, RelTable, enumerate_type, eval_relation, fixpoint,

@@ -435,7 +435,7 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     :class:`LargeEnoughCall`."""
     info = call.info
     assert isinstance(info, CallInfo) and info.generic_env is not None
-    sigma1 = info.subst_dict()
+    sigma1 = dict(info.subst)
     generic_env = info.generic_env
 
     vars1 = {x: x for x, _ in generic_env}

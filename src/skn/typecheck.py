@@ -9,16 +9,17 @@ arguments.  That generic environment is what the non-monomorphizing
 lowering later needs to stitch a call to a differently-sized relation
 instance.
 
-Call-site inference is one-way matching, not unification: argument types
-are always fully known in the caller's context, so matching the declared
-parameter types against them yields the unique substitution when one
-exists.  A relation header must mention each of its type variables in at
-least one parameter type; otherwise calls could never determine the
-substitution and instances would be ambiguous.
+A call's substitution is one binding of the callee's type variables,
+built by one-way matching (not unification) of each declared parameter
+type against its argument's type, which the caller's context fixes.  An
+argument is checked against its parameter type under the binding once the
+binding covers that parameter's type variables; until then it must be
+inferable alone.  A relation header must mention each of its type
+variables in some parameter type, or calls could never determine it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -57,23 +58,13 @@ class TypeEnv:
         raise TypeCheckError(f"unbound variable {name!r}")
 
 
-@dataclass(frozen=True)
-class RelSig:
-    tyvars: tuple[str, ...]
-    params: tuple[TypeExpr, ...]
-
-
-RelEnv = dict  # name -> RelSig
+RelEnv = dict  # name -> RelationDef
 
 
 @dataclass(frozen=True)
 class CallInfo:
-    params: tuple[TypeExpr, ...]            # declared (pre-substitution) parameter types
     subst: tuple[tuple[str, TypeExpr], ...]  # tyvar -> caller-context type
     generic_env: Optional[tuple[tuple[str, TypeExpr], ...]] = None
-
-    def subst_dict(self) -> dict[str, TypeExpr]:
-        return dict(self.subst)
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +116,6 @@ def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr]
             raise TypeCheckError(
                 f"cannot match {render_type(pattern)} against {render_type(actual)}"
             )
-
-
-def infer_call_subst(callee_sig: tuple[tuple[str, ...], tuple[TypeExpr, ...]],
-                     arg_types: tuple[TypeExpr, ...]) -> dict[str, TypeExpr]:
-    """One-way match of declared parameter types against argument types."""
-    tyvars, params = callee_sig
-    if len(params) != len(arg_types):
-        raise TypeCheckError(f"expected {len(params)} arguments, got {len(arg_types)}")
-    binding: dict[str, TypeExpr] = {}
-    for p, a in zip(params, arg_types):
-        match_type(p, a, binding, frozenset(tyvars))
-    for tv in tyvars:
-        if tv not in binding:
-            raise TypeCheckError(f"type variable {tv} is unconstrained by the arguments")
-    assert all(apply_subst(binding, p) == a for p, a in zip(params, arg_types))
-    return binding
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +195,31 @@ def _generic_walk(pattern: TypeExpr, v: ValueExpr, env: TypeEnv,
             else:
                 assert apply_subst(sigma, pattern) == actual
                 assign[name] = pattern
-        case Sole():
-            if isinstance(pattern, TyVar):
-                raise NonGenericCall("constructor at a type-variable position")
+        # A well-typed constructor sits at its own type or at a type variable.
+        case _ if isinstance(pattern, TyVar):
+            raise NonGenericCall("constructor at a type-variable position")
         case Left(inner, _):
-            if not isinstance(pattern, Sum):
-                raise NonGenericCall("constructor at a type-variable position")
             _generic_walk(pattern.left, inner, env, sigma, assign)
         case Right(inner, _):
-            if not isinstance(pattern, Sum):
-                raise NonGenericCall("constructor at a type-variable position")
             _generic_walk(pattern.right, inner, env, sigma, assign)
         case Pair(a, b):
-            if not isinstance(pattern, Prod):
-                raise NonGenericCall("constructor at a type-variable position")
             _generic_walk(pattern.first, a, env, sigma, assign)
             _generic_walk(pattern.second, b, env, sigma, assign)
 
 
-def generic_arg_env(call: Call, caller_env: TypeEnv) -> tuple[tuple[str, TypeExpr], ...]:
-    """Give each caller variable free in the call's arguments a type over
-    the callee's type variables, consistent with the call substitution.
+def generic_arg_env(params: tuple[TypeExpr, ...], sigma: dict[str, TypeExpr],
+                    args: tuple[ValueExpr, ...],
+                    caller_env: TypeEnv) -> tuple[tuple[str, TypeExpr], ...]:
+    """Give each caller variable free in a call's well-typed arguments a
+    type over the callee's type variables, consistent with the call
+    substitution `sigma` of the callee's parameter types `params`.
 
     Raises NonGenericCall when no such typing exists (a variable at two
     incompatible generic positions, or a constructor at a type-variable
     position); the lowering then monomorphizes this call instead.
     """
-    info = call.info
-    assert isinstance(info, CallInfo), "call must be type-checked first"
-    sigma = info.subst_dict()
     assign: dict[str, TypeExpr] = {}
-    for pattern, arg in zip(info.params, call.args):
+    for pattern, arg in zip(params, args):
         _generic_walk(pattern, arg, caller_env, sigma, assign)
     return tuple((x, assign[x]) for x, _ in caller_env.vars if x in assign)
 
@@ -258,43 +227,34 @@ def generic_arg_env(call: Call, caller_env: TypeEnv) -> tuple[tuple[str, TypeExp
 # ---------------------------------------------------------------------------
 # goal / relation / program checking
 
-_MARK = "\x00"  # internal suffix keeping callee tyvars apart from the caller's
-
-
-def _contains_marked(t: TypeExpr) -> bool:
-    return any(name.endswith(_MARK) for name in free_type_vars(t))
-
-
 def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
     if g.rel not in relenv:
         raise TypeCheckError(f"call to undefined relation {g.rel!r}")
-    sig = relenv[g.rel]
-    if len(sig.params) != len(g.args):
+    callee = relenv[g.rel]
+    params = tuple(ty for _, ty in callee.params)
+    if len(params) != len(g.args):
         raise TypeCheckError(
-            f"{g.rel} takes {len(sig.params)} arguments, got {len(g.args)}"
+            f"{g.rel} takes {len(params)} arguments, got {len(g.args)}"
         )
 
-    # Callee type variables are renamed apart while matching so they can
-    # never be confused with caller type variables of the same name.
-    marked = {tv: TyVar(tv + _MARK) for tv in sig.tyvars}
-    params_m = tuple(apply_subst(marked, p) for p in sig.params)
-    marked_names = frozenset(tv + _MARK for tv in sig.tyvars)
-
+    # `binding` maps callee type variables to caller types.  The patterns
+    # hold only callee type variables and `apply_subst` is simultaneous,
+    # so a caller type variable that shares a callee one's name is never
+    # rewritten.
+    tyvars = frozenset(callee.tyvars)
     binding: dict[str, TypeExpr] = {}
-    arg_types: list[Optional[TypeExpr]] = [None] * len(g.args)
     pending = set(range(len(g.args)))
     progress = True
     while pending and progress:
         progress = False
         for i in sorted(pending):
-            expect = apply_subst(binding, params_m[i])
+            bound = tyvars.intersection(free_type_vars(params[i])) <= binding.keys()
             try:
                 ty = type_of_value(env, g.args[i],
-                                   None if _contains_marked(expect) else expect)
+                                   apply_subst(binding, params[i]) if bound else None)
             except UninferableValue:
                 continue
-            match_type(params_m[i], ty, binding, marked_names)
-            arg_types[i] = ty
+            match_type(params[i], ty, binding, tyvars)
             pending.discard(i)
             progress = True
     if pending:
@@ -303,16 +263,16 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
             f"cannot determine the type of argument {i + 1} in call to {g.rel}; "
             f"annotate its sum constructors"
         )
+    for tv in callee.tyvars:
+        if tv not in binding:
+            raise TypeCheckError(f"type variable {tv} is unconstrained by the arguments")
 
-    subst = infer_call_subst((tuple(marked_names), params_m), tuple(arg_types))
-    info = CallInfo(sig.params,
-                    tuple((tv, subst[tv + _MARK]) for tv in sig.tyvars))
-    checked = Call(g.rel, g.args, info)
     try:
-        info = replace(info, generic_env=generic_arg_env(checked, env))
+        generic_env = generic_arg_env(params, binding, g.args, env)
     except NonGenericCall:
-        return checked
-    return Call(g.rel, g.args, info)
+        generic_env = None
+    subst = tuple((tv, binding[tv]) for tv in callee.tyvars)
+    return Call(g.rel, g.args, CallInfo(subst, generic_env))
 
 
 def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
@@ -339,11 +299,6 @@ def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
     raise TypeError(g)
 
 
-def relation_env(p: Program) -> RelEnv:
-    return {rel.name: RelSig(rel.tyvars, tuple(ty for _, ty in rel.params))
-            for rel in p.relations}
-
-
 def check_relation(relenv: RelEnv, rel: RelationDef) -> RelationDef:
     env = TypeEnv(rel.params, frozenset(rel.tyvars))
     for _, ty in rel.params:
@@ -361,7 +316,7 @@ def check_relation(relenv: RelEnv, rel: RelationDef) -> RelationDef:
 
 def check_program(p: Program) -> Program:
     """Check every relation against the header environment; aggregate errors."""
-    relenv = relation_env(p)
+    relenv = {rel.name: rel for rel in p.relations}
     checked = []
     errors = []
     for rel in p.relations:

@@ -4,7 +4,7 @@ import pytest
 
 from skn import (
     Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var, check_program,
-    check_type_valid, generic_arg_env, infer_call_subst, parse_program,
+    check_type_valid, generic_arg_env, parse_program,
     type_of_value,
 )
 from skn.cli import RunConfig, run
@@ -61,26 +61,49 @@ def test_bare_left_needs_context():
 # ---------------------------------------------------------------------------
 # call substitution inference
 
+def _call_subst(src):
+    """The substitution recorded on the one call in `main`."""
+    (call,) = _collect_calls(check_program(parse_program(src)).relation("main").body)
+    return dict(call.info.subst)
+
+
 def test_subst_equal_units():
-    sigma = infer_call_subst((("a",), (TyVar("a"), TyVar("a"))), (UNIT, UNIT))
-    assert sigma == {"a": UNIT}
+    src = """
+    (defrel (r (x : a) (y : a)) (== x y))
+    (defrel (main (u : Unit)) (r u u))
+    """
+    assert _call_subst(src) == {"a": UNIT}
 
 
 def test_subst_conflict():
+    src = """
+    (defrel (r (x : a) (y : a)) (== x y))
+    (defrel (main (u : Unit) (v : (Sum Unit Unit))) (r u v))
+    """
     with pytest.raises(TypeCheckError):
-        infer_call_subst((("a",), (TyVar("a"), TyVar("a"))), (UNIT, S2))
+        check_program(parse_program(src))
 
 
 def test_subst_empty():
-    assert infer_call_subst(((), ()), ()) == {}
+    src = """
+    (defrel (r) (factor 1))
+    (defrel (main (u : Unit)) (r))
+    """
+    assert _call_subst(src) == {}
 
 
 def test_subst_structural():
-    sigma = infer_call_subst(
-        (("a", "b"), (Sum(TyVar("a"), TyVar("b")),)), (Sum(UNIT, S2),))
-    assert sigma == {"a": UNIT, "b": S2}
+    src = """
+    (defrel (r (x : (Sum a b))) (== x x))
+    (defrel (main (u : (Sum Unit (Sum Unit Unit)))) (r u))
+    """
+    assert _call_subst(src) == {"a": UNIT, "b": S2}
+    src = """
+    (defrel (r (x : (Sum a Unit))) (== x x))
+    (defrel (main (u : (Prod Unit Unit))) (r u))
+    """
     with pytest.raises(TypeCheckError):
-        infer_call_subst((("a",), (Sum(TyVar("a"), UNIT),)), (Prod(UNIT, UNIT),))
+        check_program(parse_program(src))
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +123,24 @@ CALL_FAULTS = {
         "(defrel (r (x : a) (y : a)) (== x y))\n"
         "(defrel (main (u : Unit) (v : (Sum Unit Unit))) (r u v))",
         "main: v has type (Sum Unit Unit), expected Unit"),
-    "cannot match": pytest.param(
+    "cannot match": (
         "(defrel (first (p : (Prod a Unit))) (== p p))\n"
         "(defrel (main (u : (Sum Unit Unit))) (first u))",
-        "main: cannot match (Prod a Unit) against (Sum Unit Unit)",
-        marks=pytest.mark.xfail(strict=True, reason="callee type variables carry a NUL mark")),
-    "matched to both": pytest.param(
+        "main: cannot match (Prod a Unit) against (Sum Unit Unit)"),
+    "matched to both": (
         "(defrel (r (p : (Prod a a))) (== p p))\n"
         "(defrel (main (u : (Prod Unit (Sum Unit Unit)))) (r u))",
-        "main: type variable a matched to both Unit and (Sum Unit Unit)",
-        marks=pytest.mark.xfail(strict=True, reason="callee type variables carry a NUL mark")),
+        "main: type variable a matched to both Unit and (Sum Unit Unit)"),
     "cannot determine": (
         "(defrel (r (x : a)) (== x x))\n"
         "(defrel (main (u : Unit)) (r (left sole)))",
         "main: cannot determine the type of argument 1 in call to r; "
         "annotate its sum constructors"),
-    "unconstrained": pytest.param(
+    "unconstrained": (
         "(defrel (r (forall a b) (x : a)) (== x x))\n"
         "(defrel (main (u : Unit)) (r u))",
         "r: type variable b of r does not occur in any parameter, so calls could "
-        "never determine it; main: type variable b is unconstrained by the arguments",
-        marks=pytest.mark.xfail(strict=True, reason="callee type variables carry a NUL mark")),
+        "never determine it; main: type variable b is unconstrained by the arguments"),
 }
 
 
@@ -231,12 +251,12 @@ def _checked_call(src, relname, callee):
     rel = p.relation(relname)
     calls = [c for c in _collect_calls(rel.body) if c.rel == callee]
     caller_env = TypeEnv(rel.params, frozenset(rel.tyvars))
-    return calls[0], caller_env
+    return calls[0], caller_env, tuple(ty for _, ty in p.relation(callee).params)
 
 
 def test_generic_env_sum_swap():
-    call, caller_env = _checked_call(load("sum-swap.skn"), "sum-swap-3-3", "sum-swap")
-    ge = generic_arg_env(call, caller_env)
+    call, caller_env, params = _checked_call(load("sum-swap.skn"), "sum-swap-3-3", "sum-swap")
+    ge = generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
     assert ge == (("x", Sum(TyVar("a"), TyVar("b"))),
                   ("y", Sum(TyVar("b"), TyVar("a"))))
 
@@ -246,8 +266,9 @@ def test_generic_env_single_occurrence():
     (defrel (equal (x : a) (y : a)) (== x y))
     (defrel (main (w : Unit)) (equal w w))
     """
-    call, caller_env = _checked_call(src, "main", "equal")
-    assert generic_arg_env(call, caller_env) == (("w", TyVar("a")),)
+    call, caller_env, params = _checked_call(src, "main", "equal")
+    assert generic_arg_env(params, dict(call.info.subst), call.args, caller_env) == \
+        (("w", TyVar("a")),)
     assert dict(call.info.subst) == {"a": UNIT}
 
 
@@ -257,9 +278,9 @@ def test_non_generic_conflicting_positions():
     (defrel (r (x : a) (y : (Sum Unit Unit))) (== y y))
     (defrel (main (w : (Sum Unit Unit))) (r w w))
     """
-    call, caller_env = _checked_call(src, "main", "r")
+    call, caller_env, params = _checked_call(src, "main", "r")
     with pytest.raises(NonGenericCall):
-        generic_arg_env(call, caller_env)
+        generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
     assert call.info.generic_env is None  # recorded as a fallback
 
 
@@ -268,8 +289,8 @@ def test_generic_env_concrete_var_kept():
     (defrel (r (x : a) (y : (Sum Unit Unit))) (== y y))
     (defrel (main (w : Unit) (u : (Sum Unit Unit))) (r w u))
     """
-    call, caller_env = _checked_call(src, "main", "r")
-    assert generic_arg_env(call, caller_env) == \
+    call, caller_env, params = _checked_call(src, "main", "r")
+    assert generic_arg_env(params, dict(call.info.subst), call.args, caller_env) == \
         (("w", TyVar("a")), ("u", S2))
 
 
@@ -278,8 +299,17 @@ def test_polymorphic_caller_passes_own_tyvar():
     (defrel (equal (x : a) (y : a)) (== x y))
     (defrel (outer (p : b) (q : b)) (equal p q))
     """
-    call, caller_env = _checked_call(src, "outer", "equal")
+    call, caller_env, params = _checked_call(src, "outer", "equal")
     assert dict(call.info.subst) == {"a": TyVar("b")}
+
+
+def test_caller_tyvar_named_like_callee_tyvar():
+    # the binding a -> (Sum a Unit) is applied once: the caller's a stays
+    src = """
+    (defrel (r (x : a) (y : (Sum a Unit))) (== x x))
+    (defrel (main (forall a) (u : (Sum a Unit)) (v : (Sum (Sum a Unit) Unit))) (r u v))
+    """
+    assert _call_subst(src) == {"a": Sum(TyVar("a"), UNIT)}
 
 
 def test_generic_env_through_fresh_scope():
