@@ -5,7 +5,8 @@ compares their tables.
 
 Exit codes: 0 ok; 1 an unreadable or undecodable source file,
 parse/type/weight-literal errors, a program nested too deeply for the
-recursion limit, or --diff given with a flag it would ignore; 2 lowering
+recursion limit, a run that exhausts memory, or --diff given with a flag
+it would ignore; 2 lowering
 errors; 3 fixpoint non-convergence (in either mode under --diff),
 including a round that yields nan; 4 table divergence in --diff mode.
 """
@@ -22,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import poly, semiring, syntax, typecheck
-from .eval import FixpointResult, RelTable, enumerate_type, fixpoint
+from .eval import EPSILON, FixpointResult, RelTable, enumerate_type, fixpoint
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError, render_weight
 from .syntax import Factor, ParseError, Program, render_program, render_type, render_value
 
@@ -37,7 +38,7 @@ class RunConfig:
     source: str
     semiring: str
     poly_mode: str = "monomorphize"
-    epsilon: float = 1e-9
+    epsilon: Optional[float] = None  # None: eval.EPSILON
     max_iters: int = 10000
     fmt: str = "tsv"
     relations: list = field(default_factory=list)
@@ -45,7 +46,7 @@ class RunConfig:
     emit_lowered: Optional[str] = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max-iters must be at least 1")
@@ -109,12 +110,6 @@ def load_program(text: str, spec: SemiringSpec, mode: str) -> Program:
     return poly.lower_program(checked, mode, spec)
 
 
-def _fixpoint(cfg: RunConfig, lowered: Program, spec: SemiringSpec) -> FixpointResult:
-    # --epsilon applies to the semirings whose convergence is a tolerance.
-    epsilon = cfg.epsilon if spec.equality_tolerance else None
-    return fixpoint(lowered, spec, epsilon=epsilon, max_iters=cfg.max_iters)
-
-
 def _select_tables(result: FixpointResult, lowered: Program,
                    wanted: list) -> list[RelTable]:
     order = lowered.names()
@@ -134,7 +129,8 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
     out = sys.stdout if out is None else out
     lowered = {mode: load_program(text, spec, mode)
                for mode in ("monomorphize", "large-enough")}
-    runs = {mode: (p, _fixpoint(cfg, p, spec)) for mode, p in lowered.items()}
+    runs = {mode: (p, fixpoint(p, spec, epsilon=cfg.epsilon, max_iters=cfg.max_iters))
+            for mode, p in lowered.items()}
     stuck = [mode for mode, (_, result) in runs.items() if not result.converged]
     if stuck:
         print(f"no convergence: {' and '.join(stuck)} did not converge within "
@@ -175,7 +171,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         if cfg.emit_lowered:
             with open(cfg.emit_lowered, "w", encoding="utf-8") as fh:
                 fh.write(render_program(lowered))
-        result = _fixpoint(cfg, lowered, spec)
+        result = fixpoint(lowered, spec, epsilon=cfg.epsilon, max_iters=cfg.max_iters)
         text = emit_tables(_select_tables(result, lowered, cfg.relations), cfg.fmt, spec)
     except (OSError, UnicodeDecodeError, ParseError, typecheck.TypeCheckError,
             WeightLiteralError, UnknownRelation) as e:
@@ -184,15 +180,17 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except RecursionError:
         print("error: program nests too deeply for the recursion limit", file=err)
         return EXIT_BAD_PROGRAM
+    except MemoryError:
+        print("error: the run needs more memory than is available", file=err)
+        return EXIT_BAD_PROGRAM
     except poly.LoweringError as e:
         print(f"error: {e}", file=err)
         return EXIT_LOWERING
     out.write(text)
 
     if not result.converged:
-        # fixpoint stops before max_iters only at a round that yielded nan
         stop = (f"stopped at round {result.iterations}, which yielded nan"
-                if result.iterations < cfg.max_iters
+                if result.stopped_on_nan
                 else f"did not converge within {cfg.max_iters} iterations")
         print(f"warning: fixpoint {stop}; tables are from the last round", file=err)
         return EXIT_NO_CONVERGENCE
@@ -212,8 +210,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       default="monomorphize")
     runp.add_argument("--rel", action="append", default=[], metavar="NAME",
                       help="emit only these relations (repeatable)")
-    runp.add_argument("--epsilon", type=float, default=1e-9,
-                      help="real-semiring convergence tolerance")
+    runp.add_argument("--epsilon", type=float,
+                      help=f"real-semiring convergence tolerance (default {EPSILON:g})")
     runp.add_argument("--max-iters", type=int, default=10000)
     runp.add_argument("--format", choices=["tsv", "json"], default="tsv")
     runp.add_argument("--emit-lowered", metavar="PATH",

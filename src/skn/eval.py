@@ -344,6 +344,7 @@ class FixpointResult:
     tables: dict[str, RelTable]
     converged: bool
     iterations: int
+    stopped_on_nan: bool = False  # solving ended at a round that yielded nan
 
 
 def _call_graph_sccs(program: Program) -> list[tuple[list[RelationDef], bool]]:
@@ -396,6 +397,7 @@ def _call_graph_sccs(program: Program) -> list[tuple[list[RelationDef], bool]]:
 # probing its matrix takes one round per cell, so a larger group whose
 # rounds contract fast converges sooner by iteration.
 MAX_SOLVE_CELLS = 64
+EPSILON = 1e-9  # convergence tolerance over a field, unless one is given
 
 
 def _affine(rels: list[RelationDef]) -> bool:
@@ -450,7 +452,7 @@ def _solve_affine(rels: list[RelationDef], tables: dict[str, RelTable],
     except np.linalg.LinAlgError:
         return None
     new = {rel.name: eval_relation(rel, tables | x, spec) for rel in rels}
-    if any(np.isnan(t.cells).any() or not spec.tables_equal(x[name].cells, t.cells, tol)
+    if any(np.isnan(t.cells).any() or not np.allclose(x[name].cells, t.cells, rtol=0, atol=tol)
            for name, t in new.items()):
         return None
     return x, new
@@ -486,15 +488,15 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     round.  Any other recursive component is re-evaluated, each round
     against its own previous round and the finished tables of its callees,
     until it stabilizes: exact equality for discrete semirings, and over a
-    field until the contraction bound puts the round within the tolerance
-    of the fixed point (`epsilon` overrides the semiring default).
+    field until the contraction bound puts the round within `epsilon` of
+    the fixed point (`EPSILON` when None; discrete semirings ignore it).
     ``iterations`` is the most rounds any component took.  If a component
     runs `max_iters` rounds without stabilizing, the result has
     ``converged=False`` and the components after it are solved against its
     last round.  If a round yields a nan cell (weights that overflowed),
     solving stops there: the tables so far are returned with
-    ``converged=False`` and that component's round count, and the
-    components after it keep all-zero tables.
+    ``converged=False``, ``stopped_on_nan=True`` and that component's round
+    count, and the components after it keep all-zero tables.
 
     ``on_round(round, old, new)`` is called after every round of every
     component, before the round's tables are stored: `round` counts from
@@ -503,7 +505,7 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     is then updated in place).  A solved component's one round is the
     round that verifies the solution.
     """
-    tol = spec.equality_tolerance if epsilon is None else epsilon
+    tol = EPSILON if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
     rounds, converged = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
@@ -524,14 +526,13 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                 if on_round is not None:
                     on_round(it, tables, new)
                 if any(np.isnan(t.cells).any() for t in new.values()):
-                    return FixpointResult(tables | new, False, it)
+                    return FixpointResult(tables | new, False, it, stopped_on_nan=True)
                 if not recursive:
                     done = True
                 elif spec.field:
                     done, delta = _within_tolerance(tables, new, delta, tol)
                 else:
-                    done = all(spec.tables_equal(tables[n].cells, new[n].cells, tol)
-                               for n in new)
+                    done = all(np.array_equal(tables[n].cells, new[n].cells) for n in new)
                 tables.update(new)
                 if done:
                     break

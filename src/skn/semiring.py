@@ -31,7 +31,6 @@ class SemiringSpec:
     mul: Callable  # commutative, associative, distributes over add
     idempotent_add: bool
     field: bool  # the carrier is a field: a recursive group may be solved linearly
-    equality_tolerance: float  # used only by fixpoint convergence; 0 = exact
     dtype: np.dtype
     read_literal: Callable[[str], Optional[Weight]]  # None: not in the carrier
     render: Callable[[Weight], str]  # text of one weight
@@ -39,11 +38,6 @@ class SemiringSpec:
     def sum(self, array: np.ndarray, axis: int) -> np.ndarray:
         """Reduce one axis with semiring addition."""
         return self.add.reduce(array, axis=axis)
-
-    def tables_equal(self, a: np.ndarray, b: np.ndarray, tolerance: float) -> bool:
-        if tolerance == 0.0:
-            return bool(np.array_equal(a, b))
-        return bool(np.allclose(a, b, rtol=0.0, atol=tolerance))
 
     def __repr__(self) -> str:
         return f"SemiringSpec({self.name!r})"
@@ -79,7 +73,6 @@ BOOLEAN = SemiringSpec(
     mul=np.logical_and,
     idempotent_add=True,
     field=False,
-    equality_tolerance=0.0,
     dtype=np.dtype(bool),
     read_literal=_BOOL_LITERALS.get,
     render=lambda w: "true" if bool(w) else "false",
@@ -93,7 +86,6 @@ REAL = SemiringSpec(
     mul=np.multiply,
     idempotent_add=False,
     field=True,
-    equality_tolerance=1e-9,
     dtype=np.dtype(np.float64),
     read_literal=_read_decimal,
     render=_render_float,
@@ -109,7 +101,6 @@ MIN_TROPICAL = SemiringSpec(
     mul=np.add,
     idempotent_add=True,
     field=False,
-    equality_tolerance=0.0,
     dtype=np.dtype(np.float64),
     read_literal=lambda text: math.inf if text == "inf" else _read_decimal(text),
     render=_render_float,

@@ -101,7 +101,8 @@ def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr]
                     )
             else:
                 binding[name] = actual
-        case Unit() if isinstance(actual, Unit):
+        case Unit() | TyVar() if actual is pattern:
+            # types are interned; a TyVar here is not a pattern variable
             pass
         case Sum(a, b) if isinstance(actual, Sum):
             match_type(a, actual.left, binding, tyvars)
@@ -109,9 +110,6 @@ def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr]
         case Prod(a, b) if isinstance(actual, Prod):
             match_type(a, actual.first, binding, tyvars)
             match_type(b, actual.second, binding, tyvars)
-        case TyVar(name) if isinstance(actual, TyVar) and actual.name == name:
-            # a caller type variable used verbatim in the pattern position
-            pass
         case _:
             raise TypeCheckError(
                 f"cannot match {render_type(pattern)} against {render_type(actual)}"
@@ -210,9 +208,9 @@ def _generic_walk(pattern: TypeExpr, v: ValueExpr, env: TypeEnv,
 def generic_arg_env(params: tuple[TypeExpr, ...], sigma: dict[str, TypeExpr],
                     args: tuple[ValueExpr, ...],
                     caller_env: TypeEnv) -> tuple[tuple[str, TypeExpr], ...]:
-    """Give each caller variable free in a call's well-typed arguments a
-    type over the callee's type variables, consistent with the call
-    substitution `sigma` of the callee's parameter types `params`.
+    """Give each caller variable free in a call's well-typed `args` a type
+    over the callee's parameter types `params`, consistent with the call
+    substitution `sigma`.
 
     Raises NonGenericCall when no such typing exists (a variable at two
     incompatible generic positions, or a constructor at a type-variable

@@ -290,6 +290,24 @@ def test_real_overflow_stops_at_first_nan_round():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_nan_at_last_allowed_round_is_named():
+    # connect under real first yields nan at round 13
+    status, _, err = run_capture(RunConfig(path("connect.skn"), "real", max_iters=13))
+    assert status == 3
+    assert err == ("warning: fixpoint stopped at round 13, which yielded nan; "
+                   "tables are from the last round\n")
+
+
+@pytest.mark.parametrize("diff", [False, True])
+def test_memory_error_exit_code(monkeypatch, diff):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "fixpoint", exhausted)
+    status, out, err = run_capture(RunConfig(path("connect.skn"), "boolean", diff=diff))
+    assert status == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_deep_nesting_exit_code(tmp_path):
     src = tmp_path / "chain-500.skn"
     src.write_text(chain_source(500))
