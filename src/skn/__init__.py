@@ -23,11 +23,10 @@ from .eval import (
     type_size,
 )
 from .poly import (
-    Hole, InstanceExplosion, LargeEnoughCall, LoweringError,
+    InstanceExplosion, LargeEnoughCall, LoweringError,
     NonIdempotentSemiring, canonical_type, compile_call,
     count_env, count_goal, count_relation, count_type, enforce_eqpat_codegen,
-    envholes, envshell, eqpat_check, holes_of, instantiate_relation,
-    lower_program, shell_of, smallest_large_enough,
+    instantiate_relation, lower_program, smallest_large_enough,
 )
 
 __version__ = "0.1.0"

@@ -16,14 +16,13 @@ from skn import (
     enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
     type_size,
 )
-from skn.poly import (
-    _NameSupply, enforce_eqpat_codegen, eqpat_check, holes_of, shell_of,
-)
+from skn.poly import _NameSupply, enforce_eqpat_codegen
 from skn.syntax import Prod, Sum, TyVar, UNIT, render_type
 from skn.typecheck import apply_subst
 
 import gen
 import oracle
+from eqpat import eqpat_check, holes_of, shell_of
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, InstanceExplosion, NonIdempotentSemiring, Sum,
-    check_program, enumerate_type, eqpat_check, lower_program, parse_program,
+    check_program, enumerate_type, lower_program, parse_program,
     canonical_type,
 )
 from skn.syntax import (
@@ -15,6 +15,7 @@ from skn.typecheck import apply_subst
 
 import gen
 import props
+from eqpat import eqpat_check
 from helpers import (
     IDEMPOTENT_CORPUS, InstanceKey, chain_source, collect_instances, load, run_source,
 )

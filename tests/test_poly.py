@@ -5,15 +5,14 @@ import pytest
 from skn import (
     Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var, canonical_type,
     check_program, count_env, count_goal, count_relation, count_type,
-    enumerate_type, envholes, envshell, eqpat_check, holes_of,
-    instantiate_relation, parse_program, shell_of, smallest_large_enough,
+    enumerate_type, instantiate_relation, parse_program, smallest_large_enough,
     type_size,
 )
-from skn.poly import Hole
 from skn.typecheck import apply_subst
 
 import gen
 import props
+from eqpat import Hole, envholes, envshell, eqpat_check, holes_of, shell_of
 from helpers import load
 
 S2 = Sum(UNIT, UNIT)
