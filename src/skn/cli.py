@@ -6,9 +6,9 @@ compares their tables.
 Exit codes: 0 ok; 1 an unreadable or undecodable source file,
 parse/type/weight-literal errors, a program nested too deeply for the
 recursion limit, a run that exhausts memory, or --diff given with a flag
-it would ignore; 2 lowering
-errors; 3 fixpoint non-convergence (in either mode under --diff),
-including a round that yields nan; 4 table divergence in --diff mode.
+it would ignore; 2 lowering errors; 3 fixpoint non-convergence (in either
+mode under --diff), including a round that yields nan; 4 table divergence
+in --diff mode.
 """
 from __future__ import annotations
 
