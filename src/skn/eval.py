@@ -131,25 +131,28 @@ def _axes(scope: dict[str, TypeExpr], dims: tuple[str, ...]) -> dict[str, np.nda
     return out
 
 
-def _index_factor(v: ValueExpr, t: TypeExpr, index: dict[str, np.ndarray]) -> np.ndarray:
+def _index_factor(v: ValueExpr, t: TypeExpr,
+                  index: dict[str, np.ndarray]) -> Union[int, np.ndarray]:
     """Integer array giving the index of this value under each assignment,
-    where `index` holds the index array of each variable."""
+    where `index` holds the index array of each variable; a plain int for
+    a ground value.  A run of sum constructors is walked in a loop."""
+    offset = 0
+    while isinstance(v, (Left, Right)):
+        if isinstance(v, Right):
+            offset += t.left.size
+            t = t.right
+        else:
+            t = t.left
+        v = v.inner
     match v:
         case Var(name):
-            return index[name]
+            return offset + index[name]
         case Sole():
-            return np.zeros((), dtype=np.int64)
-        case Left(inner, _):
-            assert isinstance(t, Sum)
-            return _index_factor(inner, t.left, index)
-        case Right(inner, _):
-            assert isinstance(t, Sum)
-            return t.left.size + _index_factor(inner, t.right, index)
+            return offset
         case Pair(a, b):
-            assert isinstance(t, Prod)
             ia = _index_factor(a, t.first, index)
             ib = _index_factor(b, t.second, index)
-            return ia * t.second.size + ib
+            return offset + ia * t.second.size + ib
     raise TypeError(v)
 
 
@@ -230,12 +233,64 @@ def _free_dims(scope: dict[str, TypeExpr], values) -> tuple[str, ...]:
     return tuple(d for d in scope if d in fv)
 
 
-def _flatten_conj(g: Goal, out: list[Goal]) -> None:
-    if isinstance(g, Conj):
-        _flatten_conj(g.g1, out)
-        _flatten_conj(g.g2, out)
-    else:
-        out.append(g)
+def _flatten(g: Goal, kind: type) -> list[Goal]:
+    """The operands of the chain of `kind` (Conj or Disj) nodes at `g`,
+    left to right.  Iterative, so a chain's length is not bounded by the
+    recursion limit."""
+    out, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if isinstance(h, kind):
+            stack += (h.g2, h.g1)
+        else:
+            out.append(h)
+    return out
+
+
+def _fold(factors, op, scope: dict[str, TypeExpr]) -> _Factor:
+    """Combine factors with `op`, first to last, in one loop."""
+    factors = iter(factors)
+    acc = next(factors)
+    for f in factors:
+        acc = _combine(acc, f, op, scope)
+    return acc
+
+
+def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr],
+                spec: SemiringSpec) -> Optional[_Factor]:
+    """A disjunction of ground facts as one scatter of its weights into a
+    zero table, or None if it is not one.
+
+    Each disjunct must be a conj of `==`s that pin the same non-empty set
+    of variables, each once, to ground values, and at most one factor; a
+    fact's weight is its factor's, or one.  Duplicate facts combine by
+    semiring addition, last to first, as the right-nested chain adds them.
+    """
+    facts = []
+    for d in disjuncts:
+        pins, lits = {}, []
+        for g in _flatten(d, Conj):
+            match g:
+                case Factor(lit):
+                    lits.append(lit)
+                case Unify(Var(x), v, ty) | Unify(v, Var(x), ty) if x not in pins:
+                    try:
+                        pins[x] = _index_factor(v, ty, {})
+                    except KeyError:  # `v` has a variable
+                        return None
+                case _:
+                    return None
+        if len(lits) > 1 or not pins or (facts and pins.keys() != facts[0][0].keys()):
+            return None
+        facts.append((pins, lits))
+    facts.reverse()
+    dims = tuple(d for d in scope if d in facts[0][0])
+    cells = np.full(tuple(scope[d].size for d in dims), spec.zero, dtype=spec.dtype)
+    weights = [parse_weight_literal(lits[0], spec) if lits else spec.one
+               for _, lits in facts]
+    spec.add.at(cells, tuple(np.array([pins[d] for pins, _ in facts]) for d in dims),
+                np.array(weights, dtype=spec.dtype))
+    return _Factor(dims, cells)
 
 
 def _eval_array(g: Goal, scope: dict[str, TypeExpr],
@@ -255,12 +310,18 @@ def _eval_array(g: Goal, scope: dict[str, TypeExpr],
             hit = np.broadcast_to(hit, shape)
             arr = np.where(hit, spec.one, spec.zero).astype(spec.dtype, copy=False)
             return _Factor(dims, arr)
-        case Conj(a, b):
-            return _combine(_eval_array(a, scope, tables, spec),
-                            _eval_array(b, scope, tables, spec), spec.mul, scope)
-        case Disj(a, b):
-            return _combine(_eval_array(a, scope, tables, spec),
-                            _eval_array(b, scope, tables, spec), spec.add, scope)
+        # A chain is folded last to first, so each cell is combined in the
+        # order of the right-nested binary nodes.
+        case Conj():
+            factors = [_eval_array(p, scope, tables, spec) for p in _flatten(g, Conj)]
+            return _fold(reversed(factors), spec.mul, scope)
+        case Disj():
+            parts = _flatten(g, Disj)
+            facts = _fact_table(parts, scope, spec)
+            if facts is not None:
+                return facts
+            factors = [_eval_array(p, scope, tables, spec) for p in parts]
+            return _fold(reversed(factors), spec.add, scope)
         case Call(rel, args, _):
             dims = _free_dims(scope, args)
             shape = tuple(scope[d].size for d in dims)
@@ -276,9 +337,8 @@ def _eval_array(g: Goal, scope: dict[str, TypeExpr],
                 binders.append(body.var)
                 inner_scope[body.var] = body.ty
                 body = body.body
-            parts: list[Goal] = []
-            _flatten_conj(body, parts)
-            factors = [_eval_array(p, inner_scope, tables, spec) for p in parts]
+            factors = [_eval_array(p, inner_scope, tables, spec)
+                       for p in _flatten(body, Conj)]
             return _eliminate(factors, binders, inner_scope, spec, scope)
     raise TypeError(g)
 
@@ -310,18 +370,14 @@ def _eliminate(factors: list[_Factor], binders: list[str],
             ones = np.full(scope[name].size, spec.one, dtype=spec.dtype)
             factors.append(_Factor((), spec.add.reduce(ones)))
             continue
-        acc = group[0]
-        for f in group[1:]:
-            acc = _combine(acc, f, spec.mul, scope)
+        acc = _fold(group, spec.mul, scope)
         axis = acc.dims.index(name)
         reduced = spec.sum(acc.arr, axis)
         factors.append(_Factor(tuple(d for d in acc.dims if d != name), reduced))
 
     if not factors:
         return _Factor((), np.asarray(spec.one, dtype=spec.dtype))
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = _combine(acc, f, spec.mul, scope)
+    acc = _fold(factors, spec.mul, scope)
     assert all(d in outer_scope for d in acc.dims)
     return acc
 

@@ -14,7 +14,7 @@ from skn import (
 from skn import eval as skn_eval
 from skn.eval import zero_table
 from skn.semiring import parse_weight_literal
-from skn.syntax import Disunify, Factor, Fresh, Unify
+from skn.syntax import Conj, Disj, Disunify, Factor, Fresh, RelationDef, Unify
 
 import gen
 import oracle
@@ -333,3 +333,148 @@ def test_oracle_agreement_random_sample():
         src = gen.random_program(seed)
         _compare_with_oracle(src, BOOLEAN)
         _compare_with_oracle(src, MIN_TROPICAL)
+
+
+# ---------------------------------------------------------------------------
+# fact tables: a disjunction of ground facts is one scatter
+
+@pytest.fixture
+def scatters(monkeypatch):
+    """Whether each disjunction chain evaluated was tabulated by scatter."""
+    seen = []
+    original = skn_eval._fact_table
+
+    def spy(disjuncts, scope, spec):
+        table = original(disjuncts, scope, spec)
+        seen.append(table is not None)
+        return table
+
+    monkeypatch.setattr(skn_eval, "_fact_table", spy)
+    return seen
+
+
+_T = "(Sum Unit (Sum Unit Unit))"
+_A, _B, _C = "(left sole)", "(right (left sole))", "(right (right sole))"
+# w1, w2 and w3 weigh one fact, (a, b): combined, they are neither the
+# first nor the last of them.
+_WEIGHTS = {
+    "boolean": ("false", "true", "false", "true"),
+    "real": ("0.5", "0.25", "2.0", "3.0"),
+    "min-tropical": ("5", "2", "7", "inf"),
+}
+_SPECS = [BOOLEAN, REAL, MIN_TROPICAL]
+
+_SCATTERED = {
+    "duplicates": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj
+    (conj (== x {A}) (== y {B}) (factor {w1}))
+    (conj (== {B} y) (== {A} x) (factor {w2}))
+    (conj (factor {w3}) (conj (== x {A}) (== y {B})))
+    (conj (== x {C}) (== y {A}))
+    (conj (== x {B}) (== y {C}) (factor {w4}))))
+""",
+    "nested": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj
+    (disj (conj (== x {A}) (conj (factor {w1}) (== y {A})))
+          (conj (conj (== {C} y) (== x {B})) (factor {w2})))
+    (disj (conj (== x {A}) (== y {A}) (factor {w3}))
+          (disj (conj (== y {C}) (== x {C})) (conj (== x {B}) (== {C} y) (factor {w4}))))))
+""",
+    "under-fresh": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj (conj (== x {A}) (== y {B}) (factor {w1})) (conj (== x {B}) (== y {B}) (factor {w4}))))
+(defrel (g (x : {T}))
+  (fresh ((z : {T}))
+    (conj (disj (conj (== x {A}) (== z {B}) (factor {w1}))
+                (conj (== z {B}) (== {A} x) (factor {w2}))
+                (conj (== x {C}) (== z {A}) (factor {w3})))
+          (f z x))))
+(defrel (h (x : {T}))
+  (conj (factor {w4}) (fresh ((z : {T})) (disj (== z {A}) (== z {B}) (== {A} z)))))
+""",
+}
+
+_FOLDED = {
+    "free-variable": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj (conj (== x {A}) (== y {B}) (factor {w1})) (conj (== x {C}) (factor {w2}))))
+""",
+    "variable-to-variable": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj (conj (== x {A}) (== y {B}) (factor {w1})) (conj (== x {C}) (== y x) (factor {w2}))))
+""",
+    "two-factors": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj (conj (== x {A}) (== y {B}) (factor {w1}))
+        (conj (== x {A}) (== y {B}) (factor {w2}) (factor {w3}))))
+""",
+    "pinned-twice": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj (conj (== x {A}) (== y {B}) (factor {w1}))
+        (conj (== x {C}) (== y {A}) (== x {B}) (factor {w2}))))
+""",
+    "disunify": """
+(defrel (f (x : {T}) (y : {T}))
+  (disj (conj (== x {A}) (== y {B}) (factor {w1}))
+        (conj (== x {C}) (== y {A}) (=/= x y) (factor {w2}))))
+""",
+}
+
+
+def _fact_source(template: str, spec) -> str:
+    w1, w2, w3, w4 = _WEIGHTS[spec.name]
+    return template.format(T=_T, A=_A, B=_B, C=_C, w1=w1, w2=w2, w3=w3, w4=w4)
+
+
+@pytest.mark.parametrize("case", sorted(_SCATTERED))
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
+def test_fact_scatter_against_oracle(spec, case, scatters):
+    _compare_with_oracle(_fact_source(_SCATTERED[case], spec), spec)
+    assert any(scatters)
+
+
+@pytest.mark.parametrize("case", sorted(_FOLDED))
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
+def test_non_fact_disjunction_folds_against_oracle(spec, case, scatters):
+    _compare_with_oracle(_fact_source(_FOLDED[case], spec), spec)
+    assert scatters and not any(scatters)
+
+
+def _chain(kind, goals):
+    """`goals` right-nested into one chain of `kind` nodes, as parsed."""
+    node = goals[-1]
+    for g in reversed(goals[:-1]):
+        node = kind(g, node)
+    return node
+
+
+def _pairs_relation(disjuncts) -> RelationDef:
+    return RelationDef("r", (), (("x", S4), ("y", S4)), _chain(Disj, disjuncts))
+
+
+def test_long_fact_disjunction_without_recursion():
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    values = enumerate_type(S4)
+    facts = [(i % 4, i // 4 % 4, i % 10) for i in range(n)]
+    rel = _pairs_relation([
+        _chain(Conj, [Unify(Var("x"), values[a], S4), Unify(values[b], Var("y"), S4),
+                      Factor(str(w))])
+        for a, b, w in facts])
+    want = np.full((4, 4), math.inf)
+    for a, b, w in facts:
+        want[a, b] = min(want[a, b], w)
+    assert np.array_equal(eval_relation(rel, {}, MIN_TROPICAL).cells, want)
+
+
+def test_long_disjunction_folds_without_recursion(scatters):
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    values = enumerate_type(S4)
+    rel = _pairs_relation([
+        Conj(Unify(Var("x"), values[i % 4], S4), Unify(Var("y"), Var("x"), S4))
+        for i in range(n)])
+    assert np.array_equal(eval_relation(rel, {}, REAL).cells, np.eye(4) * (n / 4))
+    assert scatters == [False]
