@@ -5,16 +5,18 @@ compares their tables.
 
 Exit codes: 0 ok; 1 an unreadable or undecodable source file,
 parse/type/weight-literal errors, a program nested too deeply for the
-recursion limit, a run that exhausts memory, or --diff given with a flag
-it would ignore; 2 lowering errors; 3 fixpoint non-convergence (in either
-mode under --diff), including a round that yields nan; 4 table divergence
-in --diff mode.
+recursion limit, a run that exhausts memory, an --epsilon that is
+negative, nan or inf, or --diff given with a flag it would ignore; 2
+lowering errors; 3 fixpoint non-convergence (in either mode under
+--diff), including a round that yields nan; 4 table divergence in
+--diff mode.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -46,8 +48,8 @@ class RunConfig:
     emit_lowered: Optional[str] = None
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and non-negative, not {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError("max-iters must be at least 1")
         ignored = [flag for flag, given in (("--emit-lowered", self.emit_lowered),
@@ -211,7 +213,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     runp.add_argument("--rel", action="append", default=[], metavar="NAME",
                       help="emit only these relations (repeatable)")
     runp.add_argument("--epsilon", type=float,
-                      help=f"real-semiring convergence tolerance (default {EPSILON:g})")
+                      help="real-semiring convergence tolerance, finite and "
+                           f"non-negative (default {EPSILON:g})")
     runp.add_argument("--max-iters", type=int, default=10000)
     runp.add_argument("--format", choices=["tsv", "json"], default="tsv")
     runp.add_argument("--emit-lowered", metavar="PATH",

@@ -361,6 +361,16 @@ def test_semiring_env_fallback(monkeypatch, capsys):
     assert "coin-flip" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_rejected(epsilon, capsys):
+    # a nan tolerance fails every check, and an infinite one passes every
+    # round, so neither can say what `converged` means
+    status = main(["run", path("coins.skn"), "--semiring", "real", "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert captured.err == f"error: epsilon must be finite and non-negative, not {epsilon}\n"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig("x.skn", "boolean", epsilon=-1.0)
