@@ -18,6 +18,13 @@ intermediate arrays small, a fresh over a conjunction eliminates its
 bound variables factor-by-factor instead of materializing the full joint
 grid.
 
+A disjunction of ground facts is a table already written out: when each
+disjunct is a conj that pins the same variables, each once, to ground
+values with == and holds at most one factor, the disjunction is
+tabulated by one scatter of the facts' weights into a zero table, and
+duplicate facts combine by semiring addition.  Every other conj or disj
+chain is flattened and folded pairwise in one loop.
+
 A large-enough wrapper (see :mod:`skn.poly`) sums the target instance's
 weight over every copy of the caller's arguments with their equality
 pattern.  When its outer fresh carries the wrapper's record, it is
