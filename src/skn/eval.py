@@ -153,7 +153,7 @@ def _index_factor(v: ValueExpr, t: TypeExpr,
         v = v.inner
     match v:
         case Var(name):
-            return offset + index[name]
+            return index[name] + offset if offset else index[name]
         case Sole():
             return offset
         case Pair(a, b):
