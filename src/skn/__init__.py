@@ -14,17 +14,16 @@ from .syntax import (
     render_program, render_type, render_value,
 )
 from .typecheck import (
-    CallInfo, NonGenericCall, TypeCheckError, TypeEnv, apply_subst,
-    check_goal, check_program, check_type_valid, generic_arg_env,
-    type_of_value,
+    CallInfo, TypeCheckError, TypeEnv, apply_subst, check_goal,
+    check_program, check_type_valid, type_of_value,
 )
 from .eval import (
     FixpointResult, RelTable, enumerate_type, eval_relation, fixpoint,
     type_size,
 )
 from .poly import (
-    InstanceExplosion, LargeEnoughCall, LoweringError,
-    NonIdempotentSemiring, canonical_type, compile_call,
+    InstanceExplosion, LargeEnoughCall, LoweringError, NonGenericCall,
+    NonIdempotentSemiring, canonical_type, compile_call, generic_arg_env,
     count_env, count_goal, count_relation, count_type, enforce_eqpat_codegen,
     instantiate_relation, lower_program, smallest_large_enough,
 )

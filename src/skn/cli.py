@@ -71,9 +71,10 @@ def check_factor_literals(p: Program, spec: SemiringSpec) -> None:
                 semiring.parse_weight_literal(g.literal, spec)
 
 
-def _json_weight(w: np.generic) -> object:
-    # JSON has no infinity; the zero of min-tropical is written "inf".
-    return "inf" if w == np.inf else w.item()
+def _json_weight(w: np.generic, spec: SemiringSpec) -> object:
+    # JSON has no infinity or nan: "inf", "-inf" and "nan" are written as text.
+    x = w.item()
+    return x if math.isfinite(x) else render_weight(w, spec)
 
 
 def _rows(t: RelTable) -> Iterator[tuple[tuple[str, ...], np.generic]]:
@@ -89,7 +90,7 @@ def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
         out = [{
             "relation": t.rel,
             "params": [{"name": x, "type": render_type(ty)} for x, ty in t.params],
-            "entries": [{"values": list(values), "weight": _json_weight(w)}
+            "entries": [{"values": list(values), "weight": _json_weight(w, spec)}
                         for values, w in _rows(t)],
         } for t in tables]
         return json.dumps(out, indent=2) + "\n"

@@ -339,7 +339,7 @@ def _eval_array(g: Goal, scope: dict[str, TypeExpr],
             binders: list[str] = []
             body: Goal = g
             inner_scope = dict(scope)
-            while isinstance(body, Fresh):
+            while isinstance(body, Fresh) and body.wrap is None:  # a wrapper: the gather
                 assert body.var not in inner_scope, "shadowed binder survived parsing"
                 binders.append(body.var)
                 inner_scope[body.var] = body.ty

@@ -18,7 +18,9 @@ Two lowering modes produce a monomorphic program ready for tabulation:
   be typed generically, fall back to monomorphization.  The technique
   requires semiring addition to be idempotent: the generated wrapper
   sums the instance's weight over every tuple with the caller's equality
-  pattern, and the instance has the same weight at all of them.
+  pattern, and the instance has the same weight at all of them.  The
+  call rewrite types each call generically (`generic_arg_env`) from the
+  caller's scope, which `map_goal` hands to each leaf.
 
 The wrapper is emitted as the paper defines it, and its shape is also
 recorded on its outer ``fresh`` as a :class:`LargeEnoughCall`.  The
@@ -42,10 +44,10 @@ from typing import Optional
 
 from .semiring import SemiringSpec
 from .syntax import (
-    Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod, Program,
-    RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
-    ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value,
-    subgoals,
+    Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
+    Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
+    ValueExpr, Var, _NameSupply, free_type_vars, LEAF_GOALS, map_goal,
+    map_value, nest, render_type, subgoals, walk_goal,
 )
 from .typecheck import CallInfo, apply_subst, check_program
 from .eval import type_size
@@ -61,6 +63,10 @@ class NonIdempotentSemiring(LoweringError):
 
 class InstanceExplosion(LoweringError):
     pass
+
+
+class NonGenericCall(Exception):
+    """A call's arguments cannot be typed generically; it is monomorphized."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +90,10 @@ def count_env(alpha: str, delta_types) -> int:
 
 
 def count_goal(alpha: str, g: Goal, delta_types) -> int:
-    delta_types = tuple(delta_types)
-    match g:
-        case Conj(a, b) | Disj(a, b):
-            return max(count_goal(alpha, a, delta_types),
-                       count_goal(alpha, b, delta_types))
-        case Fresh(x, ty, body):
-            return count_goal(alpha, body, delta_types + ((x, ty),))
-        case _:
-            return count_env(alpha, delta_types)
+    """The most `alpha` holes in the environment of any leaf of `g`."""
+    base = count_env(alpha, delta_types)
+    return max(base + count_env(alpha, binders) for h, binders, entering in walk_goal(g)
+               if entering and isinstance(h, LEAF_GOALS))
 
 
 def count_relation(alpha: str, rel: RelationDef) -> int:
@@ -126,7 +127,7 @@ def instantiate_relation(rel: RelationDef, sigma: dict[str, TypeExpr],
     def sub_type(t: Optional[TypeExpr]) -> Optional[TypeExpr]:
         return None if t is None else apply_subst(sigma, t)
 
-    def sub_leaf(g: Goal) -> Goal:
+    def sub_leaf(g: Goal, _: Binders) -> Goal:
         match g:
             case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
                 return type(g)(map_value(v1, annot=sub_type),
@@ -185,8 +186,8 @@ class _Lowering:
         return out
 
     def rewrite(self, rel: RelationDef) -> RelationDef:
-        body = map_goal(rel.body,
-                        lambda g: self.rewrite_call(g) if isinstance(g, Call) else g)
+        body = map_goal(rel.body, lambda g, binders: self.rewrite_call(g, rel.params + binders)
+                        if isinstance(g, Call) else g)
         return RelationDef(rel.name, (), rel.params, body)
 
     def demand(self, rel: str, sigma_types: tuple[TypeExpr, ...]) -> str:
@@ -208,7 +209,8 @@ class _Lowering:
         self.pending.append(key)
         return name
 
-    def rewrite_call(self, g: Call) -> Goal:
+    def rewrite_call(self, g: Call, scope: Binders) -> Goal:
+        """Rewrite a call made where the variables `scope` are in scope."""
         info = g.info
         assert isinstance(info, CallInfo), "lowering requires a checked program"
         callee = self.source[g.rel]
@@ -219,11 +221,13 @@ class _Lowering:
             return Call(self.demand(g.rel, sigma_types), g.args, None)
 
         target_sizes = smallest_large_enough(callee)
-        call_sizes = {tv: type_size(t) for tv, t in zip(callee.tyvars, sigma_types)}
-        if info.generic_env is None:
+        try:
+            generic_env = generic_arg_env(tuple(ty for _, ty in callee.params),
+                                          dict(info.subst), g.args, scope)
+        except NonGenericCall:
             self.notes.append(f"{g.rel}: non-generic call, monomorphized")
             return Call(self.demand(g.rel, sigma_types), g.args, None)
-        if any(call_sizes[tv] < target_sizes[tv] for tv in callee.tyvars):
+        if any(type_size(t) < target_sizes[tv] for tv, t in zip(callee.tyvars, sigma_types)):
             self.notes.append(f"{g.rel}: call below large-enough sizes, monomorphized")
             return Call(self.demand(g.rel, sigma_types), g.args, None)
         target_types = tuple(canonical_type(target_sizes[tv]) for tv in callee.tyvars)
@@ -231,7 +235,41 @@ class _Lowering:
         if sigma_types == target_types:
             return Call(target_name, g.args, None)
         sigma2 = dict(zip(callee.tyvars, target_types))
-        return compile_call(g, target_name, sigma2, self.names)
+        return compile_call(g, target_name, sigma2, self.names, generic_env)
+
+
+# ---------------------------------------------------------------------------
+# generic typing of call arguments
+
+def generic_arg_env(params: tuple[TypeExpr, ...], sigma: dict[str, TypeExpr],
+                    args: tuple[ValueExpr, ...], scope: Binders) -> Binders:
+    """Type each caller variable free in a call's well-typed `args` over
+    the callee's parameter types `params`, consistent with the call
+    substitution `sigma`, in the order of `scope`, the caller's variables
+    in scope at the call.  Raises NonGenericCall when no such typing
+    exists (a variable at two generic types, or a constructor at a type
+    variable); the lowering then monomorphizes the call instead."""
+    types = dict(reversed(scope))  # the first binding of a name wins
+    assign: dict[str, TypeExpr] = {}
+    stack = list(zip(params, args))
+    while stack:
+        pattern, v = stack.pop()
+        match v:
+            case Var(name):
+                if assign.setdefault(name, pattern) != pattern:
+                    raise NonGenericCall(
+                        f"{name} occurs at generic types {render_type(assign[name])} "
+                        f"and {render_type(pattern)}"
+                    )
+                assert apply_subst(sigma, pattern) == types[name]
+            # A well-typed constructor sits at its own type or at a type variable.
+            case _ if isinstance(pattern, TyVar):
+                raise NonGenericCall("constructor at a type-variable position")
+            case Left(inner, _) | Right(inner, _):
+                stack.append((pattern.left if isinstance(v, Left) else pattern.right, inner))
+            case Pair(a, b):
+                stack += ((pattern.first, a), (pattern.second, b))
+    return tuple((x, assign[x]) for x, _ in scope if x in assign)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +368,7 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
 
 
 def _conj(goals: list[Goal]) -> Goal:
-    if not goals:
-        return Unify(SOLE, SOLE)  # trivial success
-    node = goals[-1]
-    for g in reversed(goals[:-1]):
-        node = Conj(g, node)
-    return node
+    return nest(Conj, goals) if goals else Unify(SOLE, SOLE)  # trivial success
 
 
 @dataclass(frozen=True)
@@ -353,16 +386,13 @@ class LargeEnoughCall:
 
 
 def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
-                 supply: _NameSupply) -> Goal:
+                 supply: _NameSupply, generic_env: Binders) -> Goal:
     """Rewrite a large-enough polymorphic call into a call to the target
-    instance over fresh copies of the argument variables, conjoined with
-    the generated equality-pattern enforcement between the original
-    variables and the copies.  The outer ``fresh`` carries the wrapper's
-    :class:`LargeEnoughCall`."""
-    info = call.info
-    assert isinstance(info, CallInfo) and info.generic_env is not None
-    sigma1 = dict(info.subst)
-    generic_env = info.generic_env
+    instance over fresh copies of the argument variables (`generic_env`
+    types them), conjoined with the generated equality-pattern enforcement
+    between the original variables and the copies.  The outer ``fresh``
+    carries the wrapper's :class:`LargeEnoughCall`."""
+    sigma1 = dict(call.info.subst)
 
     vars1 = {x: x for x, _ in generic_env}
     vars2 = {x: supply.fresh(x) for x, _ in generic_env}
@@ -382,7 +412,7 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
         body = Fresh(vars2[x], apply_subst(sigma2, ty), body)
     if isinstance(body, Fresh):
         body = replace(body, wrap=LargeEnoughCall(
-            target, tuple(vars2.items()), generic_env, info.subst, tuple(sigma2.items())))
+            target, tuple(vars2.items()), generic_env, call.info.subst, tuple(sigma2.items())))
     return body
 
 

@@ -21,6 +21,11 @@ recursive-descent reader builds the AST from them.  The reader renames
 apart any ``fresh`` binder that would shadow an enclosing variable as it
 goes, so later passes can treat variable names as unique within one
 relation body.
+
+Goals are walked by one iterative traversal, `walk_goal`, which yields
+each goal node on entry and on exit with the ``fresh`` binders around
+it.  `subgoals`, `map_goal` and `render_goal` are built on it, and the
+type checker and the lowering walk goals only through these.
 """
 from __future__ import annotations
 
@@ -278,37 +283,61 @@ class Factor:
 
 
 Goal = Union[Conj, Disj, Fresh, Unify, Disunify, Call, Factor]
+LEAF_GOALS = (Unify, Disunify, Call, Factor)  # the goals without subgoals
+Binders = tuple[tuple[str, TypeExpr], ...]  # typed variables, such as fresh binders
 
 
-def map_goal(g: Goal, leaf: Callable[[Goal], Goal],
+def walk_goal(g: Goal) -> Iterator[tuple[Goal, Binders, bool]]:
+    """``(node, binders, entering)`` for each goal node of `g`, left to
+    right: on entry, then for its subgoals, then on exit.  `binders` are
+    the ``(name, type)`` of the freshes around the node, outermost first.
+    Iterative, so the nesting depth is not bounded by the recursion limit."""
+    stack: list[tuple[Goal, Binders, bool]] = [(g, (), True)]
+    while stack:
+        h, binders, entering = item = stack.pop()
+        yield item
+        if entering:
+            if isinstance(h, (Conj, Disj)):
+                stack += ((h, binders, False), (h.g2, binders, True), (h.g1, binders, True))
+            elif isinstance(h, Fresh):
+                stack += ((h, binders, False), (h.body, binders + ((h.var, h.ty),), True))
+            else:
+                yield h, binders, False
+
+
+def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
+    """Right-nest `goals` (at least one) with the binary `node`, Conj or
+    Disj: ``(conj a b c)`` is ``Conj(a, Conj(b, c))``."""
+    out = goals[-1]
+    for g in reversed(goals[:-1]):
+        out = node(g, out)
+    return out
+
+
+def map_goal(g: Goal, leaf: Callable[[Goal, Binders], Goal],
              ty: Callable[[TypeExpr], TypeExpr] = _keep) -> Goal:
-    """Rebuild `g`, replacing each leaf goal (==, =/=, call, factor) by
-    `leaf(goal)` and each fresh binder's type by `ty(type)`.  A fresh keeps
-    its `wrap` record as it is."""
-    match g:
-        case Conj(a, b):
-            return Conj(map_goal(a, leaf, ty), map_goal(b, leaf, ty))
-        case Disj(a, b):
-            return Disj(map_goal(a, leaf, ty), map_goal(b, leaf, ty))
-        case Fresh(x, t, body, wrap):
-            return Fresh(x, ty(t), map_goal(body, leaf, ty), wrap)
-    return leaf(g)
+    """Rebuild `g`, replacing each leaf goal by `leaf(goal, binders)` and
+    each fresh binder's type by `ty(type)`, both called in pre-order.  A
+    fresh keeps its `wrap` record as it is."""
+    done: list[Goal] = []
+    types: list[TypeExpr] = []  # the mapped types of the open freshes
+    for h, binders, entering in walk_goal(g):
+        if isinstance(h, (Conj, Disj)):
+            if not entering:
+                done[-2:] = [type(h)(*done[-2:])]
+        elif isinstance(h, Fresh):
+            if entering:
+                types.append(ty(h.ty))
+            else:
+                done.append(Fresh(h.var, types.pop(), done.pop(), h.wrap))
+        elif entering:
+            done.append(leaf(h, binders))
+    return done[0]
 
 
 def subgoals(g: Goal) -> Iterator[Goal]:
-    """Every goal node of `g`, `g` first, in left-to-right pre-order.
-
-    Iterative, so the nesting depth is not bounded by the recursion limit.
-    """
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        yield h
-        match h:
-            case Conj(a, b) | Disj(a, b):
-                stack += (b, a)
-            case Fresh(_, _, body):
-                stack.append(body)
+    """Every goal node of `g`, `g` first, in left-to-right pre-order."""
+    return (h for h, _, entering in walk_goal(g) if entering)
 
 
 @dataclass(frozen=True)
@@ -495,10 +524,7 @@ class _Reader:
                 goals.append(self.goal())
             if len(goals) < 2:
                 self.fail(f"{head} takes at least two subgoals", off)
-            node = goals.pop()
-            for g in reversed(goals):
-                node = Conj(g, node) if head == "conj" else Disj(g, node)
-            return node
+            return nest(Conj if head == "conj" else Disj, goals)
         if head == "fresh":
             arity = "fresh takes a binder list and one body goal"
             if not self.more():
@@ -651,24 +677,31 @@ def render_value(v: ValueExpr) -> str:
 
 
 def render_goal(g: Goal, indent: int = 0) -> str:
-    pad = "  " * indent
-    match g:
-        case Conj(a, b):
-            return f"{pad}(conj\n{render_goal(a, indent + 1)}\n{render_goal(b, indent + 1)})"
-        case Disj(a, b):
-            return f"{pad}(disj\n{render_goal(a, indent + 1)}\n{render_goal(b, indent + 1)})"
-        case Fresh(x, ty, body):
-            return f"{pad}(fresh (({x} : {render_type(ty)}))\n{render_goal(body, indent + 1)})"
-        case Unify(v1, v2, _):
-            return f"{pad}(== {render_value_expr(v1)} {render_value_expr(v2)})"
-        case Disunify(v1, v2, _):
-            return f"{pad}(=/= {render_value_expr(v1)} {render_value_expr(v2)})"
-        case Call(rel, args, _):
-            parts = " ".join(render_value_expr(a) for a in args)
-            return f"{pad}({rel} {parts})" if parts else f"{pad}({rel})"
-        case Factor(lit):
-            return f"{pad}(factor {lit})"
-    raise TypeError(g)
+    """One line per goal node, each nesting level indented two spaces."""
+    lines: list[str] = []
+    for h, _, entering in walk_goal(g):
+        if not entering:
+            if not isinstance(h, LEAF_GOALS):
+                lines[-1] += ")"
+                indent -= 1
+            continue
+        match h:
+            case Conj() | Disj():
+                text = "(conj" if isinstance(h, Conj) else "(disj"
+            case Fresh(x, ty):
+                text = f"(fresh (({x} : {render_type(ty)}))"
+            case Unify(v1, v2) | Disunify(v1, v2):
+                op = "==" if isinstance(h, Unify) else "=/="
+                text = f"({op} {render_value_expr(v1)} {render_value_expr(v2)})"
+            case Call(rel, args):
+                text = f"({' '.join([rel, *map(render_value_expr, args)])})"
+            case Factor(lit):
+                text = f"(factor {lit})"
+            case _:
+                raise TypeError(h)
+        lines.append("  " * indent + text)
+        indent += not isinstance(h, LEAF_GOALS)
+    return "\n".join(lines)
 
 
 def render_relation(rel: RelationDef) -> str:

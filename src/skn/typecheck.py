@@ -3,11 +3,8 @@
 Checking keeps every value as written.  It records type facts in two
 places only: every ``==``/``=/=`` records its common argument type, and
 every relation call records a :class:`CallInfo` carrying the inferred
-type-variable substitution plus (when the call is "generic enough") a
-pre-substitution typing of the caller variables appearing in the
-arguments.  That generic environment is what the non-monomorphizing
-lowering later needs to stitch a call to a differently-sized relation
-instance.
+type-variable substitution.  One `syntax.map_goal` pass checks each leaf
+under the relation's parameters and the fresh binders around it.
 
 A call's substitution is one binding of the callee's type variables,
 built by one-way matching (not unification) of each declared parameter
@@ -20,13 +17,13 @@ variables in some parameter type, or calls could never determine it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .syntax import (
-    Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
-    Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit,
-    UNIT, ValueExpr, Var, free_type_vars, render_type,
-    render_value_expr,
+    Binders, Call, Disunify, Goal, Left, Pair, Prod, Program, RelationDef,
+    Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit, UNIT, ValueExpr, Var,
+    free_type_vars, map_goal, render_type, render_value_expr,
 )
 
 
@@ -38,18 +35,10 @@ class UninferableValue(TypeCheckError):
     """A bare left/right whose sum type cannot be determined here."""
 
 
-class NonGenericCall(TypeCheckError):
-    """The call's arguments cannot be typed generically against the callee
-    header; the lowering falls back to monomorphizing this call."""
-
-
 @dataclass(frozen=True)
 class TypeEnv:
-    vars: tuple[tuple[str, TypeExpr], ...] = ()
+    vars: Binders = ()
     tyvars: frozenset = frozenset()
-
-    def bind(self, name: str, ty: TypeExpr) -> "TypeEnv":
-        return TypeEnv(self.vars + ((name, ty),), self.tyvars)
 
     def lookup(self, name: str) -> TypeExpr:
         for x, ty in self.vars:
@@ -64,7 +53,6 @@ RelEnv = dict  # name -> RelationDef
 @dataclass(frozen=True)
 class CallInfo:
     subst: tuple[tuple[str, TypeExpr], ...]  # tyvar -> caller-context type
-    generic_env: Optional[tuple[tuple[str, TypeExpr], ...]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +107,12 @@ def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr]
 # ---------------------------------------------------------------------------
 # type validity and value typing
 
-def check_type_valid(env: TypeEnv, t: TypeExpr) -> None:
+def check_type_valid(env: TypeEnv, t: TypeExpr) -> TypeExpr:
+    """`t`, once each of its type variables is checked to be in scope."""
     for name in free_type_vars(t):
         if name not in env.tyvars:
             raise TypeCheckError(f"unbound type variable {name}")
+    return t
 
 
 def type_of_value(env: TypeEnv, v: ValueExpr,
@@ -177,52 +167,6 @@ def type_of_value(env: TypeEnv, v: ValueExpr,
 
 
 # ---------------------------------------------------------------------------
-# generic typing of call arguments
-
-def _generic_walk(pattern: TypeExpr, v: ValueExpr, env: TypeEnv,
-                  sigma: dict[str, TypeExpr], assign: dict[str, TypeExpr]) -> None:
-    match v:
-        case Var(name):
-            actual = env.lookup(name)
-            if name in assign:
-                if assign[name] != pattern:
-                    raise NonGenericCall(
-                        f"{name} occurs at generic types {render_type(assign[name])} "
-                        f"and {render_type(pattern)}"
-                    )
-            else:
-                assert apply_subst(sigma, pattern) == actual
-                assign[name] = pattern
-        # A well-typed constructor sits at its own type or at a type variable.
-        case _ if isinstance(pattern, TyVar):
-            raise NonGenericCall("constructor at a type-variable position")
-        case Left(inner, _):
-            _generic_walk(pattern.left, inner, env, sigma, assign)
-        case Right(inner, _):
-            _generic_walk(pattern.right, inner, env, sigma, assign)
-        case Pair(a, b):
-            _generic_walk(pattern.first, a, env, sigma, assign)
-            _generic_walk(pattern.second, b, env, sigma, assign)
-
-
-def generic_arg_env(params: tuple[TypeExpr, ...], sigma: dict[str, TypeExpr],
-                    args: tuple[ValueExpr, ...],
-                    caller_env: TypeEnv) -> tuple[tuple[str, TypeExpr], ...]:
-    """Give each caller variable free in a call's well-typed `args` a type
-    over the callee's parameter types `params`, consistent with the call
-    substitution `sigma`.
-
-    Raises NonGenericCall when no such typing exists (a variable at two
-    incompatible generic positions, or a constructor at a type-variable
-    position); the lowering then monomorphizes this call instead.
-    """
-    assign: dict[str, TypeExpr] = {}
-    for pattern, arg in zip(params, args):
-        _generic_walk(pattern, arg, caller_env, sigma, assign)
-    return tuple((x, assign[x]) for x, _ in caller_env.vars if x in assign)
-
-
-# ---------------------------------------------------------------------------
 # goal / relation / program checking
 
 def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
@@ -264,37 +208,27 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
     for tv in callee.tyvars:
         if tv not in binding:
             raise TypeCheckError(f"type variable {tv} is unconstrained by the arguments")
-
-    try:
-        generic_env = generic_arg_env(params, binding, g.args, env)
-    except NonGenericCall:
-        generic_env = None
     subst = tuple((tv, binding[tv]) for tv in callee.tyvars)
-    return Call(g.rel, g.args, CallInfo(subst, generic_env))
+    return Call(g.rel, g.args, CallInfo(subst))
 
 
 def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
-    match g:
-        case Conj(a, b):
-            return Conj(check_goal(relenv, env, a), check_goal(relenv, env, b))
-        case Disj(a, b):
-            return Disj(check_goal(relenv, env, a), check_goal(relenv, env, b))
-        case Fresh(x, ty, body, wrap):
-            check_type_valid(env, ty)
-            return Fresh(x, ty, check_goal(relenv, env.bind(x, ty), body), wrap)
-        case Unify(v1, v2, _) | Disunify(v1, v2, _):
-            try:
-                ty = type_of_value(env, v1, None)
-                type_of_value(env, v2, ty)
-            except UninferableValue:
-                ty = type_of_value(env, v2, None)
-                type_of_value(env, v1, ty)
-            return type(g)(v1, v2, ty)
-        case Call():
-            return _check_call(relenv, env, g)
-        case Factor(_):
-            return g
-    raise TypeError(g)
+    def leaf(h: Goal, binders: Binders) -> Goal:
+        scope = TypeEnv(env.vars + binders, env.tyvars) if binders else env
+        match h:
+            case Unify(v1, v2, _) | Disunify(v1, v2, _):
+                try:
+                    ty = type_of_value(scope, v1, None)
+                    type_of_value(scope, v2, ty)
+                except UninferableValue:
+                    ty = type_of_value(scope, v2, None)
+                    type_of_value(scope, v1, ty)
+                return type(h)(v1, v2, ty)
+            case Call():
+                return _check_call(relenv, scope, h)
+        return h  # a factor
+
+    return map_goal(g, leaf, partial(check_type_valid, env))
 
 
 def check_relation(relenv: RelEnv, rel: RelationDef) -> RelationDef:

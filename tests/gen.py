@@ -2,9 +2,10 @@
 equality pattern, and whole well-typed programs."""
 import random
 
+from skn.poly import canonical_type, smallest_large_enough
 from skn.syntax import (
     Left, Pair, Prod, Program, Right, SOLE, Sum, TyVar, Unit, UNIT, Var,
-    render_type,
+    parse_program, render_type,
 )
 from skn.typecheck import apply_subst, check_program
 from skn.eval import enumerate_type, type_size
@@ -124,10 +125,14 @@ def _freeze(v):
 # random well-typed programs
 
 class _ProgramBuilder:
-    def __init__(self, rng: random.Random, max_goal_depth: int = 5):
+    def __init__(self, rng: random.Random, max_goal_depth: int = 5,
+                 large_calls: bool = False):
         self.rng = rng
         self.max_goal_depth = max_goal_depth
+        self.large_calls = large_calls
         self.defs = []   # (name, tyvars, params) in definition order
+        self.bounds = {}  # name -> large-enough size per tyvar
+        self.exposed = None  # parameters the relation being built gains
         self.lines = []
         self.var_counter = 0
 
@@ -203,9 +208,14 @@ class _ProgramBuilder:
             args = " ".join(x for x, _ in env[: self._self_arity])
             return f"({self_name} {args})"
         name, callee_tyvars, callee_params = choice
+        along = False  # whether to build the arguments along the callee's types
         if callee_tyvars:
             if tyvars and rng.random() < 0.3:
                 sigma = {tv: TyVar(rng.choice(tyvars)) for tv in callee_tyvars}
+            elif self.large_calls:
+                sigma = {tv: canonical_type(n + rng.randint(0, 2))
+                         for tv, n in self.bounds[name].items()}
+                along = True
             else:
                 sigma = random_sigma(rng, callee_tyvars, max_size=3)
         else:
@@ -214,9 +224,10 @@ class _ProgramBuilder:
         binders = []
         args = []
         scope = list(env)
-        for ty in needed:
-            v = self.gen_value_of(ty, scope)
-            if v is None or rng.random() < 0.3:
+        for pattern, ty in zip(callee_params, needed):
+            v = self.gen_arg_along(pattern, sigma, scope, binders) if along \
+                else self.gen_value_of(ty, scope)
+            if v is None or (not along and rng.random() < 0.3):
                 x = self.fresh_var()
                 binders.append((x, ty))
                 scope.append((x, ty))
@@ -226,6 +237,33 @@ class _ProgramBuilder:
         for x, ty in reversed(binders):
             call = f"(fresh (({x} : {render_type(ty)})) {call})"
         return call
+
+    def gen_arg_along(self, pattern, sigma, scope, binders):
+        """A value of type sigma(pattern) with a variable at each of
+        `pattern`'s type-variable positions, so that the call can be typed
+        generically unless a variable lands at two generic types.  A new
+        variable is added to `scope`, and to `binders` or, where the
+        relation exposes its call arguments, to its parameters."""
+        rng = self.rng
+        ty = apply_subst(sigma, pattern)
+        if isinstance(pattern, TyVar) or rng.random() < 0.3:
+            candidates = [x for x, t in scope if t == ty]
+            if candidates and rng.random() < 0.5:
+                return Var(rng.choice(candidates))
+            x = self.fresh_var()
+            (binders if self.exposed is None else self.exposed).append((x, ty))
+            scope.append((x, ty))
+            return Var(x)
+        if isinstance(pattern, Unit):
+            return "sole"
+        if isinstance(pattern, Sum):
+            side = rng.choice(["left", "right"])
+            inner = self.gen_arg_along(pattern.left if side == "left" else pattern.right,
+                                       sigma, scope, binders)
+            return f"({side} {{{render_type(ty)}}} {_vtext(inner)})"
+        a = self.gen_arg_along(pattern.first, sigma, scope, binders)
+        b = self.gen_arg_along(pattern.second, sigma, scope, binders)
+        return f"(pair {_vtext(a)} {_vtext(b)})"
 
     def add_relation(self, name, tyvars, recursive=False):
         rng = self.rng
@@ -239,12 +277,20 @@ class _ProgramBuilder:
             if tv not in present:
                 params.append((f"p{len(params)}", TyVar(tv)))
         self._self_arity = len(params)
+        # With large calls, a non-recursive monomorphic relation takes the
+        # new variables of its calls' arguments as parameters, so that its
+        # table shows the callee's weight at each argument.
+        self.exposed = [] if self.large_calls and not tyvars and not recursive else None
         body = self.gen_goal(self.max_goal_depth, list(params), list(tyvars),
                              self_name=name if recursive else None)
+        params += self.exposed or []
         sig = " ".join(f"({x} : {render_type(ty)})" for x, ty in params)
         forall = f"(forall {' '.join(tyvars)}) " if tyvars else ""
         self.lines.append(f"(defrel ({name} {forall}{sig})\n  {body})")
         self.defs.append((name, tuple(tyvars), tuple(ty for _, ty in params)))
+        if tyvars:
+            rel = parse_program(self.lines[-1] + "\n").relations[0]
+            self.bounds[name] = smallest_large_enough(rel)
 
 
 def _vtext(v):
@@ -253,11 +299,15 @@ def _vtext(v):
     return v
 
 
-def random_program(seed: int, max_goal_depth: int = 5) -> str:
+def random_program(seed: int, max_goal_depth: int = 5, large_calls: bool = False) -> str:
     """A random well-typed program: up to two polymorphic relations and
-    at least one monomorphic one that drives calls into them."""
+    at least one monomorphic one that drives calls into them.  With
+    `large_calls`, a call at concrete types draws each type variable's
+    size from the callee's large-enough bound up to the bound + 2, and
+    builds its arguments along the callee's parameter types, so that the
+    large-enough lowering keeps most such calls as wrappers."""
     rng = random.Random(seed)
-    b = _ProgramBuilder(rng, max_goal_depth)
+    b = _ProgramBuilder(rng, max_goal_depth, large_calls)
     total = rng.randint(1, 3)
     n_poly = rng.randint(0, total - 1)
     tyvar_sets = [["a"], ["a", "b"]]
@@ -266,5 +316,5 @@ def random_program(seed: int, max_goal_depth: int = 5) -> str:
     for i in range(total - n_poly):
         b.add_relation(f"root{i}", (), recursive=rng.random() < 0.4)
     source = "\n\n".join(b.lines) + "\n"
-    check_program(__import__("skn").parse_program(source))  # must hold by construction
+    check_program(parse_program(source))  # must hold by construction
     return source

@@ -142,6 +142,27 @@ def test_json_output_round_trips():
         assert entry["values"] == [values[k // 4], values[k % 4]]
 
 
+def _strict_json(text):
+    """`text` read as JSON, refusing the non-standard NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_weights_as_text(tmp_path):
+    low = tmp_path / "low.skn"
+    low.write_text("(defrel (low (x : Unit)) (conj (factor -1e308) (factor 10)))\n")
+    status, out, _ = run_capture(RunConfig(str(low), "real", fmt="json"))
+    assert status == 0
+    assert _strict_json(out)[0]["entries"][0]["weight"] == "-inf"
+    # connect under real overflows to nan before the run gives up
+    status, out, _ = run_capture(RunConfig(path("connect.skn"), "real", fmt="json"))
+    assert status == 3
+    weights = [e["weight"] for r in _strict_json(out) for e in r["entries"]]
+    assert weights.count("nan") == 14
+    assert all(isinstance(w, float) for w in weights if w != "nan")
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_rows_follow_value_enumeration(tmp_path, fmt):
     # each table's rows are the product of its parameters' values, listed
@@ -309,11 +330,23 @@ def test_memory_error_exit_code(monkeypatch, diff):
 
 
 def test_deep_nesting_exit_code(tmp_path):
-    src = tmp_path / "chain-500.skn"
-    src.write_text(chain_source(500))
+    # the reader nests one frame per level of chain-1000's 999-deep sum type
+    src = tmp_path / "chain-1000.skn"
+    src.write_text(chain_source(1000))
     status, out, err = run_capture(RunConfig(str(src), "boolean"))
     assert status == 1 and out == ""
     assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
+
+
+def test_chain_500_runs_and_writes_lowered_text(tmp_path):
+    # checking and lowering walk goals without a frame per nesting level
+    src, lowered = tmp_path / "chain-500.skn", tmp_path / "lowered.skn"
+    src.write_text(chain_source(500))
+    status, out, err = run_capture(RunConfig(str(src), "boolean", relations=["from0"],
+                                             emit_lowered=str(lowered)))
+    assert status == 0 and not err
+    assert out.count("\ttrue") == 499
+    assert lowered.stat().st_size > 0
 
 
 def test_deep_type_equality_within_recursion_limit(tmp_path):

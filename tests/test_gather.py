@@ -9,19 +9,23 @@ reference here.
 import math
 import os
 import random
+import zlib
 from typing import Optional
 
 import numpy as np
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, LargeEnoughCall, check_program, fixpoint,
-    lower_program, parse_program, smallest_large_enough,
+    BOOLEAN, MIN_TROPICAL, LargeEnoughCall, RelTable, check_program,
+    enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
+    parse_weight_literal, smallest_large_enough,
 )
 from skn.poly import canonical_type
 from skn.syntax import Fresh, Sum, TyVar, render_program, render_type, subgoals
 from skn.typecheck import apply_subst
 
 import gen
+import oracle
+from eqpat import envholes, envshell
 from helpers import IDEMPOTENT_CORPUS, distinct3_source, load
 
 LOWERED_DIR = os.path.join(os.path.dirname(__file__), "lowered")
@@ -139,3 +143,74 @@ def test_rendered_lowering_unchanged():
         lowered = lower_program(check_program(parse_program(source)), "large-enough", BOOLEAN)
         with open(os.path.join(LOWERED_DIR, f"{name}.skn"), encoding="utf-8") as fh:
             assert render_program(lowered) == fh.read(), name
+
+
+# The oracle loops over every parameter and fresh binder of a relation,
+# so programs are kept to relations of at most this many such cells.
+MAX_ORACLE_CELLS = 1000
+
+
+def _oracle_cells(rel) -> int:
+    return math.prod(ty.size for _, ty in rel.params) * \
+        math.prod(g.ty.size for g in subgoals(rel.body) if isinstance(g, Fresh))
+
+
+def _fingerprint(source, instance, spec) -> RelTable:
+    """A table for `instance` of the polymorphic relation `source` whose
+    weight at a tuple depends only on the tuple's shell and equality
+    pattern over `source`'s parameter types, as a polymorphic relation's
+    weight must, and tells most of them apart."""
+    axes = [enumerate_type(ty) for _, ty in instance.params]
+    cells = np.zeros(tuple(map(len, axes)), dtype=spec.dtype)
+    for pos in np.ndindex(cells.shape):
+        env = {x: axis[i] for (x, _), axis, i in zip(source.params, axes, pos)}
+        holes = [envholes(tv, source.params, env) for tv in source.tyvars]
+        key = repr((envshell(source.params, env), [[h.index(v) for v in h] for h in holes]))
+        w = zlib.crc32(key.encode()) % 5
+        cells[pos] = w % 2 if spec is BOOLEAN else w
+    return RelTable(instance.name, instance.params, cells)
+
+
+def test_large_calls_gather_monomorphize_and_oracle_agree():
+    # Random programs whose concrete polymorphic calls sit at or above the
+    # callee's large-enough sizes, with arguments built along the callee's
+    # types, so most such calls become wrappers and take the gather.
+    programs = gathered = 0
+    for seed in range(300):
+        checked = check_program(parse_program(gen.random_program(seed, large_calls=True)))
+        mono = lower_program(checked, "monomorphize", BOOLEAN)
+        wrapped = lower_program(checked, "large-enough", BOOLEAN)
+        if not _records(wrapped) or max(map(_oracle_cells, mono.relations)) > MAX_ORACLE_CELLS:
+            continue
+        programs += 1
+        gathered += len(_records(wrapped))
+        param_types = {r.name: [ty for _, ty in r.params] for r in mono.relations}
+        roots = [rel.name for rel in checked.relations if not rel.tyvars]
+        for spec in (BOOLEAN, MIN_TROPICAL):
+            results = [fixpoint(p, spec) for p in (wrapped, mono)]
+            assert all(r.converged for r in results)
+            for name in roots:
+                assert np.array_equal(results[0].tables[name].cells,
+                                      results[1].tables[name].cells), (seed, spec.name)
+            gamma = {n: t.cells for n, t in results[1].tables.items()}
+            for rel in mono.relations:
+                cells = oracle.relation_cells(rel, gamma, spec.name, param_types,
+                                              lambda text: parse_weight_literal(text, spec))
+                for pos, w in cells.items():
+                    assert results[1].tables[rel.name].cells[pos] == w, (seed, spec.name)
+            # The weights of these programs' polymorphic relations rarely
+            # tell apart the tuples the gather reads, so each lowering's
+            # instances also get one table that does, and the roots are
+            # evaluated over it once more.
+            roots_over = []
+            for program, result in zip((wrapped, mono), results):
+                tables = dict(result.tables)
+                for rel in program.relations:
+                    source = checked.relation(rel.name.split("$")[0])
+                    if source.tyvars:
+                        tables[rel.name] = _fingerprint(source, rel, spec)
+                roots_over.append([eval_relation(program.relation(n), tables, spec).cells
+                                   for n in roots])
+            for got, want in zip(*roots_over):
+                assert np.array_equal(got, want), (seed, spec.name)
+    assert programs >= 35 and gathered >= 50

@@ -3,12 +3,14 @@ import io
 import pytest
 
 from skn import (
-    Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var, check_program,
-    check_type_valid, generic_arg_env, parse_program,
-    type_of_value,
+    BOOLEAN, Call, Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var,
+    check_program, check_type_valid, generic_arg_env, lower_program,
+    parse_program, type_of_value,
 )
 from skn.cli import RunConfig, run
-from skn.typecheck import NonGenericCall, TypeCheckError, TypeEnv
+from skn.poly import NonGenericCall
+from skn.syntax import walk_goal
+from skn.typecheck import TypeCheckError, TypeEnv
 
 from helpers import CORPUS, load
 
@@ -244,14 +246,18 @@ def test_bare_constructor_inferred_through_call():
 
 
 # ---------------------------------------------------------------------------
-# generic argument environments
+# generic argument environments, which the large-enough call rewrite in
+# `poly` computes from a checked call and the caller's scope at it
 
 def _checked_call(src, relname, callee):
+    """The first call to `callee` in the checked `relname`, the caller's
+    scope at it (parameters, then fresh binders) and the callee's
+    parameter types."""
     p = check_program(parse_program(src))
     rel = p.relation(relname)
-    calls = [c for c in _collect_calls(rel.body) if c.rel == callee]
-    caller_env = TypeEnv(rel.params, frozenset(rel.tyvars))
-    return calls[0], caller_env, tuple(ty for _, ty in p.relation(callee).params)
+    call, binders = next((h, binders) for h, binders, entering in walk_goal(rel.body)
+                         if entering and isinstance(h, Call) and h.rel == callee)
+    return call, rel.params + binders, tuple(ty for _, ty in p.relation(callee).params)
 
 
 def test_generic_env_sum_swap():
@@ -281,7 +287,9 @@ def test_non_generic_conflicting_positions():
     call, caller_env, params = _checked_call(src, "main", "r")
     with pytest.raises(NonGenericCall):
         generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
-    assert call.info.generic_env is None  # recorded as a fallback
+    notes = []  # recorded as a fallback
+    lower_program(check_program(parse_program(src)), "large-enough", BOOLEAN, notes)
+    assert notes == ["r: non-generic call, monomorphized"]
 
 
 def test_generic_env_concrete_var_kept():
@@ -314,15 +322,15 @@ def test_caller_tyvar_named_like_callee_tyvar():
 
 def test_generic_env_through_fresh_scope():
     # the (sum-swap h k) call under fresh-bound h, k of two-value type
-    p = check_program(parse_program(load("option-map.skn")))
-    calls = _collect_calls(p.relation("option-map-example").body)
-    swap = next(c for c in calls if c.rel == "sum-swap")
+    swap, caller_env, params = _checked_call(load("option-map.skn"),
+                                             "option-map-example", "sum-swap")
+    assert [x for x, _ in caller_env][-2:] == ["h", "k"]
     assert dict(swap.info.subst) == {"a": UNIT, "b": UNIT}
-    assert swap.info.generic_env == (("h", Sum(TyVar("a"), TyVar("b"))),
-                                     ("k", Sum(TyVar("b"), TyVar("a"))))
+    assert generic_arg_env(params, dict(swap.info.subst), swap.args, caller_env) == \
+        (("h", Sum(TyVar("a"), TyVar("b"))), ("k", Sum(TyVar("b"), TyVar("a"))))
 
 
 def test_literal_constructor_args_are_non_generic():
-    p = check_program(parse_program(load("equal.skn")))
-    calls = _collect_calls(p.relation("equal-soles").body)
-    assert calls[0].info.generic_env is None
+    call, caller_env, params = _checked_call(load("equal.skn"), "equal-soles", "equal")
+    with pytest.raises(NonGenericCall):
+        generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
