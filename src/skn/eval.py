@@ -10,56 +10,36 @@ position in that list is its index, computed in closed form:
     idx(pair v1 v2) = idx(v1) * |t2| + idx(v2)
 
 A goal under a set of in-scope variables denotes an array with one axis
-per variable it mentions; conj and disj combine arrays pointwise with the
-semiring operations (broadcasting over axes a subgoal does not touch),
-== and =/= produce 0/1 arrays from index comparisons, a call gathers from
-the called relation's table, and fresh sums an axis away.  To keep
-intermediate arrays small, a fresh over a conjunction eliminates its
-bound variables factor-by-factor instead of materializing the full joint
-grid.
+per variable it mentions: conj and disj combine arrays pointwise with the
+semiring operations, == and =/= are 0/1 arrays from index comparisons, a
+call gathers from the called relation's table, and fresh sums an axis
+away.  All but the called tables' cells depend only on the relation's
+types, so `fixpoint` compiles each relation once into a `Plan`, whose
+order of summing out binders is the variable-elimination order of a FAQ
+query (Abo Khamis, Ngo and Rudra, PODS 2016).  The plan holds the masks
+of == and =/=, the fact tables, the factors' weights and every other
+subgoal that reads no table, already evaluated; each call's index arrays;
+and each step's transposes, reshapes and summed axis.  A round runs the
+plan against the current tables: gathers, semiring ufuncs and reductions.
 
-A disjunction of ground facts is a table already written out: when each
-disjunct is a conj that pins the same variables, each once, to ground
-values with == and holds at most one factor, the disjunction is
-tabulated by one scatter of the facts' weights into a zero table, and
-duplicate facts combine by semiring addition.  Every other conj or disj
-chain is flattened and folded pairwise in one loop.
-
-A large-enough wrapper (see :mod:`skn.poly`) sums the target instance's
-weight over every copy of the caller's arguments with their equality
-pattern.  When its outer fresh carries the wrapper's record, it is
-evaluated instead as one gather from the instance's table at a canonical
-copy: the arguments' shell, with each type variable's distinct hole
-values numbered in order of first occurrence.  The instance has the same
-weight at every copy with that pattern, and addition is idempotent on
-this path, so the result is the wrapper's sum exactly.  Without the
-record, as in a program read back from its rendered text, the wrapper
-is evaluated as written.
-
-A program's tables are the least fixed point of its relations, starting
-from tables that are semiring-zero everywhere.  The fixpoint is solved one
-strongly connected component of the call graph at a time, callees first:
-a relation that does not call itself, directly or through others, reads
-only finished tables and is evaluated once; a group of mutually recursive
-relations is re-evaluated against its own previous round until it
-stabilizes.  Over a field (the real semiring), a small group whose bodies
-are affine in its own tables is instead solved exactly: its least fixed
-point is the solution of x = A·x + b, the first step of Newton's method
-for program analysis (Esparza, Kiefer and Luttenberger, JACM 2010).  This
-array engine is the only evaluator in the package; the brute-force
-cell-by-cell reference lives with the tests.
+A program's tables are the least fixed point of its relations, solved by
+`fixpoint` one call-graph component at a time, callees first; over a
+field, a small group affine in its own tables is solved exactly, by the
+first step of Newton's method for program analysis (Esparza, Kiefer and
+Luttenberger, JACM 2010).  This is the package's only evaluator; the
+brute-force cell-by-cell reference lives with the tests.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
-    Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
+    Binders, Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
     Unit, ValueExpr, Var, free_type_vars, free_vars, subgoals,
 )
@@ -107,35 +87,14 @@ def zero_table(rel: RelationDef, spec: SemiringSpec) -> RelTable:
 
 
 # ---------------------------------------------------------------------------
-# the array engine
+# index arrays
 
-@dataclass
-class _Factor:
-    dims: tuple[str, ...]
-    arr: np.ndarray
-
-
-def _aligned(f: _Factor, dims_out: tuple[str, ...]) -> np.ndarray:
-    """View a factor's array in `dims_out` order with broadcastable axes."""
-    perm = [f.dims.index(d) for d in dims_out if d in f.dims]
-    arr = f.arr.transpose(perm)
-    sizes = iter(arr.shape)
-    return arr.reshape(tuple(next(sizes) if d in f.dims else 1 for d in dims_out))
-
-
-def _combine(f1: _Factor, f2: _Factor, op, scope: dict[str, TypeExpr]) -> _Factor:
-    dims = tuple(d for d in scope if d in f1.dims or d in f2.dims)
-    return _Factor(dims, op(_aligned(f1, dims), _aligned(f2, dims)))
-
-
-def _axes(scope: dict[str, TypeExpr], dims: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Each variable of `dims` as the index array along its own axis."""
-    out = {}
-    for axis, d in enumerate(dims):
-        shape = [1] * len(dims)
-        shape[axis] = scope[d].size
-        out[d] = np.arange(scope[d].size, dtype=np.int64).reshape(shape)
-    return out
+def _grid(scope: dict[str, TypeExpr], names) -> tuple[tuple[str, ...], dict, tuple[int, ...]]:
+    """The variables of `scope` among `names`, in scope order; each as the
+    index array along its own axis; and the shape of their grid."""
+    dims = tuple(d for d in scope if d in names)
+    shape = tuple(scope[d].size for d in dims)
+    return dims, dict(zip(dims, np.indices(shape, dtype=np.int64, sparse=True))), shape
 
 
 def _index_factor(v: ValueExpr, t: TypeExpr,
@@ -161,16 +120,6 @@ def _index_factor(v: ValueExpr, t: TypeExpr,
             ib = _index_factor(b, t.second, index)
             return offset + ia * t.second.size + ib
     raise TypeError(v)
-
-
-def _gather(table: RelTable, args, index: dict[str, np.ndarray],
-            shape: tuple[int, ...]) -> np.ndarray:
-    """The table's cells at the indices of `args` under each assignment."""
-    indices = tuple(np.broadcast_to(_index_factor(a, ty, index), shape)
-                    for a, (_, ty) in zip(args, table.params))
-    if not indices:
-        return np.broadcast_to(table.cells, shape).copy()
-    return np.asarray(table.cells[indices])
 
 
 def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.ndarray,
@@ -212,38 +161,32 @@ def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.nd
     raise TypeError(t)
 
 
-def _gather_canonical(w, scope: dict[str, TypeExpr],
-                      tables: dict[str, RelTable]) -> _Factor:
-    """A large-enough wrapper (`w` is its `poly.LargeEnoughCall`) as one
-    gather from the target instance's table.
-
-    The wrapper sums the target's weight over every copy with the
-    caller's equality pattern.  The target has the same weight at all of
-    them, and addition is idempotent on this path, so the sum is the
-    weight at one canonical copy, built by `_canonical_index`.
-    """
-    generic = dict(w.generic_env)
-    sigma2 = dict(w.sigma2)
-    dims = tuple(d for d in scope if d in generic)
-    axes = _axes(scope, dims)
-    holes: dict = {}
-    copies = {x2: _canonical_index(generic[x], scope[x], apply_subst(sigma2, generic[x]),
-                                   axes[x], True, holes)
-              for x, x2 in w.copies}
-    shape = tuple(scope[d].size for d in dims)
-    return _Factor(dims, _gather(tables[w.call.rel], w.call.args, copies, shape))
-
-
-def _free_dims(scope: dict[str, TypeExpr], values) -> tuple[str, ...]:
-    """The variables of `scope` that occur in `values`, in scope order."""
-    fv = {d for v in values for d in free_vars(v)}
-    return tuple(d for d in scope if d in fv)
+def _gather(g: Union[Call, Fresh], scope: dict[str, TypeExpr], tables: dict[str, RelTable]
+            ) -> tuple[tuple[str, ...], str, tuple[np.ndarray, ...]]:
+    """A call, or a large-enough wrapper whose outer fresh carries its
+    record (a `poly.LargeEnoughCall`), as one gather: its variables, the
+    relation it reads, and the index arrays into that relation's table.
+    The wrapper sums the target's weight over every copy of the caller's
+    arguments with their equality pattern; the target has one weight at
+    all of them, and addition is idempotent on this path, so the sum is
+    the weight at one canonical copy (`_canonical_index`)."""
+    if isinstance(g, Call):
+        call = g
+        dims, index, shape = _grid(scope, [d for a in g.args for d in free_vars(a)])
+    else:
+        call, generic, sigma2 = g.wrap.call, dict(g.wrap.generic_env), dict(g.wrap.sigma2)
+        dims, axes, shape = _grid(scope, generic)
+        holes: dict = {}
+        index = {x2: _canonical_index(generic[x], scope[x], apply_subst(sigma2, generic[x]),
+                                      axes[x], True, holes)
+                 for x, x2 in g.wrap.copies}
+    return dims, call.rel, tuple(np.broadcast_to(_index_factor(a, ty, index), shape)
+                                 for a, (_, ty) in zip(call.args, tables[call.rel].params))
 
 
 def _flatten(g: Goal, kind: type) -> list[Goal]:
-    """The operands of the chain of `kind` (Conj or Disj) nodes at `g`,
-    left to right.  Iterative, so a chain's length is not bounded by the
-    recursion limit."""
+    """The operands of the chain of `kind` (Conj or Disj) nodes at `g`, left
+    to right; iterative, so a chain's length is not bounded by recursion."""
     out, stack = [], [g]
     while stack:
         h = stack.pop()
@@ -254,19 +197,10 @@ def _flatten(g: Goal, kind: type) -> list[Goal]:
     return out
 
 
-def _fold(factors, op, scope: dict[str, TypeExpr]) -> _Factor:
-    """Combine factors with `op`, first to last, in one loop."""
-    factors = iter(factors)
-    acc = next(factors)
-    for f in factors:
-        acc = _combine(acc, f, op, scope)
-    return acc
-
-
-def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr],
-                spec: SemiringSpec) -> Optional[_Factor]:
+def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: SemiringSpec
+                ) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
     """A disjunction of ground facts as one scatter of its weights into a
-    zero table, or None if it is not one.
+    zero table (its variables and cells), or None if it is not one.
 
     Each disjunct must be a conj of `==`s that pin the same non-empty set
     of variables, each once, to ground values, and at most one factor; a
@@ -297,106 +231,172 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr],
                for _, lits in facts]
     spec.add.at(cells, tuple(np.array([pins[d] for pins, _ in facts]) for d in dims),
                 np.array(weights, dtype=spec.dtype))
-    return _Factor(dims, cells)
+    return dims, cells
 
 
-def _eval_array(g: Goal, scope: dict[str, TypeExpr],
-                tables: dict[str, RelTable], spec: SemiringSpec) -> _Factor:
-    match g:
-        case Factor(lit):
-            w = parse_weight_literal(lit, spec)
-            return _Factor((), np.asarray(w, dtype=spec.dtype))
-        case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
-            assert ty is not None, "goal must be type-checked"
-            dims = _free_dims(scope, (v1, v2))
-            axes = _axes(scope, dims)
-            i1 = _index_factor(v1, ty, axes)
-            i2 = _index_factor(v2, ty, axes)
-            hit = (i1 == i2) if isinstance(g, Unify) else (i1 != i2)
-            shape = tuple(scope[d].size for d in dims)
-            hit = np.broadcast_to(hit, shape)
-            arr = np.where(hit, spec.one, spec.zero).astype(spec.dtype, copy=False)
-            return _Factor(dims, arr)
-        # A chain is folded last to first, so each cell is combined in the
-        # order of the right-nested binary nodes.
-        case Conj():
-            factors = [_eval_array(p, scope, tables, spec) for p in _flatten(g, Conj)]
-            return _fold(reversed(factors), spec.mul, scope)
-        case Disj():
-            parts = _flatten(g, Disj)
-            facts = _fact_table(parts, scope, spec)
+# ---------------------------------------------------------------------------
+# evaluation plans
+
+_GATHER, _COMBINE, _SUM = range(3)  # the kinds of plan step
+Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; array or slot
+
+
+def _view(dims: tuple[str, ...], dims_out: tuple[str, ...],
+          scope: dict[str, TypeExpr]) -> Optional[tuple]:
+    """The transpose and reshape that lay an array over `dims` out in
+    `dims_out` order, with a unit axis for each variable it lacks, or None."""
+    if dims == dims_out:
+        return None
+    return ([dims.index(d) for d in dims_out if d in dims],
+            tuple(scope[d].size if d in dims else 1 for d in dims_out))
+
+
+def _apply(arr: np.ndarray, view: Optional[tuple]) -> np.ndarray:
+    return arr if view is None else arr.transpose(view[0]).reshape(view[1])
+
+
+@dataclass
+class Plan:
+    """One relation's body compiled for one semiring by `compile_relation`.
+
+    A run fills numbered slots with arrays: `consts` holds the constants
+    that steps read, and each step in order puts one array in its slot,
+    gathered from a table at fixed index arrays, combined from two slots
+    under fixed views by a semiring ufunc, or summed over one axis of a
+    slot.  The table is slot `out` under `view`.  While the plan is built,
+    a subgoal is a `Term`: its array if it reads no table, else its slot;
+    an operation on constants alone is done at once.
+    """
+    name: str
+    params: Binders
+    spec: SemiringSpec
+    shape: tuple[int, ...]
+    consts: dict[int, np.ndarray] = field(default_factory=dict)
+    steps: list[tuple] = field(default_factory=list)
+    out: int = 0
+    view: Optional[tuple] = None
+
+    def slot(self, arr: Union[np.ndarray, int]) -> int:
+        """The slot of a term's array; a constant is put in one."""
+        if type(arr) is int:
+            return arr
+        self.consts[slot := len(self.consts) + len(self.steps)] = arr
+        return slot
+
+    def step(self, kind: int, *args) -> int:
+        self.steps.append((kind, slot := len(self.consts) + len(self.steps), *args))
+        return slot
+
+    def fold(self, terms: list[Term], op, scope: dict[str, TypeExpr]) -> Term:
+        """Combine terms with `op`, first to last."""
+        (dims, acc), terms = terms[0], terms[1:]
+        for d2, a2 in terms:
+            d1, dims = dims, tuple(d for d in scope if d in dims or d in d2)
+            v1, v2 = _view(d1, dims, scope), _view(d2, dims, scope)
+            if type(acc) is int or type(a2) is int:
+                acc = self.step(_COMBINE, op, self.slot(acc), v1, self.slot(a2), v2)
+            else:
+                acc = op(_apply(acc, v1), _apply(a2, v2))
+        return dims, acc
+
+    def eliminate(self, terms: list[Term], binders: list[str],
+                  scope: dict[str, TypeExpr]) -> Term:
+        """Sum `binders` out of a product of terms, smallest intermediate
+        first, ties in binder order; an unused binder sums |type| ones."""
+        spec, pending = self.spec, list(binders)
+        while pending:
+            name = min(pending, key=lambda b: math.prod(  # the intermediate's cells
+                scope[d].size for d in {d for ds, _ in terms if b in ds for d in ds} or {b}))
+            pending.remove(name)
+            group = [t for t in terms if name in t[0]] or \
+                [((name,), np.full(scope[name].size, spec.one, dtype=spec.dtype))]
+            terms = [t for t in terms if name not in t[0]]
+            dims, arr = self.fold(group, spec.mul, scope)
+            rest, axis = tuple(d for d in dims if d != name), dims.index(name)
+            terms.append((rest, self.step(_SUM, arr, axis) if type(arr) is int
+                          else spec.sum(arr, axis)))
+        return self.fold(terms, spec.mul, scope)
+
+
+def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
+                     spec: SemiringSpec) -> Plan:
+    """Compile `rel`'s body for `spec`, against the parameters (not the
+    cells) of the `tables` it calls.
+
+    Conj and disj chains are flattened and folded last to first, in the
+    order of their right-nested nodes; a fresh over a conjunction sums its
+    binders out factor by factor (`Plan.eliminate`); a disjunction of
+    ground facts is one scatter (`_fact_table`), and a call or a
+    large-enough wrapper one gather (`_gather`).  The goal is walked with
+    an explicit stack, so its nesting is not bounded by the recursion
+    limit."""
+    plan = Plan(rel.name, rel.params, spec, tuple(type_size(ty) for _, ty in rel.params))
+    done: list[Term] = []
+    work: list[tuple] = [(rel.body, dict(rel.params))]
+    while work:
+        g, scope = work.pop()
+        if callable(g):  # the fold of a chain or a fresh, its operands done
+            arg, n, scope = scope
+            done[-n:] = [g(done[-n:], arg, scope)]
+        elif isinstance(g, Factor):
+            done.append(((), np.asarray(parse_weight_literal(g.literal, spec), dtype=spec.dtype)))
+        elif isinstance(g, (Unify, Disunify)):
+            assert g.ty is not None, "goal must be type-checked"
+            dims, axes, shape = _grid(scope, free_vars(g.v1) + free_vars(g.v2))
+            i1, i2 = _index_factor(g.v1, g.ty, axes), _index_factor(g.v2, g.ty, axes)
+            hit = np.broadcast_to((i1 == i2) if isinstance(g, Unify) else (i1 != i2), shape)
+            done.append((dims, np.where(hit, spec.one, spec.zero).astype(spec.dtype, copy=False)))
+        elif isinstance(g, Call) or isinstance(g, Fresh) and g.wrap is not None:
+            dims, name, index = _gather(g, scope, tables)
+            done.append((dims, plan.step(_GATHER, name, index)))
+        elif isinstance(g, (Conj, Disj)):
+            parts = _flatten(g, type(g))
+            facts = _fact_table(parts, scope, spec) if isinstance(g, Disj) else None
             if facts is not None:
-                return facts
-            factors = [_eval_array(p, scope, tables, spec) for p in parts]
-            return _fold(reversed(factors), spec.add, scope)
-        case Call(rel, args, _):
-            dims = _free_dims(scope, args)
-            shape = tuple(scope[d].size for d in dims)
-            return _Factor(dims, _gather(tables[rel], args, _axes(scope, dims), shape))
-        case Fresh(wrap=w) if w is not None:
-            return _gather_canonical(w, scope, tables)
-        case Fresh():
-            binders: list[str] = []
-            body: Goal = g
-            inner_scope = dict(scope)
-            while isinstance(body, Fresh) and body.wrap is None:  # a wrapper: the gather
-                assert body.var not in inner_scope, "shadowed binder survived parsing"
-                binders.append(body.var)
-                inner_scope[body.var] = body.ty
-                body = body.body
-            factors = [_eval_array(p, inner_scope, tables, spec)
-                       for p in _flatten(body, Conj)]
-            return _eliminate(factors, binders, inner_scope, spec, scope)
-    raise TypeError(g)
+                done.append(facts)
+                continue
+            # pushed first to last, so done and folded last to first
+            work.append((plan.fold, (spec.mul if isinstance(g, Conj) else spec.add,
+                                     len(parts), scope)))
+            work += ((p, scope) for p in parts)
+        elif isinstance(g, Fresh):
+            binders, scope = [], dict(scope)
+            while isinstance(g, Fresh) and g.wrap is None:  # a wrapper: the gather
+                assert g.var not in scope, "shadowed binder survived parsing"
+                binders.append(g.var)
+                scope[g.var] = g.ty
+                g = g.body
+            parts = _flatten(g, Conj)
+            work.append((plan.eliminate, (binders, len(parts), scope)))
+            work += ((p, scope) for p in reversed(parts))
+        else:
+            raise TypeError(g)
+    dims, arr = done.pop()
+    plan.out = plan.slot(arr)
+    plan.view = _view(dims, tuple(x for x, _ in rel.params), dict(rel.params))
+    return plan
 
 
-def _eliminate(factors: list[_Factor], binders: list[str],
-               scope: dict[str, TypeExpr], spec: SemiringSpec,
-               outer_scope: dict[str, TypeExpr]) -> _Factor:
-    """Sum the bound variables `binders` out of a product of factors,
-    smallest intermediate first, ties in binder order."""
-    pending = list(binders)
-    while pending:
-        best, best_cost = None, None
-        for name in pending:
-            group_dims: set[str] = set()
-            for f in factors:
-                if name in f.dims:
-                    group_dims.update(f.dims)
-            cost = 1
-            for d in group_dims or {name}:
-                cost *= scope[d].size
-            if best_cost is None or cost < best_cost:
-                best, best_cost = name, cost
-        name = best
-        pending.remove(name)
-        group = [f for f in factors if name in f.dims]
-        factors = [f for f in factors if name not in f.dims]
-        if not group:
-            # unused binder: the sum contributes |type| copies of one
-            ones = np.full(scope[name].size, spec.one, dtype=spec.dtype)
-            factors.append(_Factor((), spec.add.reduce(ones)))
-            continue
-        acc = _fold(group, spec.mul, scope)
-        axis = acc.dims.index(name)
-        reduced = spec.sum(acc.arr, axis)
-        factors.append(_Factor(tuple(d for d in acc.dims if d != name), reduced))
-
-    if not factors:
-        return _Factor((), np.asarray(spec.one, dtype=spec.dtype))
-    acc = _fold(factors, spec.mul, scope)
-    assert all(d in outer_scope for d in acc.dims)
-    return acc
-
-
-def eval_relation(rel: RelationDef, tables: dict[str, RelTable],
+def eval_relation(rel: Union[Plan, RelationDef], tables: dict[str, RelTable],
                   spec: SemiringSpec) -> RelTable:
-    """Tabulate one relation's body over its full argument grid."""
-    scope = dict(rel.params)
-    f = _eval_array(rel.body, scope, tables, spec)
-    shape = tuple(type_size(ty) for ty in scope.values())
-    cells = np.broadcast_to(_aligned(f, tuple(scope)), shape).copy()
-    return RelTable(rel.name, rel.params, cells)
+    """Tabulate one relation's body over its full argument grid by running
+    its plan against `tables`; a bare `RelationDef` is compiled first."""
+    plan = rel if isinstance(rel, Plan) else compile_relation(rel, tables, spec)
+    slots = dict(plan.consts)
+    for step in plan.steps:
+        if step[0] == _GATHER:
+            _, out, name, index = step
+            slots[out] = np.asarray(tables[name].cells[index])
+        elif step[0] == _COMBINE:
+            _, out, op, s1, v1, s2, v2 = step
+            slots[out] = op(_apply(slots.pop(s1), v1), _apply(slots.pop(s2), v2))
+        else:
+            _, out, slot, axis = step
+            slots[out] = spec.sum(slots.pop(slot), axis)
+    cells = slots.pop(plan.out)
+    if plan.view is not None or plan.out in plan.consts:  # no table shares a constant
+        cells = np.broadcast_to(_apply(cells, plan.view), plan.shape).copy()
+    return RelTable(plan.name, plan.params, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,7 @@ def _affine(rels: list[RelationDef]) -> bool:
                    for rel in rels for g in subgoals(rel.body))
 
 
-def _solve_affine(rels: list[RelationDef], tables: dict[str, RelTable],
+def _solve_affine(rels: list[RelationDef], plans: list[Plan], tables: dict[str, RelTable],
                   spec: SemiringSpec, tol: float
                   ) -> Optional[tuple[dict[str, RelTable], dict[str, RelTable]]]:
     """Solve an affine recursive group over a field with one linear solve.
@@ -488,20 +488,19 @@ def _solve_affine(rels: list[RelationDef], tables: dict[str, RelTable],
     verifies it.  Returns x and that round's tables, or None if a check
     fails.
     """
-    zeros = [zero_table(rel, spec) for rel in rels]
-    ends = np.cumsum([t.cells.size for t in zeros])
+    ends = np.cumsum([math.prod(plan.shape) for plan in plans])
     n = int(ends[-1])
     if n > MAX_SOLVE_CELLS or not _affine(rels):
         return None
 
     def unflatten(vec: np.ndarray) -> dict[str, RelTable]:
-        return {t.rel: RelTable(t.rel, t.params, part.reshape(t.cells.shape))
-                for t, part in zip(zeros, np.split(vec, ends[:-1]))}
+        return {p.name: RelTable(p.name, p.params, part.reshape(p.shape))
+                for p, part in zip(plans, np.split(vec, ends[:-1]))}
 
     def f(vec: np.ndarray) -> np.ndarray:
         probe = tables | unflatten(vec)
-        return np.concatenate([eval_relation(rel, probe, spec).cells.ravel()
-                               for rel in rels])
+        return np.concatenate([eval_relation(plan, probe, spec).cells.ravel()
+                               for plan in plans])
 
     unit = np.eye(n, dtype=spec.dtype)
     b = f(np.zeros(n, dtype=spec.dtype))
@@ -514,7 +513,7 @@ def _solve_affine(rels: list[RelationDef], tables: dict[str, RelTable],
         x = unflatten(np.linalg.solve(unit - a, b))
     except np.linalg.LinAlgError:
         return None
-    new = {rel.name: eval_relation(rel, tables | x, spec) for rel in rels}
+    new = {plan.name: eval_relation(plan, tables | x, spec) for plan in plans}
     if any(np.isnan(t.cells).any() or not np.allclose(x[name].cells, t.cells, rtol=0, atol=tol)
            for name, t in new.items()):
         return None
@@ -543,23 +542,22 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
              max_iters: int = 10000,
              on_round: Optional[Callable] = None) -> FixpointResult:
     """Solve the relations from all-zero tables, one call-graph component
-    at a time, callees first.
+    at a time, callees first, running each relation's plan once a round.
 
-    A non-recursive component is evaluated once.  Over a field, a recursive
+    A non-recursive component takes one round.  Over a field, a recursive
     component of at most `MAX_SOLVE_CELLS` cells whose bodies are affine in
-    its own tables is solved exactly (`_solve_affine`); that counts as one
-    round.  Any other recursive component is re-evaluated, each round
-    against its own previous round and the finished tables of its callees,
-    until it stabilizes: exact equality for discrete semirings, and over a
-    field until the contraction bound puts the round within `epsilon` of
-    the fixed point (`EPSILON` when None; discrete semirings ignore it).
-    ``iterations`` is the most rounds any component took.  If a component
-    runs `max_iters` rounds without stabilizing, the result has
-    ``converged=False`` and the components after it are solved against its
-    last round.  If a round yields a nan cell (weights that overflowed),
-    solving stops there: the tables so far are returned with
+    its own tables is solved exactly (`_solve_affine`) in one round.  Any
+    other recursive component is re-evaluated against its own previous
+    round and its callees' finished tables until it stabilizes: exact
+    equality for discrete semirings, and over a field until the contraction
+    bound puts the round within `epsilon` of the fixed point (`EPSILON` when
+    None; discrete semirings ignore it).  ``iterations`` is the most rounds
+    any component took.  A component that runs `max_iters` rounds without
+    stabilizing gives ``converged=False``, and later components are solved
+    against its last round.  A round that yields a nan cell (weights that
+    overflowed) stops solving: the tables so far are returned with
     ``converged=False``, ``stopped_on_nan=True`` and that component's round
-    count, and the components after it keep all-zero tables.
+    count, and later components keep all-zero tables.
 
     ``on_round(round, old, new)`` is called after every round of every
     component, before the round's tables are stored: `round` counts from
@@ -573,7 +571,8 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     rounds, converged = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
         for rels, recursive in _call_graph_sccs(program):
-            solved = _solve_affine(rels, tables, spec, tol) \
+            plans = [compile_relation(rel, tables, spec) for rel in rels]
+            solved = _solve_affine(rels, plans, tables, spec, tol) \
                 if recursive and spec.field else None
             if solved is not None:
                 x, new = solved
@@ -585,7 +584,7 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                 continue
             delta = math.nan
             for it in range(1, max_iters + 1 if recursive else 2):
-                new = {rel.name: eval_relation(rel, tables, spec) for rel in rels}
+                new = {plan.name: eval_relation(plan, tables, spec) for plan in plans}
                 if on_round is not None:
                     on_round(it, tables, new)
                 if any(np.isnan(t.cells).any() for t in new.values()):

@@ -14,7 +14,7 @@ from skn import (
 from skn import eval as skn_eval
 from skn.eval import zero_table
 from skn.semiring import parse_weight_literal
-from skn.syntax import Conj, Disj, Disunify, Factor, Fresh, RelationDef, Unify
+from skn.syntax import Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify
 
 import gen
 import oracle
@@ -290,6 +290,25 @@ def _call_chain_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_each_relation_compiled_once_per_fixpoint(monkeypatch, evals):
+    compiled = collections.Counter()
+    original = skn_eval.compile_relation
+
+    def counting(rel, tables, spec):
+        compiled[rel.name] += 1
+        return original(rel, tables, spec)
+
+    monkeypatch.setattr(skn_eval, "compile_relation", counting)
+    lowered, res = run_source(load("coins.skn"), REAL)
+    assert res.converged and res.iterations == 1
+    assert compiled == {"unfair-coin-flip": 1, "fair-coin-flip": 1}
+    # the affine solve runs one plan four times: the b probe, a probe per
+    # cell of the 2-cell table, and the round that verifies the solution
+    assert evals == {"unfair-coin-flip": 1, "fair-coin-flip": 4}
+    fixpoint(lowered, REAL)
+    assert compiled == {"unfair-coin-flip": 2, "fair-coin-flip": 2}
+
+
 def test_long_call_chain_solved_once_per_relation(evals):
     n = 1100
     assert n > sys.getrecursionlimit()
@@ -442,6 +461,18 @@ def test_non_fact_disjunction_folds_against_oracle(spec, case, scatters):
     assert scatters and not any(scatters)
 
 
+def test_chains_fold_in_right_nested_order():
+    # (disj a b c) is a + (b + c), and (conj a b c) is a * (b * c); over
+    # floats, folding first to last gives other weights
+    src = """(defrel (sums (x : Unit)) (disj (factor 1e16) (factor 1) (factor 1)))
+(defrel (products (x : Unit)) (conj (factor 1e-200) (factor 1e-200) (factor 1e200)))
+"""
+    _compare_with_oracle(src, REAL)
+    _, res = run_source(src, REAL)
+    assert res.tables["sums"].cells.tolist() == [1e16 + 2]
+    assert res.tables["products"].cells.tolist() == [1e-200]
+
+
 def _chain(kind, goals):
     """`goals` right-nested into one chain of `kind` nodes, as parsed."""
     node = goals[-1]
@@ -478,3 +509,46 @@ def test_long_disjunction_folds_without_recursion(scatters):
         for i in range(n)])
     assert np.array_equal(eval_relation(rel, {}, REAL).cells, np.eye(4) * (n / 4))
     assert scatters == [False]
+
+
+def _nested_relation(depth: int) -> RelationDef:
+    """A relation over x : S2 whose body nests `depth` goals, alternating
+    conj, disj and fresh from the outside in, built inside out as typed
+    nodes.  Each conj below a fresh pins that fresh's binder to x, so
+    summing the binder out leaves the rest; each disj adds x == (left sole);
+    the innermost goal is x == (right sole), under a fresh whose binder it
+    does not use when `depth` is a multiple of 3."""
+    x = Var("x")
+    g = Unify(x, Right(SOLE), S2)
+    for level in reversed(range(depth)):
+        if level % 3 == 0:
+            g = Conj(Unify(Var(f"z{level - 1}"), x, S2) if level else Factor("1"), g)
+        elif level % 3 == 1:
+            g = Disj(Unify(x, Left(SOLE), S2), g)
+        else:
+            g = Fresh(f"z{level}", S2, g)
+    return RelationDef("nested", (), (("x", S2),), g)
+
+
+def test_deep_alternating_nesting_without_recursion():
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    rel = _nested_relation(depth)
+    # 1000 disjs add one at x = (left sole); the innermost fresh sums its
+    # unused binder's two values at x = (right sole); factor 1 adds 1
+    # under min-tropical
+    want = {"real": [1000.0, 2.0], "min-tropical": [1.0, 1.0], "boolean": [True, True]}
+    for spec in _SPECS:
+        assert eval_relation(rel, {}, spec).cells.tolist() == want[spec.name]
+    res = fixpoint(Program((rel,)), REAL)
+    assert res.converged and res.tables["nested"].cells.tolist() == want["real"]
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
+def test_alternating_nesting_against_oracle(spec, depth):
+    rel = _nested_relation(depth)
+    want = oracle.relation_cells(rel, {}, spec.name, {},
+                                 lambda text: parse_weight_literal(text, spec))
+    got = eval_relation(rel, {}, spec).cells
+    assert [got[pos] for pos in want] == list(want.values())
