@@ -3,13 +3,13 @@ lower it), run the fixpoint, and emit relation tables as TSV or JSON.
 ``--diff`` loads the program under both lowering modes instead and
 compares their tables.
 
-Exit codes: 0 ok; 1 an unreadable or undecodable source file,
-parse/type/weight-literal errors, a program nested too deeply for the
-recursion limit, a run that exhausts memory, an --epsilon that is
-negative, nan or inf, or --diff given with a flag it would ignore; 2
-lowering errors; 3 fixpoint non-convergence (in either mode under
---diff), including a round that yields nan; 4 table divergence in
---diff mode.
+Exit codes: 0 ok; 1 no semiring, or an unknown one in SKN_SEMIRING, an
+unreadable or undecodable source file, parse/type/weight-literal errors,
+a program nested too deeply for the recursion limit, a run that exhausts
+memory, an --epsilon that is negative, nan or inf, or --diff given with
+a flag it would ignore; 2 lowering errors; 3 fixpoint non-convergence
+(in either mode under --diff), including a round that yields nan; 4
+table divergence in --diff mode.
 """
 from __future__ import annotations
 
@@ -48,6 +48,10 @@ class RunConfig:
     emit_lowered: Optional[str] = None
 
     def __post_init__(self):
+        if self.semiring not in SEMIRINGS:
+            raise ValueError(f"unknown semiring {self.semiring!r}; expected one of "
+                             f"{', '.join(sorted(SEMIRINGS))}" if self.semiring is not None
+                             else "--semiring is required (or set SKN_SEMIRING)")
         if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
             raise ValueError(f"epsilon must be finite and non-negative, not {self.epsilon}")
         if self.max_iters < 1:
@@ -227,9 +231,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.semiring is None:
-        print("error: --semiring is required (or set SKN_SEMIRING)", file=sys.stderr)
-        return EXIT_BAD_PROGRAM
     try:
         cfg = RunConfig(
             source=args.file,

@@ -387,6 +387,21 @@ def test_main_requires_semiring(monkeypatch, capsys):
     assert "semiring" in capsys.readouterr().err
 
 
+def test_unknown_semiring_from_environment(monkeypatch, capsys):
+    # argparse checks --semiring against its choices, but not its default
+    monkeypatch.setenv("SKN_SEMIRING", "bogus")
+    status = main(["run", path("coins.skn")])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert captured.err == ("error: unknown semiring 'bogus'; "
+                            "expected one of boolean, min-tropical, real\n")
+
+
+def test_unknown_semiring_rejected_by_config():
+    with pytest.raises(ValueError, match="unknown semiring 'bogus'"):
+        RunConfig(path("coins.skn"), "bogus")
+
+
 def test_semiring_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("SKN_SEMIRING", "boolean")
     status = main(["run", path("coin-flip.skn")])
