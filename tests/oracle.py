@@ -1,10 +1,13 @@
 """Brute-force reference evaluator used as a differential oracle.
 
 Deliberately independent of the production engine: types are enumerated
-with local recursion, a value's table position is found by linear search
-in that enumeration (no index arithmetic), goals are evaluated cell by
-cell with Python loops, and fresh sums with an explicit loop.
+with local recursion, a value's table position is looked up in a map
+from each value of that enumeration to its place in it (no index
+arithmetic), goals are evaluated cell by cell with Python loops, and
+fresh sums with an explicit loop.  Each concrete type is enumerated, and
+its map built, once.
 """
+import functools
 import math
 
 from skn.syntax import (
@@ -23,15 +26,23 @@ def ops(name):
     raise ValueError(name)
 
 
-def type_values(t):
+@functools.cache
+def _listing(t):
+    """A concrete type's values in order, and a map from each to its place."""
     if isinstance(t, Unit):
-        return [Sole()]
-    if isinstance(t, Sum):
-        return [Left(v) for v in type_values(t.left)] + \
-               [Right(v) for v in type_values(t.right)]
-    if isinstance(t, Prod):
-        return [Pair(a, b) for a in type_values(t.first) for b in type_values(t.second)]
-    raise ValueError(f"not a concrete type: {t!r}")
+        values = [Sole()]
+    elif isinstance(t, Sum):
+        values = [Left(v) for v in type_values(t.left)] + \
+                 [Right(v) for v in type_values(t.right)]
+    elif isinstance(t, Prod):
+        values = [Pair(a, b) for a in type_values(t.first) for b in type_values(t.second)]
+    else:
+        raise ValueError(f"not a concrete type: {t!r}")
+    return tuple(values), {v: place for place, v in enumerate(values)}
+
+
+def type_values(t):
+    return _listing(t)[0]
 
 
 def strip(v):
@@ -57,7 +68,7 @@ def substitute(v, env):
 
 
 def position(value, t):
-    return type_values(t).index(strip(value))
+    return _listing(t)[1][strip(value)]
 
 
 def goal_weight(goal, gamma, env, sr_name, param_types, weight_of_literal):

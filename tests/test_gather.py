@@ -147,7 +147,7 @@ def test_rendered_lowering_unchanged():
 
 # The oracle loops over every parameter and fresh binder of a relation,
 # so programs are kept to relations of at most this many such cells.
-MAX_ORACLE_CELLS = 1000
+MAX_ORACLE_CELLS = 10000
 
 
 def _oracle_cells(rel) -> int:
@@ -213,4 +213,4 @@ def test_large_calls_gather_monomorphize_and_oracle_agree():
                                    for n in roots])
             for got, want in zip(*roots_over):
                 assert np.array_equal(got, want), (seed, spec.name)
-    assert programs >= 35 and gathered >= 50
+    assert programs >= 40 and gathered >= 55
