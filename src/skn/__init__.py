@@ -25,7 +25,7 @@ from .poly import (
     InstanceExplosion, LargeEnoughCall, LoweringError, NonGenericCall,
     NonIdempotentSemiring, canonical_type, compile_call, generic_arg_env,
     count_env, count_goal, count_relation, count_type, enforce_eqpat_codegen,
-    instantiate_relation, lower_program, smallest_large_enough,
+    lower_program, smallest_large_enough,
 )
 
 __version__ = "0.1.0"

@@ -3,13 +3,13 @@ lower it), run the fixpoint, and emit relation tables as TSV or JSON.
 ``--diff`` loads the program under both lowering modes instead and
 compares their tables.
 
-Exit codes: 0 ok; 1 no semiring, or an unknown one in SKN_SEMIRING, an
-unreadable or undecodable source file, parse/type/weight-literal errors,
-a program nested too deeply for the recursion limit, a run that exhausts
-memory, an --epsilon that is negative, nan or inf, or --diff given with
-a flag it would ignore; 2 lowering errors; 3 fixpoint non-convergence
-(in either mode under --diff), including a round that yields nan; 4
-table divergence in --diff mode.
+Exit codes: 0 ok; 1 a usage error, no semiring or an unknown one in
+SKN_SEMIRING, an unreadable or undecodable source file, parse/type/
+weight-literal errors, a program nested too deeply for the recursion
+limit, a run that exhausts memory, an --epsilon that is negative, nan or
+inf, or --diff given with a flag it would ignore; 2 lowering errors
+only; 3 fixpoint non-convergence (in either mode under --diff),
+including a round that yields nan; 4 table divergence in --diff mode.
 """
 from __future__ import annotations
 
@@ -27,12 +27,13 @@ import numpy as np
 from . import poly, semiring, syntax, typecheck
 from .eval import EPSILON, FixpointResult, RelTable, enumerate_type, fixpoint
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError, render_weight
-from .syntax import Factor, ParseError, Program, render_program, render_type, render_value
+from .syntax import Factor, ParseError, Program, render_program, render_type, render_value_expr
 
 EXIT_BAD_PROGRAM = 1
 EXIT_LOWERING = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DIVERGENCE = 4
+FORMATS = ("tsv", "json")
 
 
 @dataclass
@@ -48,10 +49,13 @@ class RunConfig:
     emit_lowered: Optional[str] = None
 
     def __post_init__(self):
-        if self.semiring not in SEMIRINGS:
-            raise ValueError(f"unknown semiring {self.semiring!r}; expected one of "
-                             f"{', '.join(sorted(SEMIRINGS))}" if self.semiring is not None
-                             else "--semiring is required (or set SKN_SEMIRING)")
+        if self.semiring is None:
+            raise ValueError("--semiring is required (or set SKN_SEMIRING)")
+        for what, value, known in (("semiring", self.semiring, sorted(SEMIRINGS)),
+                                   ("poly mode", self.poly_mode, poly.MODES),
+                                   ("format", self.fmt, FORMATS)):
+            if value not in known:
+                raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(known)}")
         if self.epsilon is not None and not (0 <= self.epsilon < math.inf):
             raise ValueError(f"epsilon must be finite and non-negative, not {self.epsilon}")
         if self.max_iters < 1:
@@ -84,8 +88,9 @@ def _json_weight(w: np.generic, spec: SemiringSpec) -> object:
 def _rows(t: RelTable) -> Iterator[tuple[tuple[str, ...], np.generic]]:
     """Each cell's rendered argument values with its weight, in table
     order: every parameter type is enumerated once, and both the product
-    of the listings and the flat cells are first-axis-major."""
-    axes = [[render_value(v) for v in enumerate_type(ty)] for _, ty in t.params]
+    of the listings and the flat cells are first-axis-major.  Enumerated
+    values hold no variables or annotations, so they render as they are."""
+    axes = [[render_value_expr(v) for v in enumerate_type(ty)] for _, ty in t.params]
     return zip(itertools.product(*axes), t.cells.flat)
 
 
@@ -134,8 +139,7 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
     Both modes are lowered before either is solved, so a lowering error
     costs no fixpoint."""
     out = sys.stdout if out is None else out
-    lowered = {mode: load_program(text, spec, mode)
-               for mode in ("monomorphize", "large-enough")}
+    lowered = {mode: load_program(text, spec, mode) for mode in poly.MODES}
     runs = {mode: (p, fixpoint(p, spec, epsilon=cfg.epsilon, max_iters=cfg.max_iters))
             for mode, p in lowered.items()}
     stuck = [mode for mode, (_, result) in runs.items() if not result.converged]
@@ -204,8 +208,14 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse exits 2, the lowering errors' code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_PROGRAM, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="skn", description="weighted relational programs, tabulated bottom-up")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="evaluate a program and print its tables")
@@ -213,15 +223,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     runp.add_argument("--semiring", choices=sorted(SEMIRINGS),
                       default=os.environ.get("SKN_SEMIRING"),
                       help="weight semiring (or set SKN_SEMIRING)")
-    runp.add_argument("--poly-mode", choices=["monomorphize", "large-enough"],
-                      default="monomorphize")
+    runp.add_argument("--poly-mode", choices=poly.MODES, default="monomorphize")
     runp.add_argument("--rel", action="append", default=[], metavar="NAME",
                       help="emit only these relations (repeatable)")
     runp.add_argument("--epsilon", type=float,
                       help="real-semiring convergence tolerance, finite and "
                            f"non-negative (default {EPSILON:g})")
     runp.add_argument("--max-iters", type=int, default=10000)
-    runp.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    runp.add_argument("--format", choices=FORMATS, default="tsv")
     runp.add_argument("--emit-lowered", metavar="PATH",
                       help="write the lowered monomorphic program here")
     runp.add_argument("--diff", action="store_true",

@@ -377,11 +377,9 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
     return plan
 
 
-def eval_relation(rel: Union[Plan, RelationDef], tables: dict[str, RelTable],
-                  spec: SemiringSpec) -> RelTable:
+def eval_relation(plan: Plan, tables: dict[str, RelTable], spec: SemiringSpec) -> RelTable:
     """Tabulate one relation's body over its full argument grid by running
-    its plan against `tables`; a bare `RelationDef` is compiled first."""
-    plan = rel if isinstance(rel, Plan) else compile_relation(rel, tables, spec)
+    its plan against `tables`."""
     slots = dict(plan.consts)
     for step in plan.steps:
         if step[0] == _GATHER:

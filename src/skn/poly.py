@@ -1,10 +1,14 @@
 """Compiling polymorphic relations down to the monomorphic core.
 
-Two lowering modes produce a monomorphic program ready for tabulation:
+Two lowering modes produce a monomorphic program ready for tabulation.
+Both run one worklist: it builds each monomorphic relation, then each
+instance a rewritten call demands, in one `map_goal` pass over the
+source body that substitutes the instance's concrete types and rewrites
+each call in the caller's scope, which `map_goal` hands to the leaf.
 
-* ``monomorphize`` instantiates every polymorphic relation once per
-  distinct concrete type substitution reached from the monomorphic
-  relations, and rewrites each call to name its instance directly.
+* ``monomorphize`` makes one instance per distinct concrete type
+  substitution reached from the monomorphic relations, and rewrites
+  each call to name its instance directly.
 
 * ``large-enough`` instead builds, per polymorphic relation, one instance
   whose type-variable sizes are the relation's occurrence bound (the most
@@ -19,8 +23,7 @@ Two lowering modes produce a monomorphic program ready for tabulation:
   requires semiring addition to be idempotent: the generated wrapper
   sums the instance's weight over every tuple with the caller's equality
   pattern, and the instance has the same weight at all of them.  The
-  call rewrite types each call generically (`generic_arg_env`) from the
-  caller's scope, which `map_goal` hands to each leaf.
+  call rewrite types each call generically (`generic_arg_env`).
 
 The wrapper is emitted as the paper defines it, and its shape is also
 recorded on its outer ``fresh`` as a :class:`LargeEnoughCall`.  The
@@ -47,7 +50,7 @@ from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
     ValueExpr, Var, _NameSupply, free_type_vars, LEAF_GOALS, map_goal,
-    map_value, nest, render_type, subgoals, walk_goal,
+    map_value, nest, nest_fresh, render_type, subgoals, walk_goal,
 )
 from .typecheck import CallInfo, apply_subst, check_program
 from .eval import type_size
@@ -116,43 +119,13 @@ def smallest_large_enough(rel: RelationDef) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# instantiation
-
-def instantiate_relation(rel: RelationDef, sigma: dict[str, TypeExpr],
-                         name: Optional[str] = None) -> RelationDef:
-    """Apply a concrete substitution through a relation definition."""
-    if not sigma and name is None:
-        return rel
-
-    def sub_type(t: Optional[TypeExpr]) -> Optional[TypeExpr]:
-        return None if t is None else apply_subst(sigma, t)
-
-    def sub_leaf(g: Goal, _: Binders) -> Goal:
-        match g:
-            case Unify(v1, v2, ty) | Disunify(v1, v2, ty):
-                return type(g)(map_value(v1, annot=sub_type),
-                               map_value(v2, annot=sub_type), sub_type(ty))
-            case Call(callee, args, info):
-                if isinstance(info, CallInfo):
-                    info = replace(info, subst=tuple(
-                        (tv, apply_subst(sigma, ty)) for tv, ty in info.subst))
-                return Call(callee, tuple(map_value(a, annot=sub_type) for a in args),
-                            info)
-        return g
-
-    params = tuple((x, apply_subst(sigma, ty)) for x, ty in rel.params)
-    tyvars = tuple(tv for tv in rel.tyvars if tv not in sigma)
-    return RelationDef(name or rel.name, tyvars, params,
-                       map_goal(rel.body, sub_leaf, sub_type))
-
-
-# ---------------------------------------------------------------------------
 # instance bookkeeping
 
 def mangle(rel: str, sizes: tuple[int, ...]) -> str:
     return f"{rel}${'_'.join(str(n) for n in sizes)}" if sizes else rel
 
 
+MODES = ("monomorphize", "large-enough")
 MAX_INSTANCES = 10000
 MAX_TYVAR_SIZE = 4096
 
@@ -171,24 +144,40 @@ class _Lowering:
         # (rel, concrete types per tyvar) -> mangled name
         self.instances: dict[tuple[str, tuple[TypeExpr, ...]], str] = {}
         self.pending: deque = deque()
+        self.large_enough = {rel.name: smallest_large_enough(rel) for rel in program.relations
+                             if rel.tyvars and mode == "large-enough"}
         self.notes: list[str] = []
 
     def run(self) -> list[RelationDef]:
-        """The worklist: rewrite every monomorphic relation, then
-        instantiate and rewrite each instance the rewritten calls demand,
-        until none is pending."""
-        out = [self.rewrite(rel) for rel in self.source.values() if not rel.tyvars]
+        """The worklist: lower every monomorphic relation, then each
+        instance the rewritten calls demand, until none is pending."""
+        out = [self.lower(rel, {}, rel.name) for rel in self.source.values() if not rel.tyvars]
         while self.pending:
             relname, sigma_types = key = self.pending.popleft()
             source = self.source[relname]
-            sigma = dict(zip(source.tyvars, sigma_types))
-            out.append(self.rewrite(instantiate_relation(source, sigma, self.instances[key])))
+            out.append(self.lower(source, dict(zip(source.tyvars, sigma_types)),
+                                  self.instances[key]))
         return out
 
-    def rewrite(self, rel: RelationDef) -> RelationDef:
-        body = map_goal(rel.body, lambda g, binders: self.rewrite_call(g, rel.params + binders)
-                        if isinstance(g, Call) else g)
-        return RelationDef(rel.name, (), rel.params, body)
+    def lower(self, rel: RelationDef, sigma: dict[str, TypeExpr], name: str) -> RelationDef:
+        """Lower `rel` as `name` in one pass, replacing its type variables by
+        `sigma` and rewriting its calls; an empty `sigma` rebuilds only the calls."""
+        def sub(t: Optional[TypeExpr]) -> Optional[TypeExpr]:
+            return None if t is None else apply_subst(sigma, t)
+        params = tuple((x, sub(ty)) for x, ty in rel.params) if sigma else rel.params
+
+        def leaf(g: Goal, binders: Binders) -> Goal:
+            if isinstance(g, Call):
+                if sigma:
+                    g = Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args), replace(
+                        g.info, subst=tuple((tv, sub(ty)) for tv, ty in g.info.subst)))
+                scope = params + (tuple((x, sub(ty)) for x, ty in binders) if sigma else binders)
+                return self.rewrite_call(g, scope)
+            if sigma and isinstance(g, (Unify, Disunify)):
+                return type(g)(map_value(g.v1, annot=sub), map_value(g.v2, annot=sub), sub(g.ty))
+            return g
+
+        return RelationDef(name, (), params, map_goal(rel.body, leaf, sub))
 
     def demand(self, rel: str, sigma_types: tuple[TypeExpr, ...]) -> str:
         key = (rel, sigma_types)
@@ -220,7 +209,7 @@ class _Lowering:
         if self.mode == "monomorphize":
             return Call(self.demand(g.rel, sigma_types), g.args, None)
 
-        target_sizes = smallest_large_enough(callee)
+        target_sizes = self.large_enough[g.rel]
         try:
             generic_env = generic_arg_env(tuple(ty for _, ty in callee.params),
                                           dict(info.subst), g.args, scope)
@@ -304,42 +293,24 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
             case Prod(a, b):
                 c1, c2 = supply.fresh("p"), supply.fresh("p")
                 d1, d2 = supply.fresh("p"), supply.fresh("p")
-                goals = [
-                    Unify(e1, Pair(Var(c1), Var(d1))),
-                    Unify(e2, Pair(Var(c2), Var(d2))),
-                ]
+                goals = [Unify(e1, Pair(Var(c1), Var(d1))), Unify(e2, Pair(Var(c2), Var(d2)))]
                 goals += deconstruct(a, Var(c1), Var(c2), bases)
                 goals += deconstruct(b, Var(d1), Var(d2), bases)
-                inner = _conj(goals)
-                for name_, ty_ in ((d2, apply_subst(sigma2, b)),
-                                   (d1, apply_subst(sigma1, b)),
-                                   (c2, apply_subst(sigma2, a)),
-                                   (c1, apply_subst(sigma1, a))):
-                    inner = Fresh(name_, ty_, inner)
-                return [inner]
+                return [nest_fresh(((c1, apply_subst(sigma1, a)), (c2, apply_subst(sigma2, a)),
+                                    (d1, apply_subst(sigma1, b)), (d2, apply_subst(sigma2, b))),
+                                   _conj(goals))]
             case Sum(a, b):
-                base_l = dict(bases)
-                base_r = dict(bases)
-                l1, l2 = supply.fresh("c"), supply.fresh("c")
-                left_goals = [
-                    Unify(e1, Left(Var(l1))),
-                    Unify(e2, Left(Var(l2))),
-                ] + deconstruct(a, Var(l1), Var(l2), base_l)
-                left_branch = Fresh(l1, apply_subst(sigma1, a),
-                                    Fresh(l2, apply_subst(sigma2, a),
-                                          _conj(left_goals)))
-                r1, r2 = supply.fresh("c"), supply.fresh("c")
-                right_goals = [
-                    Unify(e1, Right(Var(r1))),
-                    Unify(e2, Right(Var(r2))),
-                ] + deconstruct(b, Var(r1), Var(r2), base_r)
-                right_branch = Fresh(r1, apply_subst(sigma1, b),
-                                     Fresh(r2, apply_subst(sigma2, b),
-                                           _conj(right_goals)))
-                # both branches draw from the same slots
+                branches = []
+                for inj, part in ((Left, a), (Right, b)):
+                    c1, c2 = supply.fresh("c"), supply.fresh("c")
+                    goals = [Unify(e1, inj(Var(c1))), Unify(e2, inj(Var(c2)))]
+                    # both branches draw from the same slots
+                    goals += deconstruct(part, Var(c1), Var(c2), dict(bases))
+                    branches.append(nest_fresh(((c1, apply_subst(sigma1, part)),
+                                                (c2, apply_subst(sigma2, part))), _conj(goals)))
                 for tv in bases:
                     bases[tv] += count_type(tv, ty)
-                return [Disj(left_branch, right_branch)]
+                return [Disj(*branches)]
         raise TypeError(ty)
 
     goals: list[Goal] = []
@@ -358,13 +329,9 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
                     Conj(Disunify(a1, b1), Disunify(a2, b2)),
                 ))
 
-    body = _conj(goals)
-    for tv in reversed(tyvars):
-        for name in reversed(h2[tv]):
-            body = Fresh(name, apply_subst(sigma2, TyVar(tv)), body)
-        for name in reversed(h1[tv]):
-            body = Fresh(name, apply_subst(sigma1, TyVar(tv)), body)
-    return body
+    holes = tuple((name, apply_subst(sigma, TyVar(tv))) for tv in tyvars
+                  for h, sigma in ((h1, sigma1), (h2, sigma2)) for name in h[tv])
+    return nest_fresh(holes, _conj(goals))
 
 
 def _conj(goals: list[Goal]) -> Goal:
@@ -408,8 +375,7 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
         target,
         enforce_eqpat_codegen(generic_env, vars1, vars2, sigma1, sigma2, supply),
     )
-    for x, ty in reversed(generic_env):
-        body = Fresh(vars2[x], apply_subst(sigma2, ty), body)
+    body = nest_fresh(tuple((vars2[x], apply_subst(sigma2, ty)) for x, ty in generic_env), body)
     if isinstance(body, Fresh):
         body = replace(body, wrap=LargeEnoughCall(
             target, tuple(vars2.items()), generic_env, call.info.subst, tuple(sigma2.items())))
@@ -426,7 +392,7 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
     The result is re-checked under the base typing rules before being
     returned, so downstream evaluation can rely on its recorded types.
     """
-    if mode not in ("monomorphize", "large-enough"):
+    if mode not in MODES:
         raise ValueError(f"unknown poly mode {mode!r}")
     if mode == "large-enough" and not spec.idempotent_add:
         raise NonIdempotentSemiring(

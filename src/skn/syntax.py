@@ -25,7 +25,8 @@ relation body.
 Goals are walked by one iterative traversal, `walk_goal`, which yields
 each goal node on entry and on exit with the ``fresh`` binders around
 it.  `subgoals`, `map_goal` and `render_goal` are built on it, and the
-type checker and the lowering walk goals only through these.
+type checker and the lowering walk goals only through these.  `nest`
+and `nest_fresh` build the chains of ``conj``/``disj`` and of ``fresh``.
 """
 from __future__ import annotations
 
@@ -314,6 +315,12 @@ def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
     return out
 
 
+def nest_fresh(binders: Binders, body: Goal) -> Goal:
+    """Wrap `body` in one fresh per binder, the first outermost:
+    ``(fresh ((x : a) (y : b)) g)`` is ``Fresh(x, a, Fresh(y, b, g))``."""
+    return nest(lambda binder, g: Fresh(*binder, g), [*binders, body])
+
+
 def map_goal(g: Goal, leaf: Callable[[Goal, Binders], Goal],
              ty: Callable[[TypeExpr], TypeExpr] = _keep) -> Goal:
     """Rebuild `g`, replacing each leaf goal by `leaf(goal, binders)` and
@@ -547,9 +554,7 @@ class _Reader:
                 self.fail(arity, off)
             self.scope.difference_update(x for x, _ in binders)
             self.env = env
-            for x, ty in reversed(binders):
-                body = Fresh(x, ty, body)
-            return body
+            return nest_fresh(binders, body)
         if head == "factor":
             lit, _ = self.next()
             if lit in _PUNCT or self.more():

@@ -16,6 +16,7 @@ from skn import (
     enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
     type_size,
 )
+from skn.eval import compile_relation
 from skn.poly import _NameSupply, enforce_eqpat_codegen
 from skn.syntax import Prod, Sum, TyVar, UNIT, render_type
 from skn.typecheck import apply_subst
@@ -78,7 +79,7 @@ def check_semiring_axioms(spec, n_triples=1000, seed=0):
 def unify_hot_cells(v, t):
     """The cells the engine sets in the table of `x == v` over `x : t`."""
     rel = RelationDef("at", (), (("x", t),), Unify(Var("x"), v, t))
-    cells = eval_relation(rel, {}, BOOLEAN).cells
+    cells = eval_relation(compile_relation(rel, {}, BOOLEAN), {}, BOOLEAN).cells
     assert cells.shape == (type_size(t),), render_type(t)
     return np.flatnonzero(cells).tolist()
 
@@ -287,7 +288,7 @@ def check_enforce_eqpat():
         goal = enforce_eqpat_codegen(delta, vars1, vars2, sigma1, sigma2, supply)
         rel = RelationDef("eqtest", (), params, goal)
         program = check_program(Program((rel,)))
-        table = eval_relation(program.relations[0], {}, BOOLEAN)
+        table = eval_relation(compile_relation(program.relations[0], {}, BOOLEAN), {}, BOOLEAN)
         assert table.cells.size <= 4096
         k = len(delta)
         values1 = [enumerate_type(apply_subst(sigma1, ty)) for _, ty in delta]
@@ -317,7 +318,7 @@ def check_no_factor_weight(n_goals=500, seed=3):
         src = f"(defrel (g {sig}) {goal_text})"
         program = check_program(parse_program(src))
         for spec in (BOOLEAN, MIN_TROPICAL):
-            table = eval_relation(program.relations[0], {}, spec)
+            table = eval_relation(compile_relation(program.relations[0], {}, spec), {}, spec)
             ok = np.isin(table.cells, [spec.zero, spec.one])
             assert ok.all(), (src, spec.name)
             cases += 1

@@ -402,6 +402,29 @@ def test_unknown_semiring_rejected_by_config():
         RunConfig(path("coins.skn"), "bogus")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("poly_mode", "bogus", "unknown poly mode 'bogus'; expected one of monomorphize, large-enough"),
+    ("fmt", "xml", "unknown format 'xml'; expected one of tsv, json"),
+], ids=["poly_mode", "fmt"])
+def test_unknown_poly_mode_or_format_rejected_by_config(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(path("coins.skn"), "boolean", **{field: value})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--semiring", "bogus"], "argument --semiring: invalid choice: 'bogus'"),
+    (["--semiring", "boolean", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--semiring", "boolean", "--max-iters", "x"], "argument --max-iters: invalid int value"),
+], ids=["semiring", "flag", "max_iters"])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # exit 2 is left to lowering errors
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", path("coin-flip.skn"), *argv])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: skn") and message in captured.err
+
+
 def test_semiring_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("SKN_SEMIRING", "boolean")
     status = main(["run", path("coin-flip.skn")])

@@ -12,7 +12,7 @@ from skn import (
     lower_program, parse_program, type_size,
 )
 from skn import eval as skn_eval
-from skn.eval import zero_table
+from skn.eval import compile_relation, zero_table
 from skn.semiring import parse_weight_literal
 from skn.syntax import Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify
 
@@ -99,19 +99,18 @@ def test_fresh_finds_distinct_value():
 
 def test_eval_relation_examples():
     p = check_program(parse_program(load("coin-flip.skn")))
-    table = eval_relation(p.relations[0], {}, BOOLEAN)
+    table = eval_relation(compile_relation(p.relations[0], {}, BOOLEAN), {}, BOOLEAN)
     assert table.cells.tolist() == [True, True]
 
     p = check_program(parse_program(load("coins.skn")))
     unfair = p.relation("unfair-coin-flip")
-    table = eval_relation(unfair, {}, REAL)
+    table = eval_relation(compile_relation(unfair, {}, REAL), {}, REAL)
     assert table.cells.tolist() == [0.7, 0.3]
 
     p = check_program(parse_program(load("connect.skn")))
     graph = p.relation("graph")
-    table = eval_relation(graph, {n: zero_table(r, MIN_TROPICAL)
-                                  for n, r in [(x.name, x) for x in p.relations]},
-                          MIN_TROPICAL)
+    tables = {r.name: zero_table(r, MIN_TROPICAL) for r in p.relations}
+    table = eval_relation(compile_relation(graph, tables, MIN_TROPICAL), tables, MIN_TROPICAL)
     expected = np.full((4, 4), math.inf)
     for i, j in [(0, 1), (1, 0), (1, 2), (3, 2)]:
         expected[i, j] = 1.0
@@ -221,7 +220,8 @@ def test_idempotent_fixpoints_terminate_exactly():
                 lowered, res = run_source(load(name), spec, mode)
                 assert res.converged, (name, spec.name, mode)
                 # one more round leaves every table bit-identical
-                again = {r.name: eval_relation(r, res.tables, spec)
+                again = {r.name: eval_relation(compile_relation(r, res.tables, spec),
+                                               res.tables, spec)
                          for r in lowered.relations}
                 for n, t in again.items():
                     assert np.array_equal(t.cells, res.tables[n].cells)
@@ -497,7 +497,8 @@ def test_long_fact_disjunction_without_recursion():
     want = np.full((4, 4), math.inf)
     for a, b, w in facts:
         want[a, b] = min(want[a, b], w)
-    assert np.array_equal(eval_relation(rel, {}, MIN_TROPICAL).cells, want)
+    got = eval_relation(compile_relation(rel, {}, MIN_TROPICAL), {}, MIN_TROPICAL).cells
+    assert np.array_equal(got, want)
 
 
 def test_long_disjunction_folds_without_recursion(scatters):
@@ -507,7 +508,8 @@ def test_long_disjunction_folds_without_recursion(scatters):
     rel = _pairs_relation([
         Conj(Unify(Var("x"), values[i % 4], S4), Unify(Var("y"), Var("x"), S4))
         for i in range(n)])
-    assert np.array_equal(eval_relation(rel, {}, REAL).cells, np.eye(4) * (n / 4))
+    got = eval_relation(compile_relation(rel, {}, REAL), {}, REAL).cells
+    assert np.array_equal(got, np.eye(4) * (n / 4))
     assert scatters == [False]
 
 
@@ -539,7 +541,8 @@ def test_deep_alternating_nesting_without_recursion():
     # under min-tropical
     want = {"real": [1000.0, 2.0], "min-tropical": [1.0, 1.0], "boolean": [True, True]}
     for spec in _SPECS:
-        assert eval_relation(rel, {}, spec).cells.tolist() == want[spec.name]
+        got = eval_relation(compile_relation(rel, {}, spec), {}, spec).cells
+        assert got.tolist() == want[spec.name]
     res = fixpoint(Program((rel,)), REAL)
     assert res.converged and res.tables["nested"].cells.tolist() == want["real"]
 
@@ -550,5 +553,5 @@ def test_alternating_nesting_against_oracle(spec, depth):
     rel = _nested_relation(depth)
     want = oracle.relation_cells(rel, {}, spec.name, {},
                                  lambda text: parse_weight_literal(text, spec))
-    got = eval_relation(rel, {}, spec).cells
+    got = eval_relation(compile_relation(rel, {}, spec), {}, spec).cells
     assert [got[pos] for pos in want] == list(want.values())

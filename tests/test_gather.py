@@ -19,6 +19,7 @@ from skn import (
     enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
     parse_weight_literal, smallest_large_enough,
 )
+from skn.eval import compile_relation
 from skn.poly import canonical_type
 from skn.syntax import Fresh, Sum, TyVar, render_program, render_type, subgoals
 from skn.typecheck import apply_subst
@@ -209,8 +210,31 @@ def test_large_calls_gather_monomorphize_and_oracle_agree():
                     source = checked.relation(rel.name.split("$")[0])
                     if source.tyvars:
                         tables[rel.name] = _fingerprint(source, rel, spec)
-                roots_over.append([eval_relation(program.relation(n), tables, spec).cells
-                                   for n in roots])
+                roots_over.append([
+                    eval_relation(compile_relation(program.relation(n), tables, spec),
+                                  tables, spec).cells for n in roots])
             for got, want in zip(*roots_over):
                 assert np.array_equal(got, want), (seed, spec.name)
     assert programs >= 40 and gathered >= 55
+
+
+# The wrappers read back are evaluated as written, over every pair of
+# caller-side and instance-side hole values, so programs whose written
+# relations have more parameter-and-binder cells than this are skipped.
+MAX_WRITTEN_CELLS = 10 ** 8
+
+
+def test_gather_matches_written_wrapper_on_large_calls():
+    programs = wrappers = 0
+    for seed in range(300):
+        source = gen.random_program(seed, large_calls=True)
+        lowered = lower_program(check_program(parse_program(source)), "large-enough", BOOLEAN)
+        written = check_program(parse_program(render_program(lowered)))
+        if not _records(lowered) or \
+                max(map(_oracle_cells, written.relations)) > MAX_WRITTEN_CELLS:
+            continue
+        programs += 1
+        wrappers += len(_records(lowered))
+        for spec in (BOOLEAN, MIN_TROPICAL):
+            _assert_gather_matches_written(source, spec)
+    assert programs >= 30 and wrappers >= 40

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from skn import (
-    Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var, canonical_type,
-    check_program, count_env, count_goal, count_relation, count_type,
-    enumerate_type, instantiate_relation, parse_program, smallest_large_enough,
-    type_size,
+    BOOLEAN, Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var,
+    canonical_type, check_program, count_env, count_goal, count_relation,
+    count_type, enumerate_type, lower_program, parse_program,
+    smallest_large_enough, type_size,
 )
 from skn.typecheck import apply_subst
 
@@ -204,16 +204,17 @@ def test_large_enough_floor_is_one():
 # ---------------------------------------------------------------------------
 # instantiation
 
-def test_instantiate_equal_at_unit():
+def test_lowered_equal_instance_at_unit():
     p = check_program(parse_program(load("equal.skn")))
-    rel = p.relation("equal")
-    inst = instantiate_relation(rel, {"a": UNIT}, "equal$1")
-    assert inst.tyvars == ()
-    assert inst.params == (("x", UNIT), ("y", UNIT))
-    assert inst.body.ty == UNIT
+    for mode in ("monomorphize", "large-enough"):
+        inst = lower_program(p, mode, BOOLEAN).relation("equal$1")
+        assert inst.tyvars == ()
+        assert inst.params == (("x", UNIT), ("y", UNIT))
+        assert inst.body.ty == UNIT
 
 
-def test_instantiate_identity_on_monomorphic():
+def test_monomorphic_relation_lowers_to_its_own_body():
     p = check_program(parse_program(load("coin-flip.skn")))
     rel = p.relations[0]
-    assert instantiate_relation(rel, {}) is rel
+    for mode in ("monomorphize", "large-enough"):
+        assert lower_program(p, mode, BOOLEAN).relation(rel.name) == rel
