@@ -5,7 +5,7 @@ instance per relation."""
 
 from .semiring import (
     BOOLEAN, MIN_TROPICAL, REAL, SEMIRINGS, SemiringSpec, Weight,
-    WeightLiteralError, parse_weight_literal, render_weight,
+    WeightLiteralError, parse_weight_literal,
 )
 from .syntax import (
     Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, ParseError,
@@ -14,8 +14,8 @@ from .syntax import (
     render_program, render_type, render_value,
 )
 from .typecheck import (
-    CallInfo, TypeCheckError, TypeEnv, apply_subst, check_goal,
-    check_program, check_type_valid, type_of_value,
+    TypeCheckError, TypeEnv, apply_subst, check_goal, check_program,
+    check_type_valid, type_of_value,
 )
 from .eval import (
     FixpointResult, RelTable, enumerate_type, eval_relation, fixpoint,
@@ -24,8 +24,7 @@ from .eval import (
 from .poly import (
     InstanceExplosion, LargeEnoughCall, LoweringError, NonGenericCall,
     NonIdempotentSemiring, canonical_type, compile_call, generic_arg_env,
-    count_env, count_goal, count_relation, count_type, enforce_eqpat_codegen,
-    lower_program, smallest_large_enough,
+    count_env, enforce_eqpat_codegen, lower_program, smallest_large_enough,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import poly, semiring, syntax, typecheck
 from .eval import EPSILON, FixpointResult, RelTable, enumerate_type, fixpoint
-from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError, render_weight
+from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError
 from .syntax import Factor, ParseError, Program, render_program, render_type, render_value_expr
 
 EXIT_BAD_PROGRAM = 1
@@ -82,7 +82,7 @@ def check_factor_literals(p: Program, spec: SemiringSpec) -> None:
 def _json_weight(w: np.generic, spec: SemiringSpec) -> object:
     # JSON has no infinity or nan: "inf", "-inf" and "nan" are written as text.
     x = w.item()
-    return x if math.isfinite(x) else render_weight(w, spec)
+    return x if math.isfinite(x) else spec.render(w)
 
 
 def _rows(t: RelTable) -> Iterator[tuple[tuple[str, ...], np.generic]]:
@@ -109,7 +109,7 @@ def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
         lines = [f"# {t.rel}"]
         lines.append("\t".join([x for x, _ in t.params] + ["weight"]))
         for values, w in _rows(t):
-            lines.append("\t".join(values + (render_weight(w, spec),)))
+            lines.append("\t".join(values + (spec.render(w),)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
@@ -162,8 +162,8 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
         for (values, wa), wb in zip(_rows(a), b.cells.flat):
             if not np.array_equal(wa, wb):
                 print(f"divergence in {name} at ({', '.join(values)}): "
-                      f"monomorphize={render_weight(wa, spec)} "
-                      f"large-enough={render_weight(wb, spec)}", file=out)
+                      f"monomorphize={spec.render(wa)} "
+                      f"large-enough={spec.render(wb)}", file=out)
                 return EXIT_DIVERGENCE
     print("identical", file=out)
     return 0

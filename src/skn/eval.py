@@ -41,7 +41,7 @@ from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
-    Unit, ValueExpr, Var, free_type_vars, free_vars, subgoals,
+    ValueExpr, Var, fold_type, free_type_vars, free_vars, subgoals,
 )
 from .typecheck import apply_subst
 
@@ -56,18 +56,12 @@ def type_size(t: TypeExpr) -> int:
 
 
 def enumerate_type(t: TypeExpr) -> list[ValueExpr]:
-    match t:
-        case Unit():
-            return [SOLE]
-        case Sum(a, b):
-            return [Left(v) for v in enumerate_type(a)] + \
-                   [Right(v) for v in enumerate_type(b)]
-        case Prod(a, b):
-            vs2 = enumerate_type(b)
-            return [Pair(v1, v2) for v1 in enumerate_type(a) for v2 in vs2]
-        case TyVar(name):
-            raise ValueError(f"type variable {name} has no values")
-    raise TypeError(t)
+    """The values of `t`, in index order."""
+    if t.size is None:
+        raise ValueError(f"type variable {free_type_vars(t)[0]} has no values")
+    return fold_type(t, lambda _: [SOLE], lambda u, a, b: (
+        [Left(v) for v in a] + [Right(v) for v in b] if isinstance(u, Sum)
+        else [Pair(v1, v2) for v1 in a for v2 in b]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,11 @@ canonical tuple of the pattern instead of summing over all of them; a
 program read back from its rendered text has no record and evaluates the
 wrapper as written.
 
-Hole bookkeeping uses the occurrence count as a static slot allocator:
-within a sum type both branches share the same slots (a value only ever
-realizes one branch, so a max suffices), while a product concatenates its
-components' slots.  Slots that the realized branch does not populate stay
+Hole bookkeeping uses each type's hole counts, `TypeExpr.holes`, set
+once when the type is built, as a static slot allocator: within a sum
+type both branches share the same slots (a value only ever realizes one
+branch, so a max suffices), while a product concatenates its components'
+slots.  Slots that the realized branch does not populate stay
 unconstrained in the generated code, which is harmless for the same
 idempotence reason.
 """
@@ -52,7 +53,7 @@ from .syntax import (
     ValueExpr, Var, _NameSupply, free_type_vars, LEAF_GOALS, map_goal,
     map_value, nest, nest_fresh, render_type, subgoals, walk_goal,
 )
-from .typecheck import CallInfo, apply_subst, check_program
+from .typecheck import apply_subst, check_program
 from .eval import type_size
 
 
@@ -75,32 +76,9 @@ class NonGenericCall(Exception):
 # ---------------------------------------------------------------------------
 # occurrence counting
 
-def count_type(alpha: str, t: TypeExpr) -> int:
-    match t:
-        case Unit():
-            return 0
-        case TyVar(name):
-            return 1 if name == alpha else 0
-        case Sum(a, b):
-            return max(count_type(alpha, a), count_type(alpha, b))
-        case Prod(a, b):
-            return count_type(alpha, a) + count_type(alpha, b)
-    raise TypeError(t)
-
-
 def count_env(alpha: str, delta_types) -> int:
-    return sum(count_type(alpha, ty) for _, ty in delta_types)
-
-
-def count_goal(alpha: str, g: Goal, delta_types) -> int:
-    """The most `alpha` holes in the environment of any leaf of `g`."""
-    base = count_env(alpha, delta_types)
-    return max(base + count_env(alpha, binders) for h, binders, entering in walk_goal(g)
-               if entering and isinstance(h, LEAF_GOALS))
-
-
-def count_relation(alpha: str, rel: RelationDef) -> int:
-    return count_goal(alpha, rel.body, rel.params)
+    """The most `alpha` holes a value environment of `delta_types` can have."""
+    return sum(ty.holes.get(alpha, 0) for _, ty in delta_types)
 
 
 def canonical_type(n: int) -> TypeExpr:
@@ -114,8 +92,15 @@ def canonical_type(n: int) -> TypeExpr:
 
 
 def smallest_large_enough(rel: RelationDef) -> dict[str, int]:
-    """Size per type variable at which one instance determines all larger ones."""
-    return {tv: max(1, count_relation(tv, rel)) for tv in rel.tyvars}
+    """Size per type variable at which one instance determines all larger
+    ones: the most holes of it in the environment of any leaf goal of the
+    body, and at least 1."""
+    sizes = dict.fromkeys(rel.tyvars, 1)
+    for h, binders, entering in walk_goal(rel.body):
+        if entering and isinstance(h, LEAF_GOALS):
+            for tv in rel.tyvars:
+                sizes[tv] = max(sizes[tv], count_env(tv, rel.params + binders))
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +154,8 @@ class _Lowering:
         def leaf(g: Goal, binders: Binders) -> Goal:
             if isinstance(g, Call):
                 if sigma:
-                    g = Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args), replace(
-                        g.info, subst=tuple((tv, sub(ty)) for tv, ty in g.info.subst)))
+                    g = Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args),
+                             tuple((tv, sub(ty)) for tv, ty in g.subst))
                 scope = params + (tuple((x, sub(ty)) for x, ty in binders) if sigma else binders)
                 return self.rewrite_call(g, scope)
             if sigma and isinstance(g, (Unify, Disunify)):
@@ -200,19 +185,18 @@ class _Lowering:
 
     def rewrite_call(self, g: Call, scope: Binders) -> Goal:
         """Rewrite a call made where the variables `scope` are in scope."""
-        info = g.info
-        assert isinstance(info, CallInfo), "lowering requires a checked program"
+        assert g.subst is not None, "lowering requires a checked program"
         callee = self.source[g.rel]
         if not callee.tyvars:
             return Call(g.rel, g.args, None)
-        sigma_types = tuple(dict(info.subst)[tv] for tv in callee.tyvars)
+        sigma_types = tuple(dict(g.subst)[tv] for tv in callee.tyvars)
         if self.mode == "monomorphize":
             return Call(self.demand(g.rel, sigma_types), g.args, None)
 
         target_sizes = self.large_enough[g.rel]
         try:
             generic_env = generic_arg_env(tuple(ty for _, ty in callee.params),
-                                          dict(info.subst), g.args, scope)
+                                          dict(g.subst), g.args, scope)
         except NonGenericCall:
             self.notes.append(f"{g.rel}: non-generic call, monomorphized")
             return Call(self.demand(g.rel, sigma_types), g.args, None)
@@ -308,8 +292,8 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
                     goals += deconstruct(part, Var(c1), Var(c2), dict(bases))
                     branches.append(nest_fresh(((c1, apply_subst(sigma1, part)),
                                                 (c2, apply_subst(sigma2, part))), _conj(goals)))
-                for tv in bases:
-                    bases[tv] += count_type(tv, ty)
+                for tv, n in ty.holes.items():
+                    bases[tv] += n
                 return [Disj(*branches)]
         raise TypeError(ty)
 
@@ -359,7 +343,7 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     types them), conjoined with the generated equality-pattern enforcement
     between the original variables and the copies.  The outer ``fresh``
     carries the wrapper's :class:`LargeEnoughCall`."""
-    sigma1 = dict(call.info.subst)
+    sigma1 = dict(call.subst)
 
     vars1 = {x: x for x, _ in generic_env}
     vars2 = {x: supply.fresh(x) for x, _ in generic_env}
@@ -378,7 +362,7 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     body = nest_fresh(tuple((vars2[x], apply_subst(sigma2, ty)) for x, ty in generic_env), body)
     if isinstance(body, Fresh):
         body = replace(body, wrap=LargeEnoughCall(
-            target, tuple(vars2.items()), generic_env, call.info.subst, tuple(sigma2.items())))
+            target, tuple(vars2.items()), generic_env, call.subst, tuple(sigma2.items())))
     return body
 
 

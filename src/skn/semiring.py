@@ -121,7 +121,3 @@ def parse_weight_literal(text: str, semiring: SemiringSpec) -> Weight:
             f"cannot read weight literal {text!r} under the {semiring.name} semiring"
         )
     return w
-
-
-def render_weight(w: Weight, semiring: SemiringSpec) -> str:
-    return semiring.render(w)

@@ -30,6 +30,7 @@ and `nest_fresh` build the chains of ``conj``/``disj`` and of ``fresh``.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
@@ -39,8 +40,13 @@ from typing import Callable, Iterator, Optional, Union
 #
 # Types are hash-consed: building a type equal to one that exists returns
 # that object.  So equal types are one object, `==` and `hash` are the
-# object's identity, and each node's `size` (its number of values, None
-# when a type variable occurs below it) is computed once, when it is built.
+# object's identity, and two facts about a node are computed once, when it
+# is built: its `size`, the number of its values (None when a type variable
+# occurs below it), and its `holes`, how many holes of each type variable a
+# value of it can have, in first-occurrence order.  A sum adds sizes and
+# shares holes between its branches, since a value takes one branch; a
+# product multiplies sizes and adds holes.  `fold_type` computes anything
+# else built bottom-up from a type, without recursion.
 
 _TYPES: dict[tuple, "TypeExpr"] = {}
 
@@ -50,16 +56,23 @@ def _intern(cls, *children) -> "TypeExpr":
     key = (cls, *children)
     t = _TYPES.get(key)
     if t is None:
+        size, holes = (None, {children[0]: 1}) if cls is TyVar else (1, {})
+        if len(children) == 2:  # a Sum or Prod, with its (size, holes) combine pair
+            (a, b), (size_op, holes_op) = children, cls._combine
+            size = None if a.size is None or b.size is None else size_op(a.size, b.size)
+            holes = dict(a.holes)
+            for name, n in b.holes.items():
+                holes[name] = holes_op(holes.get(name, 0), n)
         t = _TYPES[key] = object.__new__(cls)
-        for name, child in zip(cls.__match_args__, children):
-            object.__setattr__(t, name, child)
-        object.__setattr__(t, "size", cls._size(*children))
+        for name, value in zip((*cls.__match_args__, "size", "holes"), (*children, size, holes)):
+            object.__setattr__(t, name, value)
     return t
 
 
 class _Type:
-    """What every type node has: its `size`, set by `_intern`."""
+    """What every type node has, set by `_intern`."""
     size: Optional[int]
+    holes: dict[str, int]  # read-only
 
     def __reduce__(self) -> tuple:
         """Pickle and copy a type as a call that rebuilds it, so the copy
@@ -67,24 +80,12 @@ class _Type:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self) -> str:
-        """The dataclass form, such as ``Sum(left=Unit(), right=TyVar(name='a'))``,
-        written with an explicit stack so that depth is not bounded by the
-        recursion limit."""
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, str):
-                out.append(t)
-            elif isinstance(t, TyVar):
-                out.append(f"TyVar(name={t.name!r})")
-            else:
-                items: list = [")"]
-                for i, name in reversed(list(enumerate(t.__match_args__))):
-                    items += [getattr(t, name), f"{', ' if i else ''}{name}="]
-                stack += items
-                out.append(f"{type(t).__name__}(")
-        return "".join(out)
+        """The dataclass form, such as ``Sum(left=Unit(), right=TyVar(name='a'))``."""
+        def node(t: TypeExpr, a: str, b: str) -> str:
+            x, y = t.__match_args__
+            return f"{type(t).__name__}({x}={a}, {y}={b})"
+        return fold_type(self, lambda t: f"TyVar(name={t.name!r})" if isinstance(t, TyVar)
+                         else "Unit()", node)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -92,35 +93,25 @@ class Unit(_Type):
     def __new__(cls) -> "Unit":
         return _intern(cls)
 
-    @staticmethod
-    def _size() -> int:
-        return 1
-
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Sum(_Type):
     left: "TypeExpr"
     right: "TypeExpr"
+    _combine = (operator.add, max)  # a value takes one branch, so branches share holes
 
     def __new__(cls, left: "TypeExpr", right: "TypeExpr") -> "Sum":
         return _intern(cls, left, right)
-
-    @staticmethod
-    def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
-        return None if a.size is None or b.size is None else a.size + b.size
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Prod(_Type):
     first: "TypeExpr"
     second: "TypeExpr"
+    _combine = (operator.mul, operator.add)
 
     def __new__(cls, first: "TypeExpr", second: "TypeExpr") -> "Prod":
         return _intern(cls, first, second)
-
-    @staticmethod
-    def _size(a: "TypeExpr", b: "TypeExpr") -> Optional[int]:
-        return None if a.size is None or b.size is None else a.size * b.size
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -130,30 +121,47 @@ class TyVar(_Type):
     def __new__(cls, name: str) -> "TyVar":
         return _intern(cls, name)
 
-    @staticmethod
-    def _size(name: str) -> None:
-        return None
-
 
 TypeExpr = Union[Unit, Sum, Prod, TyVar]
 UNIT = Unit()
 
 
+def fold_type(t: TypeExpr, leaf: Callable[[TypeExpr], object],
+              node: Callable[[TypeExpr, object, object], object]) -> object:
+    """`t` folded bottom-up: `leaf(u)` for a Unit or TyVar `u`, and
+    `node(u, a, b)` for a Sum or Prod `u` whose children folded to `a`
+    and `b`.  Each distinct node is folded once, and its result is
+    dropped once every parent has read it.  Iterative, so depth is not
+    bounded by the recursion limit."""
+    uses = {t: 1}  # per distinct node, the reads of its result still to come
+    order: list = []  # each distinct node with its children, after them
+    seen: set = set()
+    stack: list = [(t, None)]  # (node, None) to enter it, (node, children) to leave it
+    while stack:
+        u, kids = stack.pop()
+        if kids is not None:
+            order.append((u, kids))
+        elif u not in seen:
+            seen.add(u)
+            kids = (u.left, u.right) if isinstance(u, Sum) else (
+                (u.first, u.second) if isinstance(u, Prod) else ())
+            stack.append((u, kids))
+            for c in reversed(kids):
+                uses[c] = uses.get(c, 0) + 1
+                stack.append((c, None))
+    done: dict = {}
+    for u, kids in order:
+        done[u] = node(u, done[kids[0]], done[kids[1]]) if kids else leaf(u)
+        for c in kids:
+            uses[c] -= 1
+            if not uses[c]:
+                del done[c]
+    return done[t]
+
+
 def free_type_vars(*ts: TypeExpr) -> list[str]:
     """All type-variable names in the types `ts`, in first-occurrence order."""
-    out: list[str] = []
-    stack = list(reversed(ts))
-    while stack:
-        u = stack.pop()
-        if u.size is not None:
-            continue
-        match u:
-            case TyVar(name):
-                if name not in out:
-                    out.append(name)
-            case Sum(a, b) | Prod(a, b):
-                stack += (b, a)
-    return out
+    return list(dict.fromkeys(name for t in ts for name in t.holes))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +283,8 @@ class Disunify:
 class Call:
     rel: str
     args: tuple[ValueExpr, ...]
-    info: Optional[object] = None  # typecheck.CallInfo once checked
+    # once checked, the type in the caller of each of the callee's type variables
+    subst: Optional[tuple[tuple[str, TypeExpr], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -647,16 +656,8 @@ def parse_program(text: str) -> Program:
 # printing
 
 def render_type(t: TypeExpr) -> str:
-    match t:
-        case Unit():
-            return "Unit"
-        case TyVar(name):
-            return name
-        case Sum(a, b):
-            return f"(Sum {render_type(a)} {render_type(b)})"
-        case Prod(a, b):
-            return f"(Prod {render_type(a)} {render_type(b)})"
-    raise TypeError(t)
+    return fold_type(t, lambda u: u.name if isinstance(u, TyVar) else "Unit",
+                     lambda u, a, b: f"({type(u).__name__} {a} {b})")
 
 
 def render_value_expr(v: ValueExpr) -> str:

@@ -2,9 +2,9 @@
 
 Checking keeps every value as written.  It records type facts in two
 places only: every ``==``/``=/=`` records its common argument type, and
-every relation call records a :class:`CallInfo` carrying the inferred
-type-variable substitution.  One `syntax.map_goal` pass checks each leaf
-under the relation's parameters and the fresh binders around it.
+every relation call records its inferred type-variable substitution.
+One `syntax.map_goal` pass checks each leaf under the relation's
+parameters and the fresh binders around it.
 
 A call's substitution is one binding of the callee's type variables,
 built by one-way matching (not unification) of each declared parameter
@@ -48,11 +48,6 @@ class TypeEnv:
 
 
 RelEnv = dict  # name -> RelationDef
-
-
-@dataclass(frozen=True)
-class CallInfo:
-    subst: tuple[tuple[str, TypeExpr], ...]  # tyvar -> caller-context type
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +203,7 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
     for tv in callee.tyvars:
         if tv not in binding:
             raise TypeCheckError(f"type variable {tv} is unconstrained by the arguments")
-    subst = tuple((tv, binding[tv]) for tv in callee.tyvars)
-    return Call(g.rel, g.args, CallInfo(subst))
+    return Call(g.rel, g.args, tuple((tv, binding[tv]) for tv in callee.tyvars))
 
 
 def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:

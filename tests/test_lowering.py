@@ -116,9 +116,9 @@ def test_checking_and_lowering_add_no_annotations(mode):
 
 
 def _unchecked(g):
-    """`g` without the types and call infos that checking records."""
+    """`g` without the types and call substitutions that checking records."""
     return map_goal(g, lambda h, _: replace(h, ty=None) if isinstance(h, (Unify, Disunify))
-                    else replace(h, info=None) if isinstance(h, Call) else h)
+                    else replace(h, subst=None) if isinstance(h, Call) else h)
 
 
 # ---------------------------------------------------------------------------

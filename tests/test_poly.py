@@ -4,9 +4,8 @@ import pytest
 
 from skn import (
     BOOLEAN, Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var,
-    canonical_type, check_program, count_env, count_goal, count_relation,
-    count_type, enumerate_type, lower_program, parse_program,
-    smallest_large_enough, type_size,
+    canonical_type, check_program, count_env, enumerate_type, lower_program,
+    parse_program, smallest_large_enough, type_size,
 )
 from skn.typecheck import apply_subst
 
@@ -124,7 +123,7 @@ def test_eqpat_extend_constructively():
         # extend both environments by one more variable
         tau = gen.random_generic_type(rng, tyvars)
         for tv in tyvars:
-            if count_type(tv, tau) + need[tv] > type_size(sigma2[tv]):
+            if tau.holes.get(tv, 0) + need[tv] > type_size(sigma2[tv]):
                 break
         else:
             v1 = gen.random_value(apply_subst(sigma1, tau), rng)
@@ -141,10 +140,29 @@ def test_values_shells_holes_sampled():
 # occurrence counting and sizing
 
 def test_count_type():
-    assert count_type("a", Prod(A, A)) == 2
-    assert count_type("a", Sum(A, A)) == 1
-    assert count_type("a", UNIT) == 0
-    assert count_type("a", B) == 0
+    assert Prod(A, A).holes == {"a": 2}
+    assert Sum(A, A).holes == {"a": 1}
+    assert UNIT.holes == {}
+    assert B.holes.get("a", 0) == 0
+    mixed = Prod(Sum(B, A), Prod(A, Sum(Prod(A, A), B)))
+    assert mixed.holes == {"b": 2, "a": 4} and list(mixed.holes) == ["b", "a"]
+
+
+def test_holes_are_the_most_holes_of_any_value():
+    # `holes` against the tests' own definition: the most `holes_of` of
+    # each type variable over every value of an instance of the type
+    rng = random.Random(0)
+    checks = 0
+    for _ in range(500):
+        tyvars = rng.choice([["a"], ["a", "b"]])
+        t = gen.random_generic_type(rng, tyvars, depth=3)
+        sigma = {tv: canonical_type(rng.randint(1, 3)) for tv in tyvars}
+        values = enumerate_type(apply_subst(sigma, t))
+        for tv in tyvars:
+            most = max(len(holes_of(tv, t, v)) for v in values)
+            assert most == t.holes.get(tv, 0), (t, tv)
+            checks += most > 0
+    assert checks >= 500
 
 
 def test_count_env_sums():
@@ -154,25 +172,24 @@ def test_count_env_sums():
 def test_count_relation_sum_swap():
     p = parse_program(load("sum-swap.skn"))
     rel = p.relation("sum-swap")
-    assert count_relation("a", rel) == 3
-    assert count_relation("b", rel) == 3
+    assert smallest_large_enough(rel) == {"a": 3, "b": 3}
 
 
 def test_count_relation_two_valued():
     p = parse_program(load("two-valued.skn"))
-    assert count_relation("a", p.relation("two-valued")) == 2
+    assert smallest_large_enough(p.relation("two-valued"))["a"] == 2
 
 
 def test_count_relation_equal():
     p = parse_program(load("equal.skn"))
-    assert count_relation("a", p.relation("equal")) == 2
+    assert smallest_large_enough(p.relation("equal"))["a"] == 2
 
 
 def test_count_monotone_under_fresh():
     # a fresh-bound occurrence raises the leaf-goal count
     p = parse_program(load("two-valued.skn"))
     rel = p.relation("two-valued")
-    assert count_goal("a", rel.body, rel.params) >= count_env("a", rel.params)
+    assert smallest_large_enough(rel)["a"] > count_env("a", rel.params)
 
 
 def test_canonical_types():

@@ -4,7 +4,7 @@ import pytest
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, SEMIRINGS, WeightLiteralError,
-    parse_weight_literal, render_weight,
+    parse_weight_literal,
 )
 
 import props
@@ -76,10 +76,10 @@ def test_decimal_overflowing_to_inf_rejected():
 
 
 def test_render_weight():
-    assert render_weight(True, BOOLEAN) == "true"
-    assert render_weight(False, BOOLEAN) == "false"
-    assert render_weight(0.7, REAL) == "0.7"
-    assert render_weight(math.inf, MIN_TROPICAL) == "inf"
+    assert BOOLEAN.render(True) == "true"
+    assert BOOLEAN.render(False) == "false"
+    assert REAL.render(0.7) == "0.7"
+    assert MIN_TROPICAL.render(math.inf) == "inf"
 
 
 def test_registry():

@@ -8,8 +8,8 @@ from skn import (
     SEMIRINGS, Conj, Disj, Factor, Fresh, Left, Pair, ParseError, Prod, Right,
     SOLE, Sum, TyVar, TypeEnv, UNIT, Unify, Unit, Var, apply_subst,
     canonical_type, check_program, check_type_valid, enumerate_type,
-    free_type_vars, lower_program, parse_program, render_program, render_value,
-    type_size,
+    free_type_vars, lower_program, parse_program, render_program, render_type,
+    render_value, type_size,
 )
 from skn.syntax import render_relation
 
@@ -224,6 +224,23 @@ def test_type_repr_is_dataclass_form_at_any_depth():
     assert text.startswith("Sum(left=Unit(), right=Sum(left=Unit(), ")
     assert text.endswith("right=Unit()" + ")" * 4999)
     assert text.count("Unit()") == 5000
+
+
+def test_render_and_enumerate_type_at_any_depth():
+    text = render_type(canonical_type(5000))
+    assert text == "(Sum Unit " * 4999 + "Unit" + ")" * 4999
+    # A deep sum has as many values as levels, and enumerating it builds
+    # quadratically many nodes; a deep product has one value.
+    chain = UNIT
+    for _ in range(5000):
+        chain = Prod(UNIT, chain)
+    left, right = enumerate_type(Sum(chain, UNIT))
+    assert right == Right(SOLE)
+    v = left.inner
+    for _ in range(5000):
+        assert isinstance(v, Pair) and v.first == SOLE
+        v = v.second
+    assert v == SOLE
 
 
 def test_pickle_and_copy_keep_types_interned():

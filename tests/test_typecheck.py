@@ -66,7 +66,7 @@ def test_bare_left_needs_context():
 def _call_subst(src):
     """The substitution recorded on the one call in `main`."""
     (call,) = _collect_calls(check_program(parse_program(src)).relation("main").body)
-    return dict(call.info.subst)
+    return dict(call.subst)
 
 
 def test_subst_equal_units():
@@ -215,7 +215,7 @@ def test_option_map_call_subst_recorded():
     p = check_program(parse_program(load("option-map.skn")))
     calls = _collect_calls(p.relations[2].body)  # option-map-example
     om = next(c for c in calls if c.rel == "option-map")
-    assert dict(om.info.subst) == {"a": S2, "b": S2}
+    assert dict(om.subst) == {"a": S2, "b": S2}
 
 
 def _collect_calls(goal):
@@ -242,7 +242,7 @@ def test_bare_constructor_inferred_through_call():
     calls = _collect_calls(p.relations[2].body)
     om = next(c for c in calls if c.rel == "option-map")
     assert om.args[1] == Right(Left(SOLE))  # kept as written
-    assert dict(om.info.subst) == {"a": S2, "b": S2}
+    assert dict(om.subst) == {"a": S2, "b": S2}
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def _checked_call(src, relname, callee):
 
 def test_generic_env_sum_swap():
     call, caller_env, params = _checked_call(load("sum-swap.skn"), "sum-swap-3-3", "sum-swap")
-    ge = generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
+    ge = generic_arg_env(params, dict(call.subst), call.args, caller_env)
     assert ge == (("x", Sum(TyVar("a"), TyVar("b"))),
                   ("y", Sum(TyVar("b"), TyVar("a"))))
 
@@ -273,9 +273,9 @@ def test_generic_env_single_occurrence():
     (defrel (main (w : Unit)) (equal w w))
     """
     call, caller_env, params = _checked_call(src, "main", "equal")
-    assert generic_arg_env(params, dict(call.info.subst), call.args, caller_env) == \
+    assert generic_arg_env(params, dict(call.subst), call.args, caller_env) == \
         (("w", TyVar("a")),)
-    assert dict(call.info.subst) == {"a": UNIT}
+    assert dict(call.subst) == {"a": UNIT}
 
 
 def test_non_generic_conflicting_positions():
@@ -286,7 +286,7 @@ def test_non_generic_conflicting_positions():
     """
     call, caller_env, params = _checked_call(src, "main", "r")
     with pytest.raises(NonGenericCall):
-        generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
+        generic_arg_env(params, dict(call.subst), call.args, caller_env)
     notes = []  # recorded as a fallback
     lower_program(check_program(parse_program(src)), "large-enough", BOOLEAN, notes)
     assert notes == ["r: non-generic call, monomorphized"]
@@ -298,7 +298,7 @@ def test_generic_env_concrete_var_kept():
     (defrel (main (w : Unit) (u : (Sum Unit Unit))) (r w u))
     """
     call, caller_env, params = _checked_call(src, "main", "r")
-    assert generic_arg_env(params, dict(call.info.subst), call.args, caller_env) == \
+    assert generic_arg_env(params, dict(call.subst), call.args, caller_env) == \
         (("w", TyVar("a")), ("u", S2))
 
 
@@ -308,7 +308,7 @@ def test_polymorphic_caller_passes_own_tyvar():
     (defrel (outer (p : b) (q : b)) (equal p q))
     """
     call, caller_env, params = _checked_call(src, "outer", "equal")
-    assert dict(call.info.subst) == {"a": TyVar("b")}
+    assert dict(call.subst) == {"a": TyVar("b")}
 
 
 def test_caller_tyvar_named_like_callee_tyvar():
@@ -325,12 +325,12 @@ def test_generic_env_through_fresh_scope():
     swap, caller_env, params = _checked_call(load("option-map.skn"),
                                              "option-map-example", "sum-swap")
     assert [x for x, _ in caller_env][-2:] == ["h", "k"]
-    assert dict(swap.info.subst) == {"a": UNIT, "b": UNIT}
-    assert generic_arg_env(params, dict(swap.info.subst), swap.args, caller_env) == \
+    assert dict(swap.subst) == {"a": UNIT, "b": UNIT}
+    assert generic_arg_env(params, dict(swap.subst), swap.args, caller_env) == \
         (("h", Sum(TyVar("a"), TyVar("b"))), ("k", Sum(TyVar("b"), TyVar("a"))))
 
 
 def test_literal_constructor_args_are_non_generic():
     call, caller_env, params = _checked_call(load("equal.skn"), "equal-soles", "equal")
     with pytest.raises(NonGenericCall):
-        generic_arg_env(params, dict(call.info.subst), call.args, caller_env)
+        generic_arg_env(params, dict(call.subst), call.args, caller_env)
