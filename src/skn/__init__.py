@@ -18,7 +18,7 @@ from .typecheck import (
     check_type_valid, type_of_value,
 )
 from .eval import (
-    FixpointResult, RelTable, enumerate_type, eval_relation, fixpoint,
+    FixpointResult, RelTable, eval_relation, fixpoint, type_labels,
     type_size,
 )
 from .poly import (

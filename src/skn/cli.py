@@ -25,9 +25,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import poly, semiring, syntax, typecheck
-from .eval import EPSILON, FixpointResult, RelTable, enumerate_type, fixpoint
+from .eval import EPSILON, FixpointResult, RelTable, fixpoint, type_labels
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError
-from .syntax import Factor, ParseError, Program, render_program, render_type, render_value_expr
+from .syntax import Factor, ParseError, Program, render_program, render_type
 
 EXIT_BAD_PROGRAM = 1
 EXIT_LOWERING = 2
@@ -86,12 +86,10 @@ def _json_weight(w: np.generic, spec: SemiringSpec) -> object:
 
 
 def _rows(t: RelTable) -> Iterator[tuple[tuple[str, ...], np.generic]]:
-    """Each cell's rendered argument values with its weight, in table
-    order: every parameter type is enumerated once, and both the product
-    of the listings and the flat cells are first-axis-major.  Enumerated
-    values hold no variables or annotations, so they render as they are."""
-    axes = [[render_value_expr(v) for v in enumerate_type(ty)] for _, ty in t.params]
-    return zip(itertools.product(*axes), t.cells.flat)
+    """Each cell's argument values, as text, with its weight, in table
+    order: each parameter type's labels are listed once, and both the
+    product of the listings and the flat cells are first-axis-major."""
+    return zip(itertools.product(*(type_labels(ty) for _, ty in t.params)), t.cells.flat)
 
 
 def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
@@ -157,14 +155,14 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
               and result_l.tables[rel.name].params == rel.params]
     for name in shared:
         a, b = result_m.tables[name], result_l.tables[name]
-        if np.array_equal(a.cells, b.cells):
-            continue
-        for (values, wa), wb in zip(_rows(a), b.cells.flat):
-            if not np.array_equal(wa, wb):
-                print(f"divergence in {name} at ({', '.join(values)}): "
-                      f"monomorphize={spec.render(wa)} "
-                      f"large-enough={spec.render(wb)}", file=out)
-                return EXIT_DIVERGENCE
+        diverged = np.argwhere(a.cells != b.cells)
+        if len(diverged):  # row-major, so the first is first in table order
+            at = tuple(diverged[0])
+            values = [type_labels(ty)[i] for (_, ty), i in zip(a.params, at)]
+            print(f"divergence in {name} at ({', '.join(values)}): "
+                  f"monomorphize={spec.render(a.cells[at])} "
+                  f"large-enough={spec.render(b.cells[at])}", file=out)
+            return EXIT_DIVERGENCE
     print("identical", file=out)
     return 0
 
@@ -219,18 +217,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="skn", description="weighted relational programs, tabulated bottom-up")
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="evaluate a program and print its tables")
-    runp.add_argument("file", help="program source (.skn)")
+    runp.add_argument("source", metavar="file", help="program source (.skn)")
     runp.add_argument("--semiring", choices=sorted(SEMIRINGS),
                       default=os.environ.get("SKN_SEMIRING"),
                       help="weight semiring (or set SKN_SEMIRING)")
     runp.add_argument("--poly-mode", choices=poly.MODES, default="monomorphize")
-    runp.add_argument("--rel", action="append", default=[], metavar="NAME",
+    runp.add_argument("--rel", action="append", default=[], metavar="NAME", dest="relations",
                       help="emit only these relations (repeatable)")
     runp.add_argument("--epsilon", type=float,
                       help="real-semiring convergence tolerance, finite and "
                            f"non-negative (default {EPSILON:g})")
     runp.add_argument("--max-iters", type=int, default=10000)
-    runp.add_argument("--format", choices=FORMATS, default="tsv")
+    runp.add_argument("--format", choices=FORMATS, default="tsv", dest="fmt")
     runp.add_argument("--emit-lowered", metavar="PATH",
                       help="write the lowered monomorphic program here")
     runp.add_argument("--diff", action="store_true",
@@ -239,19 +237,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = vars(build_arg_parser().parse_args(argv))
+    del args["command"]  # the subcommand; `run` is the only one
     try:
-        cfg = RunConfig(
-            source=args.file,
-            semiring=args.semiring,
-            poly_mode=args.poly_mode,
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            fmt=args.format,
-            relations=args.rel,
-            diff=args.diff,
-            emit_lowered=args.emit_lowered,
-        )
+        cfg = RunConfig(**args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_PROGRAM

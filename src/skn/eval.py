@@ -9,6 +9,9 @@ position in that list is its index, computed in closed form:
     idx(right v)    = |t1| + idx(v)
     idx(pair v1 v2) = idx(v1) * |t2| + idx(v2)
 
+Evaluation never lists a type's values; `type_labels` lists only their
+text, in index order, for emission.
+
 A goal under a set of in-scope variables denotes an array with one axis
 per variable it mentions: conj and disj combine arrays pointwise with the
 semiring operations, == and =/= are 0/1 arrays from index comparisons, a
@@ -40,7 +43,7 @@ import numpy as np
 from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
-    Program, RelationDef, Right, Sole, SOLE, Sum, TyVar, TypeExpr, Unify,
+    Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify,
     ValueExpr, Var, fold_type, free_type_vars, free_vars, subgoals,
 )
 from .typecheck import apply_subst
@@ -55,13 +58,14 @@ def type_size(t: TypeExpr) -> int:
     return t.size
 
 
-def enumerate_type(t: TypeExpr) -> list[ValueExpr]:
-    """The values of `t`, in index order."""
+def type_labels(t: TypeExpr) -> list[str]:
+    """The text of each value of `t`, in index order, as `render_value`
+    writes it."""
     if t.size is None:
         raise ValueError(f"type variable {free_type_vars(t)[0]} has no values")
-    return fold_type(t, lambda _: [SOLE], lambda u, a, b: (
-        [Left(v) for v in a] + [Right(v) for v in b] if isinstance(u, Sum)
-        else [Pair(v1, v2) for v1 in a for v2 in b]))
+    return fold_type(t, lambda _: ["sole"], lambda u, a, b: (
+        [f"(left {v})" for v in a] + [f"(right {v})" for v in b] if isinstance(u, Sum)
+        else [f"(pair {v1} {v2})" for v1 in a for v2 in b]))
 
 
 # ---------------------------------------------------------------------------

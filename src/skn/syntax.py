@@ -423,42 +423,46 @@ class _NameSupply:
 class _Reader:
     """One method per form and one Python frame per nesting level.  A form
     reads its children up to its own closing bracket, then checks how many
-    it got.  Within a relation, `scope` holds the variables in scope and
-    `env` maps each shadowing binder to its new name; the relation's name
-    supply avoids every token of the file."""
+    it got.  A position (`pos`, `off`, `at`) is an index into `toks`.
+    Within a relation, `scope` holds the variables in scope and `env` maps
+    each shadowing binder to its new name; the relation's name supply
+    avoids every token of the file."""
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0
-        self.toks = [(m[1], m.start()) for m in _TOKEN.finditer(text) if m[1]] + [("", len(text))]
-        self.atoms = {tok for tok, _ in self.toks}
+        self.toks = [tok for tok in _TOKEN.findall(text) if tok] + [""]
+        self.atoms = set(self.toks)
 
-    def fail(self, msg: str, off: int):
-        """Raise `msg` at offset `off`, unless a bracket is unmatched: then
-        raise the first such bracket, wherever it is in the file."""
+    def fail(self, msg: str, at: int):
+        """Raise `msg` at token `at`, unless a bracket is unmatched: then
+        raise the first such bracket, wherever it is in the file.  Only
+        an error needs the tokens' offsets, so only here are they found."""
         stack = []
-        for tok, at in self.toks:
+        for i, tok in enumerate(self.toks):
             if tok in _CLOSER:
-                stack.append((_CLOSER[tok], at))
+                stack.append((_CLOSER[tok], i))
             elif tok in (")", "}") and (not stack or stack.pop()[0] != tok):
-                msg, off = f"unexpected {tok!r}", at
+                msg, at = f"unexpected {tok!r}", i
                 break
             elif tok == "" and stack:
-                msg, off = f"missing {stack[-1][0]!r}", stack[-1][1]
+                msg, at = f"missing {stack[-1][0]!r}", stack[-1][1]
+        off = ([m.start() for m in _TOKEN.finditer(self.text) if m[1]] + [len(self.text)])[at]
         line = self.text.count("\n", 0, off) + 1
         raise ParseError(msg, line, off - self.text.rfind("\n", 0, off))
 
     def next(self) -> tuple[str, int]:
+        """The next token and its index."""
         self.pos += 1
-        return self.toks[self.pos - 1]
+        return self.toks[self.pos - 1], self.pos - 1
 
     def more(self, close: str = ")") -> bool:
         """Whether another child follows; consumes the closing bracket."""
-        tok, off = self.toks[self.pos]
+        tok = self.toks[self.pos]
         if tok == close:
             self.pos += 1
             return False
         if tok in (")", "}", ""):
-            self.fail("", off)  # an unmatched bracket, which `fail` reports
+            self.fail("", self.pos)  # an unmatched bracket, which `fail` reports
         return True
 
     def name(self, what: str) -> str:
@@ -498,7 +502,7 @@ class _Reader:
         return TyVar(tok)
 
     def value(self) -> ValueExpr:
-        tok, off = self.toks[self.pos]
+        tok, off = self.toks[self.pos], self.pos
         if tok == "sole":
             self.pos += 1
             return SOLE
@@ -512,7 +516,7 @@ class _Reader:
         if head not in ("left", "right", "pair"):
             self.fail(f"unknown value constructor {head!r}", off)
         annots = []
-        if head != "pair" and self.toks[self.pos][0] == "{":
+        if head != "pair" and self.toks[self.pos] == "{":
             self.pos += 1
             while self.more("}"):
                 annots.append(self.type())
@@ -546,7 +550,7 @@ class _Reader:
             if not self.more():
                 self.fail(arity, off)
             env, binders = self.env, []
-            if self.toks[self.pos][0] == "(":
+            if self.toks[self.pos] == "(":
                 self.pos += 1
                 while self.more():
                     x, ty = self.param()
@@ -584,12 +588,12 @@ class _Reader:
         """One `(name : type)`, reported at `at`, else at its `(`, if malformed."""
         tok, off = self.next()
         at = off if at is None else at
-        if tok != "(" or not self.more() or (self.toks[self.pos][0] not in _CLOSER
-                                             and self.toks[self.pos + 1][0] != ":"):
+        if tok != "(" or not self.more() or (self.toks[self.pos] not in _CLOSER
+                                             and self.toks[self.pos + 1] != ":"):
             self.fail("expected (name : type)", at)
         name = self.name("variable")
         self.pos += 1  # the ':'
-        if not self.more() or self.toks[self.pos][0] == ":":
+        if not self.more() or self.toks[self.pos] == ":":
             self.fail("expected (name : type)", at)
         ty = self.type()
         if self.more():
@@ -610,7 +614,7 @@ class _Reader:
         if tok != "(" or not self.more():
             self.fail("defrel needs a (name params...) header", off)
         name, tyvars = self.name("relation"), None
-        if self.toks[self.pos][0] == "(" and self.toks[self.pos + 1][0] == "forall":
+        if self.toks[self.pos] == "(" and self.toks[self.pos + 1] == "forall":
             self.pos += 2
             tyvars = []
             while self.more():
@@ -619,7 +623,7 @@ class _Reader:
                 self.fail("duplicate type variable in forall", hoff)
         # Accept both a flat parameter list and one wrapped in an extra list.
         params, wrap = [], None
-        if self.toks[self.pos][0] == "(" and self.toks[self.pos + 1][0] == "(":
+        if self.toks[self.pos] == "(" and self.toks[self.pos + 1] == "(":
             wrap = self.next()[1]
         while self.more():
             params.append(self.param(wrap))
@@ -643,11 +647,11 @@ def parse_program(text: str) -> Program:
     """Parse source text into a `Program`, normalizing surface sugar."""
     reader = _Reader(text)
     rels: dict[str, RelationDef] = {}
-    while reader.toks[reader.pos][0]:
-        off = reader.toks[reader.pos][1]
+    while reader.toks[reader.pos]:
+        at = reader.pos
         rel = reader.defrel()
         if rel.name in rels:
-            reader.fail(f"duplicate relation name {rel.name!r}", off)
+            reader.fail(f"duplicate relation name {rel.name!r}", at)
         rels[rel.name] = rel
     return Program(tuple(rels.values()))
 

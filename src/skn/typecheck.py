@@ -191,7 +191,8 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
                                    apply_subst(binding, params[i]) if bound else None)
             except UninferableValue:
                 continue
-            match_type(params[i], ty, binding, tyvars)
+            if not bound:  # else `ty` is that parameter type, which matches already
+                match_type(params[i], ty, binding, tyvars)
             pending.discard(i)
             progress = True
     if pending:

@@ -8,7 +8,9 @@ from skn.syntax import (
     parse_program, render_type,
 )
 from skn.typecheck import apply_subst, check_program
-from skn.eval import enumerate_type, type_size
+from skn.eval import type_size
+
+import oracle
 
 CONCRETE_TYPES = [
     UNIT,
@@ -37,7 +39,7 @@ def random_generic_type(rng: random.Random, tyvars, depth: int = 2):
 
 
 def random_value(t, rng: random.Random):
-    return rng.choice(enumerate_type(t))
+    return rng.choice(oracle.type_values(t))
 
 
 def random_delta(rng: random.Random, tyvars, n_vars=None):
@@ -99,7 +101,7 @@ def eqpat_partner(delta, env1, sigma2, rng: random.Random):
                     break
             if v2 is None:
                 used = set(map(_freeze, pool2))
-                fresh = [c for c in enumerate_type(sigma2[a]) if _freeze(c) not in used]
+                fresh = [c for c in oracle.type_values(sigma2[a]) if _freeze(c) not in used]
                 v2 = rng.choice(fresh)
             pool.append(v1)
             pool2.append(v2)

@@ -13,8 +13,7 @@ import numpy as np
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, Program, RelationDef, Unify, Var, check_program,
-    enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
-    type_size,
+    eval_relation, fixpoint, lower_program, parse_program, type_size,
 )
 from skn.eval import compile_relation
 from skn.poly import _NameSupply, enforce_eqpat_codegen
@@ -85,13 +84,13 @@ def unify_hot_cells(v, t):
 
 
 def check_index_bijection(min_cases=1000, seed=0):
-    """For the value v at position i of `enumerate_type(t)`, the engine's
+    """For the value v at position i of `oracle.type_values(t)`, the engine's
     table of `x == v` is one-hot at i."""
     rng = random.Random(seed)
     cases = 0
     while cases < min_cases:
         t = _random_sized_type(rng, 64)
-        for i, v in enumerate(enumerate_type(t)):
+        for i, v in enumerate(oracle.type_values(t)):
             assert unify_hot_cells(v, t) == [i], (render_type(t), i)
             cases += 1
     return cases
@@ -138,7 +137,7 @@ def check_values_shells_holes():
     for tau, sigma_map in families:
         tyvars = sorted({tv for tv in gen._tyvars_of(tau)})
         sigma = {tv: sigma_map[tv] for tv in tyvars}
-        values = enumerate_type(apply_subst(sigma, tau))
+        values = oracle.type_values(apply_subst(sigma, tau))
         assert len(values) ** 2 <= 256 * 16
         for v1 in values:
             for v2 in values:
@@ -290,8 +289,8 @@ def check_enforce_eqpat():
         table = eval_relation(compile_relation(program.relations[0], {}, BOOLEAN), {}, BOOLEAN)
         assert table.cells.size <= 4096
         k = len(delta)
-        values1 = [enumerate_type(apply_subst(sigma1, ty)) for _, ty in delta]
-        values2 = [enumerate_type(apply_subst(sigma2, ty)) for _, ty in delta]
+        values1 = [oracle.type_values(apply_subst(sigma1, ty)) for _, ty in delta]
+        values2 = [oracle.type_values(apply_subst(sigma2, ty)) for _, ty in delta]
         for idx in np.ndindex(*table.cells.shape):
             env1 = {x: vs[i] for i, (x, _), vs in zip(idx[:k], delta, values1)}
             env2 = {x: vs[i] for i, (x, _), vs in zip(idx[k:], delta, values2)}

@@ -3,14 +3,18 @@ import itertools
 import json
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skn import SEMIRINGS, cli, render_value
 from skn import eval as skn_eval
 from skn.cli import RunConfig, diff_modes, load_program, main, run
+from skn.eval import RelTable
+from skn.poly import canonical_type
 
 import oracle
 from helpers import CORPUS, IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load
@@ -134,10 +138,9 @@ def test_json_output_round_trips():
         "values": ["(left sole)", "(left sole)"], "weight": 2.0}
     assert connect["entries"][3]["weight"] == "inf"
     # every value string re-parses to the value at that grid position
-    from skn import enumerate_type, render_value
     from skn.syntax import Sum, UNIT
     four = Sum(UNIT, Sum(UNIT, Sum(UNIT, UNIT)))
-    values = [render_value(v) for v in enumerate_type(four)]
+    values = [render_value(v) for v in oracle.type_values(four)]
     for k, entry in enumerate(connect["entries"]):
         assert entry["values"] == [values[k // 4], values[k % 4]]
 
@@ -192,8 +195,9 @@ def test_rows_follow_value_enumeration(tmp_path, fmt):
     assert {"yes", "equal-pairs", "connect", "fair-coin-flip"} <= seen
 
 
-def test_diff_reports_first_divergent_cell(monkeypatch):
-    # the second solve is large-enough's; flip one of its connect cells
+def _diff_with_flipped_connect_cells(monkeypatch, *flips):
+    """`--diff` on connect.skn after flipping these cells of large-enough's
+    connect table, which is solved second."""
     original = cli.fixpoint
     solved = []
 
@@ -202,14 +206,28 @@ def test_diff_reports_first_divergent_cell(monkeypatch):
         solved.append(program)
         if len(solved) == 2:
             cells = result.tables["connect"].cells
-            cells[3, 0] = not cells[3, 0]
+            for cell in flips:
+                cells[cell] = not cells[cell]
         return result
 
     monkeypatch.setattr(cli, "fixpoint", fixpoint)
     status, out, _ = run_capture(RunConfig(path("connect.skn"), "boolean", diff=True))
-    assert status == 4 and len(solved) == 2
+    assert len(solved) == 2
+    return status, out
+
+
+def test_diff_reports_first_divergent_cell(monkeypatch):
+    status, out = _diff_with_flipped_connect_cells(monkeypatch, (3, 0))
+    assert status == 4
     assert out == ("divergence in connect at ((right (right (right sole))), (left sole)): "
                    "monomorphize=false large-enough=true\n")
+
+
+def test_diff_reports_the_first_of_two_divergent_cells_in_table_order(monkeypatch):
+    status, out = _diff_with_flipped_connect_cells(monkeypatch, (3, 0), (1, 2))
+    assert status == 4
+    assert out == ("divergence in connect at ((right (left sole)), (right (right (left sole)))): "
+                   "monomorphize=true large-enough=false\n")
 
 
 def test_run_is_deterministic():
@@ -356,6 +374,25 @@ def test_deep_type_equality_within_recursion_limit(tmp_path):
     status, out, err = run_capture(RunConfig(str(src), "boolean", relations=["from0"]))
     assert status == 0 and not err
     assert out.count("\ttrue") == 399
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_emits_a_1500_value_sum_within_recursion_limit(fmt):
+    # Labels are written by one iterative fold over the type, so a
+    # right-nested sum deeper than the recursion limit emits; its value k
+    # is k rights around a left, and its last value k rights around sole.
+    n = 1500
+    assert sys.getrecursionlimit() < n
+    spec = SEMIRINGS["boolean"]
+    table = RelTable("deep", (("x", canonical_type(n)),), np.ones(n, dtype=spec.dtype))
+    text = cli.emit_tables([table], fmt, spec)
+    if fmt == "json":
+        labels = [e["values"][0] for e in json.loads(text)[0]["entries"]]
+    else:
+        labels = [row.split("\t")[0] for row in text.splitlines()[2:]]
+    last = n - 1
+    assert labels == ["(right " * k + "(left sole)" + ")" * k for k in range(last)] + \
+        ["(right " * last + "sole" + ")" * last]
 
 
 @pytest.mark.parametrize("diff", [False, True])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, REAL, Left, Pair, Prod, Right, SOLE, Sum, TyVar,
-    UNIT, Var, check_program, enumerate_type, eval_relation, fixpoint,
+    BOOLEAN, MIN_TROPICAL, REAL, Left, Prod, Right, SOLE, Sum, TyVar,
+    UNIT, Var, check_program, eval_relation, fixpoint, type_labels,
     lower_program, parse_program, type_size,
 )
 from skn import eval as skn_eval
@@ -43,16 +43,21 @@ def test_tyvar_has_no_size():
 
 
 def test_enumerate_sum():
-    assert enumerate_type(S2) == [Left(SOLE), Right(SOLE)]
+    assert type_labels(S2) == ["(left sole)", "(right sole)"]
 
 
 def test_enumerate_unit():
-    assert enumerate_type(UNIT) == [SOLE]
+    assert type_labels(UNIT) == ["sole"]
 
 
 def test_enumerate_prod_first_major():
-    assert enumerate_type(Prod(S2, UNIT)) == \
-        [Pair(Left(SOLE), SOLE), Pair(Right(SOLE), SOLE)]
+    assert type_labels(Prod(S2, UNIT)) == \
+        ["(pair (left sole) sole)", "(pair (right sole) sole)"]
+
+
+def test_type_labels_need_a_concrete_type():
+    with pytest.raises(ValueError, match="type variable a has no values"):
+        type_labels(Sum(UNIT, TyVar("a")))
 
 
 @st.composite
@@ -68,7 +73,7 @@ def small_types(draw):
 @given(small_types())
 @settings(max_examples=300, deadline=None)
 def test_index_bijection(t):
-    values = enumerate_type(t)
+    values = oracle.type_values(t)
     assert len(values) == type_size(t)
     for i, v in enumerate(values):
         assert props.unify_hot_cells(v, t) == [i]
@@ -488,7 +493,7 @@ def _pairs_relation(disjuncts) -> RelationDef:
 def test_long_fact_disjunction_without_recursion():
     n = 3000
     assert n > sys.getrecursionlimit()
-    values = enumerate_type(S4)
+    values = oracle.type_values(S4)
     facts = [(i % 4, i // 4 % 4, i % 10) for i in range(n)]
     rel = _pairs_relation([
         _chain(Conj, [Unify(Var("x"), values[a], S4), Unify(values[b], Var("y"), S4),
@@ -504,7 +509,7 @@ def test_long_fact_disjunction_without_recursion():
 def test_long_disjunction_folds_without_recursion(scatters):
     n = 3000
     assert n > sys.getrecursionlimit()
-    values = enumerate_type(S4)
+    values = oracle.type_values(S4)
     rel = _pairs_relation([
         Conj(Unify(Var("x"), values[i % 4], S4), Unify(Var("y"), Var("x"), S4))
         for i in range(n)])

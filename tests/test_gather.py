@@ -16,7 +16,7 @@ import numpy as np
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, LargeEnoughCall, RelTable, check_program,
-    enumerate_type, eval_relation, fixpoint, lower_program, parse_program,
+    eval_relation, fixpoint, lower_program, parse_program,
     parse_weight_literal, smallest_large_enough,
 )
 from skn.eval import compile_relation
@@ -161,7 +161,7 @@ def _fingerprint(source, instance, spec) -> RelTable:
     weight at a tuple depends only on the tuple's shell and equality
     pattern over `source`'s parameter types, as a polymorphic relation's
     weight must, and tells most of them apart."""
-    axes = [enumerate_type(ty) for _, ty in instance.params]
+    axes = [oracle.type_values(ty) for _, ty in instance.params]
     cells = np.zeros(tuple(map(len, axes)), dtype=spec.dtype)
     for pos in np.ndindex(cells.shape):
         env = {x: axis[i] for (x, _), axis, i in zip(source.params, axes, pos)}

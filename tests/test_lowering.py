@@ -5,7 +5,7 @@ import pytest
 
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, InstanceExplosion, NonIdempotentSemiring, Sum,
-    check_program, enumerate_type, lower_program, parse_program,
+    check_program, lower_program, parse_program,
     canonical_type,
 )
 from skn.syntax import (
@@ -14,6 +14,7 @@ from skn.syntax import (
 from skn.typecheck import apply_subst
 
 import gen
+import oracle
 import props
 from eqpat import eqpat_check
 from helpers import (
@@ -138,8 +139,8 @@ def test_sum_swap_tables_agree_on_related_cells():
     delta = (("x", Sum(TyVar("a"), TyVar("b"))), ("y", Sum(TyVar("b"), TyVar("a"))))
     sig33 = {"a": canonical_type(3), "b": canonical_type(3)}
     sig34 = {"a": canonical_type(3), "b": canonical_type(4)}
-    values33 = [enumerate_type(apply_subst(sig33, ty)) for _, ty in delta]
-    values34 = [enumerate_type(apply_subst(sig34, ty)) for _, ty in delta]
+    values33 = [oracle.type_values(apply_subst(sig33, ty)) for _, ty in delta]
+    values34 = [oracle.type_values(apply_subst(sig34, ty)) for _, ty in delta]
     checked = 0
     for i33 in np.ndindex(*t33.cells.shape):
         env1 = {x: vs[i] for i, (x, _), vs in zip(i33, delta, values33)}

@@ -4,12 +4,13 @@ import pytest
 
 from skn import (
     BOOLEAN, Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var,
-    canonical_type, check_program, count_env, enumerate_type, lower_program,
+    canonical_type, check_program, count_env, lower_program,
     parse_program, smallest_large_enough, type_size,
 )
 from skn.typecheck import apply_subst
 
 import gen
+import oracle
 import props
 from eqpat import Hole, envholes, envshell, eqpat_check, holes_of, shell_of
 from helpers import load
@@ -74,7 +75,7 @@ DELTA = (("x", Sum(A, A)), ("y", A))
 
 
 def _n(i, size):
-    return enumerate_type(canonical_type(size))[i]
+    return oracle.type_values(canonical_type(size))[i]
 
 
 def test_eqpat_shell_mismatch():
@@ -157,7 +158,7 @@ def test_holes_are_the_most_holes_of_any_value():
         tyvars = rng.choice([["a"], ["a", "b"]])
         t = gen.random_generic_type(rng, tyvars, depth=3)
         sigma = {tv: canonical_type(rng.randint(1, 3)) for tv in tyvars}
-        values = enumerate_type(apply_subst(sigma, t))
+        values = oracle.type_values(apply_subst(sigma, t))
         for tv in tyvars:
             most = max(len(holes_of(tv, t, v)) for v in values)
             assert most == t.holes.get(tv, 0), (t, tv)

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from skn import (
     SEMIRINGS, Conj, Disj, Factor, Fresh, Left, Pair, ParseError, Prod, Right,
     SOLE, Sum, TyVar, TypeEnv, UNIT, Unify, Unit, Var, apply_subst,
-    canonical_type, check_program, check_type_valid, enumerate_type,
-    free_type_vars, lower_program, parse_program, render_program, render_type,
-    render_value, type_size,
+    canonical_type, check_program, check_type_valid, free_type_vars,
+    lower_program, parse_program, render_program, render_type, render_value,
+    type_labels, type_size,
 )
 from skn.syntax import render_relation
 
 import gen
+import oracle
 from helpers import CORPUS, chain_source, load
 
 
@@ -226,21 +227,17 @@ def test_type_repr_is_dataclass_form_at_any_depth():
     assert text.count("Unit()") == 5000
 
 
-def test_render_and_enumerate_type_at_any_depth():
+def test_render_type_and_labels_at_any_depth():
     text = render_type(canonical_type(5000))
     assert text == "(Sum Unit " * 4999 + "Unit" + ")" * 4999
-    # A deep sum has as many values as levels, and enumerating it builds
-    # quadratically many nodes; a deep product has one value.
+    # A deep sum has as many values as levels, and labelling it writes
+    # quadratically many characters; a deep product has one value.
     chain = UNIT
     for _ in range(5000):
         chain = Prod(UNIT, chain)
-    left, right = enumerate_type(Sum(chain, UNIT))
-    assert right == Right(SOLE)
-    v = left.inner
-    for _ in range(5000):
-        assert isinstance(v, Pair) and v.first == SOLE
-        v = v.second
-    assert v == SOLE
+    left, right = type_labels(Sum(chain, UNIT))
+    assert right == "(right sole)"
+    assert left == "(left " + "(pair sole " * 5000 + "sole" + ")" * 5001
 
 
 def test_pickle_and_copy_keep_types_interned():
@@ -277,7 +274,8 @@ def concrete_types(draw, max_size=64):
 @given(concrete_types())
 @settings(max_examples=200, deadline=None)
 def test_value_parse_render_round_trip(t):
-    for v in enumerate_type(t):
+    assert type_labels(t) == [render_value(v) for v in oracle.type_values(t)]
+    for v in oracle.type_values(t):
         text = render_value(v)
         parsed = parse_program(f"(defrel (r (x : Unit)) (== x {text}))")
         got = parsed.relations[0].body.v2
