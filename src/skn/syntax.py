@@ -27,6 +27,9 @@ each goal node on entry and on exit with the ``fresh`` binders around
 it.  `subgoals`, `map_goal` and `render_goal` are built on it, and the
 type checker and the lowering walk goals only through these.  `nest`
 and `nest_fresh` build the chains of ``conj``/``disj`` and of ``fresh``.
+Types and values are folded bottom-up, also without recursion, by
+`fold_type` and `fold_value`; the renderers, `free_vars`, `map_value`
+and `typecheck.apply_subst` are built on them.
 """
 from __future__ import annotations
 
@@ -133,6 +136,8 @@ def fold_type(t: TypeExpr, leaf: Callable[[TypeExpr], object],
     and `b`.  Each distinct node is folded once, and its result is
     dropped once every parent has read it.  Iterative, so depth is not
     bounded by the recursion limit."""
+    if isinstance(t, (Unit, TyVar)):
+        return leaf(t)
     uses = {t: 1}  # per distinct node, the reads of its result still to come
     order: list = []  # each distinct node with its children, after them
     seen: set = set()
@@ -199,24 +204,36 @@ ValueExpr = Union[Sole, Left, Right, Pair, Var]
 SOLE = Sole()
 
 
+def fold_value(v: ValueExpr, leaf: Callable[[ValueExpr], object],
+               node: Callable[..., object]) -> object:
+    """`v` folded bottom-up: `leaf(u)` for a Sole or Var `u`, and
+    `node(u, *kids)` for a Left, Right or Pair `u` whose children folded
+    to `kids`.  Leaves are folded left to right.  Iterative, so depth is
+    not bounded by the recursion limit."""
+    if isinstance(v, (Sole, Var)):
+        return leaf(v)
+    done: list = []  # the folds of the nodes whose parent is still to come
+    stack: list = [(v, False)]  # (node, False) to enter it, (node, True) to leave it
+    while stack:
+        u, leaving = stack.pop()
+        if leaving:
+            n = 2 if isinstance(u, Pair) else 1
+            done[-n:] = [node(u, *done[-n:])]
+        elif isinstance(u, Pair):
+            stack += ((u, True), (u.second, False), (u.first, False))
+        elif isinstance(u, (Left, Right)):
+            stack += ((u, True), (u.inner, False))
+        else:
+            done.append(leaf(u))
+    return done[0]
+
+
 def free_vars(v: ValueExpr) -> list[str]:
-    out: list[str] = []
-
-    def walk(u: ValueExpr) -> None:
-        match u:
-            case Var(name):
-                if name not in out:
-                    out.append(name)
-            case Left(inner, _) | Right(inner, _):
-                walk(inner)
-            case Pair(a, b):
-                walk(a)
-                walk(b)
-            case Sole():
-                pass
-
-    walk(v)
-    return out
+    """The names of `v`'s variables, in first-occurrence order."""
+    names: dict[str, None] = {}  # a dict keeps each name where it was first set
+    fold_value(v, lambda u: names.setdefault(u.name) if isinstance(u, Var) else None,
+               lambda u, *kids: None)
+    return list(names)
 
 
 def _keep(x):
@@ -228,16 +245,9 @@ def map_value(v: ValueExpr, var: Callable[[Var], ValueExpr] = _keep,
               ) -> ValueExpr:
     """Rebuild `v`, replacing each variable node `u` by `var(u)` and each
     sum annotation `a` (None when absent) by `annot(a)`."""
-    match v:
-        case Var():
-            return var(v)
-        case Left(inner, a):
-            return Left(map_value(inner, var, annot), annot(a))
-        case Right(inner, a):
-            return Right(map_value(inner, var, annot), annot(a))
-        case Pair(a, b):
-            return Pair(map_value(a, var, annot), map_value(b, var, annot))
-    return v
+    def node(u: ValueExpr, *kids: ValueExpr) -> ValueExpr:
+        return Pair(*kids) if isinstance(u, Pair) else type(u)(*kids, annot(u.annot))
+    return fold_value(v, lambda u: var(u) if isinstance(u, Var) else u, node)
 
 
 # ---------------------------------------------------------------------------
@@ -665,25 +675,20 @@ def render_type(t: TypeExpr) -> str:
 
 
 def render_value_expr(v: ValueExpr) -> str:
-    match v:
-        case Sole():
-            return "sole"
-        case Var(name):
-            return name
-        case Left(inner, annot) | Right(inner, annot):
-            tag = "left" if isinstance(v, Left) else "right"
-            braces = "" if annot is None else f"{{{render_type(annot)}}} "
-            return f"({tag} {braces}{render_value_expr(inner)})"
-        case Pair(a, b):
-            return f"(pair {render_value_expr(a)} {render_value_expr(b)})"
-    raise TypeError(v)
+    def node(u: ValueExpr, *kids: str) -> str:
+        annot = None if isinstance(u, Pair) else u.annot
+        braces = "" if annot is None else f"{{{render_type(annot)}}} "
+        return f"({type(u).__name__.lower()} {braces}{' '.join(kids)})"
+    return fold_value(v, lambda u: u.name if isinstance(u, Var) else "sole", node)
 
 
 def render_value(v: ValueExpr) -> str:
     """Canonical text for a concrete value; annotations are omitted."""
-    if free_vars(v):
-        raise ValueError(f"cannot render non-concrete value {v!r}")
-    return render_value_expr(map_value(v, annot=lambda _: None))
+    def leaf(u: ValueExpr) -> str:
+        if isinstance(u, Var):
+            raise ValueError(f"cannot render non-concrete value {v!r}")
+        return "sole"
+    return fold_value(v, leaf, lambda u, *kids: f"({type(u).__name__.lower()} {' '.join(kids)})")
 
 
 def render_goal(g: Goal, indent: int = 0) -> str:

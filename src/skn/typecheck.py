@@ -23,7 +23,7 @@ from typing import Optional
 from .syntax import (
     Binders, Call, Disunify, Goal, Left, Pair, Prod, Program, RelationDef,
     Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit, UNIT, ValueExpr, Var,
-    free_type_vars, map_goal, render_type, render_value_expr,
+    fold_type, free_type_vars, map_goal, render_type, render_value_expr,
 )
 
 
@@ -56,15 +56,8 @@ RelEnv = dict  # name -> RelationDef
 def apply_subst(subst: dict[str, TypeExpr], t: TypeExpr) -> TypeExpr:
     if t.size is not None:  # ground: no type variable to replace
         return t
-    match t:
-        case TyVar(name):
-            return subst.get(name, t)
-        case Sum(a, b):
-            return Sum(apply_subst(subst, a), apply_subst(subst, b))
-        case Prod(a, b):
-            return Prod(apply_subst(subst, a), apply_subst(subst, b))
-        case _:
-            return t
+    return fold_type(t, lambda u: subst.get(u.name, u) if isinstance(u, TyVar) else u,
+                     lambda u, a, b: type(u)(a, b))
 
 
 def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr],

@@ -189,9 +189,9 @@ class _ProgramBuilder:
             return f"(factor {rng.choice(['0', '1', '1'])})"
         if move == "call":
             return self.gen_call(depth, env, tyvars, self_name)
-        # eq / neq
+        # eq / neq: the other side is drawn without x, so that it can differ
         x, ty = rng.choice(env)
-        other = self.gen_value_of(ty, env)
+        other = self.gen_value_of(ty, [(y, t) for y, t in env if y != x])
         if other is None:
             other = Var(x)
         op = "==" if move == "eq" else "=/="

@@ -56,7 +56,7 @@ def test_gather_matches_written_wrapper_on_corpus_and_random_programs():
     for spec in (BOOLEAN, MIN_TROPICAL):
         for name in IDEMPOTENT_CORPUS:
             gathered += _assert_gather_matches_written(load(name), spec)
-        for seed in range(50):
+        for seed in range(100):
             gathered += _assert_gather_matches_written(gen.random_program(seed), spec)
     assert gathered >= 10
 

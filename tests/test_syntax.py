@@ -11,7 +11,7 @@ from skn import (
     lower_program, parse_program, render_program, render_type, render_value,
     type_labels, type_size,
 )
-from skn.syntax import render_relation
+from skn.syntax import free_vars, map_value, render_relation, render_value_expr
 
 import gen
 import oracle
@@ -238,6 +238,38 @@ def test_render_type_and_labels_at_any_depth():
     left, right = type_labels(Sum(chain, UNIT))
     assert right == "(right sole)"
     assert left == "(left " + "(pair sole " * 5000 + "sole" + ")" * 5001
+
+
+# Deep values are compared by their text, never by `==`: dataclass
+# equality recurses once per level.
+def _pair_spine(end, depth=5000):
+    """`depth` pairs, each with sole first, around `end`."""
+    for _ in range(depth):
+        end = Pair(SOLE, end)
+    return end
+
+
+def test_render_value_at_any_depth():
+    v = Left(SOLE)
+    for _ in range(5000):
+        v = Right(v)
+    assert render_value(v) == "(right " * 5000 + "(left sole)" + ")" * 5000
+
+
+def test_free_vars_at_any_depth():
+    assert free_vars(_pair_spine(Var("x"))) == ["x"]
+
+
+def test_map_value_at_any_depth():
+    renamed = map_value(_pair_spine(Var("x")), var=lambda u: Var(u.name + "2"))
+    assert render_value_expr(renamed) == "(pair sole " * 5000 + "x2" + ")" * 5000
+
+
+def test_apply_subst_at_any_depth():
+    spine, ground = TyVar("a"), UNIT
+    for _ in range(5000):
+        spine, ground = Prod(UNIT, spine), Prod(UNIT, ground)
+    assert apply_subst({"a": UNIT}, spine) is ground
 
 
 def test_pickle_and_copy_keep_types_interned():
