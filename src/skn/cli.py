@@ -60,12 +60,12 @@ class RunConfig:
             raise ValueError(f"epsilon must be finite and non-negative, not {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError("max-iters must be at least 1")
-        ignored = [flag for flag, given in (("--emit-lowered", self.emit_lowered),
-                                            ("--rel", self.relations),
-                                            ("--format json", self.fmt == "json"))
-                   if given]
+        ignored = [flag for flag, given in (
+            ("--emit-lowered", self.emit_lowered), ("--rel", self.relations),
+            ("--format json", self.fmt == "json"),
+            ("--poly-mode large-enough", self.poly_mode == "large-enough")) if given]
         if self.diff and ignored:
-            raise ValueError(f"--diff emits no tables; drop {', '.join(ignored)}")
+            raise ValueError(f"--diff only compares both modes' tables; drop {', '.join(ignored)}")
 
 
 class UnknownRelation(LookupError):

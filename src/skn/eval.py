@@ -44,7 +44,7 @@ from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify,
-    ValueExpr, Var, fold_type, free_type_vars, free_vars, subgoals,
+    ValueExpr, Var, free_type_vars, free_vars, subgoals,
 )
 from .typecheck import apply_subst
 
@@ -60,12 +60,26 @@ def type_size(t: TypeExpr) -> int:
 
 def type_labels(t: TypeExpr) -> list[str]:
     """The text of each value of `t`, in index order, as `render_value`
-    writes it."""
+    writes it.  Each is written top-down, its prefix, then `sole`, then its
+    suffix; a sum's branches share the text around it, so a sum's labels
+    take time linear in their text.  A product's second component is
+    written after each label of its first.  Iterative, so depth is unbounded."""
     if t.size is None:
         raise ValueError(f"type variable {free_type_vars(t)[0]} has no values")
-    return fold_type(t, lambda _: ["sole"], lambda u, a, b: (
-        [f"(left {v})" for v in a] + [f"(right {v})" for v in b] if isinstance(u, Sum)
-        else [f"(pair {v1} {v2})" for v1 in a for v2 in b]))
+    labels: list[str] = []
+    stack: list[tuple] = [(t, "", "", None)]  # (type, text before, text after, pending)
+    while stack:
+        u, before, after, pending = stack.pop()
+        if isinstance(u, Sum):
+            stack += ((u.right, before + "(right ", ")" + after, pending),
+                      (u.left, before + "(left ", ")" + after, pending))
+        elif isinstance(u, Prod):  # its second component waits, with its text after
+            stack.append((u.first, before + "(pair ", " ", (u.second, ")" + after, pending)))
+        elif pending is None:
+            labels.append(before + "sole" + after)
+        else:  # a first component is written: write the second after it
+            stack.append((pending[0], before + "sole" + after, *pending[1:]))
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +326,7 @@ class Plan:
             dims, arr = self.fold(group, spec.mul, scope)
             rest, axis = tuple(d for d in dims if d != name), dims.index(name)
             terms.append((rest, self.step(_SUM, arr, axis) if type(arr) is int
-                          else spec.sum(arr, axis)))
+                          else spec.add.reduce(arr, axis=axis)))
         return self.fold(terms, spec.mul, scope)
 
 
@@ -388,7 +402,7 @@ def eval_relation(plan: Plan, tables: dict[str, RelTable], spec: SemiringSpec) -
             slots[out] = op(_apply(slots.pop(s1), v1), _apply(slots.pop(s2), v2))
         else:
             _, out, slot, axis = step
-            slots[out] = spec.sum(slots.pop(slot), axis)
+            slots[out] = spec.add.reduce(slots.pop(slot), axis=axis)
     cells = slots.pop(plan.out)
     if plan.view is not None or plan.out in plan.consts:  # no table shares a constant
         cells = np.broadcast_to(_apply(cells, plan.view), plan.shape).copy()
@@ -510,9 +524,8 @@ def _solve_affine(rels: list[RelationDef], plans: list[Plan], tables: dict[str, 
     except np.linalg.LinAlgError:
         return None
     new = {plan.name: eval_relation(plan, tables | x, spec) for plan in plans}
-    if any(np.isnan(t.cells).any() or not np.allclose(x[name].cells, t.cells, rtol=0, atol=tol)
-           for name, t in new.items()):
-        return None
+    if not all(np.allclose(x[name].cells, t.cells, rtol=0, atol=tol) for name, t in new.items()):
+        return None  # a nan cell is never close
     return x, new
 
 
@@ -542,7 +555,8 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
 
     A non-recursive component takes one round.  Over a field, a recursive
     component of at most `MAX_SOLVE_CELLS` cells whose bodies are affine in
-    its own tables is solved exactly (`_solve_affine`) in one round.  Any
+    its own tables is solved exactly (`_solve_affine`), then runs one round
+    of the common loop from the solution: the round that verified it.  Any
     other recursive component is re-evaluated against its own previous
     round and its callees' finished tables until it stabilizes: exact
     equality for discrete semirings, and over a field until the contraction
@@ -559,8 +573,7 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     component, before the round's tables are stored: `round` counts from
     1 within the component, `new` holds only the component's new tables,
     and `old` maps every relation to its table before the round (the dict
-    is then updated in place).  A solved component's one round is the
-    round that verifies the solution.
+    is then updated in place).
     """
     tol = EPSILON if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
@@ -570,22 +583,17 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
             plans = [compile_relation(rel, tables, spec) for rel in rels]
             solved = _solve_affine(rels, plans, tables, spec, tol) \
                 if recursive and spec.field else None
-            if solved is not None:
-                x, new = solved
-                tables.update(x)
-                if on_round is not None:
-                    on_round(1, tables, new)
-                tables.update(new)
-                rounds = max(rounds, 1)
-                continue
+            if solved is not None:  # its one round starts from the solution
+                tables.update(solved[0])
             delta = math.nan
             for it in range(1, max_iters + 1 if recursive else 2):
-                new = {plan.name: eval_relation(plan, tables, spec) for plan in plans}
+                new = solved[1] if solved is not None else \
+                    {plan.name: eval_relation(plan, tables, spec) for plan in plans}
                 if on_round is not None:
                     on_round(it, tables, new)
                 if any(np.isnan(t.cells).any() for t in new.values()):
                     return FixpointResult(tables | new, False, it, stopped_on_nan=True)
-                if not recursive:
+                if not recursive or solved is not None:
                     done = True
                 elif spec.field:
                     done, delta = _within_tolerance(tables, new, delta, tol)

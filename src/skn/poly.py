@@ -96,8 +96,8 @@ def smallest_large_enough(rel: RelationDef) -> dict[str, int]:
     ones: the most holes of it in the environment of any leaf goal of the
     body, and at least 1."""
     sizes = dict.fromkeys(rel.tyvars, 1)
-    for h, binders, entering in walk_goal(rel.body):
-        if entering and isinstance(h, LEAF_GOALS):
+    for h, binders, _ in walk_goal(rel.body):
+        if isinstance(h, LEAF_GOALS):
             for tv in rel.tyvars:
                 sizes[tv] = max(sizes[tv], count_env(tv, rel.params + binders))
     return sizes

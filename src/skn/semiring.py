@@ -35,10 +35,6 @@ class SemiringSpec:
     read_literal: Callable[[str], Optional[Weight]]  # None: not in the carrier
     render: Callable[[Weight], str]  # text of one weight
 
-    def sum(self, array: np.ndarray, axis: int) -> np.ndarray:
-        """Reduce one axis with semiring addition."""
-        return self.add.reduce(array, axis=axis)
-
     def __repr__(self) -> str:
         return f"SemiringSpec({self.name!r})"
 

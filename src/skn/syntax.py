@@ -23,10 +23,10 @@ goes, so later passes can treat variable names as unique within one
 relation body.
 
 Goals are walked by one iterative traversal, `walk_goal`, which yields
-each goal node on entry and on exit with the ``fresh`` binders around
-it.  `subgoals`, `map_goal` and `render_goal` are built on it, and the
-type checker and the lowering walk goals only through these.  `nest`
-and `nest_fresh` build the chains of ``conj``/``disj`` and of ``fresh``.
+each leaf once and each other node on entry and exit, with the ``fresh``
+binders around it.  `subgoals`, `map_goal` and `render_goal` are built
+on it, and the type checker and the lowering walk goals only through
+these.  `nest` and `nest_fresh` build ``conj``/``disj`` and ``fresh`` chains.
 Types and values are folded bottom-up, also without recursion, by
 `fold_type` and `fold_value`; the renderers, `free_vars`, `map_value`
 and `typecheck.apply_subst` are built on them.
@@ -309,9 +309,9 @@ Binders = tuple[tuple[str, TypeExpr], ...]  # typed variables, such as fresh bin
 
 def walk_goal(g: Goal) -> Iterator[tuple[Goal, Binders, bool]]:
     """``(node, binders, entering)`` for each goal node of `g`, left to
-    right: on entry, then for its subgoals, then on exit.  `binders` are
-    the ``(name, type)`` of the freshes around the node, outermost first.
-    Iterative, so the nesting depth is not bounded by the recursion limit."""
+    right: a leaf once, entering; any other node on entry, then for its
+    subgoals, then on exit.  `binders` are the ``(name, type)`` of the
+    freshes around it, outermost first.  Iterative, so depth is unbounded."""
     stack: list[tuple[Goal, Binders, bool]] = [(g, (), True)]
     while stack:
         h, binders, entering = item = stack.pop()
@@ -321,8 +321,6 @@ def walk_goal(g: Goal) -> Iterator[tuple[Goal, Binders, bool]]:
                 stack += ((h, binders, False), (h.g2, binders, True), (h.g1, binders, True))
             elif isinstance(h, Fresh):
                 stack += ((h, binders, False), (h.body, binders + ((h.var, h.ty),), True))
-            else:
-                yield h, binders, False
 
 
 def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
@@ -348,16 +346,14 @@ def map_goal(g: Goal, leaf: Callable[[Goal, Binders], Goal],
     done: list[Goal] = []
     types: list[TypeExpr] = []  # the mapped types of the open freshes
     for h, binders, entering in walk_goal(g):
-        if isinstance(h, (Conj, Disj)):
-            if not entering:
-                done[-2:] = [type(h)(*done[-2:])]
-        elif isinstance(h, Fresh):
-            if entering:
-                types.append(ty(h.ty))
-            else:
-                done.append(Fresh(h.var, types.pop(), done.pop(), h.wrap))
-        elif entering:
+        if isinstance(h, LEAF_GOALS):
             done.append(leaf(h, binders))
+        elif isinstance(h, Fresh) and entering:
+            types.append(ty(h.ty))
+        elif isinstance(h, Fresh):
+            done.append(Fresh(h.var, types.pop(), done.pop(), h.wrap))
+        elif not entering:  # a conj or disj, its two subgoals done
+            done[-2:] = [type(h)(*done[-2:])]
     return done[0]
 
 
@@ -686,7 +682,7 @@ def render_value(v: ValueExpr) -> str:
     """Canonical text for a concrete value; annotations are omitted."""
     def leaf(u: ValueExpr) -> str:
         if isinstance(u, Var):
-            raise ValueError(f"cannot render non-concrete value {v!r}")
+            raise ValueError(f"cannot render non-concrete value {render_value_expr(v)}")
         return "sole"
     return fold_value(v, leaf, lambda u, *kids: f"({type(u).__name__.lower()} {' '.join(kids)})")
 
@@ -696,9 +692,8 @@ def render_goal(g: Goal, indent: int = 0) -> str:
     lines: list[str] = []
     for h, _, entering in walk_goal(g):
         if not entering:
-            if not isinstance(h, LEAF_GOALS):
-                lines[-1] += ")"
-                indent -= 1
+            lines[-1] += ")"
+            indent -= 1
             continue
         match h:
             case Conj() | Disj():

@@ -305,7 +305,7 @@ def test_group_without_least_fixed_point_runs_out_of_rounds(tmp_path, body, semi
 
 
 @pytest.mark.parametrize("flag", [["--emit-lowered", "LOWERED"], ["--rel", "connect"],
-                                  ["--format", "json"]])
+                                  ["--format", "json"], ["--poly-mode", "large-enough"]])
 def test_diff_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
     lowered = tmp_path / "lowered.skn"
     argv = ["run", path("connect.skn"), "--semiring", "boolean", "--diff"]

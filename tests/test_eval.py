@@ -161,11 +161,19 @@ def test_fair_coin_fixpoint():
         assert abs(cell - 0.5) < 1e-6
 
 
-def test_non_convergence_reported():
-    # weight keeps growing: w <- 2w + 1 has no finite fixpoint
+def test_non_convergence_reported(monkeypatch):
+    # weight keeps growing: w <- 2w + 1 has no finite fixpoint.  A = [2] has
+    # spectral radius above 1, so the solve hands the group to iteration,
+    # whose 50 rounds from zero reach 2^50 - 1, which a float holds exactly.
+    solves = []
+    solve = skn_eval._solve_affine
+    monkeypatch.setattr(skn_eval, "_solve_affine",
+                        lambda *a: solves.append(solve(*a)) or solves[-1])
     src = "(defrel (grow (x : Unit)) (disj (factor 1) (conj (factor 2.0) (grow x))))"
     _, res = run_source(src, REAL, epsilon=1e-9, max_iters=50)
-    assert not res.converged and res.iterations == 50
+    assert solves == [None]
+    assert not res.converged and not res.stopped_on_nan and res.iterations == 50
+    assert res.tables["grow"].cells[0] == 2.0 ** 50 - 1
 
 
 def test_overflow_to_inf_is_not_convergence():
@@ -174,6 +182,28 @@ def test_overflow_to_inf_is_not_convergence():
     src = "(defrel (grow (x : Unit)) (disj (factor 1) (conj (factor 2.0) (grow x))))"
     _, res = run_source(src, REAL, max_iters=1100)
     assert not res.converged and res.iterations == 1100
+
+
+def test_round_that_changes_nothing_converges_at_once():
+    # r = 0 + r·r is not affine, so it iterates; its first round from zero
+    # changes no cell (Δ = 0), which needs no rate estimate
+    src = "(defrel (r (x : Unit)) (disj (factor 0) (conj (r x) (r x))))"
+    _, res = run_source(src, REAL)
+    assert res.converged and res.iterations == 1
+    assert res.tables["r"].cells[0] == 0
+
+
+def test_solved_group_runs_one_round_of_the_loop():
+    # that round starts from the solution and is the round that verified it
+    lowered = lower_program(checked(load("coins.skn")), "monomorphize", REAL)
+    group = {rel.name for rel in _recursive_group(load("coins.skn"))}
+    rounds = []
+    fixpoint(lowered, REAL, on_round=lambda it, old, new: rounds.append(
+        (it, {n: old[n].cells.copy() for n in new}, new)))
+    [(it, old, new)] = [r for r in rounds if r[2].keys() == group]
+    assert it == 1
+    for name in group:
+        assert old[name].any() and np.abs(old[name] - new[name].cells).max() <= 1e-9
 
 
 def _recursive_group(source):

@@ -84,6 +84,11 @@ def test_large_enough_requires_idempotent_addition():
                       "large-enough", REAL)
 
 
+def test_unknown_poly_mode_rejected():
+    with pytest.raises(ValueError, match="unknown poly mode 'eager'"):
+        lower_program(check_program(parse_program(load("equal.skn"))), "eager", BOOLEAN)
+
+
 def test_already_monomorphic_program_unchanged():
     for mode in ("monomorphize", "large-enough"):
         program = check_program(parse_program(load("connect.skn")))

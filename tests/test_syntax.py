@@ -11,6 +11,7 @@ from skn import (
     lower_program, parse_program, render_program, render_type, render_value,
     type_labels, type_size,
 )
+from skn.poly import MAX_TYVAR_SIZE
 from skn.syntax import free_vars, map_value, render_relation, render_value_expr
 
 import gen
@@ -168,6 +169,48 @@ _R = "(defrel (r (x : Unit)) "
     pytest.param(_R + "{== x x})", "expected a goal", 1, 24, id="braced-goal"),
     pytest.param(_R + "(== x sole)\n(defrel (s (y : Unit)) (== y sole))",
                  "missing ')'", 1, 1, id="unclosed-defrel"),
+    # one input per message, or per site of a message, that no other test reaches
+    pytest.param("(defrel (r (x : ())) (== x x))", "empty type form", 1, 17, id="empty-type"),
+    pytest.param(_R + "(== x ()))", "empty value form", 1, 30, id="empty-value"),
+    pytest.param(_R + "(== x (( sole))))",
+                 "expected a value constructor", 1, 31, id="head-not-a-word"),
+    pytest.param("(defrel (r (x : ((Sum Unit Unit)))) (== x x))",
+                 "expected a type constructor", 1, 18, id="type-head-not-a-word"),
+    pytest.param(_R + "((== x x)))", "expected a goal form", 1, 25, id="goal-head-not-a-word"),
+    pytest.param(_R + "(== x :))", "expected variable", 1, 30, id="colon-value"),
+    pytest.param("(defrel (: (x : Unit)) (== x x))",
+                 "expected relation", 1, 10, id="colon-relation-name"),
+    pytest.param("(defrel (r (x : (Sum Unit))) (== x x))",
+                 "Sum takes two types", 1, 17, id="one-type-sum"),
+    pytest.param("(defrel (r (x : {Unit})) (== x x))",
+                 "unexpected annotation braces in type", 1, 17, id="braced-type"),
+    pytest.param("(defrel (r (x : sole)) (== x x))",
+                 "expected a type, got 'sole'", 1, 17, id="reserved-type"),
+    pytest.param(_R + "(== x {Unit}))",
+                 "annotation braces are only valid after left/right", 1, 30, id="braced-value"),
+    pytest.param("(defrel (r (x : (Sum Unit Unit))) (== x (left sole sole)))",
+                 "left takes one value", 1, 41, id="two-value-left"),
+    pytest.param(_R + "(fresh))",
+                 "fresh takes a binder list and one body goal", 1, 24, id="bare-fresh"),
+    pytest.param(_R + "(fresh ((y : Unit))))",
+                 "fresh takes a binder list and one body goal", 1, 24, id="fresh-no-body"),
+    pytest.param(_R + "(fresh ((y : Unit)) (== y y) (== y y)))",
+                 "fresh takes a binder list and one body goal", 1, 24, id="fresh-two-bodies"),
+    pytest.param("(defrel (r (x :)) (== x x))",
+                 "expected (name : type)", 1, 12, id="param-without-type"),
+    pytest.param("(defrel (r (x : Unit Unit)) (== x x))",
+                 "expected (name : type)", 1, 12, id="param-with-two-types"),
+    pytest.param("(defrel (r ((x : Unit)) (y : Unit)) (== x y))",
+                 "expected (name : type)", 1, 12, id="param-after-wrapped-list"),
+    pytest.param("x", "expected (defrel (name params...) goal)", 1, 1, id="atom-at-top"),
+    pytest.param("()", "expected (defrel (name params...) goal)", 1, 1, id="empty-form-at-top"),
+    pytest.param("(defrel)", "expected (defrel (name params...) goal)", 1, 1, id="bare-defrel"),
+    pytest.param("(defrel (r (x : Unit)))",
+                 "expected (defrel (name params...) goal)", 1, 1, id="defrel-without-body"),
+    pytest.param("(defrel r (== x x))",
+                 "defrel needs a (name params...) header", 1, 1, id="atom-header"),
+    pytest.param("(defrel () (== x x))",
+                 "defrel needs a (name params...) header", 1, 1, id="empty-header"),
 ])
 def test_single_fault_parse_errors(source, msg, line, col):
     with pytest.raises(ParseError) as e:
@@ -184,8 +227,9 @@ def test_render_value_examples():
 
 
 def test_render_value_rejects_variables():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         render_value(Pair(Var("x"), SOLE))
+    assert str(e.value) == "cannot render non-concrete value (pair x sole)"
 
 
 def test_free_type_vars():
@@ -238,6 +282,26 @@ def test_render_type_and_labels_at_any_depth():
     left, right = type_labels(Sum(chain, UNIT))
     assert right == "(right sole)"
     assert left == "(left " + "(pair sole " * 5000 + "sole" + ")" * 5001
+    # the same depth in the first component: each pair's second component
+    # is written after the first's whole label
+    chain = UNIT
+    for _ in range(5000):
+        chain = Prod(chain, UNIT)
+    left, right = type_labels(Sum(UNIT, chain))
+    assert left == "(left sole)"
+    assert right == "(right " + "(pair " * 5000 + "sole" + " sole)" * 5000 + ")"
+
+
+def test_labels_of_the_largest_type_variable_size():
+    # canonical_type(MAX_TYVAR_SIZE): label k is k rights around (left sole),
+    # and the last is the innermost sole; 67 MB of text in all
+    n = MAX_TYVAR_SIZE
+    labels = type_labels(canonical_type(n))
+    assert len(labels) == n
+    for k in (0, 1, n // 2, n - 2):
+        assert labels[k] == "(right " * k + "(left sole)" + ")" * k
+    assert labels[-1] == "(right " * (n - 1) + "sole" + ")" * (n - 1)
+    assert sum(map(len, labels)) == sum(11 + 8 * k for k in range(n - 1)) + 4 + 8 * (n - 1)
 
 
 # Deep values are compared by their text, never by `==`: dataclass
@@ -254,6 +318,14 @@ def test_render_value_at_any_depth():
     for _ in range(5000):
         v = Right(v)
     assert render_value(v) == "(right " * 5000 + "(left sole)" + ")" * 5000
+
+
+def test_render_value_rejects_a_deep_variable():
+    # the message writes the value as `render_value_expr` does, without recursion
+    with pytest.raises(ValueError) as e:
+        render_value(_pair_spine(Var("x")))
+    assert str(e.value) == \
+        "cannot render non-concrete value " + "(pair sole " * 5000 + "x" + ")" * 5000
 
 
 def test_free_vars_at_any_depth():

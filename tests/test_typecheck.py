@@ -157,6 +157,25 @@ def test_call_fault_messages(tmp_path, src, message):
     assert err.getvalue() == f"error: {message}\n"
 
 
+# Each program makes one faulty value in its one relation.
+@pytest.mark.parametrize("src, message", [
+    pytest.param("(defrel (r (x : Unit)) (== y sole))",
+                 "r: unbound variable 'y'", id="unbound-variable"),
+    pytest.param("(defrel (r (x : (Sum Unit Unit))) (== x sole))",
+                 "r: sole has type Unit, expected (Sum Unit Unit)", id="sole-at-a-sum"),
+    pytest.param("(defrel (r (x : (Sum Unit Unit)))"
+                 " (== x (left {(Sum Unit (Sum Unit Unit))} sole)))",
+                 "r: annotation (Sum Unit (Sum Unit Unit)) does not match expected "
+                 "(Sum Unit Unit)", id="annotation-mismatch"),
+    pytest.param("(defrel (r (x : Unit)) (== x (left sole)))",
+                 "r: left constructor needs a Sum type, got Unit", id="left-at-unit"),
+])
+def test_value_fault_messages(src, message):
+    with pytest.raises(TypeCheckError) as e:
+        check_program(parse_program(src))
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # goal and program checking
 
@@ -255,8 +274,8 @@ def _checked_call(src, relname, callee):
     parameter types."""
     p = check_program(parse_program(src))
     rel = p.relation(relname)
-    call, binders = next((h, binders) for h, binders, entering in walk_goal(rel.body)
-                         if entering and isinstance(h, Call) and h.rel == callee)
+    call, binders = next((h, binders) for h, binders, _ in walk_goal(rel.body)
+                         if isinstance(h, Call) and h.rel == callee)
     return call, rel.params + binders, tuple(ty for _, ty in p.relation(callee).params)
 
 
