@@ -35,6 +35,7 @@ brute-force cell-by-cell reference lives with the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -56,6 +57,14 @@ def type_size(t: TypeExpr) -> int:
     if t.size is None:
         raise ValueError(f"type variable {free_type_vars(t)[0]} has no size")
     return t.size
+
+
+def _shape(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """`sizes` as an array's shape.  One numpy could not even shape raises
+    MemoryError, as one it cannot allocate does, not numpy's ValueError."""
+    if math.prod(sizes) > sys.maxsize // 8:  # numpy's bound on its bytes, at eight a cell
+        raise MemoryError(f"an array of {math.prod(sizes)} cells")
+    return sizes
 
 
 def type_labels(t: TypeExpr) -> list[str]:
@@ -93,7 +102,7 @@ class RelTable:
 
 
 def zero_table(rel: RelationDef, spec: SemiringSpec) -> RelTable:
-    sizes = tuple(type_size(ty) for _, ty in rel.params)
+    sizes = _shape(tuple(type_size(ty) for _, ty in rel.params))
     cells = np.full(sizes, spec.zero, dtype=spec.dtype)
     return RelTable(rel.name, rel.params, cells)
 
@@ -105,7 +114,7 @@ def _grid(scope: dict[str, TypeExpr], names) -> tuple[tuple[str, ...], dict, tup
     """The variables of `scope` among `names`, in scope order; each as the
     index array along its own axis; and the shape of their grid."""
     dims = tuple(d for d in scope if d in names)
-    shape = tuple(scope[d].size for d in dims)
+    shape = _shape(tuple(scope[d].size for d in dims))
     return dims, dict(zip(dims, np.indices(shape, dtype=np.int64, sparse=True))), shape
 
 
@@ -238,7 +247,7 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
         facts.append((pins, lits))
     facts.reverse()
     dims = tuple(d for d in scope if d in facts[0][0])
-    cells = np.full(tuple(scope[d].size for d in dims), spec.zero, dtype=spec.dtype)
+    cells = np.full(_shape(tuple(scope[d].size for d in dims)), spec.zero, dtype=spec.dtype)
     weights = [parse_weight_literal(lits[0], spec) if lits else spec.one
                for _, lits in facts]
     spec.add.at(cells, tuple(np.array([pins[d] for pins, _ in facts]) for d in dims),
@@ -304,6 +313,7 @@ class Plan:
         (dims, acc), terms = terms[0], terms[1:]
         for d2, a2 in terms:
             d1, dims = dims, tuple(d for d in scope if d in dims or d in d2)
+            _shape(tuple(scope[d].size for d in dims))  # numpy must be able to shape the result
             v1, v2 = _view(d1, dims, scope), _view(d2, dims, scope)
             if type(acc) is int or type(a2) is int:
                 acc = self.step(_COMBINE, op, self.slot(acc), v1, self.slot(a2), v2)
@@ -321,7 +331,7 @@ class Plan:
                 scope[d].size for d in {d for ds, _ in terms if b in ds for d in ds} or {b}))
             pending.remove(name)
             group = [t for t in terms if name in t[0]] or \
-                [((name,), np.full(scope[name].size, spec.one, dtype=spec.dtype))]
+                [((name,), np.full(_shape((scope[name].size,)), spec.one, dtype=spec.dtype))]
             terms = [t for t in terms if name not in t[0]]
             dims, arr = self.fold(group, spec.mul, scope)
             rest, axis = tuple(d for d in dims if d != name), dims.index(name)
@@ -354,6 +364,7 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
             done.append(((), np.asarray(parse_weight_literal(g.literal, spec), dtype=spec.dtype)))
         elif isinstance(g, (Unify, Disunify)):
             assert g.ty is not None, "goal must be type-checked"
+            _shape((g.ty.size,))  # its values' indices, which int64 arrays must hold
             dims, axes, shape = _grid(scope, free_vars(g.v1) + free_vars(g.v2))
             i1, i2 = _index_factor(g.v1, g.ty, axes), _index_factor(g.v2, g.ty, axes)
             hit = np.broadcast_to((i1 == i2) if isinstance(g, Unify) else (i1 != i2), shape)

@@ -27,9 +27,9 @@ each leaf once and each other node on entry and exit, with the ``fresh``
 binders around it.  `subgoals`, `map_goal` and `render_goal` are built
 on it, and the type checker and the lowering walk goals only through
 these.  `nest` and `nest_fresh` build ``conj``/``disj`` and ``fresh`` chains.
-Types and values are folded bottom-up, also without recursion, by
-`fold_type` and `fold_value`; the renderers, `free_vars`, `map_value`
-and `typecheck.apply_subst` are built on them.
+Types and values are folded bottom-up, also without recursion, by one
+`fold`; the renderers, a type's ``repr``, `free_vars`, `map_value` and
+`typecheck.apply_subst` are built on it.
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ from typing import Callable, Iterator, Optional, Union
 # occurs below it), and its `holes`, how many holes of each type variable a
 # value of it can have, in first-occurrence order.  A sum adds sizes and
 # shares holes between its branches, since a value takes one branch; a
-# product multiplies sizes and adds holes.  `fold_type` computes anything
-# else built bottom-up from a type, without recursion.
+# product multiplies sizes and adds holes.  `fold` computes anything else
+# built bottom-up from a type, without recursion.
 
 _TYPES: dict[tuple, "TypeExpr"] = {}
 
@@ -87,8 +87,8 @@ class _Type:
         def node(t: TypeExpr, a: str, b: str) -> str:
             x, y = t.__match_args__
             return f"{type(t).__name__}({x}={a}, {y}={b})"
-        return fold_type(self, lambda t: f"TyVar(name={t.name!r})" if isinstance(t, TyVar)
-                         else "Unit()", node)
+        return fold(self, lambda t: f"TyVar(name={t.name!r})" if isinstance(t, TyVar)
+                    else "Unit()", node)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -127,41 +127,6 @@ class TyVar(_Type):
 
 TypeExpr = Union[Unit, Sum, Prod, TyVar]
 UNIT = Unit()
-
-
-def fold_type(t: TypeExpr, leaf: Callable[[TypeExpr], object],
-              node: Callable[[TypeExpr, object, object], object]) -> object:
-    """`t` folded bottom-up: `leaf(u)` for a Unit or TyVar `u`, and
-    `node(u, a, b)` for a Sum or Prod `u` whose children folded to `a`
-    and `b`.  Each distinct node is folded once, and its result is
-    dropped once every parent has read it.  Iterative, so depth is not
-    bounded by the recursion limit."""
-    if isinstance(t, (Unit, TyVar)):
-        return leaf(t)
-    uses = {t: 1}  # per distinct node, the reads of its result still to come
-    order: list = []  # each distinct node with its children, after them
-    seen: set = set()
-    stack: list = [(t, None)]  # (node, None) to enter it, (node, children) to leave it
-    while stack:
-        u, kids = stack.pop()
-        if kids is not None:
-            order.append((u, kids))
-        elif u not in seen:
-            seen.add(u)
-            kids = (u.left, u.right) if isinstance(u, Sum) else (
-                (u.first, u.second) if isinstance(u, Prod) else ())
-            stack.append((u, kids))
-            for c in reversed(kids):
-                uses[c] = uses.get(c, 0) + 1
-                stack.append((c, None))
-    done: dict = {}
-    for u, kids in order:
-        done[u] = node(u, done[kids[0]], done[kids[1]]) if kids else leaf(u)
-        for c in kids:
-            uses[c] -= 1
-            if not uses[c]:
-                del done[c]
-    return done[t]
 
 
 def free_type_vars(*ts: TypeExpr) -> list[str]:
@@ -204,35 +169,35 @@ ValueExpr = Union[Sole, Left, Right, Pair, Var]
 SOLE = Sole()
 
 
-def fold_value(v: ValueExpr, leaf: Callable[[ValueExpr], object],
-               node: Callable[..., object]) -> object:
-    """`v` folded bottom-up: `leaf(u)` for a Sole or Var `u`, and
-    `node(u, *kids)` for a Left, Right or Pair `u` whose children folded
-    to `kids`.  Leaves are folded left to right.  Iterative, so depth is
-    not bounded by the recursion limit."""
-    if isinstance(v, (Sole, Var)):
-        return leaf(v)
+# The fields of each node class's children, last first, as `fold` pushes them.
+_CHILDREN = {Sum: ("right", "left"), Prod: ("second", "first"),
+             Pair: ("second", "first"), Left: ("inner",), Right: ("inner",)}
+
+
+def fold(x: Union[TypeExpr, ValueExpr], leaf: Callable[..., object],
+         node: Callable[..., object]) -> object:
+    """The type or value `x` folded bottom-up: `leaf(u)` for a Unit, TyVar,
+    Sole or Var `u`, else `node(u, *kids)`, with the folds of `u`'s children
+    in order.  Every occurrence of a node is folded, leaves left to right.
+    Iterative, so depth is not bounded by the recursion limit."""
     done: list = []  # the folds of the nodes whose parent is still to come
-    stack: list = [(v, False)]  # (node, False) to enter it, (node, True) to leave it
+    stack: list = [(x, 0)]  # (node, 0) to enter it, (node, n) to leave it and its n children
     while stack:
-        u, leaving = stack.pop()
-        if leaving:
-            n = 2 if isinstance(u, Pair) else 1
+        u, n = stack.pop()
+        if n:
             done[-n:] = [node(u, *done[-n:])]
-        elif isinstance(u, Pair):
-            stack += ((u, True), (u.second, False), (u.first, False))
-        elif isinstance(u, (Left, Right)):
-            stack += ((u, True), (u.inner, False))
-        else:
+        elif (names := _CHILDREN.get(type(u))) is None:
             done.append(leaf(u))
+        else:
+            stack.append((u, len(names)))
+            stack += [(getattr(u, name), 0) for name in names]
     return done[0]
 
 
 def free_vars(v: ValueExpr) -> list[str]:
     """The names of `v`'s variables, in first-occurrence order."""
     names: dict[str, None] = {}  # a dict keeps each name where it was first set
-    fold_value(v, lambda u: names.setdefault(u.name) if isinstance(u, Var) else None,
-               lambda u, *kids: None)
+    fold(v, lambda u: names.setdefault(u.name) if isinstance(u, Var) else None, lambda *_: None)
     return list(names)
 
 
@@ -247,7 +212,7 @@ def map_value(v: ValueExpr, var: Callable[[Var], ValueExpr] = _keep,
     sum annotation `a` (None when absent) by `annot(a)`."""
     def node(u: ValueExpr, *kids: ValueExpr) -> ValueExpr:
         return Pair(*kids) if isinstance(u, Pair) else type(u)(*kids, annot(u.annot))
-    return fold_value(v, lambda u: var(u) if isinstance(u, Var) else u, node)
+    return fold(v, lambda u: var(u) if isinstance(u, Var) else u, node)
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +631,15 @@ def parse_program(text: str) -> Program:
 # printing
 
 def render_type(t: TypeExpr) -> str:
-    return fold_type(t, lambda u: u.name if isinstance(u, TyVar) else "Unit",
-                     lambda u, a, b: f"({type(u).__name__} {a} {b})")
+    return fold(t, lambda u: u.name if isinstance(u, TyVar) else "Unit",
+                lambda u, a, b: f"({type(u).__name__} {a} {b})")
 
 
 def render_value_expr(v: ValueExpr) -> str:
     def node(u: ValueExpr, *kids: str) -> str:
-        annot = None if isinstance(u, Pair) else u.annot
-        braces = "" if annot is None else f"{{{render_type(annot)}}} "
+        braces = "" if getattr(u, "annot", None) is None else f"{{{render_type(u.annot)}}} "
         return f"({type(u).__name__.lower()} {braces}{' '.join(kids)})"
-    return fold_value(v, lambda u: u.name if isinstance(u, Var) else "sole", node)
+    return fold(v, lambda u: u.name if isinstance(u, Var) else "sole", node)
 
 
 def render_value(v: ValueExpr) -> str:
@@ -684,7 +648,7 @@ def render_value(v: ValueExpr) -> str:
         if isinstance(u, Var):
             raise ValueError(f"cannot render non-concrete value {render_value_expr(v)}")
         return "sole"
-    return fold_value(v, leaf, lambda u, *kids: f"({type(u).__name__.lower()} {' '.join(kids)})")
+    return fold(v, leaf, lambda u, *kids: f"({type(u).__name__.lower()} {' '.join(kids)})")
 
 
 def render_goal(g: Goal, indent: int = 0) -> str:

@@ -23,7 +23,7 @@ from typing import Optional
 from .syntax import (
     Binders, Call, Disunify, Goal, Left, Pair, Prod, Program, RelationDef,
     Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit, UNIT, ValueExpr, Var,
-    fold_type, free_type_vars, map_goal, render_type, render_value_expr,
+    fold, free_type_vars, map_goal, render_type, render_value_expr,
 )
 
 
@@ -56,8 +56,8 @@ RelEnv = dict  # name -> RelationDef
 def apply_subst(subst: dict[str, TypeExpr], t: TypeExpr) -> TypeExpr:
     if t.size is not None:  # ground: no type variable to replace
         return t
-    return fold_type(t, lambda u: subst.get(u.name, u) if isinstance(u, TyVar) else u,
-                     lambda u, a, b: type(u)(a, b))
+    return fold(t, lambda u: subst.get(u.name, u) if isinstance(u, TyVar) else u,
+                lambda u, a, b: type(u)(a, b))
 
 
 def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr],

@@ -347,6 +347,33 @@ def test_memory_error_exit_code(monkeypatch, diff):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _bits(n):
+    """The text of a type with 2**n values: n two-valued sums in a product."""
+    t = "(Sum Unit Unit)"
+    for _ in range(n - 1):
+        t = f"(Prod (Sum Unit Unit) {t})"
+    return t
+
+
+@pytest.mark.parametrize("source", [
+    # numpy raised "Maximum allowed dimension exceeded" for the table
+    f"(defrel (r (x : {_bits(70)})) (== x x))",
+    # and "array is too big" for two axes of 2**40
+    f"(defrel (r (x : {_bits(40)}) (y : {_bits(40)})) (== x y))",
+    # a small table: an unused binder's array of ones, an index past int64
+    f"(defrel (r (x : Unit)) (fresh ((y : {_bits(70)})) (== x x)))",
+    f"(defrel (r (x : Unit) (y : Unit)) (== (right {{(Sum {_bits(70)} Unit)}} x) "
+    f"(right {{(Sum {_bits(70)} Unit)}} y)))",
+], ids=["one-axis", "two-axes", "unused-binder", "sum-offset"])
+@pytest.mark.parametrize("diff", [False, True])
+def test_arrays_too_big_to_shape_exit_code(tmp_path, source, diff):
+    src = tmp_path / "big.skn"
+    src.write_text(source)
+    status, out, err = run_capture(RunConfig(str(src), "boolean", diff=diff))
+    assert (status, out) == (1, "")
+    assert err == "error: the run needs more memory than is available\n"
+
+
 def test_deep_nesting_exit_code(tmp_path):
     # the reader nests one frame per level of chain-1000's 999-deep sum type
     src = tmp_path / "chain-1000.skn"

@@ -60,6 +60,18 @@ def test_type_labels_need_a_concrete_type():
         type_labels(Sum(UNIT, TyVar("a")))
 
 
+def test_plan_refuses_a_combined_array_numpy_cannot_shape():
+    # two gathered terms (slots 0 and 1) of 2**35 cells on different axes:
+    # combining them would take 2**70 cells, refused before any array exists
+    big = S2
+    for _ in range(34):
+        big = Prod(S2, big)
+    plan = skn_eval.Plan("r", (), BOOLEAN, ())
+    with pytest.raises(MemoryError):
+        plan.fold([(("y",), 0), (("z",), 1)], BOOLEAN.mul, {"y": big, "z": big})
+    assert plan.steps == []
+
+
 @st.composite
 def small_types(draw):
     t = draw(st.recursive(

@@ -1,5 +1,7 @@
+import collections
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from skn import (
     type_labels, type_size,
 )
 from skn.poly import MAX_TYVAR_SIZE
-from skn.syntax import free_vars, map_value, render_relation, render_value_expr
+from skn.syntax import fold, free_vars, map_value, render_relation, render_value_expr
 
 import gen
 import oracle
@@ -302,6 +304,59 @@ def test_labels_of_the_largest_type_variable_size():
         assert labels[k] == "(right " * k + "(left sole)" + ")" * k
     assert labels[-1] == "(right " * (n - 1) + "sole" + ")" * (n - 1)
     assert sum(map(len, labels)) == sum(11 + 8 * k for k in range(n - 1)) + 4 + 8 * (n - 1)
+
+
+def _name(u):
+    """A leaf's text: its name, or its kind."""
+    return u.name if isinstance(u, (TyVar, Var)) else type(u).__name__
+
+
+@pytest.mark.parametrize("x, kids", [
+    (Sum(UNIT, TyVar("a")), ("Unit", "a")),
+    (Prod(TyVar("a"), UNIT), ("a", "Unit")),
+    (Pair(Var("x"), SOLE), ("x", "Sole")),
+    (Left(Var("x")), ("x",)),
+    (Right(SOLE, Sum(UNIT, UNIT)), ("Sole",)),
+], ids=["Sum", "Prod", "Pair", "Left", "Right"])
+def test_fold_passes_each_node_its_childrens_results_in_order(x, kids):
+    assert fold(x, _name, lambda u, *got: (u, got)) == (x, kids)
+
+
+@pytest.mark.parametrize("leaf", [UNIT, TyVar("a"), SOLE, Var("x")], ids=_name)
+def test_fold_of_a_leaf_is_its_leaf_call(leaf):
+    assert fold(leaf, _name, lambda u, *got: pytest.fail("no node")) == _name(leaf)
+
+
+def test_fold_visits_leaves_left_to_right_and_nodes_after_their_children():
+    for x, want in [
+        (Sum(Prod(TyVar("a"), TyVar("b")), Sum(TyVar("c"), UNIT)),
+         ["a", "b", "Prod", "c", "Unit", "Sum", "Sum"]),
+        (Pair(Left(Var("a")), Pair(Var("b"), Right(SOLE))),
+         ["a", "Left", "b", "Sole", "Right", "Pair", "Pair"]),
+    ]:
+        calls = []
+        fold(x, lambda u: calls.append(_name(u)), lambda u, *got: calls.append(type(u).__name__))
+        assert calls == want
+
+
+def test_fold_folds_a_shared_type_node_once_per_occurrence():
+    # ten levels of Sum(t, t): 11 distinct interned nodes, 1024 leaves
+    t = UNIT
+    for _ in range(10):
+        t = Sum(t, t)
+    calls = collections.Counter()
+    fold(t, lambda u: calls.update(["leaf"]), lambda u, *got: calls.update(["node"]))
+    assert calls == {"leaf": 1024, "node": 1023}
+
+
+def test_fold_at_any_depth():
+    assert sys.getrecursionlimit() < 5000
+    t, v = TyVar("a"), Var("x")
+    for i in range(5000):
+        t = Sum(UNIT, t) if i % 2 else Prod(t, UNIT)
+        v = Left(v) if i % 2 else Pair(SOLE, v)
+    for x in (t, v):
+        assert fold(x, lambda u: 0, lambda u, *got: 1 + max(got)) == 5000
 
 
 # Deep values are compared by their text, never by `==`: dataclass
