@@ -280,33 +280,25 @@ def _apply(arr: np.ndarray, view: Optional[tuple]) -> np.ndarray:
 class Plan:
     """One relation's body compiled for one semiring by `compile_relation`.
 
-    A run fills numbered slots with arrays: `consts` holds the constants
-    that steps read, and each step in order puts one array in its slot,
-    gathered from a table at fixed index arrays, combined from two slots
+    A run fills one slot per step, numbered in order, with an array:
+    gathered from a table at fixed index arrays, combined from two operands
     under fixed views by a semiring ufunc, or summed over one axis of a
-    slot.  The table is slot `out` under `view`.  While the plan is built,
-    a subgoal is a `Term`: its array if it reads no table, else its slot;
-    an operation on constants alone is done at once.
+    slot.  An operand is a constant array or the slot of an earlier step.
+    The table is operand `out` under `view`.  While the plan is built, a
+    subgoal is a `Term`: its array if it reads no table, else its slot; an
+    operation on constants alone is done at once.
     """
     name: str
     params: Binders
     spec: SemiringSpec
     shape: tuple[int, ...]
-    consts: dict[int, np.ndarray] = field(default_factory=dict)
     steps: list[tuple] = field(default_factory=list)
-    out: int = 0
+    out: Union[np.ndarray, int] = 0
     view: Optional[tuple] = None
 
-    def slot(self, arr: Union[np.ndarray, int]) -> int:
-        """The slot of a term's array; a constant is put in one."""
-        if type(arr) is int:
-            return arr
-        self.consts[slot := len(self.consts) + len(self.steps)] = arr
-        return slot
-
     def step(self, kind: int, *args) -> int:
-        self.steps.append((kind, slot := len(self.consts) + len(self.steps), *args))
-        return slot
+        self.steps.append((kind, *args))
+        return len(self.steps) - 1
 
     def fold(self, terms: list[Term], op, scope: dict[str, TypeExpr]) -> Term:
         """Combine terms with `op`, first to last."""
@@ -316,7 +308,7 @@ class Plan:
             _shape(tuple(scope[d].size for d in dims))  # numpy must be able to shape the result
             v1, v2 = _view(d1, dims, scope), _view(d2, dims, scope)
             if type(acc) is int or type(a2) is int:
-                acc = self.step(_COMBINE, op, self.slot(acc), v1, self.slot(a2), v2)
+                acc = self.step(_COMBINE, op, acc, v1, a2, v2)
             else:
                 acc = op(_apply(acc, v1), _apply(a2, v2))
         return dims, acc
@@ -324,15 +316,18 @@ class Plan:
     def eliminate(self, terms: list[Term], binders: list[str],
                   scope: dict[str, TypeExpr]) -> Term:
         """Sum `binders` out of a product of terms, smallest intermediate
-        first, ties in binder order; an unused binder sums |type| ones."""
+        first, ties in binder order; an unused binder, as the scalar sum of |type| ones."""
         spec, pending = self.spec, list(binders)
         while pending:
             name = min(pending, key=lambda b: math.prod(  # the intermediate's cells
                 scope[d].size for d in {d for ds, _ in terms if b in ds for d in ds} or {b}))
             pending.remove(name)
-            group = [t for t in terms if name in t[0]] or \
-                [((name,), np.full(_shape((scope[name].size,)), spec.one, dtype=spec.dtype))]
+            group = [t for t in terms if name in t[0]]
             terms = [t for t in terms if name not in t[0]]
+            if not group:  # the sum of |type| ones: `one` if addition is idempotent
+                terms.append(((), np.asarray(spec.one if spec.idempotent_add else
+                                             scope[name].size * spec.one, dtype=spec.dtype)))
+                continue
             dims, arr = self.fold(group, spec.mul, scope)
             rest, axis = tuple(d for d in dims if d != name), dims.index(name)
             terms.append((rest, self.step(_SUM, arr, axis) if type(arr) is int
@@ -395,7 +390,7 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
         else:
             raise TypeError(g)
     dims, arr = done.pop()
-    plan.out = plan.slot(arr)
+    plan.out = arr
     plan.view = _view(dims, tuple(x for x, _ in rel.params), dict(rel.params))
     return plan
 
@@ -403,19 +398,20 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
 def eval_relation(plan: Plan, tables: dict[str, RelTable], spec: SemiringSpec) -> RelTable:
     """Tabulate one relation's body over its full argument grid by running
     its plan against `tables`."""
-    slots = dict(plan.consts)
-    for step in plan.steps:
+    slots: dict[int, np.ndarray] = {}
+    for out, step in enumerate(plan.steps):
         if step[0] == _GATHER:
-            _, out, name, index = step
+            _, name, index = step
             slots[out] = np.asarray(tables[name].cells[index])
         elif step[0] == _COMBINE:
-            _, out, op, s1, v1, s2, v2 = step
-            slots[out] = op(_apply(slots.pop(s1), v1), _apply(slots.pop(s2), v2))
+            _, op, a1, v1, a2, v2 = step
+            slots[out] = op(_apply(slots.pop(a1) if type(a1) is int else a1, v1),
+                            _apply(slots.pop(a2) if type(a2) is int else a2, v2))
         else:
-            _, out, slot, axis = step
+            _, slot, axis = step
             slots[out] = spec.add.reduce(slots.pop(slot), axis=axis)
-    cells = slots.pop(plan.out)
-    if plan.view is not None or plan.out in plan.consts:  # no table shares a constant
+    cells = slots.pop(plan.out) if type(plan.out) is int else plan.out
+    if plan.view is not None or cells is plan.out:  # no table shares a constant
         cells = np.broadcast_to(_apply(cells, plan.view), plan.shape).copy()
     return RelTable(plan.name, plan.params, cells)
 

@@ -1,10 +1,10 @@
 """Compiling polymorphic relations down to the monomorphic core.
 
 Two lowering modes produce a monomorphic program ready for tabulation.
-Both run one worklist: it builds each monomorphic relation, then each
-instance a rewritten call demands, in one `map_goal` pass over the
-source body that substitutes the instance's concrete types and rewrites
-each call in the caller's scope, which `map_goal` hands to the leaf.
+Both run one worklist: it builds each monomorphic relation with a
+polymorphic call, then each instance a rewritten call demands, in one
+`map_goal` pass that substitutes the instance's concrete types and
+rewrites each call in its scope.  Other relations are kept as checked.
 
 * ``monomorphize`` makes one instance per distinct concrete type
   substitution reached from the monomorphic relations, and rewrites
@@ -50,8 +50,8 @@ from .semiring import SemiringSpec
 from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
-    ValueExpr, Var, _NameSupply, free_type_vars, LEAF_GOALS, map_goal,
-    map_value, nest, nest_fresh, render_type, subgoals, walk_goal,
+    ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value, nest,
+    nest_fresh, render_type, subgoals, walk_goal,
 )
 from .typecheck import apply_subst, check_program
 from .eval import type_size
@@ -93,22 +93,13 @@ def canonical_type(n: int) -> TypeExpr:
 
 def smallest_large_enough(rel: RelationDef) -> dict[str, int]:
     """Size per type variable at which one instance determines all larger
-    ones: the most holes of it in the environment of any leaf goal of the
-    body, and at least 1."""
-    sizes = dict.fromkeys(rel.tyvars, 1)
-    for h, binders, _ in walk_goal(rel.body):
-        if isinstance(h, LEAF_GOALS):
-            for tv in rel.tyvars:
-                sizes[tv] = max(sizes[tv], count_env(tv, rel.params + binders))
-    return sizes
+    ones: the most holes of it in any value environment of the body, or 1."""
+    scopes = [rel.params + binders for _, binders, _ in walk_goal(rel.body)]
+    return {tv: max(1, *(count_env(tv, scope) for scope in scopes)) for tv in rel.tyvars}
 
 
 # ---------------------------------------------------------------------------
 # instance bookkeeping
-
-def mangle(rel: str, sizes: tuple[int, ...]) -> str:
-    return f"{rel}${'_'.join(str(n) for n in sizes)}" if sizes else rel
-
 
 MODES = ("monomorphize", "large-enough")
 MAX_INSTANCES = 10000
@@ -122,10 +113,16 @@ class _Lowering:
         # In a checked program every variable is a parameter or a fresh
         # binder, so these are all the names a variable can have.
         used = set(self.source)
+        self.rewritten: set[str] = set()  # the monomorphic relations with a polymorphic call
         for rel in program.relations:
             used.update(x for x, _ in rel.params)
-            used.update(g.var for g in subgoals(rel.body) if isinstance(g, Fresh))
+            for g in subgoals(rel.body):
+                if isinstance(g, Fresh):
+                    used.add(g.var)
+                elif isinstance(g, Call) and self.source[g.rel].tyvars and not rel.tyvars:
+                    self.rewritten.add(rel.name)
         self.names = _NameSupply(used)
+        self.called: set[str] = set()  # the monomorphic relations that built ones call
         # (rel, concrete types per tyvar) -> mangled name
         self.instances: dict[tuple[str, tuple[TypeExpr, ...]], str] = {}
         self.pending: deque = deque()
@@ -134,9 +131,10 @@ class _Lowering:
         self.notes: list[str] = []
 
     def run(self) -> list[RelationDef]:
-        """The worklist: lower every monomorphic relation, then each
-        instance the rewritten calls demand, until none is pending."""
-        out = [self.lower(rel, {}, rel.name) for rel in self.source.values() if not rel.tyvars]
+        """The worklist: each monomorphic relation, lowered if it has a
+        polymorphic call, then each instance the rewritten calls demand."""
+        out = [self.lower(rel, {}, rel.name) if rel.name in self.rewritten else rel
+               for rel in self.source.values() if not rel.tyvars]
         while self.pending:
             relname, sigma_types = key = self.pending.popleft()
             source = self.source[relname]
@@ -146,19 +144,17 @@ class _Lowering:
 
     def lower(self, rel: RelationDef, sigma: dict[str, TypeExpr], name: str) -> RelationDef:
         """Lower `rel` as `name` in one pass, replacing its type variables by
-        `sigma` and rewriting its calls; an empty `sigma` rebuilds only the calls."""
+        `sigma` (empty for a monomorphic relation) and rewriting its calls."""
         def sub(t: Optional[TypeExpr]) -> Optional[TypeExpr]:
             return None if t is None else apply_subst(sigma, t)
-        params = tuple((x, sub(ty)) for x, ty in rel.params) if sigma else rel.params
+        params = tuple((x, sub(ty)) for x, ty in rel.params)
 
         def leaf(g: Goal, binders: Binders) -> Goal:
             if isinstance(g, Call):
-                if sigma:
-                    g = Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args),
-                             tuple((tv, sub(ty)) for tv, ty in g.subst))
-                scope = params + (tuple((x, sub(ty)) for x, ty in binders) if sigma else binders)
-                return self.rewrite_call(g, scope)
-            if sigma and isinstance(g, (Unify, Disunify)):
+                g = Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args),
+                         tuple((tv, sub(ty)) for tv, ty in g.subst))
+                return self.rewrite_call(g, params + tuple((x, sub(ty)) for x, ty in binders))
+            if isinstance(g, (Unify, Disunify)):
                 return type(g)(map_value(g.v1, annot=sub), map_value(g.v2, annot=sub), sub(g.ty))
             return g
 
@@ -178,7 +174,7 @@ class _Lowering:
             raise InstanceExplosion(
                 f"more than {MAX_INSTANCES} relation instances requested"
             )
-        name = self.names.relation_name(mangle(rel, sizes))
+        name = self.names.relation_name(f"{rel}${'_'.join(map(str, sizes))}")
         self.instances[key] = name
         self.pending.append(key)
         return name
@@ -188,6 +184,7 @@ class _Lowering:
         assert g.subst is not None, "lowering requires a checked program"
         callee = self.source[g.rel]
         if not callee.tyvars:
+            self.called.add(g.rel)
             return Call(g.rel, g.args, None)
         sigma_types = tuple(dict(g.subst)[tv] for tv in callee.tyvars)
         if self.mode == "monomorphize":
@@ -373,8 +370,9 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
                   notes: Optional[list] = None) -> Program:
     """Produce a monomorphic program whose tables agree with `p`'s.
 
-    The result is re-checked under the base typing rules before being
-    returned, so downstream evaluation can rely on its recorded types.
+    A monomorphic relation with no polymorphic call is kept as `p` has it.
+    The relations the lowering builds are re-checked, beside the headers of
+    the kept ones they call, so evaluation can rely on their recorded types.
     """
     if mode not in MODES:
         raise ValueError(f"unknown poly mode {mode!r}")
@@ -384,8 +382,12 @@ def lower_program(p: Program, mode: str, spec: SemiringSpec,
             f"the {spec.name} semiring does not have it"
         )
     ctx = _Lowering(p, mode)
-    lowered = Program(tuple(ctx.run()))
+    lowered = ctx.run()
     if notes is not None:
         notes.extend(ctx.notes)
-    return check_program(lowered)
+    built = [rel for rel in lowered if rel is not ctx.source.get(rel.name)]
+    headers = [replace(ctx.source[n], body=_conj([])) for n in sorted(ctx.called - ctx.rewritten)]
+    checked = iter(check_program(Program((*built, *headers))).relations)
+    return Program(tuple(rel if rel is ctx.source.get(rel.name) else next(checked)
+                         for rel in lowered))
 

@@ -360,11 +360,11 @@ def _bits(n):
     f"(defrel (r (x : {_bits(70)})) (== x x))",
     # and "array is too big" for two axes of 2**40
     f"(defrel (r (x : {_bits(40)}) (y : {_bits(40)})) (== x y))",
-    # a small table: an unused binder's array of ones, an index past int64
-    f"(defrel (r (x : Unit)) (fresh ((y : {_bits(70)})) (== x x)))",
+    # a small table: a binder's axis, an index past int64
+    f"(defrel (r (x : Unit)) (fresh ((y : {_bits(70)})) (== y y)))",
     f"(defrel (r (x : Unit) (y : Unit)) (== (right {{(Sum {_bits(70)} Unit)}} x) "
     f"(right {{(Sum {_bits(70)} Unit)}} y)))",
-], ids=["one-axis", "two-axes", "unused-binder", "sum-offset"])
+], ids=["one-axis", "two-axes", "used-binder", "sum-offset"])
 @pytest.mark.parametrize("diff", [False, True])
 def test_arrays_too_big_to_shape_exit_code(tmp_path, source, diff):
     src = tmp_path / "big.skn"
@@ -372,6 +372,18 @@ def test_arrays_too_big_to_shape_exit_code(tmp_path, source, diff):
     status, out, err = run_capture(RunConfig(str(src), "boolean", diff=diff))
     assert (status, out) == (1, "")
     assert err == "error: the run needs more memory than is available\n"
+
+
+@pytest.mark.parametrize("semiring, weight", [
+    ("boolean", "true"), ("min-tropical", "0.0"), ("real", repr(float(2 ** 70))),
+])
+def test_unused_binder_sums_its_type_without_an_array(tmp_path, semiring, weight):
+    # a binder no subgoal mentions multiplies in |T| ones summed: one, or |T| under real
+    src = tmp_path / "unused.skn"
+    src.write_text(f"(defrel (r (x : Unit)) (fresh ((y : {_bits(70)})) (== x x)))")
+    status, out, err = run_capture(RunConfig(str(src), semiring))
+    assert (status, err) == (0, "")
+    assert out.splitlines()[2:] == [f"sole\t{weight}"]
 
 
 def test_deep_nesting_exit_code(tmp_path):

@@ -8,8 +8,9 @@ from skn import (
     check_program, lower_program, parse_program,
     canonical_type,
 )
+from skn import poly
 from skn.syntax import (
-    Call, Disunify, TyVar, Unify, map_goal, render_program,
+    Call, Disunify, TyVar, Unify, map_goal, render_program, subgoals,
 )
 from skn.typecheck import apply_subst
 
@@ -18,7 +19,8 @@ import oracle
 import props
 from eqpat import eqpat_check
 from helpers import (
-    IDEMPOTENT_CORPUS, InstanceKey, chain_source, collect_instances, load, run_source,
+    IDEMPOTENT_CORPUS, InstanceKey, chain_source, checked, collect_instances, load,
+    run_source,
 )
 
 
@@ -94,6 +96,69 @@ def test_already_monomorphic_program_unchanged():
         program = check_program(parse_program(load("connect.skn")))
         lowered = lower_program(program, mode, BOOLEAN)
         assert lowered == program
+
+
+def _record_recheck(monkeypatch):
+    """Each (argument, result) of the re-check that `lower_program` makes."""
+    calls = []
+
+    def check_program(p):
+        calls.append((p, original(p)))
+        return calls[-1][1]
+
+    original = poly.check_program
+    monkeypatch.setattr(poly, "check_program", check_program)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["monomorphize", "large-enough"])
+@pytest.mark.parametrize("name", ["coin-flip.skn", "coins.skn", "connect.skn", "chain-6"])
+def test_lowering_keeps_untouched_relations_without_a_recheck(monkeypatch, name, mode):
+    program = checked(chain_source(6) if name == "chain-6" else load(name))
+    calls = _record_recheck(monkeypatch)
+    lowered = lower_program(program, mode, BOOLEAN)
+    assert [p.relations for p, _ in calls] == [()]
+    assert len(lowered.relations) == len(program.relations)
+    assert all(a is b for a, b in zip(lowered.relations, program.relations))
+
+
+KEPT_CALLEES = """
+(defrel (edge (x : (Sum Unit Unit)) (y : (Sum Unit Unit))) (=/= x y))
+(defrel (hop (x : (Sum Unit Unit)) (y : (Sum Unit Unit)))
+  (fresh ((z : (Sum Unit Unit))) (conj (edge x z) (edge z y))))
+(defrel (swap (forall a b) (x : (Sum a b)) (y : (Sum b a)))
+  (disj (fresh ((v : a)) (conj (== x (left v)) (== y (right v))))
+        (fresh ((w : b)) (conj (== x (right w)) (== y (left w))))))
+(defrel (main (x : (Sum Unit Unit)) (y : (Sum Unit Unit)))
+  (disj (hop x y) (swap x y)))
+(defrel (alone (u : Unit)) (== u u))
+"""
+
+
+@pytest.mark.parametrize("mode", ["monomorphize", "large-enough"])
+@pytest.mark.parametrize("name", ["option-map.skn", "sum-swap.skn", "kept-callees"])
+def test_recheck_covers_only_what_the_lowering_builds(monkeypatch, name, mode):
+    # the instances, the relations with a polymorphic call, and the kept
+    # relations those call; a kept relation's own callees stay out
+    program = checked(KEPT_CALLEES if name == "kept-callees" else load(name))
+    source = {rel.name: rel for rel in program.relations}
+    calls = _record_recheck(monkeypatch)
+    lowered = lower_program(program, mode, BOOLEAN)
+    rewritten = {rel.name for rel in program.relations if not rel.tyvars and any(
+        isinstance(g, Call) and source[g.rel].tyvars for g in subgoals(rel.body))}
+    built = [rel for rel in lowered.relations
+             if rel.name in rewritten or rel.name not in source]
+    kept_callees = {g.rel for rel in built for g in subgoals(rel.body)
+                    if isinstance(g, Call) and g.rel in source} - rewritten
+    [(argument, result)] = calls
+    assert sorted(argument.names()) == sorted({rel.name for rel in built} | kept_callees)
+    assert all(any(rel is r for r in result.relations) for rel in built)
+    assert all(rel is source[rel.name] for rel in lowered.relations
+               if rel.name in source and rel.name not in rewritten)
+    if name == "kept-callees":
+        assert kept_callees == {"hop"}
+        assert lowered.names()[:2] == ["edge", "hop"] and "alone" in lowered.names()
+    assert check_program(lowered) == lowered  # what a re-check of everything gives
 
 
 # ---------------------------------------------------------------------------
