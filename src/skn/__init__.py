@@ -22,7 +22,7 @@ from .eval import (
     type_size,
 )
 from .poly import (
-    InstanceExplosion, LargeEnoughCall, LoweringError, NonGenericCall,
+    InstanceExplosion, LoweringError, NonGenericCall,
     NonIdempotentSemiring, canonical_type, compile_call, generic_arg_env,
     count_env, enforce_eqpat_codegen, lower_program, smallest_large_enough,
 )

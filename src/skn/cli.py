@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import poly, semiring, syntax, typecheck
-from .eval import EPSILON, FixpointResult, RelTable, fixpoint, type_labels
+from .eval import EPSILON, FixpointResult, RelTable, fixpoint, type_label, type_labels
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError
 from .syntax import Factor, ParseError, Program, render_program, render_type
 
@@ -158,7 +158,7 @@ def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
         diverged = np.argwhere(a.cells != b.cells)
         if len(diverged):  # row-major, so the first is first in table order
             at = tuple(diverged[0])
-            values = [type_labels(ty)[i] for (_, ty), i in zip(a.params, at)]
+            values = [type_label(ty, i) for (_, ty), i in zip(a.params, at)]
             print(f"divergence in {name} at ({', '.join(values)}): "
                   f"monomorphize={spec.render(a.cells[at])} "
                   f"large-enough={spec.render(b.cells[at])}", file=out)

@@ -47,7 +47,6 @@ from .syntax import (
     Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify,
     ValueExpr, Var, free_type_vars, free_vars, subgoals,
 )
-from .typecheck import apply_subst
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +88,24 @@ def type_labels(t: TypeExpr) -> list[str]:
         else:  # a first component is written: write the second after it
             stack.append((pending[0], before + "sole" + after, *pending[1:]))
     return labels
+
+
+def type_label(t: TypeExpr, i: int) -> str:
+    """`type_labels(t)[i]` alone, read from `i` in one loop down the type:
+    the inverse of `_index_factor`."""
+    out, stack = [], [(t, i)]  # (type, index) to write, or (text, None)
+    while stack:
+        u, i = stack.pop()
+        if isinstance(u, Sum):
+            left = i < u.left.size
+            stack += ((")", None), (u.left, i) if left else (u.right, i - u.left.size),
+                      ("(left " if left else "(right ", None))
+        elif isinstance(u, Prod):
+            stack += ((")", None), (u.second, i % u.second.size), (" ", None),
+                      (u.first, i // u.second.size), ("(pair ", None))
+        else:
+            out.append(u if isinstance(u, str) else "sole")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +201,8 @@ def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.nd
 
 def _gather(g: Union[Call, Fresh], scope: dict[str, TypeExpr], tables: dict[str, RelTable]
             ) -> tuple[tuple[str, ...], str, tuple[np.ndarray, ...]]:
-    """A call, or a large-enough wrapper whose outer fresh carries its
-    record (a `poly.LargeEnoughCall`), as one gather: its variables, the
+    """A call, or a large-enough wrapper (a fresh with a `wrap` record and
+    the target's call first in its body), as one gather: its variables, the
     relation it reads, and the index arrays into that relation's table.
     The wrapper sums the target's weight over every copy of the caller's
     arguments with their equality pattern; the target has one weight at
@@ -195,12 +212,11 @@ def _gather(g: Union[Call, Fresh], scope: dict[str, TypeExpr], tables: dict[str,
         call = g
         dims, index, shape = _grid(scope, [d for a in g.args for d in free_vars(a)])
     else:
-        call, generic, sigma2 = g.wrap.call, dict(g.wrap.generic_env), dict(g.wrap.sigma2)
+        call, generic = g.body.g1, dict(g.wrap)
         dims, axes, shape = _grid(scope, generic)
         holes: dict = {}
-        index = {x2: _canonical_index(generic[x], scope[x], apply_subst(sigma2, generic[x]),
-                                      axes[x], True, holes)
-                 for x, x2 in g.wrap.copies}
+        index = {x2: _canonical_index(generic[x], scope[x], target, axes[x], True, holes)
+                 for (x, _), (x2, target) in zip(g.wrap, g.binders)}
     return dims, call.rel, tuple(np.broadcast_to(_index_factor(a, ty, index), shape)
                                  for a, (_, ty) in zip(call.args, tables[call.rel].params))
 
@@ -341,8 +357,8 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
     cells) of the `tables` it calls.
 
     Conj and disj chains are flattened and folded last to first, in the
-    order of their right-nested nodes; a fresh over a conjunction sums its
-    binders out factor by factor (`Plan.eliminate`); a disjunction of
+    order of their right-nested nodes; a fresh, and any directly inside it,
+    sums its binders out factor by factor (`Plan.eliminate`); a disjunction of
     ground facts is one scatter (`_fact_table`), and a call or a
     large-enough wrapper one gather (`_gather`).  The goal is walked with
     an explicit stack, so its nesting is not bounded by the recursion
@@ -380,9 +396,9 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
         elif isinstance(g, Fresh):
             binders, scope = [], dict(scope)
             while isinstance(g, Fresh) and g.wrap is None:  # a wrapper: the gather
-                assert g.var not in scope, "shadowed binder survived parsing"
-                binders.append(g.var)
-                scope[g.var] = g.ty
+                assert scope.keys().isdisjoint(dict(g.binders)), "shadowed binder survived parsing"
+                binders += (x for x, _ in g.binders)
+                scope.update(g.binders)
                 g = g.body
             parts = _flatten(g, Conj)
             work.append((plan.eliminate, (binders, len(parts), scope)))

@@ -25,9 +25,10 @@ rewrites each call in its scope.  Other relations are kept as checked.
   pattern, and the instance has the same weight at all of them.  The
   call rewrite types each call generically (`generic_arg_env`).
 
-The wrapper is emitted as the paper defines it, and its shape is also
-recorded on its outer ``fresh`` as a :class:`LargeEnoughCall`.  The
-evaluator reads that record and gathers the instance's weight at one
+The wrapper is emitted as the paper defines it: one ``fresh`` over the
+copies, whose body conjoins the call to the instance with the pattern
+code.  Its `Fresh.wrap` records the generic types of the copied variables;
+the evaluator reads that record and gathers the instance's weight at one
 canonical tuple of the pattern instead of summing over all of them; a
 program read back from its rendered text has no record and evaluates the
 wrapper as written.
@@ -43,7 +44,8 @@ idempotence reason.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import cached_property
 from typing import Optional
 
 from .semiring import SemiringSpec
@@ -51,7 +53,7 @@ from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
     ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value, nest,
-    nest_fresh, render_type, subgoals, walk_goal,
+    render_type, subgoals, walk_goal,
 )
 from .typecheck import apply_subst, check_program
 from .eval import type_size
@@ -110,18 +112,13 @@ class _Lowering:
     def __init__(self, program: Program, mode: str):
         self.source = {rel.name: rel for rel in program.relations}
         self.mode = mode
-        # In a checked program every variable is a parameter or a fresh
-        # binder, so these are all the names a variable can have.
-        used = set(self.source)
-        self.rewritten: set[str] = set()  # the monomorphic relations with a polymorphic call
-        for rel in program.relations:
-            used.update(x for x, _ in rel.params)
-            for g in subgoals(rel.body):
-                if isinstance(g, Fresh):
-                    used.add(g.var)
-                elif isinstance(g, Call) and self.source[g.rel].tyvars and not rel.tyvars:
-                    self.rewritten.add(rel.name)
-        self.names = _NameSupply(used)
+        polymorphic = {rel.name for rel in program.relations if rel.tyvars}
+        # the monomorphic relations with a polymorphic call; with no
+        # polymorphic relation, no goal is walked
+        self.rewritten = {rel.name for rel in program.relations
+                          if polymorphic and not rel.tyvars
+                          and any(isinstance(g, Call) and g.rel in polymorphic
+                                  for g in subgoals(rel.body))}
         self.called: set[str] = set()  # the monomorphic relations that built ones call
         # (rel, concrete types per tyvar) -> mangled name
         self.instances: dict[tuple[str, tuple[TypeExpr, ...]], str] = {}
@@ -129,6 +126,17 @@ class _Lowering:
         self.large_enough = {rel.name: smallest_large_enough(rel) for rel in program.relations
                              if rel.tyvars and mode == "large-enough"}
         self.notes: list[str] = []
+
+    @cached_property
+    def names(self) -> _NameSupply:
+        """New names, built on first use to avoid every relation, parameter
+        and fresh binder: in a checked program, every name in use."""
+        used = set(self.source)
+        for rel in self.source.values():
+            used.update(x for x, _ in rel.params)
+            used.update(x for g in subgoals(rel.body) if isinstance(g, Fresh)
+                        for x, _ in g.binders)
+        return _NameSupply(used)
 
     def run(self) -> list[RelationDef]:
         """The worklist: each monomorphic relation, lowered if it has a
@@ -277,9 +285,9 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
                 goals = [Unify(e1, Pair(Var(c1), Var(d1))), Unify(e2, Pair(Var(c2), Var(d2)))]
                 goals += deconstruct(a, Var(c1), Var(c2), bases)
                 goals += deconstruct(b, Var(d1), Var(d2), bases)
-                return [nest_fresh(((c1, apply_subst(sigma1, a)), (c2, apply_subst(sigma2, a)),
-                                    (d1, apply_subst(sigma1, b)), (d2, apply_subst(sigma2, b))),
-                                   _conj(goals))]
+                return [Fresh(((c1, apply_subst(sigma1, a)), (c2, apply_subst(sigma2, a)),
+                               (d1, apply_subst(sigma1, b)), (d2, apply_subst(sigma2, b))),
+                              _conj(goals))]
             case Sum(a, b):
                 branches = []
                 for inj, part in ((Left, a), (Right, b)):
@@ -287,8 +295,8 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
                     goals = [Unify(e1, inj(Var(c1))), Unify(e2, inj(Var(c2)))]
                     # both branches draw from the same slots
                     goals += deconstruct(part, Var(c1), Var(c2), dict(bases))
-                    branches.append(nest_fresh(((c1, apply_subst(sigma1, part)),
-                                                (c2, apply_subst(sigma2, part))), _conj(goals)))
+                    branches.append(Fresh(((c1, apply_subst(sigma1, part)),
+                                           (c2, apply_subst(sigma2, part))), _conj(goals)))
                 for tv, n in ty.holes.items():
                     bases[tv] += n
                 return [Disj(*branches)]
@@ -312,36 +320,20 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
 
     holes = tuple((name, apply_subst(sigma, TyVar(tv))) for tv in tyvars
                   for h, sigma in ((h1, sigma1), (h2, sigma2)) for name in h[tv])
-    return nest_fresh(holes, _conj(goals))
+    return Fresh(holes, _conj(goals)) if holes else _conj(goals)
 
 
 def _conj(goals: list[Goal]) -> Goal:
     return nest(Conj, goals) if goals else Unify(SOLE, SOLE)  # trivial success
 
 
-@dataclass(frozen=True)
-class LargeEnoughCall:
-    """The shape of a large-enough wrapper, kept on its outer ``fresh``:
-    `call` calls the target instance over the copies; `copies` pairs each
-    caller variable with its copy, in `generic_env` order; `generic_env`
-    types the caller variables over the callee's type variables, which
-    `sigma1` maps to the caller's types and `sigma2` to the target's."""
-    call: Call
-    copies: tuple[tuple[str, str], ...]
-    generic_env: tuple[tuple[str, TypeExpr], ...]
-    sigma1: tuple[tuple[str, TypeExpr], ...]
-    sigma2: tuple[tuple[str, TypeExpr], ...]
-
-
 def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
                  supply: _NameSupply, generic_env: Binders) -> Goal:
-    """Rewrite a large-enough polymorphic call into a call to the target
-    instance over fresh copies of the argument variables (`generic_env`
-    types them), conjoined with the generated equality-pattern enforcement
-    between the original variables and the copies.  The outer ``fresh``
-    carries the wrapper's :class:`LargeEnoughCall`."""
-    sigma1 = dict(call.subst)
-
+    """Rewrite a large-enough polymorphic call into a wrapper: one ``fresh``
+    binding a copy of each variable `generic_env` types, at its target type,
+    over a call to the target instance over the copies conjoined with the
+    equality-pattern code between the variables and their copies.  Its
+    `wrap` is `generic_env`; `eval._gather` reads the call from its body."""
     vars1 = {x: x for x, _ in generic_env}
     vars2 = {x: supply.fresh(x) for x, _ in generic_env}
 
@@ -351,16 +343,10 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
         map_value(a, var=lambda v: Var(vars2.get(v.name, v.name)), annot=lambda _: None)
         for a in call.args
     )
-    target = Call(target_name, renamed_args, None)
-    body: Goal = Conj(
-        target,
-        enforce_eqpat_codegen(generic_env, vars1, vars2, sigma1, sigma2, supply),
-    )
-    body = nest_fresh(tuple((vars2[x], apply_subst(sigma2, ty)) for x, ty in generic_env), body)
-    if isinstance(body, Fresh):
-        body = replace(body, wrap=LargeEnoughCall(
-            target, tuple(vars2.items()), generic_env, call.subst, tuple(sigma2.items())))
-    return body
+    body = Conj(Call(target_name, renamed_args, None),
+                enforce_eqpat_codegen(generic_env, vars1, vars2, dict(call.subst), sigma2, supply))
+    copies = tuple((vars2[x], apply_subst(sigma2, ty)) for x, ty in generic_env)
+    return Fresh(copies, body, generic_env) if copies else body
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ The ``(forall ...)`` group is optional; when omitted, type variables are
 collected from the parameter types in first-occurrence order.  Parameter
 lists may be written flat (as above) or wrapped in one extra pair of
 parens.  ``conj``/``disj`` take two or more subgoals and right-nest into
-the binary AST forms; ``fresh`` may bind several variables and nests the
-same way.  Sum constructors take an optional brace-wrapped annotation,
+the binary AST forms; ``fresh`` may bind several variables, all in one
+`Fresh`.  Sum constructors take an optional brace-wrapped annotation,
 ``(left {(Sum Unit Unit)} sole)``; when it is absent the type checker
 infers the sum type without writing it in.  Comments run from ``;`` to end of line.
 
@@ -26,7 +26,7 @@ Goals are walked by one iterative traversal, `walk_goal`, which yields
 each leaf once and each other node on entry and exit, with the ``fresh``
 binders around it.  `subgoals`, `map_goal` and `render_goal` are built
 on it, and the type checker and the lowering walk goals only through
-these.  `nest` and `nest_fresh` build ``conj``/``disj`` and ``fresh`` chains.
+these.  `nest` builds ``conj``/``disj`` chains.
 Types and values are folded bottom-up, also without recursion, by one
 `fold`; the renderers, a type's ``repr``, `free_vars`, `map_value` and
 `typecheck.apply_subst` are built on it.
@@ -232,12 +232,11 @@ class Disj:
 
 @dataclass(frozen=True)
 class Fresh:
-    var: str
-    ty: TypeExpr
+    binders: Binders  # one or more
     body: "Goal"
-    # poly.LargeEnoughCall on the outer binder of a large-enough wrapper;
-    # not part of the text, so the renderer and `==` ignore it
-    wrap: Optional[object] = field(default=None, compare=False)
+    # on a large-enough wrapper, the caller's variables its binders copy, typed
+    # generically (`poly.compile_call`); not in the text, so render and `==` ignore it
+    wrap: Optional[Binders] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def walk_goal(g: Goal) -> Iterator[tuple[Goal, Binders, bool]]:
             if isinstance(h, (Conj, Disj)):
                 stack += ((h, binders, False), (h.g2, binders, True), (h.g1, binders, True))
             elif isinstance(h, Fresh):
-                stack += ((h, binders, False), (h.body, binders + ((h.var, h.ty),), True))
+                stack += ((h, binders, False), (h.body, binders + h.binders, True))
 
 
 def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
@@ -297,26 +296,20 @@ def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
     return out
 
 
-def nest_fresh(binders: Binders, body: Goal) -> Goal:
-    """Wrap `body` in one fresh per binder, the first outermost:
-    ``(fresh ((x : a) (y : b)) g)`` is ``Fresh(x, a, Fresh(y, b, g))``."""
-    return nest(lambda binder, g: Fresh(*binder, g), [*binders, body])
-
-
 def map_goal(g: Goal, leaf: Callable[[Goal, Binders], Goal],
              ty: Callable[[TypeExpr], TypeExpr] = _keep) -> Goal:
     """Rebuild `g`, replacing each leaf goal by `leaf(goal, binders)` and
     each fresh binder's type by `ty(type)`, both called in pre-order.  A
     fresh keeps its `wrap` record as it is."""
     done: list[Goal] = []
-    types: list[TypeExpr] = []  # the mapped types of the open freshes
+    mapped: list[Binders] = []  # the binders of the open freshes, their types mapped
     for h, binders, entering in walk_goal(g):
         if isinstance(h, LEAF_GOALS):
             done.append(leaf(h, binders))
         elif isinstance(h, Fresh) and entering:
-            types.append(ty(h.ty))
+            mapped.append(tuple((x, ty(t)) for x, t in h.binders))
         elif isinstance(h, Fresh):
-            done.append(Fresh(h.var, types.pop(), done.pop(), h.wrap))
+            done.append(Fresh(mapped.pop(), done.pop(), h.wrap))
         elif not entering:  # a conj or disj, its two subgoals done
             done[-2:] = [type(h)(*done[-2:])]
     return done[0]
@@ -538,7 +531,7 @@ class _Reader:
                 self.fail(arity, off)
             self.scope.difference_update(x for x, _ in binders)
             self.env = env
-            return nest_fresh(binders, body)
+            return Fresh(tuple(binders), body)
         if head == "factor":
             lit, _ = self.next()
             if lit in _PUNCT or self.more():
@@ -662,8 +655,8 @@ def render_goal(g: Goal, indent: int = 0) -> str:
         match h:
             case Conj() | Disj():
                 text = "(conj" if isinstance(h, Conj) else "(disj"
-            case Fresh(x, ty):
-                text = f"(fresh (({x} : {render_type(ty)}))"
+            case Fresh(binders):
+                text = f"(fresh ({' '.join(f'({x} : {render_type(t)})' for x, t in binders)})"
             case Unify(v1, v2) | Disunify(v1, v2):
                 op = "==" if isinstance(h, Unify) else "=/="
                 text = f"({op} {render_value_expr(v1)} {render_value_expr(v2)})"

@@ -76,16 +76,23 @@ def goal_weight(goal, gamma, env, sr_name, param_types, weight_of_literal):
     names to numpy tables read at positions found by linear search."""
     zero, one, add, mul = ops(sr_name)
 
+    def bind(g, i, env):
+        """Sum `g`'s body over the values of its binders from the `i`th on."""
+        if i == len(g.binders):
+            return go(g.body, env)
+        x, ty = g.binders[i]
+        total = zero
+        for v in type_values(ty):
+            total = add(total, bind(g, i + 1, {**env, x: v}))
+        return total
+
     def go(g, env):
         if isinstance(g, Conj):
             return mul(go(g.g1, env), go(g.g2, env))
         if isinstance(g, Disj):
             return add(go(g.g1, env), go(g.g2, env))
         if isinstance(g, Fresh):
-            total = zero
-            for v in type_values(g.ty):
-                total = add(total, go(g.body, {**env, g.var: v}))
-            return total
+            return bind(g, 0, env)
         if isinstance(g, Unify):
             return one if substitute(g.v1, env) == substitute(g.v2, env) else zero
         if isinstance(g, Disunify):

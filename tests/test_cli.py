@@ -223,6 +223,15 @@ def test_diff_reports_first_divergent_cell(monkeypatch):
                    "monomorphize=false large-enough=true\n")
 
 
+def test_diff_writes_only_the_divergent_labels(monkeypatch):
+    # each label is read from its index; no parameter type's list of every
+    # label is built, which for 4096 values is megabytes of text
+    monkeypatch.setattr(cli, "type_labels", lambda t: pytest.fail("listed every label"))
+    status, out = _diff_with_flipped_connect_cells(monkeypatch, (3, 0))
+    assert status == 4
+    assert out.startswith("divergence in connect at ((right (right (right sole))), (left sole)): ")
+
+
 def test_diff_reports_the_first_of_two_divergent_cells_in_table_order(monkeypatch):
     status, out = _diff_with_flipped_connect_cells(monkeypatch, (3, 0), (1, 2))
     assert status == 4

@@ -60,6 +60,19 @@ def test_type_labels_need_a_concrete_type():
         type_labels(Sum(UNIT, TyVar("a")))
 
 
+def test_type_label_is_the_label_at_its_index():
+    # every parameter type of the corpus, lowered both ways, and a type
+    # that mixes sums and products at several depths
+    types = {ty for name in CORPUS for mode in ("monomorphize", "large-enough")
+             for rel in lower_program(checked(load(name)), mode, BOOLEAN).relations
+             for _, ty in rel.params}
+    types.add(Prod(Sum(UNIT, Prod(S2, S4)), Sum(Prod(S4, UNIT), Prod(S2, Sum(S2, UNIT)))))
+    assert len(types) >= 9
+    for t in types:
+        labels = type_labels(t)
+        assert [skn_eval.type_label(t, i) for i in range(len(labels))] == labels
+
+
 def test_plan_refuses_a_combined_array_numpy_cannot_shape():
     # two gathered terms (slots 0 and 1) of 2**35 cells on different axes:
     # combining them would take 2**70 cells, refused before any array exists
@@ -110,7 +123,7 @@ def test_unify_goal_weight():
 
 
 def test_fresh_finds_distinct_value():
-    g = Fresh("y", S2, Disunify(Var("x"), Var("y"), S2))
+    g = Fresh((("y", S2),), Disunify(Var("x"), Var("y"), S2))
     assert _goal_weight(g, {"x": Left(SOLE)}, BOOLEAN) == True
 
 
@@ -575,7 +588,7 @@ def _nested_relation(depth: int) -> RelationDef:
         elif level % 3 == 1:
             g = Disj(Unify(x, Left(SOLE), S2), g)
         else:
-            g = Fresh(f"z{level}", S2, g)
+            g = Fresh(((f"z{level}", S2),), g)
     return RelationDef("nested", (), (("x", S2),), g)
 
 

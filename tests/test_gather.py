@@ -1,8 +1,8 @@
 """The large-enough gather against the wrapper evaluated as written.
 
-A lowered program keeps each large-enough wrapper's record on its outer
-fresh, and the evaluator gathers from the target instance at one
-canonical copy.  Rendering and reading the program back drops the
+A lowered program keeps each large-enough wrapper's record on its fresh,
+and the evaluator gathers from the target instance at one canonical
+copy.  Rendering and reading the program back drops the
 records, so the same wrappers are evaluated as written: that is the
 reference here.
 """
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, LargeEnoughCall, RelTable, check_program,
+    BOOLEAN, MIN_TROPICAL, Call, Conj, RelTable, check_program,
     eval_relation, fixpoint, lower_program, parse_program,
     parse_weight_literal, smallest_large_enough,
 )
@@ -32,7 +32,7 @@ from helpers import IDEMPOTENT_CORPUS, distinct3_source, load
 LOWERED_DIR = os.path.join(os.path.dirname(__file__), "lowered")
 
 
-def _records(program) -> list[LargeEnoughCall]:
+def _records(program) -> list[tuple]:
     return [g.wrap for rel in program.relations for g in subgoals(rel.body)
             if isinstance(g, Fresh) and g.wrap is not None]
 
@@ -121,19 +121,21 @@ def test_record_survives_recheck():
     lowered = lower_program(check_program(parse_program(load("sum-swap.skn"))),
                             "large-enough", BOOLEAN)
     body = lowered.relation("sum-swap-3-4").body
-    rec = body.wrap
-    assert isinstance(rec, LargeEnoughCall)
-    assert rec.call.rel == "sum-swap$3_3"
-    assert [x for x, _ in rec.copies] == [x for x, _ in rec.generic_env] == ["x", "y"]
-    # the outer binders are the copies, in order
-    assert [body.var, body.body.var] == [x2 for _, x2 in rec.copies]
+    # the record is the generic typing of the caller's variables
     a, b = TyVar("a"), TyVar("b")
-    assert rec.generic_env == (("x", Sum(a, b)), ("y", Sum(b, a)))
-    assert [(tv, ty.size) for tv, ty in rec.sigma1] == [("a", 3), ("b", 4)]
-    assert rec.sigma2 == (("a", canonical_type(3)), ("b", canonical_type(3)))
-    # a second check keeps it too
+    assert body.wrap == (("x", Sum(a, b)), ("y", Sum(b, a)))
+    # the binders are their copies, in order, at the target's types
+    t3 = canonical_type(3)
+    [(x2, tx), (y2, ty)] = body.binders
+    assert (tx, ty) == (Sum(t3, t3), Sum(t3, t3))
+    assert {x2, y2}.isdisjoint({"x", "y"})
+    # the body's first conjunct calls the target over the copies
+    assert isinstance(body.body, Conj) and isinstance(body.body.g1, Call)
+    assert body.body.g1.rel == "sum-swap$3_3"
+    assert [v.name for v in body.body.g1.args] == [x2, y2]
+    # a second check keeps the record
     again = check_program(lowered).relation("sum-swap-3-4").body
-    assert again.wrap is rec
+    assert again.wrap is body.wrap
 
 
 def test_rendered_lowering_unchanged():
@@ -153,7 +155,8 @@ MAX_ORACLE_CELLS = 10000
 
 def _oracle_cells(rel) -> int:
     return math.prod(ty.size for _, ty in rel.params) * \
-        math.prod(g.ty.size for g in subgoals(rel.body) if isinstance(g, Fresh))
+        math.prod(ty.size for g in subgoals(rel.body) if isinstance(g, Fresh)
+                  for _, ty in g.binders)
 
 
 def _fingerprint(source, instance, spec) -> RelTable:

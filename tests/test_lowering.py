@@ -122,6 +122,24 @@ def test_lowering_keeps_untouched_relations_without_a_recheck(monkeypatch, name,
     assert all(a is b for a, b in zip(lowered.relations, program.relations))
 
 
+@pytest.mark.parametrize("mode", ["monomorphize", "large-enough"])
+@pytest.mark.parametrize("name", ["coin-flip.skn", "coins.skn", "connect.skn", "chain-6",
+                                  "sum-swap.skn"])
+def test_lowering_walks_goals_only_with_a_polymorphic_relation(monkeypatch, name, mode):
+    # the name supply and the search for polymorphic calls each walk goals,
+    # and a program with no polymorphic relation needs neither
+    program = checked(chain_source(6) if name == "chain-6" else load(name))
+    walks = []
+    for walker in ("subgoals", "walk_goal"):
+        original = getattr(poly, walker)
+        monkeypatch.setattr(poly, walker, lambda g, walk=original: walks.append(g) or walk(g))
+    lower_program(program, mode, BOOLEAN)
+    if name == "sum-swap.skn":
+        assert walks
+    else:
+        assert walks == []
+
+
 KEPT_CALLEES = """
 (defrel (edge (x : (Sum Unit Unit)) (y : (Sum Unit Unit))) (=/= x y))
 (defrel (hop (x : (Sum Unit Unit)) (y : (Sum Unit Unit)))

@@ -55,12 +55,16 @@ def test_nary_conj_right_nests():
     assert isinstance(body, Conj) and isinstance(body.g2, Conj)
 
 
-def test_multi_binder_fresh_nests():
+def test_multi_binder_fresh_is_one_node():
     p = parse_program(
         "(defrel (r (x : Unit)) (fresh ((y : Unit) (z : Unit)) (== y z)))")
     body = p.relations[0].body
-    assert isinstance(body, Fresh) and body.var == "y"
-    assert isinstance(body.body, Fresh) and body.body.var == "z"
+    assert body == Fresh((("y", UNIT), ("z", UNIT)), Unify(Var("y"), Var("z")))
+    # a fresh written inside another stays a node of its own
+    p = parse_program(
+        "(defrel (r (x : Unit)) (fresh ((y : Unit)) (fresh ((z : Unit)) (== y z))))")
+    assert p.relations[0].body == \
+        Fresh((("y", UNIT),), Fresh((("z", UNIT),), Unify(Var("y"), Var("z"))))
 
 
 def test_wrapped_param_list():
@@ -107,25 +111,34 @@ def test_shadowed_fresh_binder_renamed():
         "(defrel (r (x : Unit))"
         " (fresh ((x : Unit)) (fresh ((x : Unit)) (== x x))))")
     body = p.relations[0].body
-    assert body.var != "x"
-    assert body.body.var not in ("x", body.var)
-    inner = body.body.body
-    assert inner.v1 == Var(body.body.var)
+    [(outer, _)], [(inner, _)] = body.binders, body.body.binders
+    assert outer != "x"
+    assert inner not in ("x", outer)
+    assert body.body.body.v1 == Var(inner)
+
+    # A binder that repeats an earlier one of the same list is renamed too.
+    p = parse_program(
+        "(defrel (r (x : Unit)) (fresh ((x : Unit) (x : Unit)) (== x x)))")
+    body = p.relations[0].body
+    (first, _), (second, _) = body.binders
+    assert len({"x", first, second}) == 3
+    assert body.body == Unify(Var(second), Var(second))
 
     # The generated name avoids a name the body spells only after the binder.
     p = parse_program(
         "(defrel (r (x : Unit))"
         " (fresh ((x : Unit)) (fresh ((x~1 : Unit)) (== x x~1))))")
     body = p.relations[0].body
-    assert body.var not in ("x", "x~1")
-    assert body.body.body == Unify(Var(body.var), Var("x~1"))
+    [(outer, _)] = body.binders
+    assert outer not in ("x", "x~1")
+    assert body.body.body == Unify(Var(outer), Var("x~1"))
 
     # Each relation numbers its own renames, so the text of one relation
     # does not depend on the relations before it.
     r = "(defrel (r (x : Unit)) (fresh ((x : Unit)) (== x sole)))\n"
     s = "(defrel (s (x : Unit)) (fresh ((x : Unit)) (conj (== x sole) (r x))))\n"
     rs, sr = parse_program(r + s), parse_program(s + r)
-    assert [rel.body.var for rel in rs.relations] == ["x~1", "x~1"]
+    assert [rel.body.binders[0][0] for rel in rs.relations] == ["x~1", "x~1"]
     assert {render_relation(rel) for rel in rs.relations} == \
         {render_relation(rel) for rel in sr.relations}
 
@@ -416,6 +429,14 @@ def test_corpus_parses_and_round_trips():
     for source in sources:
         program = parse_program(source)
         assert parse_program(render_program(program)) == program
+
+    # one fresh binds both variables, and is written back as it was read
+    source = ("(defrel (r (x : Unit))\n"
+              "  (fresh ((y : Unit) (z : (Sum Unit Unit)))\n"
+              "    (== y x)))\n")
+    program = parse_program(source)
+    assert program.relations[0].body.binders == (("y", UNIT), ("z", Sum(UNIT, UNIT)))
+    assert render_program(program) == source
 
 
 @st.composite
