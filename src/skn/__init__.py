@@ -22,9 +22,9 @@ from .eval import (
     type_size,
 )
 from .poly import (
-    InstanceExplosion, LoweringError, NonGenericCall,
-    NonIdempotentSemiring, canonical_type, compile_call, generic_arg_env,
-    count_env, enforce_eqpat_codegen, lower_program, smallest_large_enough,
+    InstanceExplosion, LoweringError, NonIdempotentSemiring, canonical_type,
+    compile_call, count_env, enforce_eqpat_codegen, generic_arg_env,
+    lower_program, smallest_large_enough,
 )
 
 __version__ = "0.1.0"

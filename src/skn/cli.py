@@ -1,7 +1,7 @@
-"""Batch driver: load a program (parse, check, read its factor literals,
-lower it), run the fixpoint, and emit relation tables as TSV or JSON.
-``--diff`` loads the program under both lowering modes instead and
-compares their tables.
+"""The `skn run` command: load a program (parse, check, read its factor
+literals), lower it, run the fixpoint, and emit relation tables as TSV or
+JSON.  ``--diff`` loads the program once, lowers it under both modes
+instead and compares their tables.
 
 Exit codes: 0 ok; 1 a usage error, no semiring or an unknown one in
 SKN_SEMIRING, an unreadable or undecodable source file, parse/type/
@@ -112,12 +112,12 @@ def emit_tables(tables: list[RelTable], fmt: str, spec: SemiringSpec) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def load_program(text: str, spec: SemiringSpec, mode: str) -> Program:
-    """Parse, check and lower one program, reading its factor literals
-    under `spec` before lowering."""
+def load_program(text: str, spec: SemiringSpec) -> Program:
+    """Parse and check one program, and read its factor literals under
+    `spec`, so that each mode lowers the same checked program."""
     checked = typecheck.check_program(syntax.parse_program(text))
     check_factor_literals(checked, spec)
-    return poly.lower_program(checked, mode, spec)
+    return checked
 
 
 def _select_tables(result: FixpointResult, lowered: Program,
@@ -134,10 +134,11 @@ def _select_tables(result: FixpointResult, lowered: Program,
 def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
                out=None) -> int:
     """Run both lowering modes and compare every shared relation table.
-    Both modes are lowered before either is solved, so a lowering error
-    costs no fixpoint."""
+    The program is loaded once, and both modes are lowered before either
+    is solved, so a lowering error costs no fixpoint."""
     out = sys.stdout if out is None else out
-    lowered = {mode: load_program(text, spec, mode) for mode in poly.MODES}
+    checked = load_program(text, spec)
+    lowered = {mode: poly.lower_program(checked, mode, spec) for mode in poly.MODES}
     runs = {mode: (p, fixpoint(p, spec, epsilon=cfg.epsilon, max_iters=cfg.max_iters))
             for mode, p in lowered.items()}
     stuck = [mode for mode, (_, result) in runs.items() if not result.converged]
@@ -176,7 +177,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
             text = fh.read()
         if cfg.diff:
             return diff_modes(cfg, text, spec, out=out)
-        lowered = load_program(text, spec, cfg.poly_mode)
+        lowered = poly.lower_program(load_program(text, spec), cfg.poly_mode, spec)
         if cfg.emit_lowered:
             with open(cfg.emit_lowered, "w", encoding="utf-8") as fh:
                 fh.write(render_program(lowered))

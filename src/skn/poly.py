@@ -53,10 +53,9 @@ from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
     ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value, nest,
-    render_type, subgoals, walk_goal,
+    subgoals, walk_goal,
 )
 from .typecheck import apply_subst, check_program
-from .eval import type_size
 
 
 class LoweringError(Exception):
@@ -69,10 +68,6 @@ class NonIdempotentSemiring(LoweringError):
 
 class InstanceExplosion(LoweringError):
     pass
-
-
-class NonGenericCall(Exception):
-    """A call's arguments cannot be typed generically; it is monomorphized."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +152,10 @@ class _Lowering:
             return None if t is None else apply_subst(sigma, t)
         params = tuple((x, sub(ty)) for x, ty in rel.params)
 
-        def leaf(g: Goal, binders: Binders) -> Goal:
+        def leaf(g: Goal, _) -> Goal:
             if isinstance(g, Call):
-                g = Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args),
-                         tuple((tv, sub(ty)) for tv, ty in g.subst))
-                return self.rewrite_call(g, params + tuple((x, sub(ty)) for x, ty in binders))
+                return self.rewrite_call(Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args),
+                                              tuple((tv, sub(ty)) for tv, ty in g.subst)))
             if isinstance(g, (Unify, Disunify)):
                 return type(g)(map_value(g.v1, annot=sub), map_value(g.v2, annot=sub), sub(g.ty))
             return g
@@ -172,7 +166,7 @@ class _Lowering:
         key = (rel, sigma_types)
         if key in self.instances:
             return self.instances[key]
-        sizes = tuple(type_size(t) for t in sigma_types)
+        sizes = tuple(t.size for t in sigma_types)
         if any(n > MAX_TYVAR_SIZE for n in sizes):
             raise InstanceExplosion(
                 f"instance of {rel} needs a type variable of size {max(sizes)}; "
@@ -187,67 +181,61 @@ class _Lowering:
         self.pending.append(key)
         return name
 
-    def rewrite_call(self, g: Call, scope: Binders) -> Goal:
-        """Rewrite a call made where the variables `scope` are in scope."""
+    def rewrite_call(self, g: Call) -> Goal:
+        """Rewrite a checked call at concrete types by one decision: in
+        large-enough mode, a call typed generically at or above the callee's
+        large-enough sizes calls its large-enough instance, through an
+        equality-pattern wrapper above those sizes; every other polymorphic
+        call is monomorphized, with a note in large-enough mode."""
         assert g.subst is not None, "lowering requires a checked program"
         callee = self.source[g.rel]
         if not callee.tyvars:
             self.called.add(g.rel)
             return Call(g.rel, g.args, None)
         sigma_types = tuple(dict(g.subst)[tv] for tv in callee.tyvars)
-        if self.mode == "monomorphize":
-            return Call(self.demand(g.rel, sigma_types), g.args, None)
-
-        target_sizes = self.large_enough[g.rel]
-        try:
-            generic_env = generic_arg_env(tuple(ty for _, ty in callee.params),
-                                          dict(g.subst), g.args, scope)
-        except NonGenericCall:
-            self.notes.append(f"{g.rel}: non-generic call, monomorphized")
-            return Call(self.demand(g.rel, sigma_types), g.args, None)
-        if any(type_size(t) < target_sizes[tv] for tv, t in zip(callee.tyvars, sigma_types)):
-            self.notes.append(f"{g.rel}: call below large-enough sizes, monomorphized")
-            return Call(self.demand(g.rel, sigma_types), g.args, None)
-        target_types = tuple(canonical_type(target_sizes[tv]) for tv in callee.tyvars)
-        target_name = self.demand(g.rel, target_types)
-        if sigma_types == target_types:
-            return Call(target_name, g.args, None)
-        sigma2 = dict(zip(callee.tyvars, target_types))
-        return compile_call(g, target_name, sigma2, self.names, generic_env)
+        if self.mode == "large-enough":
+            target_sizes = self.large_enough[g.rel]
+            generic_env = generic_arg_env(tuple(ty for _, ty in callee.params), g.args)
+            if generic_env is None:
+                self.notes.append(f"{g.rel}: non-generic call, monomorphized")
+            elif any(t.size < target_sizes[tv] for tv, t in zip(callee.tyvars, sigma_types)):
+                self.notes.append(f"{g.rel}: call below large-enough sizes, monomorphized")
+            else:
+                target_types = tuple(canonical_type(target_sizes[tv]) for tv in callee.tyvars)
+                target_name = self.demand(g.rel, target_types)
+                if sigma_types == target_types:
+                    return Call(target_name, g.args, None)
+                return compile_call(g, target_name, dict(zip(callee.tyvars, target_types)),
+                                    self.names, generic_env)
+        return Call(self.demand(g.rel, sigma_types), g.args, None)
 
 
 # ---------------------------------------------------------------------------
 # generic typing of call arguments
 
-def generic_arg_env(params: tuple[TypeExpr, ...], sigma: dict[str, TypeExpr],
-                    args: tuple[ValueExpr, ...], scope: Binders) -> Binders:
-    """Type each caller variable free in a call's well-typed `args` over
-    the callee's parameter types `params`, consistent with the call
-    substitution `sigma`, in the order of `scope`, the caller's variables
-    in scope at the call.  Raises NonGenericCall when no such typing
-    exists (a variable at two generic types, or a constructor at a type
-    variable); the lowering then monomorphizes the call instead."""
-    types = dict(reversed(scope))  # the first binding of a name wins
+def generic_arg_env(params: tuple[TypeExpr, ...],
+                    args: tuple[ValueExpr, ...]) -> Optional[Binders]:
+    """Type each variable of a well-typed call's `args` over the callee's
+    parameter types `params`, in order of first occurrence in the arguments,
+    left to right; None if no such typing exists (a variable at two generic
+    types, or a constructor at a type variable).  The re-check types the
+    wrapper built from it against the caller's variables."""
     assign: dict[str, TypeExpr] = {}
-    stack = list(zip(params, args))
+    stack = list(zip(params, args))[::-1]
     while stack:
         pattern, v = stack.pop()
         match v:
             case Var(name):
                 if assign.setdefault(name, pattern) != pattern:
-                    raise NonGenericCall(
-                        f"{name} occurs at generic types {render_type(assign[name])} "
-                        f"and {render_type(pattern)}"
-                    )
-                assert apply_subst(sigma, pattern) == types[name]
+                    return None
             # A well-typed constructor sits at its own type or at a type variable.
             case _ if isinstance(pattern, TyVar):
-                raise NonGenericCall("constructor at a type-variable position")
+                return None
             case Left(inner, _) | Right(inner, _):
                 stack.append((pattern.left if isinstance(v, Left) else pattern.right, inner))
             case Pair(a, b):
-                stack += ((pattern.first, a), (pattern.second, b))
-    return tuple((x, assign[x]) for x, _ in scope if x in assign)
+                stack += ((pattern.second, b), (pattern.first, a))
+    return tuple(assign.items())
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +328,7 @@ def compile_call(call: Call, target_name: str, sigma2: dict[str, TypeExpr],
     # The caller's annotations name its own types; without them the
     # re-check infers each argument from the target's parameter types.
     renamed_args = tuple(
-        map_value(a, var=lambda v: Var(vars2.get(v.name, v.name)), annot=lambda _: None)
+        map_value(a, var=lambda v: Var(vars2[v.name]), annot=lambda _: None)
         for a in call.args
     )
     body = Conj(Call(target_name, renamed_args, None),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skn import SEMIRINGS, cli, render_value
+from skn import SEMIRINGS, cli, lower_program, render_value
 from skn import eval as skn_eval
 from skn.cli import RunConfig, diff_modes, load_program, main, run
 from skn.eval import RelTable
@@ -185,7 +185,8 @@ def test_rows_follow_value_enumeration(tmp_path, fmt):
             blocks = [b.splitlines() for b in out.split("\n\n")]
             emitted = {lines[0][2:]: [tuple(row.split("\t")[:-1]) for row in lines[2:]]
                        for lines in blocks}
-        lowered = load_program(Path(src).read_text(), SEMIRINGS[sr], "monomorphize")
+        lowered = lower_program(load_program(Path(src).read_text(), SEMIRINGS[sr]),
+                                "monomorphize", SEMIRINGS[sr])
         assert list(emitted) == lowered.names()
         for rel in lowered.relations:
             axes = [[render_value(v) for v in oracle.type_values(ty)]
@@ -266,6 +267,16 @@ def test_diff_corpus_identical():
             assert diff_modes(cfg, load(name), __import__("skn").SEMIRINGS[sr],
                               out=out) == 0
             assert out.getvalue().strip() == "identical"
+
+
+def test_diff_parses_and_checks_once(monkeypatch):
+    parsed = []
+    original = cli.syntax.parse_program
+    monkeypatch.setattr(cli.syntax, "parse_program",
+                        lambda text: parsed.append(text) or original(text))
+    status, out, _ = run_capture(RunConfig(path("sum-swap.skn"), "boolean", diff=True))
+    assert (status, out) == (0, "identical\n")
+    assert len(parsed) == 1
 
 
 def test_diff_reports_non_convergence():

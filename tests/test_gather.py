@@ -117,6 +117,65 @@ def test_gather_matches_written_wrapper_above_large_enough_sizes():
     assert gathered >= 200
 
 
+# The branch types of `_holes_behind_a_branch`: each a type, the pattern
+# that takes it apart, and how many holes the pattern binds.
+PRODUCTS = [("(Prod a a)", "(pair {0} {1})", 2), ("(Prod a Unit)", "(pair {0} sole)", 1),
+            ("(Prod Unit a)", "(pair sole {0})", 1)]
+HOLES = [("a", "{0}", 1), ("(Prod a a)", "(pair {0} {1})", 2)]
+
+
+def _holes_behind_a_branch(seed: int) -> str:
+    """A random relation over `a` whose first parameter is a sum with a
+    product of holes in one branch and holes in the other, then one or two
+    parameters of type `a`; its body takes each branch apart and compares
+    the holes with those parameters.  It is called above its large-enough
+    size from a relation that declares its own parameters in shuffled
+    order.  Where the product branch comes first and is not taken, its
+    holes come before the realized ones, as in `NESTED_HOLES`."""
+    rng = random.Random(seed)
+    branches = [rng.choice(PRODUCTS), rng.choice(HOLES)]
+    rng.shuffle(branches)
+    after = [f"y{i}" for i in range(rng.randint(1, 2))]
+
+    def compare(depth, names):
+        if depth == 0 or rng.random() < 0.4:
+            if rng.random() < 0.2:
+                return "(factor 1)"
+            u, w = rng.sample(names, 2)
+            return f"({rng.choice(['==', '=/='])} {u} {w})"
+        return f"({rng.choice(['conj', 'disj'])} {compare(depth - 1, names)} " \
+               f"{compare(depth - 1, names)})"
+
+    arms = []
+    for side, (_, pattern, n) in zip(("left", "right"), branches):
+        holes = [f"{side[0]}{i}" for i in range(n)]
+        binders = " ".join(f"({h} : a)" for h in holes)
+        arms.append(f"(fresh ({binders}) (conj (== x ({side} {pattern.format(*holes)})) "
+                    f"{compare(2, holes + after)}))")
+    params = " ".join(f"({y} : a)" for y in after)
+    source = (f"(defrel (holes (forall a) (x : (Sum {branches[0][0]} {branches[1][0]})) {params})\n"
+              f"  (disj {arms[0]} {arms[1]}))\n")
+    rel = parse_program(source).relations[0]
+    t = canonical_type(smallest_large_enough(rel)["a"] + rng.randint(1, 2))
+    concrete = [(x, render_type(apply_subst({"a": t}, ty))) for x, ty in rel.params]
+    rng.shuffle(concrete)
+    caller = " ".join(f"({x} : {ty})" for x, ty in concrete)
+    return source + f"(defrel (holes-at {caller}) (holes x {' '.join(after)}))\n"
+
+
+def test_gather_matches_monomorphize_behind_unrealized_branches():
+    wrappers = 0
+    for seed in range(40):
+        checked = check_program(parse_program(_holes_behind_a_branch(seed)))
+        for spec in (BOOLEAN, MIN_TROPICAL):
+            wrapped = lower_program(checked, "large-enough", spec)
+            wrappers += len(_records(wrapped))
+            got = fixpoint(wrapped, spec).tables["holes-at"]
+            want = fixpoint(lower_program(checked, "monomorphize", spec), spec).tables["holes-at"]
+            assert np.array_equal(got.cells, want.cells), (seed, spec.name)
+    assert wrappers == 80
+
+
 def test_record_survives_recheck():
     lowered = lower_program(check_program(parse_program(load("sum-swap.skn"))),
                             "large-enough", BOOLEAN)

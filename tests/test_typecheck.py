@@ -1,14 +1,15 @@
 import io
 
+import numpy as np
 import pytest
 
 from skn import (
-    BOOLEAN, Call, Left, Pair, Prod, Right, SOLE, Sum, TyVar, UNIT, Var,
-    check_program, check_type_valid, generic_arg_env, lower_program,
-    parse_program, type_of_value,
+    BOOLEAN, MIN_TROPICAL, Call, Fresh, Left, Pair, Prod, Right, SOLE, Sum,
+    TyVar, UNIT, Var, canonical_type, check_program, check_type_valid,
+    fixpoint, generic_arg_env, lower_program, parse_program, render_type,
+    type_of_value,
 )
 from skn.cli import RunConfig, run
-from skn.poly import NonGenericCall
 from skn.syntax import walk_goal
 from skn.typecheck import TypeCheckError, TypeEnv
 
@@ -266,7 +267,8 @@ def test_bare_constructor_inferred_through_call():
 
 # ---------------------------------------------------------------------------
 # generic argument environments, which the large-enough call rewrite in
-# `poly` computes from a checked call and the caller's scope at it
+# `poly` computes from a checked call's arguments and the callee's
+# parameter types
 
 def _checked_call(src, relname, callee):
     """The first call to `callee` in the checked `relname`, the caller's
@@ -281,7 +283,7 @@ def _checked_call(src, relname, callee):
 
 def test_generic_env_sum_swap():
     call, caller_env, params = _checked_call(load("sum-swap.skn"), "sum-swap-3-3", "sum-swap")
-    ge = generic_arg_env(params, dict(call.subst), call.args, caller_env)
+    ge = generic_arg_env(params, call.args)
     assert ge == (("x", Sum(TyVar("a"), TyVar("b"))),
                   ("y", Sum(TyVar("b"), TyVar("a"))))
 
@@ -292,7 +294,7 @@ def test_generic_env_single_occurrence():
     (defrel (main (w : Unit)) (equal w w))
     """
     call, caller_env, params = _checked_call(src, "main", "equal")
-    assert generic_arg_env(params, dict(call.subst), call.args, caller_env) == \
+    assert generic_arg_env(params, call.args) == \
         (("w", TyVar("a")),)
     assert dict(call.subst) == {"a": UNIT}
 
@@ -304,8 +306,7 @@ def test_non_generic_conflicting_positions():
     (defrel (main (w : (Sum Unit Unit))) (r w w))
     """
     call, caller_env, params = _checked_call(src, "main", "r")
-    with pytest.raises(NonGenericCall):
-        generic_arg_env(params, dict(call.subst), call.args, caller_env)
+    assert generic_arg_env(params, call.args) is None
     notes = []  # recorded as a fallback
     lower_program(check_program(parse_program(src)), "large-enough", BOOLEAN, notes)
     assert notes == ["r: non-generic call, monomorphized"]
@@ -317,7 +318,7 @@ def test_generic_env_concrete_var_kept():
     (defrel (main (w : Unit) (u : (Sum Unit Unit))) (r w u))
     """
     call, caller_env, params = _checked_call(src, "main", "r")
-    assert generic_arg_env(params, dict(call.subst), call.args, caller_env) == \
+    assert generic_arg_env(params, call.args) == \
         (("w", TyVar("a")), ("u", S2))
 
 
@@ -345,11 +346,38 @@ def test_generic_env_through_fresh_scope():
                                              "option-map-example", "sum-swap")
     assert [x for x, _ in caller_env][-2:] == ["h", "k"]
     assert dict(swap.subst) == {"a": UNIT, "b": UNIT}
-    assert generic_arg_env(params, dict(swap.subst), swap.args, caller_env) == \
+    assert generic_arg_env(params, swap.args) == \
         (("h", Sum(TyVar("a"), TyVar("b"))), ("k", Sum(TyVar("b"), TyVar("a"))))
 
 
 def test_literal_constructor_args_are_non_generic():
     call, caller_env, params = _checked_call(load("equal.skn"), "equal-soles", "equal")
-    with pytest.raises(NonGenericCall):
-        generic_arg_env(params, dict(call.subst), call.args, caller_env)
+    assert generic_arg_env(params, call.args) is None
+
+
+def test_generic_env_in_first_occurrence_order():
+    # x is bound before y, but the call names y first: the typing, and the
+    # wrapper's copies, follow the arguments, not the caller's scope
+    t3 = render_type(canonical_type(3))
+    src = f"""
+    (defrel (r (forall a) (u : a) (v : (Sum a Unit)))
+      (disj (conj (== v (left u)) (factor 1))
+            (conj (=/= v (left u)) (factor 0))))
+    (defrel (main (x : (Sum {t3} Unit)) (y : {t3})) (r y x))
+    """
+    call, caller_env, params = _checked_call(src, "main", "r")
+    assert [x for x, _ in caller_env] == ["x", "y"]
+    a = TyVar("a")
+    assert generic_arg_env(params, call.args) == (("y", a), ("x", Sum(a, UNIT)))
+    checked = check_program(parse_program(src))
+    wrapped = lower_program(checked, "large-enough", BOOLEAN)
+    body = wrapped.relation("main").body
+    assert isinstance(body, Fresh) and body.wrap == (("y", a), ("x", Sum(a, UNIT)))
+    copies = [x2 for x2, _ in body.binders]
+    assert [v.name for v in body.body.g1.args] == copies
+    assert [ty for _, ty in body.binders] == [canonical_type(2), Sum(canonical_type(2), UNIT)]
+    for spec in (BOOLEAN, MIN_TROPICAL):
+        got = fixpoint(lower_program(checked, "large-enough", spec), spec)
+        want = fixpoint(lower_program(checked, "monomorphize", spec), spec)
+        assert got.converged and want.converged
+        assert np.array_equal(got.tables["main"].cells, want.tables["main"].cells), spec.name
