@@ -279,17 +279,18 @@ Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; array 
 
 
 def _view(dims: tuple[str, ...], dims_out: tuple[str, ...],
-          scope: dict[str, TypeExpr]) -> Optional[tuple]:
-    """The transpose and reshape that lay an array over `dims` out in
-    `dims_out` order, with a unit axis for each variable it lacks, or None."""
+          scope: dict[str, TypeExpr]) -> Optional[tuple[int, ...]]:
+    """The shape that lays an array over `dims` out over `dims_out`, with
+    a unit axis for each variable it lacks, or None if it is already laid
+    out so.  Both follow scope order, so no axis moves (see `Plan`)."""
     if dims == dims_out:
         return None
-    return ([dims.index(d) for d in dims_out if d in dims],
-            tuple(scope[d].size if d in dims else 1 for d in dims_out))
+    assert [d for d in dims_out if d in dims] == list(dims), "axes out of scope order"
+    return tuple(scope[d].size if d in dims else 1 for d in dims_out)
 
 
-def _apply(arr: np.ndarray, view: Optional[tuple]) -> np.ndarray:
-    return arr if view is None else arr.transpose(view[0]).reshape(view[1])
+def _apply(arr: np.ndarray, view: Optional[tuple[int, ...]]) -> np.ndarray:
+    return arr if view is None else arr.reshape(view)
 
 
 @dataclass
@@ -302,7 +303,9 @@ class Plan:
     slot.  An operand is a constant array or the slot of an earlier step.
     The table is operand `out` under `view`.  While the plan is built, a
     subgoal is a `Term`: its array if it reads no table, else its slot; an
-    operation on constants alone is done at once.
+    operation on constants alone is done at once.  A term's axes follow
+    scope order (`_grid`, `fold`, `eliminate` and `_fact_table` build them
+    so), and a view is a reshape that only adds unit axes (`_view`).
     """
     name: str
     params: Binders
@@ -310,7 +313,7 @@ class Plan:
     shape: tuple[int, ...]
     steps: list[tuple] = field(default_factory=list)
     out: Union[np.ndarray, int] = 0
-    view: Optional[tuple] = None
+    view: Optional[tuple[int, ...]] = None
 
     def step(self, kind: int, *args) -> int:
         self.steps.append((kind, *args))

@@ -33,12 +33,15 @@ canonical tuple of the pattern instead of summing over all of them; a
 program read back from its rendered text has no record and evaluates the
 wrapper as written.
 
-Hole bookkeeping uses each type's hole counts, `TypeExpr.holes`, set
-once when the type is built, as a static slot allocator: within a sum
-type both branches share the same slots (a value only ever realizes one
-branch, so a max suffices), while a product concatenates its components'
-slots.  Slots that the realized branch does not populate stay
-unconstrained in the generated code, which is harmless for the same
+The pattern code (`enforce_eqpat_codegen`) states the pattern as
+defined: each copied variable, and the caller's variable it copies,
+equals its generic type's shell (its variable-typed parts replaced by
+hole variables), and each type variable's holes are pairwise equal on
+both sides or on neither.  Each type's hole counts, `TypeExpr.holes`,
+number the holes as a static slot allocator: a sum's branches share
+slots (a value realizes one branch, so a max suffices), a product
+concatenates its components' slots.  Slots that the realized branch
+does not populate stay unconstrained, which is harmless for the same
 idempotence reason.
 """
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 from .semiring import SemiringSpec
@@ -244,71 +248,59 @@ def generic_arg_env(params: tuple[TypeExpr, ...],
 def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
                           sigma1: dict, sigma2: dict, supply: _NameSupply) -> Goal:
     """Goal that holds exactly when the `vars1` and `vars2` variable
-    families carry the same equality pattern over `delta_generic`.
-
-    Both families are deconstructed into freshly bound ancillary hole
-    variables (one family per side, typed under the side's substitution),
-    then every hole pair is forced to agree on equality/disequality.
-    Hole slots are allocated by the occurrence count: sum branches share
-    slots, product components concatenate them.
+    families carry the same equality pattern over `delta_generic`: each
+    variable equals its generic type's shell on its side, and the holes of
+    each type variable agree pairwise on equality.  `shell` builds a
+    type's shell on both sides at once; a sum's is a new variable per
+    side, typed under that side's substitution, bound by a disj of the
+    two injected shells of its parts.
     """
     delta_generic = tuple(delta_generic)
+    sigmas = (sigma1, sigma2)
     tyvars = free_type_vars(*(ty for _, ty in delta_generic))
-    slots = {tv: count_env(tv, delta_generic) for tv in tyvars}
-    h1 = {tv: [supply.fresh("h") for _ in range(slots[tv])] for tv in tyvars}
-    h2 = {tv: [supply.fresh("h") for _ in range(slots[tv])] for tv in tyvars}
+    holes = {tv: tuple([supply.fresh("h") for _ in range(count_env(tv, delta_generic))]
+                       for _ in sigmas) for tv in tyvars}
 
-    def deconstruct(ty: TypeExpr, e1: ValueExpr, e2: ValueExpr,
-                    bases: dict[str, int]) -> list[Goal]:
+    def after(base: dict[str, int], ty: TypeExpr) -> dict[str, int]:
+        return {tv: i + ty.holes.get(tv, 0) for tv, i in base.items()}
+
+    def shell(ty: TypeExpr, base: dict[str, int], binders: list, goals: list) -> tuple:
+        """`ty`'s shell on each side, its holes from slot `base` on; the sum
+        variables it binds go to `binders`, and their disjs to `goals`."""
         match ty:
             case Unit():
-                return []
+                return SOLE, SOLE
             case TyVar(name):
-                i = bases[name]
-                bases[name] += 1
-                return [Unify(e1, Var(h1[name][i])), Unify(e2, Var(h2[name][i]))]
+                return tuple(Var(side[base[name]]) for side in holes[name])
             case Prod(a, b):
-                c1, c2 = supply.fresh("p"), supply.fresh("p")
-                d1, d2 = supply.fresh("p"), supply.fresh("p")
-                goals = [Unify(e1, Pair(Var(c1), Var(d1))), Unify(e2, Pair(Var(c2), Var(d2)))]
-                goals += deconstruct(a, Var(c1), Var(c2), bases)
-                goals += deconstruct(b, Var(d1), Var(d2), bases)
-                return [Fresh(((c1, apply_subst(sigma1, a)), (c2, apply_subst(sigma2, a)),
-                               (d1, apply_subst(sigma1, b)), (d2, apply_subst(sigma2, b))),
-                              _conj(goals))]
+                first = shell(a, base, binders, goals)
+                return tuple(map(Pair, first, shell(b, after(base, a), binders, goals)))
             case Sum(a, b):
+                sums = tuple(Var(supply.fresh("s")) for _ in sigmas)
+                binders += ((s.name, apply_subst(sigma, ty)) for s, sigma in zip(sums, sigmas))
                 branches = []
-                for inj, part in ((Left, a), (Right, b)):
-                    c1, c2 = supply.fresh("c"), supply.fresh("c")
-                    goals = [Unify(e1, inj(Var(c1))), Unify(e2, inj(Var(c2)))]
-                    # both branches draw from the same slots
-                    goals += deconstruct(part, Var(c1), Var(c2), dict(bases))
-                    branches.append(Fresh(((c1, apply_subst(sigma1, part)),
-                                           (c2, apply_subst(sigma2, part))), _conj(goals)))
-                for tv, n in ty.holes.items():
-                    bases[tv] += n
-                return [Disj(*branches)]
+                for inj, part in ((Left, a), (Right, b)):  # both from the same slots
+                    own_binders, own_goals = [], []
+                    parts = shell(part, base, own_binders, own_goals)
+                    body = _conj(own_goals + [Unify(s, inj(p)) for s, p in zip(sums, parts)])
+                    branches.append(Fresh(tuple(own_binders), body) if own_binders else body)
+                goals.append(Disj(*branches))
+                return sums
         raise TypeError(ty)
 
+    binders = [(h, apply_subst(sigma, TyVar(tv))) for tv in tyvars
+               for side, sigma in zip(holes[tv], sigmas) for h in side]
     goals: list[Goal] = []
-    bases = {tv: 0 for tv in tyvars}
+    base = {tv: 0 for tv in tyvars}
     for x, ty in delta_generic:
-        goals += deconstruct(ty, Var(vars1[x]), Var(vars2[x]), bases)
-    assert bases == slots
-
-    for tv in tyvars:
-        for i in range(slots[tv]):
-            for j in range(i + 1, slots[tv]):
-                a1, b1 = Var(h1[tv][i]), Var(h1[tv][j])
-                a2, b2 = Var(h2[tv][i]), Var(h2[tv][j])
-                goals.append(Disj(
-                    Conj(Unify(a1, b1), Unify(a2, b2)),
-                    Conj(Disunify(a1, b1), Disunify(a2, b2)),
-                ))
-
-    holes = tuple((name, apply_subst(sigma, TyVar(tv))) for tv in tyvars
-                  for h, sigma in ((h1, sigma1), (h2, sigma2)) for name in h[tv])
-    return Fresh(holes, _conj(goals)) if holes else _conj(goals)
+        shells = shell(ty, base, binders, goals)
+        goals += map(Unify, (Var(vars1[x]), Var(vars2[x])), shells)
+        base = after(base, ty)
+    for sides in holes.values():
+        for i, j in combinations(range(len(sides[0])), 2):
+            goals.append(Disj(*(_conj([rel(Var(side[i]), Var(side[j])) for side in sides])
+                                for rel in (Unify, Disunify))))
+    return Fresh(tuple(binders), _conj(goals)) if binders else _conj(goals)
 
 
 def _conj(goals: list[Goal]) -> Goal:

@@ -362,25 +362,27 @@ _CLOSER = {"(": ")", "{": "}"}
 
 
 class _NameSupply:
-    """Generates names that collide with none in `used` nor with each other."""
+    """Generates names that collide with none in `used` nor with each other.
+    `used` is read, not copied (the reader shares one set across relations);
+    the names made are kept in `made`."""
 
     def __init__(self, used: set[str]):
-        self.used, self.counter = set(used), 0
+        self.used, self.made, self.counter = used, set(), 0
 
     def fresh(self, base: str) -> str:
         while True:
             self.counter += 1
             cand = f"{base}~{self.counter}"
-            if cand not in self.used:
-                self.used.add(cand)
+            if cand not in self.used and cand not in self.made:
+                self.made.add(cand)
                 return cand
 
     def relation_name(self, base: str) -> str:
         name, k = base, 0
-        while name in self.used:
+        while name in self.used or name in self.made:
             k += 1
             name = f"{base}#{k}"
-        self.used.add(name)
+        self.made.add(name)
         return name
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skn import SEMIRINGS, cli, lower_program, render_value
+from skn import SEMIRINGS, cli, lower_program, poly, render_value
 from skn import eval as skn_eval
 from skn.cli import RunConfig, diff_modes, load_program, main, run
 from skn.eval import RelTable
@@ -109,6 +109,20 @@ def test_lowering_error_exit_code():
     assert status == 2
     assert "idempotent" in err
 
+
+
+def test_instance_limit_exit_code(tmp_path, monkeypatch):
+    # two instances of `same` demanded, one allowed
+    monkeypatch.setattr(poly, "MAX_INSTANCES", 1)
+    src = tmp_path / "two.skn"
+    src.write_text("(defrel (same (x : a)) (== x x))\n"
+                   "(defrel (main (u : Unit) (b : (Sum Unit Unit))) (conj (same u) (same b)))\n")
+    with pytest.raises(poly.InstanceExplosion, match="more than 1 relation instances"):
+        lower_program(load_program(src.read_text(), SEMIRINGS["boolean"]), "monomorphize",
+                      SEMIRINGS["boolean"])
+    status, out, err = run_capture(RunConfig(str(src), "boolean"))
+    assert (status, out) == (2, "")
+    assert err == "error: more than 1 relation instances requested\n"
 
 def test_non_convergence_exit_code(tmp_path):
     src = tmp_path / "diverge.skn"

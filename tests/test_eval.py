@@ -260,6 +260,51 @@ def test_group_above_cell_bound_iterates(monkeypatch):
         assert abs(cell - 0.5) <= 1e-9
 
 
+
+def _handed_to_iteration(monkeypatch, src: str, max_iters: int = 10000) -> list:
+    """Run `src` under real, watching `_solve_affine` and numpy's `eigvals`
+    and `solve`; check that the solve gave the group back (None) and that
+    the result is iteration's alone (`MAX_SOLVE_CELLS = 0`).  Returns the
+    calls: the names of the linear algebra calls, then the solve's result."""
+    with monkeypatch.context() as m:
+        m.setattr(skn_eval, "MAX_SOLVE_CELLS", 0)
+        _, alone = run_source(src, REAL, max_iters=max_iters)
+    calls, solve = [], skn_eval._solve_affine
+    monkeypatch.setattr(skn_eval, "_solve_affine", lambda *a: calls.append(solve(*a)) or calls[-1])
+    for name in ("eigvals", "solve"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, f=getattr(np.linalg, name), name=name:
+                            calls.append(name) or f(*a))
+    _, res = run_source(src, REAL, max_iters=max_iters)
+    assert calls[-1] is None
+    assert (res.converged, res.iterations, res.stopped_on_nan) == \
+        (alone.converged, alone.iterations, alone.stopped_on_nan)
+    assert all(np.array_equal(t.cells, alone.tables[n].cells) for n, t in res.tables.items())
+    return calls
+
+
+def test_solve_with_a_non_finite_matrix_iterates(monkeypatch):
+    # A = [1e300 * 1e300] = [inf]: the solve stops before any linear algebra,
+    # and iteration reaches inf, which never converges (inf - inf = nan)
+    src = ("(defrel (r (x : Unit))"
+           " (disj (factor 1) (conj (factor 1e300) (conj (factor 1e300) (r x)))))")
+    assert _handed_to_iteration(monkeypatch, src, max_iters=50) == [None]
+
+
+def test_solve_raising_lin_alg_error_iterates(monkeypatch):
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    src = "(defrel (alt (x : Unit)) (disj (factor 1) (conj (factor -0.5) (alt x))))"
+    assert _handed_to_iteration(monkeypatch, src) == ["eigvals", "solve", None]
+
+
+def test_solve_failing_its_verifying_round_iterates(monkeypatch):
+    # I - A = [1e-8] is ill-conditioned: the solution, about 1e8, is a
+    # float whose spacing (1.5e-8) passes the tolerance, so the round from
+    # it moves by more than 1e-9; iteration at rate 1 - 1e-8 does not converge
+    src = "(defrel (r (x : Unit)) (disj (factor 1) (conj (factor 0.99999999) (r x))))"
+    assert _handed_to_iteration(monkeypatch, src, max_iters=50) == ["eigvals", "solve", None]
+
 def test_contraction_stop_within_tolerance(monkeypatch):
     # The rate estimate from consecutive rounds approaches the true rate
     # from below.  Stopping once the bound it gives is within ε ended this

@@ -14,7 +14,10 @@ from skn import (
     type_labels, type_size,
 )
 from skn.poly import MAX_TYVAR_SIZE
-from skn.syntax import fold, free_vars, map_value, render_relation, render_value_expr
+from skn import syntax
+from skn.syntax import (
+    _NameSupply, fold, free_vars, map_value, render_relation, render_value_expr,
+)
 
 import gen
 import oracle
@@ -142,6 +145,32 @@ def test_shadowed_fresh_binder_renamed():
     assert {render_relation(rel) for rel in rs.relations} == \
         {render_relation(rel) for rel in sr.relations}
 
+
+
+def test_name_supply_reads_used_names_without_copying():
+    used = {"a", "a~1"}
+    supply = _NameSupply(used)
+    names = [supply.fresh("a") for _ in range(3)] + [supply.relation_name("a") for _ in range(2)]
+    assert names == ["a~2", "a~3", "a~4", "a#1", "a#2"]
+    assert supply.used is used and used == {"a", "a~1"}
+
+
+def test_reader_shares_one_token_set_across_relations(monkeypatch):
+    # each relation's supply reads the file's token set, which no rename
+    # adds to: a relation costs no copy of the file's tokens
+    supplies = []
+
+    class Recorded(syntax._NameSupply):
+        def __init__(self, used):
+            super().__init__(used)
+            supplies.append(self)
+
+    monkeypatch.setattr(syntax, "_NameSupply", Recorded)
+    p = parse_program("".join(f"(defrel (r{i} (x : Unit) (x~1 : Unit))"
+                              f" (fresh ((x : Unit)) (== x x~1)))\n" for i in range(3)))
+    assert [rel.body.binders[0][0] for rel in p.relations] == ["x~2"] * 3
+    assert len(supplies) == 3 and all(s.used is supplies[0].used for s in supplies)
+    assert "x~1" in supplies[0].used and "x~2" not in supplies[0].used
 
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as e:
