@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -120,15 +121,18 @@ def load_program(text: str, spec: SemiringSpec) -> Program:
     return checked
 
 
-def _select_tables(result: FixpointResult, lowered: Program,
-                   wanted: list) -> list[RelTable]:
-    order = lowered.names()
-    if wanted:
-        missing = [w for w in wanted if w not in result.tables]
-        if missing:
-            raise UnknownRelation(f"no such relation: {', '.join(missing)}")
-        order = [n for n in order if n in wanted]
-    return [result.tables[n] for n in order]
+def _select_tables(result: FixpointResult, lowered: Program, wanted: list,
+                   source: Program) -> list[RelTable]:
+    missing = [w for w in wanted if w not in result.tables]
+    for w in (w for w in missing if w in source.names()):  # polymorphic: report the first
+        built = [n for n in lowered.names() if n not in source.names()
+                 and re.fullmatch(re.escape(w) + r"\$[\d_]+(#\d+)?", n)]  # `poly`'s names
+        raise UnknownRelation(f"{w} is polymorphic; " + (
+            f"its instances in this run are {', '.join(built)}" if built
+            else "this run built no instance of it"))
+    if missing:
+        raise UnknownRelation(f"no such relation: {', '.join(missing)}")
+    return [result.tables[n] for n in lowered.names() if not wanted or n in wanted]
 
 
 def diff_modes(cfg: RunConfig, text: str, spec: SemiringSpec,
@@ -177,12 +181,13 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
             text = fh.read()
         if cfg.diff:
             return diff_modes(cfg, text, spec, out=out)
-        lowered = poly.lower_program(load_program(text, spec), cfg.poly_mode, spec)
+        checked = load_program(text, spec)
+        lowered = poly.lower_program(checked, cfg.poly_mode, spec)
         if cfg.emit_lowered:
             with open(cfg.emit_lowered, "w", encoding="utf-8") as fh:
                 fh.write(render_program(lowered))
         result = fixpoint(lowered, spec, epsilon=cfg.epsilon, max_iters=cfg.max_iters)
-        text = emit_tables(_select_tables(result, lowered, cfg.relations), cfg.fmt, spec)
+        text = emit_tables(_select_tables(result, lowered, cfg.relations, checked), cfg.fmt, spec)
     except (OSError, UnicodeDecodeError, ParseError, typecheck.TypeCheckError,
             WeightLiteralError, UnknownRelation) as e:
         print(f"error: {e}", file=err)

@@ -56,8 +56,8 @@ from .semiring import SemiringSpec
 from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
-    ValueExpr, Var, _NameSupply, free_type_vars, map_goal, map_value, nest,
-    subgoals, walk_goal,
+    ValueExpr, Var, _NameSupply, along, free_type_vars, map_goal, map_value,
+    nest, subgoals, walk_goal,
 )
 from .typecheck import apply_subst, check_program
 
@@ -221,24 +221,18 @@ def generic_arg_env(params: tuple[TypeExpr, ...],
                     args: tuple[ValueExpr, ...]) -> Optional[Binders]:
     """Type each variable of a well-typed call's `args` over the callee's
     parameter types `params`, in order of first occurrence in the arguments,
-    left to right; None if no such typing exists (a variable at two generic
-    types, or a constructor at a type variable).  The re-check types the
-    wrapper built from it against the caller's variables."""
+    left to right, as `along` pairs it with its generic type; None if no
+    such typing exists (a variable at two generic types, or a constructor
+    `along` stops at a type variable).  The re-check types the wrapper
+    built from it against the caller's variables."""
     assign: dict[str, TypeExpr] = {}
-    stack = list(zip(params, args))[::-1]
-    while stack:
-        pattern, v = stack.pop()
-        match v:
-            case Var(name):
-                if assign.setdefault(name, pattern) != pattern:
+    for param, arg in zip(params, args):
+        for v, pattern in along(arg, param):
+            if isinstance(v, Var):
+                if assign.setdefault(v.name, pattern) != pattern:
                     return None
-            # A well-typed constructor sits at its own type or at a type variable.
-            case _ if isinstance(pattern, TyVar):
+            elif isinstance(pattern, TyVar):
                 return None
-            case Left(inner, _) | Right(inner, _):
-                stack.append((pattern.left if isinstance(v, Left) else pattern.right, inner))
-            case Pair(a, b):
-                stack += ((pattern.second, b), (pattern.first, a))
     return tuple(assign.items())
 
 

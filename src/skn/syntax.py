@@ -29,7 +29,10 @@ on it, and the type checker and the lowering walk goals only through
 these.  `nest` builds ``conj``/``disj`` chains.
 Types and values are folded bottom-up, also without recursion, by one
 `fold`; the renderers, a type's ``repr``, `free_vars`, `map_value` and
-`typecheck.apply_subst` are built on it.
+`typecheck.apply_subst` are built on it.  A value or a type is walked
+down a type, pairing each node with the part it sits at, by one
+iterative `along`; the checker's `type_of_value` and `match_type` and
+the lowering's `generic_arg_env` are built on it.
 """
 from __future__ import annotations
 
@@ -192,6 +195,31 @@ def fold(x: Union[TypeExpr, ValueExpr], leaf: Callable[..., object],
             stack.append((u, len(names)))
             stack += [(getattr(u, name), 0) for name in names]
     return done[0]
+
+
+# The class of the part of a type that `along` goes into a node of each class at.
+_SHAPE = {Sum: Sum, Prod: Prod, Pair: Prod, Left: Sum, Right: Sum}
+
+
+def along(x: Union[TypeExpr, ValueExpr], t: TypeExpr) -> Iterator[tuple[object, TypeExpr]]:
+    """``(node, part)`` for the nodes of the type or value `x` that need a
+    look, with the part of the type `t` each sits at, in left-to-right
+    pre-order: leaves, annotated sum constructors, and nodes whose part
+    lacks their shape (`_SHAPE`), whose children are skipped.  Other nodes
+    are gone into unyielded.  Iterative, so depth is not bounded."""
+    stack = [(x, t)]
+    while stack:
+        u, part = item = stack.pop()
+        cls = type(u)
+        if type(part) is not _SHAPE.get(cls):
+            yield item
+        elif cls is Left or cls is Right:
+            if u.annot is not None:
+                yield item
+            stack.append((u.inner, part.left if cls is Left else part.right))
+        else:  # a Sum, Prod or Pair, whose fields are its part's
+            a, b = cls.__match_args__
+            stack += ((getattr(u, b), getattr(part, b)), (getattr(u, a), getattr(part, a)))
 
 
 def free_vars(v: ValueExpr) -> list[str]:

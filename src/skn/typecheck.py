@@ -13,6 +13,12 @@ argument is checked against its parameter type under the binding once the
 binding covers that parameter's type variables; until then it must be
 inferable alone.  A relation header must mention each of its type
 variables in some parameter type, or calls could never determine it.
+
+Values are checked, and parameter types matched, down a type through
+`syntax.along` alone: `type_of_value` checks each leaf, annotated
+constructor and misfit node it yields against its part of the type, and
+`match_type` binds each pattern variable it yields to its part and
+requires any other node to be its part.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Optional
 
 from .syntax import (
     Binders, Call, Disunify, Goal, Left, Pair, Prod, Program, RelationDef,
-    Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit, UNIT, ValueExpr, Var,
+    Right, Sole, Sum, TyVar, TypeExpr, Unify, UNIT, ValueExpr, Var, along,
     fold, free_type_vars, map_goal, render_type, render_value_expr,
 )
 
@@ -65,31 +71,17 @@ def match_type(pattern: TypeExpr, actual: TypeExpr, binding: dict[str, TypeExpr]
     """Extend `binding` so that the substitution maps `pattern` onto `actual`.
 
     Only variables in `tyvars` are pattern variables; anything else must
-    match structurally.
+    match structurally.  Of `along`, each pattern variable binds its part,
+    and each other node it yields (a leaf, or a node `actual` does not
+    follow) must be that part itself, as types are interned.
     """
-    match pattern:
-        case TyVar(name) if name in tyvars:
-            if name in binding:
-                if binding[name] != actual:
-                    raise TypeCheckError(
-                        f"type variable {name} matched to both "
-                        f"{render_type(binding[name])} and {render_type(actual)}"
-                    )
-            else:
-                binding[name] = actual
-        case Unit() | TyVar() if actual is pattern:
-            # types are interned; a TyVar here is not a pattern variable
-            pass
-        case Sum(a, b) if isinstance(actual, Sum):
-            match_type(a, actual.left, binding, tyvars)
-            match_type(b, actual.right, binding, tyvars)
-        case Prod(a, b) if isinstance(actual, Prod):
-            match_type(a, actual.first, binding, tyvars)
-            match_type(b, actual.second, binding, tyvars)
-        case _:
-            raise TypeCheckError(
-                f"cannot match {render_type(pattern)} against {render_type(actual)}"
-            )
+    for p, a in along(pattern, actual):
+        if isinstance(p, TyVar) and p.name in tyvars:
+            if binding.setdefault(p.name, a) != a:
+                raise TypeCheckError(f"type variable {p.name} matched to both "
+                                     f"{render_type(binding[p.name])} and {render_type(a)}")
+        elif p is not a:
+            raise TypeCheckError(f"cannot match {render_type(p)} against {render_type(a)}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,53 +97,41 @@ def check_type_valid(env: TypeEnv, t: TypeExpr) -> TypeExpr:
 
 def type_of_value(env: TypeEnv, v: ValueExpr,
                   expected: Optional[TypeExpr] = None) -> TypeExpr:
-    """The type of a value.
+    """The type of a value: `expected`, once `v` is checked against it.
 
-    `expected` drives inference for bare left/right; when both an
-    annotation and an expectation are present they must agree.
+    Without `expected`, a variable has its type, a pair its parts' inferred
+    types, and sole or an annotated left/right the type it is then checked
+    against; a bare left/right is uninferable.  Of `along`, each leaf,
+    annotated constructor and node whose part lacks its shape is checked
+    against its part, and an annotation must be that part.
     """
-    match v:
-        case Sole():
-            if expected is not None and expected != UNIT:
-                raise TypeCheckError(f"sole has type Unit, expected {render_type(expected)}")
-            return UNIT
-        case Var(name):
-            ty = env.lookup(name)
-            if expected is not None and expected != ty:
-                raise TypeCheckError(
-                    f"{name} has type {render_type(ty)}, expected {render_type(expected)}"
-                )
-            return ty
-        case Left(inner, annot) | Right(inner, annot):
-            is_left = isinstance(v, Left)
-            target = annot if annot is not None else expected
-            if target is None:
+    if expected is None:
+        match v:
+            case Var(name):
+                return env.lookup(name)
+            case Pair(a, b):
+                return Prod(type_of_value(env, a), type_of_value(env, b))
+            case Left(_, None) | Right(_, None):
                 raise UninferableValue(
-                    f"cannot infer the sum type of {render_value_expr(v)}; annotate it"
-                )
-            if annot is not None:
-                check_type_valid(env, annot)
-                if expected is not None and annot != expected:
-                    raise TypeCheckError(
-                        f"annotation {render_type(annot)} does not match "
-                        f"expected {render_type(expected)}"
-                    )
-            if not isinstance(target, Sum):
-                raise TypeCheckError(
-                    f"{'left' if is_left else 'right'} constructor needs a Sum type, "
-                    f"got {render_type(target)}"
-                )
-            type_of_value(env, inner, target.left if is_left else target.right)
-            return target
-        case Pair(a, b):
-            if expected is None:
-                ea, eb = None, None
-            elif isinstance(expected, Prod):
-                ea, eb = expected.first, expected.second
-            else:
-                raise TypeCheckError(f"pair value cannot have type {render_type(expected)}")
-            return Prod(type_of_value(env, a, ea), type_of_value(env, b, eb))
-    raise TypeError(v)
+                    f"cannot infer the sum type of {render_value_expr(v)}; annotate it")
+        expected = getattr(v, "annot", UNIT)  # a left/right's annotation, or sole's type
+    for u, t in along(v, expected):
+        match u:
+            case Sole() if t != UNIT:
+                raise TypeCheckError(f"sole has type Unit, expected {render_type(t)}")
+            case Var(name) if (ty := env.lookup(name)) != t:
+                raise TypeCheckError(f"{name} has type {render_type(ty)}, "
+                                     f"expected {render_type(t)}")
+            case Left(_, annot) | Right(_, annot):
+                if annot is not None and check_type_valid(env, annot) != t:
+                    raise TypeCheckError(f"annotation {render_type(annot)} does not match "
+                                         f"expected {render_type(t)}")
+                if not isinstance(t, Sum):
+                    raise TypeCheckError(f"{type(u).__name__.lower()} constructor needs a Sum "
+                                         f"type, got {render_type(t)}")
+            case Pair():
+                raise TypeCheckError(f"pair value cannot have type {render_type(t)}")
+    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +143,7 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
     callee = relenv[g.rel]
     params = tuple(ty for _, ty in callee.params)
     if len(params) != len(g.args):
-        raise TypeCheckError(
-            f"{g.rel} takes {len(params)} arguments, got {len(g.args)}"
-        )
+        raise TypeCheckError(f"{g.rel} takes {len(params)} arguments, got {len(g.args)}")
 
     # `binding` maps callee type variables to caller types.  The patterns
     # hold only callee type variables and `apply_subst` is simultaneous,
@@ -189,11 +167,8 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
             pending.discard(i)
             progress = True
     if pending:
-        i = sorted(pending)[0]
-        raise TypeCheckError(
-            f"cannot determine the type of argument {i + 1} in call to {g.rel}; "
-            f"annotate its sum constructors"
-        )
+        raise TypeCheckError(f"cannot determine the type of argument {min(pending) + 1} in "
+                             f"call to {g.rel}; annotate its sum constructors")
     for tv in callee.tyvars:
         if tv not in binding:
             raise TypeCheckError(f"type variable {tv} is unconstrained by the arguments")
@@ -226,12 +201,9 @@ def check_relation(relenv: RelEnv, rel: RelationDef) -> RelationDef:
     in_params = free_type_vars(*(ty for _, ty in rel.params))
     for tv in rel.tyvars:
         if tv not in in_params:
-            raise TypeCheckError(
-                f"type variable {tv} of {rel.name} does not occur in any parameter, "
-                f"so calls could never determine it"
-            )
-    body = check_goal(relenv, env, rel.body)
-    return RelationDef(rel.name, rel.tyvars, rel.params, body)
+            raise TypeCheckError(f"type variable {tv} of {rel.name} does not occur in any "
+                                 f"parameter, so calls could never determine it")
+    return RelationDef(rel.name, rel.tyvars, rel.params, check_goal(relenv, env, rel.body))
 
 
 def check_program(p: Program) -> Program:

@@ -140,6 +140,22 @@ def test_unknown_relation_filter():
     assert status == 1 and "ghost" in err
 
 
+@pytest.mark.parametrize("mode, instances", [
+    ("monomorphize", "sum-swap$3_3, sum-swap$3_4"), ("large-enough", "sum-swap$3_3"),
+])
+def test_polymorphic_relation_filter_names_its_instances(tmp_path, mode, instances):
+    # sum-swap has no table of its own: its tables are those of the instances
+    # its callers made the run build, and a run with no caller builds none
+    cfg = RunConfig(path("sum-swap.skn"), "boolean", poly_mode=mode, relations=["sum-swap"])
+    assert run_capture(cfg) == \
+        (1, "", f"error: sum-swap is polymorphic; its instances in this run are {instances}\n")
+    alone = tmp_path / "alone.skn"
+    alone.write_text(load("sum-swap.skn").split("\n\n")[0] + "\n")
+    cfg = RunConfig(str(alone), "boolean", poly_mode=mode, relations=["ghost", "sum-swap"])
+    assert run_capture(cfg) == \
+        (1, "", "error: sum-swap is polymorphic; this run built no instance of it\n")
+
+
 def test_json_output_round_trips():
     cfg = RunConfig(path("connect.skn"), "min-tropical", fmt="json")
     status, out, _ = run_capture(cfg)

@@ -16,7 +16,7 @@ from skn import (
 from skn.poly import MAX_TYVAR_SIZE
 from skn import syntax
 from skn.syntax import (
-    _NameSupply, fold, free_vars, map_value, render_relation, render_value_expr,
+    _NameSupply, along, fold, free_vars, map_value, render_relation, render_value_expr,
 )
 
 import gen
@@ -399,6 +399,42 @@ def test_fold_at_any_depth():
         v = Left(v) if i % 2 else Pair(SOLE, v)
     for x in (t, v):
         assert fold(x, lambda u: 0, lambda u, *got: 1 + max(got)) == 5000
+
+
+def test_along_yields_leaves_annotated_constructors_and_misfits_in_pre_order():
+    a, s2, s3 = TyVar("a"), Sum(UNIT, UNIT), Sum(UNIT, Sum(UNIT, UNIT))
+    misfit = Pair(SOLE, Var("skipped"))
+    annotated = Right(SOLE, s2)
+    v = Pair(Left(Var("x")), Pair(annotated, Left(misfit)))
+    t = Prod(Sum(a, s3), Prod(s2, Sum(UNIT, UNIT)))
+    # the pairs and the bare lefts fit their parts and are gone through
+    # unyielded; the misfit pair at Unit is yielded once, its children skipped
+    got = list(along(v, t))
+    assert [(type(u).__name__, part) for u, part in got] == \
+        [("Var", a), ("Right", s2), ("Sole", UNIT), ("Pair", UNIT)]
+    assert got[1][0] is annotated and got[3][0] is misfit
+
+
+def test_along_walks_a_type_down_a_type():
+    a, b = TyVar("a"), TyVar("b")
+    misfit = Prod(a, b)
+    pattern = Prod(Sum(a, misfit), Prod(UNIT, b))
+    actual = Prod(Sum(UNIT, Sum(UNIT, UNIT)), Prod(UNIT, Prod(UNIT, UNIT)))
+    # a Sum or Prod goes in only where the other type has its shape
+    assert list(along(pattern, actual)) == [
+        (a, UNIT), (misfit, Sum(UNIT, UNIT)), (UNIT, UNIT), (b, Prod(UNIT, UNIT))]
+    assert list(along(a, pattern)) == [(a, pattern)]
+
+
+def test_along_at_any_depth():
+    assert sys.getrecursionlimit() < 5000
+    t, v = UNIT, SOLE
+    for i in range(5000):
+        t = Sum(UNIT, t) if i % 2 else Prod(t, UNIT)
+        v = Right(v) if i % 2 else Pair(v, Var(f"x{i}"))
+    got = list(along(v, t))
+    assert len(got) == 2501 and got[0] == (SOLE, UNIT)
+    assert [u.name for u, _ in got[1:]] == [f"x{i}" for i in range(0, 5000, 2)]
 
 
 # Deep values are compared by their text, never by `==`: dataclass

@@ -1,17 +1,18 @@
 import io
+import sys
 
 import numpy as np
 import pytest
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, Call, Fresh, Left, Pair, Prod, Right, SOLE, Sum,
-    TyVar, UNIT, Var, canonical_type, check_program, check_type_valid,
-    fixpoint, generic_arg_env, lower_program, parse_program, render_type,
-    type_of_value,
+    BOOLEAN, MIN_TROPICAL, Call, Disj, Fresh, Left, Pair, Program, Prod,
+    RelationDef, Right, SOLE, Sum, TyVar, UNIT, Unify, Var, canonical_type,
+    check_program, check_type_valid, fixpoint, generic_arg_env, lower_program,
+    parse_program, render_type, type_of_value,
 )
 from skn.cli import RunConfig, run
 from skn.syntax import walk_goal
-from skn.typecheck import TypeCheckError, TypeEnv
+from skn.typecheck import TypeCheckError, TypeEnv, UninferableValue, match_type
 
 from helpers import CORPUS, load
 
@@ -59,6 +60,124 @@ def test_pair_against_sum_expected_fails():
 def test_bare_left_needs_context():
     with pytest.raises(TypeCheckError):
         type_of_value(env(), Left(SOLE))
+
+
+# Each value or type below has two faults, and the one first in
+# left-to-right pre-order is reported.  The other sits nearer the root,
+# later in the same pair, or below the first, so a walk that went
+# breadth-first or checked children before parents would report it.
+S3 = Sum(UNIT, S2)
+TWO = Prod(Prod(S2, UNIT), S3)
+
+
+@pytest.mark.parametrize("v, expected, message", [
+    pytest.param(Pair(Pair(SOLE, SOLE), SOLE), TWO,
+                 "sole has type Unit, expected (Sum Unit Unit)", id="sole"),
+    pytest.param(Pair(Pair(Var("u"), Var("u")), Var("u")), TWO,
+                 "u has type Unit, expected (Sum Unit Unit)", id="variable"),
+    pytest.param(Pair(Pair(Var("z"), SOLE), Var("w")), TWO,
+                 "unbound variable 'z'", id="unbound-variable"),
+    pytest.param(Pair(Pair(Left(SOLE, S3), SOLE), Left(SOLE, S2)), TWO,
+                 "annotation (Sum Unit (Sum Unit Unit)) does not match expected "
+                 "(Sum Unit Unit)", id="annotation"),
+    pytest.param(Pair(Pair(Left(SOLE, Sum(TyVar("b"), UNIT)), SOLE),
+                      Left(SOLE, Sum(TyVar("c"), UNIT))), TWO,
+                 "unbound type variable b", id="annotation-tyvar"),
+    pytest.param(Pair(Pair(Right(SOLE), Right(SOLE)), Left(SOLE)),
+                 Prod(Prod(Prod(UNIT, UNIT), UNIT), UNIT),
+                 "right constructor needs a Sum type, got (Prod Unit Unit)", id="needs-sum"),
+    pytest.param(Pair(Pair(Pair(SOLE, SOLE), SOLE), Pair(SOLE, SOLE)), TWO,
+                 "pair value cannot have type (Sum Unit Unit)", id="pair"),
+    pytest.param(Left(Pair(SOLE, Var("z")), S3), S2,
+                 "annotation (Sum Unit (Sum Unit Unit)) does not match expected "
+                 "(Sum Unit Unit)", id="parent-first"),
+    pytest.param(Pair(Pair(Left(SOLE), SOLE), Right(Var("z"))), None,
+                 "cannot infer the sum type of (left sole); annotate it", id="uninferable"),
+])
+def test_value_reports_its_first_fault_in_pre_order(v, expected, message):
+    with pytest.raises(TypeCheckError) as e:
+        type_of_value(env(("u", UNIT)), v, expected)
+    assert str(e.value) == message
+    assert isinstance(e.value, UninferableValue) == (expected is None)
+
+
+@pytest.mark.parametrize("pattern, actual, message", [
+    pytest.param(Prod(Prod(S2, TyVar("a")), Prod(UNIT, UNIT)), Prod(Prod(UNIT, UNIT), UNIT),
+                 "cannot match (Sum Unit Unit) against Unit", id="shape"),
+    pytest.param(Prod(Prod(Sum(TyVar("a"), UNIT), UNIT), UNIT), Prod(Prod(UNIT, S2), S2),
+                 "cannot match (Sum a Unit) against Unit", id="misfit"),
+    pytest.param(Prod(Prod(TyVar("a"), TyVar("b")), Prod(TyVar("a"), TyVar("b"))),
+                 Prod(Prod(UNIT, UNIT), Prod(S2, S3)),
+                 "type variable a matched to both Unit and (Sum Unit Unit)", id="two-bindings"),
+])
+def test_match_reports_its_first_fault_in_pre_order(pattern, actual, message):
+    with pytest.raises(TypeCheckError) as e:
+        match_type(pattern, actual, {}, frozenset("ab"))
+    assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# depth: relations and values built as ASTs, deeper than the reader reads
+
+def _sums(depth, end=UNIT):
+    """`depth` sums, each with Unit on the left, around `end`."""
+    for _ in range(depth):
+        end = Sum(UNIT, end)
+    return end
+
+
+def _rights(depth, end):
+    for _ in range(depth):
+        end = Right(end)
+    return end
+
+
+def test_deep_unify_checks_lowers_and_solves():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    t, x = _sums(depth), Var("x")
+    # value k of t is k rights around a left; the first is checked against
+    # x's type, the second inferred from x after it fails to infer alone
+    rel = RelationDef("deep", (), (("x", t),),
+                      Disj(Unify(x, _rights(depth - 1, Left(SOLE))),
+                           Unify(_rights(depth, SOLE), x)))
+    for mode in ("monomorphize", "large-enough"):
+        lowered = lower_program(check_program(Program((rel,))), mode, BOOLEAN)
+        result = fixpoint(lowered, BOOLEAN)
+        assert result.converged
+        assert result.tables["deep"].cells.nonzero()[0].tolist() == [depth - 1, depth]
+
+
+def test_deep_generic_parameter_checks_lowers_and_solves():
+    # p's body checks a 3000-deep value along its generic parameter type, and
+    # the call matches that type against the caller's; x is p's iff it is
+    # the rightmost branch, so q holds at its last two values
+    depth = 3000
+    assert sys.getrecursionlimit() < depth
+    generic, ground = _sums(depth, TyVar("a")), _sums(depth, S2)
+    p = RelationDef("p", ("a",), (("x", generic),),
+                    Fresh((("h", TyVar("a")),), Unify(Var("x"), _rights(depth, Var("h")))))
+    q = RelationDef("q", (), (("y", ground),), Call("p", (Var("y"),)))
+    checked = check_program(Program((p, q)))
+    assert checked.relation("q").body.subst == (("a", S2),)
+    result = fixpoint(lower_program(checked, "monomorphize", BOOLEAN), BOOLEAN)
+    assert result.converged
+    assert result.tables["q"].cells.nonzero()[0].tolist() == [depth, depth + 1]
+
+
+def test_deep_value_checking_and_matching():
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    t, v, pattern = UNIT, SOLE, TyVar("a")
+    for i in range(depth):
+        t, v = Prod(Sum(UNIT, UNIT), t), Pair(Left(SOLE) if i % 2 else Var("s"), v)
+        pattern = Prod(Sum(UNIT, UNIT), pattern)
+    assert type_of_value(env(("s", S2)), v, t) is t
+    binding = {}
+    match_type(pattern, t, binding, frozenset("a"))
+    assert binding == {"a": UNIT}
+    assert generic_arg_env((pattern,), (v,)) is None  # sole sits at a
+    assert generic_arg_env((pattern, pattern), (Var("y"), Var("y"))) == (("y", pattern),)
 
 
 # ---------------------------------------------------------------------------
