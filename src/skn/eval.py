@@ -19,11 +19,16 @@ call gathers from the called relation's table, and fresh sums an axis
 away.  All but the called tables' cells depend only on the relation's
 types, so `fixpoint` compiles each relation once into a `Plan`, whose
 order of summing out binders is the variable-elimination order of a FAQ
-query (Abo Khamis, Ngo and Rudra, PODS 2016).  The plan holds the masks
-of == and =/=, the fact tables, the factors' weights and every other
-subgoal that reads no table, already evaluated; each call's index arrays;
-and each step's transposes, reshapes and summed axis.  A round runs the
-plan against the current tables: gathers, semiring ufuncs and reductions.
+query (Abo Khamis, Ngo and Rudra, PODS 2016).  A binder in two or more
+subgoals is summed out by FAQ's pairwise step, run as a semiring matrix
+product (Kepner et al., HPEC 2016): the product of all but the last is
+contracted with the last, `BLOCK_CELLS` product cells at a time, so their
+whole product is never built; a product that fits one block is built and
+summed at once.  The plan holds the masks of == and =/=, the fact tables,
+the factors' weights and every other subgoal that reads no table, already
+evaluated; each call's index arrays; and each step's reshapes, summed
+axis and blocks.  A round runs the plan against the current tables:
+gathers, semiring ufuncs and reductions.
 
 A program's tables are the least fixed point of its relations, solved by
 `fixpoint` one call-graph component at a time, callees first; over a
@@ -139,25 +144,34 @@ def _index_factor(v: ValueExpr, t: TypeExpr,
                   index: dict[str, np.ndarray]) -> Union[int, np.ndarray]:
     """Integer array giving the index of this value under each assignment,
     where `index` holds the index array of each variable; a plain int for
-    a ground value.  A run of sum constructors is walked in a loop."""
-    offset = 0
-    while isinstance(v, (Left, Right)):
-        if isinstance(v, Right):
-            offset += t.left.size
-            t = t.right
-        else:
-            t = t.left
-        v = v.inner
-    match v:
-        case Var(name):
-            return index[name] + offset if offset else index[name]
-        case Sole():
-            return offset
-        case Pair(a, b):
-            ia = _index_factor(a, t.first, index)
-            ib = _index_factor(b, t.second, index)
-            return offset + ia * t.second.size + ib
-    raise TypeError(v)
+    a ground value.  A run of sum constructors is walked in a loop, and a
+    pair's parts with an explicit stack, so depth is unbounded."""
+    done: list = []
+    stack: list = [(v, t)]  # (value, type) to index, or (offset, size) joining a pair's parts
+    while stack:
+        v, t = stack.pop()
+        if isinstance(v, int):  # a pair's parts are done: its offset and second size
+            ib, ia = done.pop(), done.pop()
+            done.append(v + ia * t + ib)
+            continue
+        offset = 0
+        while isinstance(v, (Left, Right)):
+            if isinstance(v, Right):
+                offset += t.left.size
+                t = t.right
+            else:
+                t = t.left
+            v = v.inner
+        match v:
+            case Var(name):
+                done.append(index[name] + offset if offset else index[name])
+            case Sole():
+                done.append(offset)
+            case Pair(a, b):
+                stack += ((offset, t.second.size), (b, t.second), (a, t.first))
+            case _:
+                raise TypeError(v)
+    return done[0]
 
 
 def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.ndarray,
@@ -274,8 +288,9 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
 # ---------------------------------------------------------------------------
 # evaluation plans
 
-_GATHER, _COMBINE, _SUM = range(3)  # the kinds of plan step
+_GATHER, _COMBINE, _SUM, _CONTRACT = range(4)  # the kinds of plan step
 Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; array or slot
+BLOCK_CELLS = 2 ** 16  # the most product cells a contraction builds at once
 
 
 def _view(dims: tuple[str, ...], dims_out: tuple[str, ...],
@@ -293,18 +308,40 @@ def _apply(arr: np.ndarray, view: Optional[tuple[int, ...]]) -> np.ndarray:
     return arr if view is None else arr.reshape(view)
 
 
+def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) -> np.ndarray:
+    """The sum over one axis of the product of two arrays, the axis at
+    `axis1` in `a1` and `axis2` in `a2` (`Plan.contract`).  Each operand is
+    copied with that axis first and viewed over it and the result's axes
+    (`v1`, `v2`); `block` values of it at a time are multiplied into one
+    buffer, summed unless it holds one value, and added into the result."""
+    v1, v2, axis1, axis2, block = how
+    b1 = np.ascontiguousarray(np.moveaxis(a1, axis1, 0)).reshape(v1)
+    b2 = np.ascontiguousarray(np.moveaxis(a2, axis2, 0)).reshape(v2)
+    shape = np.broadcast_shapes(v1[1:], v2[1:])
+    buf, acc = np.empty((block, *shape), spec.dtype), None
+    part = np.empty(shape, spec.dtype) if block > 1 else None
+    for i in range(0, len(b1), block):
+        k = min(block, len(b1) - i)
+        product = spec.mul(b1[i:i + k], b2[i:i + k], out=buf[:k])
+        summed = product[0] if k == 1 else spec.add.reduce(product, axis=0, out=part)
+        acc = summed.copy() if acc is None else spec.add(acc, summed, out=acc)
+    return acc
+
+
 @dataclass
 class Plan:
     """One relation's body compiled for one semiring by `compile_relation`.
 
     A run fills one slot per step, numbered in order, with an array:
     gathered from a table at fixed index arrays, combined from two operands
-    under fixed views by a semiring ufunc, or summed over one axis of a
-    slot.  An operand is a constant array or the slot of an earlier step.
-    The table is operand `out` under `view`.  While the plan is built, a
-    subgoal is a `Term`: its array if it reads no table, else its slot; an
-    operation on constants alone is done at once.  A term's axes follow
-    scope order (`_grid`, `fold`, `eliminate` and `_fact_table` build them
+    under fixed views by a semiring ufunc, summed over one axis of a slot,
+    or contracted from two operands over an axis of both, a block of at
+    most `BLOCK_CELLS` product cells at a time (`_contract`).  An operand
+    is a constant array or the slot of an earlier step.  The table is
+    operand `out` under `view`.  While the plan is built, a subgoal is a
+    `Term`: its array if it reads no table, else its slot; an operation on
+    constants alone is done at once.  A term's axes follow scope order
+    (`_grid`, `fold`, `eliminate`, `contract` and `_fact_table` build them
     so), and a view is a reshape that only adds unit axes (`_view`).
     """
     name: str
@@ -334,24 +371,49 @@ class Plan:
 
     def eliminate(self, terms: list[Term], binders: list[str],
                   scope: dict[str, TypeExpr]) -> Term:
-        """Sum `binders` out of a product of terms, smallest intermediate
-        first, ties in binder order; an unused binder, as the scalar sum of |type| ones."""
+        """Sum `binders` out of a product of terms, smallest product first,
+        ties in binder order.  A product of more than `BLOCK_CELLS` cells is
+        never built: the product of all but the last term that has the
+        binder is contracted with the last (`contract`).  A smaller one is
+        built and summed at once; an unused binder, as the scalar sum of
+        |type| ones."""
         spec, pending = self.spec, list(binders)
+
+        def cells(b: str) -> int:  # of the product of the terms that have `b`
+            return math.prod(scope[d].size for d in
+                             {d for ds, _ in terms if b in ds for d in ds} or {b})
+
         while pending:
-            name = min(pending, key=lambda b: math.prod(  # the intermediate's cells
-                scope[d].size for d in {d for ds, _ in terms if b in ds for d in ds} or {b}))
+            name = min(pending, key=cells)
             pending.remove(name)
             group = [t for t in terms if name in t[0]]
+            blocked = len(group) > 1 and cells(name) > BLOCK_CELLS
             terms = [t for t in terms if name not in t[0]]
             if not group:  # the sum of |type| ones: `one` if addition is idempotent
                 terms.append(((), np.asarray(spec.one if spec.idempotent_add else
                                              scope[name].size * spec.one, dtype=spec.dtype)))
-                continue
-            dims, arr = self.fold(group, spec.mul, scope)
-            rest, axis = tuple(d for d in dims if d != name), dims.index(name)
-            terms.append((rest, self.step(_SUM, arr, axis) if type(arr) is int
-                          else spec.add.reduce(arr, axis=axis)))
+            elif blocked:
+                terms.append(self.contract(self.fold(group[:-1], spec.mul, scope),
+                                           group[-1], name, scope))
+            else:
+                dims, arr = self.fold(group, spec.mul, scope)
+                rest, axis = tuple(d for d in dims if d != name), dims.index(name)
+                terms.append((rest, self.step(_SUM, arr, axis) if type(arr) is int
+                              else spec.add.reduce(arr, axis=axis)))
         return self.fold(terms, spec.mul, scope)
+
+    def contract(self, t1: Term, t2: Term, name: str, scope: dict[str, TypeExpr]) -> Term:
+        """Sum `name`, an axis of both terms, out of their product, a block
+        of at most `BLOCK_CELLS` product cells at a time (`_contract`)."""
+        (d1, a1), (d2, a2) = t1, t2
+        rest = tuple(d for d in scope if d != name and (d in d1 or d in d2))
+        result = math.prod(_shape(tuple(scope[d].size for d in rest)))
+        v1, v2 = ((scope[name].size, *(scope[d].size if d in ds else 1 for d in rest))
+                  for ds in (d1, d2))
+        how = (v1, v2, d1.index(name), d2.index(name), max(1, BLOCK_CELLS // result))
+        if type(a1) is int or type(a2) is int:
+            return rest, self.step(_CONTRACT, a1, a2, how)
+        return rest, _contract(self.spec, a1, a2, how)
 
 
 def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
@@ -426,9 +488,13 @@ def eval_relation(plan: Plan, tables: dict[str, RelTable], spec: SemiringSpec) -
             _, op, a1, v1, a2, v2 = step
             slots[out] = op(_apply(slots.pop(a1) if type(a1) is int else a1, v1),
                             _apply(slots.pop(a2) if type(a2) is int else a2, v2))
-        else:
+        elif step[0] == _SUM:
             _, slot, axis = step
             slots[out] = spec.add.reduce(slots.pop(slot), axis=axis)
+        else:
+            _, a1, a2, how = step
+            slots[out] = _contract(spec, slots.pop(a1) if type(a1) is int else a1,
+                                   slots.pop(a2) if type(a2) is int else a2, how)
     cells = slots.pop(plan.out) if type(plan.out) is int else plan.out
     if plan.view is not None or cells is plan.out:  # no table shares a constant
         cells = np.broadcast_to(_apply(cells, plan.view), plan.shape).copy()

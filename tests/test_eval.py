@@ -1,27 +1,28 @@
 import collections
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skn import (
-    BOOLEAN, MIN_TROPICAL, REAL, Left, Prod, Right, SOLE, Sum, TyVar,
-    UNIT, Var, check_program, eval_relation, fixpoint, type_labels,
+    BOOLEAN, MIN_TROPICAL, REAL, Left, Pair, Prod, RelTable, Right, SOLE, Sum,
+    TyVar, UNIT, Var, check_program, eval_relation, fixpoint, type_labels,
     lower_program, parse_program, type_size,
 )
 from skn import eval as skn_eval
 from skn.eval import compile_relation, zero_table
 from skn.semiring import parse_weight_literal
-from skn.syntax import Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify
+from skn.syntax import Call, Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify
 
 import gen
 import oracle
 import props
 from helpers import (
-    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, run_source,
-    skewed_coins_source, walk_source,
+    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, right_nested_sum,
+    run_source, skewed_coins_source, walk_source,
 )
 
 S2 = Sum(UNIT, UNIT)
@@ -660,3 +661,193 @@ def test_alternating_nesting_against_oracle(spec, depth):
                                  lambda text: parse_weight_literal(text, spec))
     got = eval_relation(compile_relation(rel, {}, spec), {}, spec).cells
     assert [got[pos] for pos in want] == list(want.values())
+
+
+def test_deep_pair_value_solves_without_recursion():
+    # x is (pair y (pair sole ... (pair sole (right sole)))), `depth` pairs
+    # deep: x's type has 4 values, and x == v holds at x = 2y + 1
+    depth = 2000
+    assert depth > sys.getrecursionlimit()
+    t, v = S2, Right(SOLE)
+    for _ in range(depth - 1):
+        t, v = Prod(UNIT, t), Pair(SOLE, v)
+    t, v = Prod(S2, t), Pair(Var("y"), v)
+    rel = RelationDef("deep", (), (("x", t), ("y", S2)), Unify(Var("x"), v))
+    for spec in _SPECS:
+        lowered = lower_program(check_program(Program((rel,))), "monomorphize", spec)
+        res = fixpoint(lowered, spec)
+        assert res.converged
+        got = res.tables["deep"].cells
+        assert np.array_equal(got, np.where([[0, 0], [1, 0], [0, 0], [0, 1]],
+                                            spec.one, spec.zero))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10 * depth)  # the oracle recurses on the value
+        try:
+            want = oracle.relation_cells(lowered.relation("deep"), {}, spec.name, {}, None)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [got[pos] for pos in want] == list(want.values())
+
+
+# ---------------------------------------------------------------------------
+# contraction: a binder summed out of two or more terms, block by block
+
+def _sized(n: int):
+    """A right-nested sum of n Units: a type of n values."""
+    t = UNIT
+    for _ in range(n - 1):
+        t = Sum(UNIT, t)
+    return t
+
+
+# Each group is r(params) = the sum over `binders` of the product of one
+# call per term, the called table's axes in the term's order.  Scope order
+# is the params, then the binders; the sizes are the variables' values.
+_GROUPS = {
+    "two terms, one block": ({"x": 8, "y": 8, "z": 8}, ["z"], ["xz", "zy"]),
+    # 2304 result cells: blocks of 28 values of z, the last of 20
+    "two terms, blocks": ({"x": 48, "y": 48, "z": 48}, ["z"], ["xz", "zy"]),
+    # 90000 result cells, above one block: one value of z a block
+    "two terms, a block a value": ({"x": 300, "y": 300, "z": 3}, ["z"], ["xz", "zy"]),
+    "three terms, one block": ({"x": 8, "y": 8, "z": 8}, ["z"], ["xz", "zy", "zx"]),
+    "three terms, blocks": ({"x": 40, "y": 40, "z": 60}, ["z"], ["xz", "zy", "yz"]),
+    # z goes first (a tie), from the middle of (x, z, w); then w
+    "two binders, blocks": ({"x": 36, "y": 36, "z": 52, "w": 40}, ["z", "w"],
+                            ["xz", "zw", "wy"]),
+}
+
+
+def _random_cells(rng, spec, shape):
+    if spec is BOOLEAN:
+        return rng.random(shape) < 0.05
+    cells = rng.random(shape)
+    if spec is MIN_TROPICAL:
+        cells[rng.random(shape) < 0.2] = math.inf
+    return cells
+
+
+def _group(sizes, binders, terms, spec, rng):
+    """The relation of a group, and tables of random cells for its calls."""
+    params = [d for d in sizes if d not in binders]
+    rel = RelationDef("r", (), tuple((d, _sized(sizes[d])) for d in params),
+                      Fresh(tuple((b, _sized(sizes[b])) for b in binders),
+                            _chain(Conj, [Call(f"t{i}", tuple(Var(d) for d in term))
+                                          for i, term in enumerate(terms)])))
+    tables = {f"t{i}": RelTable(f"t{i}", tuple((f"p{j}", _sized(sizes[d]))
+                                               for j, d in enumerate(term)),
+                                _random_cells(rng, spec, [sizes[d] for d in term]))
+              for i, term in enumerate(terms)}
+    return rel, tables
+
+
+def _broadcast(sizes, binders, terms, tables, spec):
+    """The group's table as the product of all its terms over every
+    variable, first term to last, then summed over the binders."""
+    order = list(sizes)
+    acc = None
+    for i, term in enumerate(terms):
+        cells = tables[f"t{i}"].cells.transpose(sorted(range(len(term)),
+                                                       key=lambda j: order.index(term[j])))
+        cells = cells.reshape([sizes[d] if d in term else 1 for d in order])
+        acc = cells if acc is None else spec.mul(acc, cells)
+    return spec.add.reduce(acc, axis=tuple(order.index(b) for b in binders))
+
+
+def _same(got, want, spec):
+    if spec is REAL:
+        return np.allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
+    return np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", _GROUPS)
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
+def test_contraction_matches_broadcast_product(spec, name, seed):
+    sizes, binders, terms = _GROUPS[name]
+    rel, tables = _group(sizes, binders, terms, spec, np.random.default_rng(seed))
+    got = eval_relation(compile_relation(rel, tables, spec), tables, spec).cells
+    want = _broadcast(sizes, binders, terms, tables, spec)
+    assert got.shape == want.shape and got.dtype == spec.dtype
+    assert _same(got, want, spec)
+
+
+def test_overflowing_real_contraction_reaches_nan():
+    # column z = 5 of t0 is inf, and row 5 of t1 is 0 at y < 3: each such
+    # cell's sum has inf * 0 = nan, and every other cell's has inf
+    sizes, binders, terms = _GROUPS["two terms, blocks"]
+    rel, tables = _group(sizes, binders, terms, REAL, np.random.default_rng(0))
+    tables["t0"].cells[:, 5] = math.inf
+    tables["t1"].cells[5, :3] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = eval_relation(compile_relation(rel, tables, REAL), tables, REAL).cells
+        want = _broadcast(sizes, binders, terms, tables, REAL)
+    assert np.isnan(got[:, :3]).all() and (got[:, 3:] == math.inf).all()
+    assert _same(got, want, REAL)
+
+
+def test_constant_contraction_runs_at_compile_time():
+    # z = x and z = y over 48 values: two constant masks, 48 ** 3 cells
+    t = _sized(48)
+    rel = RelationDef("r", (), (("x", t), ("y", t)),
+                      Fresh((("z", t),), Conj(Unify(Var("z"), Var("x"), t),
+                                              Unify(Var("z"), Var("y"), t))))
+    for spec in _SPECS:
+        plan = compile_relation(rel, {}, spec)
+        assert plan.steps == []
+        got = eval_relation(plan, {}, spec).cells
+        assert np.array_equal(got, np.where(np.eye(48, dtype=bool), spec.one, spec.zero))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
+def test_blocked_fixpoints_match_one_block(monkeypatch, spec):
+    """Every contraction in blocks of one binder value against every one
+    as a single product and sum: the same tables and rounds under boolean
+    and min-tropical.  Under real the sums run in another order, so the
+    tables agree to rounding, and a round may differ in its last bits and
+    end another round later (chain-64's connect)."""
+    sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
+        [gen.random_program(seed) for seed in range(10)] + [chain_source(64)]
+    for src in sources:
+        program = check_program(parse_program(src))
+        lowered = lower_program(program, "monomorphize", spec)
+        results = []
+        for cells in (1, 2 ** 62):
+            monkeypatch.setattr(skn_eval, "BLOCK_CELLS", cells)
+            results.append(fixpoint(lowered, spec, max_iters=300))
+        blocked, whole = results
+        assert (blocked.converged, blocked.stopped_on_nan) == (whole.converged, whole.stopped_on_nan)
+        assert blocked.iterations == whole.iterations or spec is REAL
+        for name, table in whole.tables.items():
+            assert _same(blocked.tables[name].cells, table.cells, spec), name
+
+
+def test_cyclic_connect_under_real_stops_on_nan():
+    # chain-64 with an edge back from its next-to-last node to its first:
+    # connect counts derivations, which the cycle makes infinite, so a
+    # round reaches inf, and then inf * 0 = nan at the last node, which
+    # leads nowhere, in a contraction of 64 ** 3 cells
+    _, vals = right_nested_sum(64)
+    back = f"  (disj\n    (conj (== x {vals[-2]}) (== y {vals[0]}))\n"
+    res = fixpoint(checked(chain_source(64).replace("  (disj\n", back, 1)), REAL,
+                   max_iters=1000)
+    assert res.stopped_on_nan and not res.converged
+    assert np.isnan(res.tables["connect"].cells).any()
+
+
+@pytest.mark.parametrize("spec", [BOOLEAN, MIN_TROPICAL], ids=lambda spec: spec.name)
+def test_contraction_memory_is_quadratic(spec):
+    """chain-N's connect sums z out of connect(x, z) and connect(z, y) each
+    round.  Their product has N ** 3 cells; without it the largest arrays
+    have N ** 2, so doubling N multiplies the peak by at most about 4,
+    where the product would multiply it by 8."""
+    peaks = []
+    for n in (100, 200):
+        program = checked(chain_source(n))
+        tracemalloc.start()
+        try:
+            res = fixpoint(program, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+    assert peaks[1] < 5 * peaks[0], peaks
