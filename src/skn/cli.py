@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -125,8 +124,7 @@ def _select_tables(result: FixpointResult, lowered: Program, wanted: list,
                    source: Program) -> list[RelTable]:
     missing = [w for w in wanted if w not in result.tables]
     for w in (w for w in missing if w in source.names()):  # polymorphic: report the first
-        built = [n for n in lowered.names() if n not in source.names()
-                 and re.fullmatch(re.escape(w) + r"\$[\d_]+(#\d+)?", n)]  # `poly`'s names
+        built = poly.instances_of(lowered, source, w)
         raise UnknownRelation(f"{w} is polymorphic; " + (
             f"its instances in this run are {', '.join(built)}" if built
             else "this run built no instance of it"))

@@ -24,11 +24,11 @@ subgoals is summed out by FAQ's pairwise step, run as a semiring matrix
 product (Kepner et al., HPEC 2016): the product of all but the last is
 contracted with the last, `BLOCK_CELLS` product cells at a time, so their
 whole product is never built; a product that fits one block is built and
-summed at once.  The plan holds the masks of == and =/=, the fact tables,
-the factors' weights and every other subgoal that reads no table, already
-evaluated; each call's index arrays; and each step's reshapes, summed
-axis and blocks.  A round runs the plan against the current tables:
-gathers, semiring ufuncs and reductions.
+summed at once.  A plan's steps are functions of their operands, and
+`Plan.step` runs one at once when its operands are all constants: the
+masks of == and =/=, the fact tables, the factors' weights and all that
+is built from them alone.  A round runs the rest against the current
+tables: gathers, semiring ufuncs, reductions and contractions.
 
 A program's tables are the least fixed point of its relations, solved by
 `fixpoint` one call-graph component at a time, callees first; over a
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -184,33 +185,38 @@ def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.nd
     before that hole's first occurrence.  `mask` says where this
     position is realized (its sum branches were taken); `holes` maps each
     type variable to the holes seen so far, with their masks and numbers,
-    and the count of distinct values among them.
-    """
-    if t.size is not None:  # ground: a copy has the caller's value
-        return idx
-    match t:
-        case TyVar(name):
-            seen, count = holes.get(name, ([], 0))
-            num, first = count, mask
-            for value, m, n in seen:
-                same = m & mask & (value == idx)
-                num = np.where(same, n, num)
-                first = first & ~same
-            seen.append((idx, mask, num))
-            holes[name] = (seen, count + first)
-            return num
-        case Sum(a, b):
-            left = idx < caller.left.size
-            ia = _canonical_index(a, caller.left, target.left, idx, mask & left, holes)
-            ib = _canonical_index(b, caller.right, target.right,
-                                  idx - caller.left.size, mask & ~left, holes)
-            return np.where(left, ia, target.left.size + ib)
-        case Prod(a, b):
-            n = caller.second.size
-            ia = _canonical_index(a, caller.first, target.first, idx // n, mask, holes)
-            ib = _canonical_index(b, caller.second, target.second, idx % n, mask, holes)
-            return ia * target.second.size + ib
-    raise TypeError(t)
+    and the count of distinct values among them.  Iterative, holes left to
+    right, so depth is unbounded."""
+    done: list = []
+    stack: list = [(t, caller, target, idx, mask)]  # to index, or (left, size) joining parts
+    while stack:
+        match stack.pop():
+            case (left, size):  # a sum's parts, `left` its mask, or a pair's, `left` None
+                ib, ia = done.pop(), done.pop()
+                done.append(ia * size + ib if left is None else np.where(left, ia, size + ib))
+            case (t, _, _, idx, _) if t.size is not None:  # ground: a copy has the caller's value
+                done.append(idx)
+            case (TyVar(name), _, _, idx, mask):
+                seen, count = holes.get(name, ([], 0))
+                num, first = count, mask
+                for value, m, n in seen:
+                    same = m & mask & (value == idx)
+                    num = np.where(same, n, num)
+                    first = first & ~same
+                seen.append((idx, mask, num))
+                holes[name] = (seen, count + first)
+                done.append(num)
+            case (Sum(a, b), caller, target, idx, mask):
+                left = idx < caller.left.size
+                stack += ((left, target.left.size),
+                          (b, caller.right, target.right, idx - caller.left.size, mask & ~left),
+                          (a, caller.left, target.left, idx, mask & left))
+            case (Prod(a, b), caller, target, idx, mask):
+                n = caller.second.size
+                stack += ((None, target.second.size),
+                          (b, caller.second, target.second, idx % n, mask),
+                          (a, caller.first, target.first, idx // n, mask))
+    return done[0]
 
 
 def _gather(g: Union[Call, Fresh], scope: dict[str, TypeExpr], tables: dict[str, RelTable]
@@ -288,8 +294,7 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
 # ---------------------------------------------------------------------------
 # evaluation plans
 
-_GATHER, _COMBINE, _SUM, _CONTRACT = range(4)  # the kinds of plan step
-Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; array or slot
+Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; constant or slot
 BLOCK_CELLS = 2 ** 16  # the most product cells a contraction builds at once
 
 
@@ -304,13 +309,21 @@ def _view(dims: tuple[str, ...], dims_out: tuple[str, ...],
     return tuple(scope[d].size if d in dims else 1 for d in dims_out)
 
 
-def _apply(arr: np.ndarray, view: Optional[tuple[int, ...]]) -> np.ndarray:
-    return arr if view is None else arr.reshape(view)
+def _take(index: tuple[np.ndarray, ...], cells: np.ndarray) -> np.ndarray:
+    return np.asarray(cells[index])
+
+
+def _combine(op, v1: Optional[tuple], v2: Optional[tuple], a1: np.ndarray, a2: np.ndarray):
+    return op(a1 if v1 is None else a1.reshape(v1), a2 if v2 is None else a2.reshape(v2))
+
+
+def _lay_out(view: tuple[int, ...], shape: tuple[int, ...], arr: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(arr.reshape(view), shape).copy()
 
 
 def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) -> np.ndarray:
     """The sum over one axis of the product of two arrays, the axis at
-    `axis1` in `a1` and `axis2` in `a2` (`Plan.contract`).  Each operand is
+    `axis1` in `a1` and `axis2` in `a2` (`Plan.eliminate`).  Each operand is
     copied with that axis first and viewed over it and the result's axes
     (`v1`, `v2`); `block` values of it at a time are multiplied into one
     buffer, summed unless it holds one value, and added into the result."""
@@ -332,28 +345,27 @@ def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) ->
 class Plan:
     """One relation's body compiled for one semiring by `compile_relation`.
 
-    A run fills one slot per step, numbered in order, with an array:
-    gathered from a table at fixed index arrays, combined from two operands
-    under fixed views by a semiring ufunc, summed over one axis of a slot,
-    or contracted from two operands over an axis of both, a block of at
-    most `BLOCK_CELLS` product cells at a time (`_contract`).  An operand
-    is a constant array or the slot of an earlier step.  The table is
-    operand `out` under `view`.  While the plan is built, a subgoal is a
-    `Term`: its array if it reads no table, else its slot; an operation on
-    constants alone is done at once.  A term's axes follow scope order
-    (`_grid`, `fold`, `eliminate`, `contract` and `_fact_table` build them
-    so), and a view is a reshape that only adds unit axes (`_view`).
+    A step is a function and its operands, each a constant, an earlier
+    step's slot (an int) or a table's name (a str): a gather (`_take`), a
+    semiring ufunc under fixed views (`_combine`), a sum over one axis, a
+    contraction (`_contract`) or the body laid out over the parameters
+    (`_lay_out`).  A run fills one slot per step; the table is operand
+    `out`.  A subgoal being compiled is a `Term`, whose axes follow scope
+    order (`_grid`, `fold`, `eliminate` and `_fact_table` build them so),
+    so a view is a reshape that only adds unit axes (`_view`).
     """
     name: str
     params: Binders
     spec: SemiringSpec
     shape: tuple[int, ...]
-    steps: list[tuple] = field(default_factory=list)
+    steps: list[tuple[Callable, tuple]] = field(default_factory=list)
     out: Union[np.ndarray, int] = 0
-    view: Optional[tuple[int, ...]] = None
 
-    def step(self, kind: int, *args) -> int:
-        self.steps.append((kind, *args))
+    def step(self, fn: Callable, *operands) -> Union[np.ndarray, int]:
+        """`fn(*operands)` if every operand is a constant, else a new step's slot."""
+        if {int, str}.isdisjoint(map(type, operands)):
+            return fn(*operands)
+        self.steps.append((fn, operands))
         return len(self.steps) - 1
 
     def fold(self, terms: list[Term], op, scope: dict[str, TypeExpr]) -> Term:
@@ -362,21 +374,17 @@ class Plan:
         for d2, a2 in terms:
             d1, dims = dims, tuple(d for d in scope if d in dims or d in d2)
             _shape(tuple(scope[d].size for d in dims))  # numpy must be able to shape the result
-            v1, v2 = _view(d1, dims, scope), _view(d2, dims, scope)
-            if type(acc) is int or type(a2) is int:
-                acc = self.step(_COMBINE, op, acc, v1, a2, v2)
-            else:
-                acc = op(_apply(acc, v1), _apply(a2, v2))
+            acc = self.step(partial(_combine, op, _view(d1, dims, scope), _view(d2, dims, scope)),
+                            acc, a2)
         return dims, acc
 
-    def eliminate(self, terms: list[Term], binders: list[str],
-                  scope: dict[str, TypeExpr]) -> Term:
+    def eliminate(self, terms: list[Term], binders: list[str], scope: dict[str, TypeExpr]) -> Term:
         """Sum `binders` out of a product of terms, smallest product first,
         ties in binder order.  A product of more than `BLOCK_CELLS` cells is
         never built: the product of all but the last term that has the
-        binder is contracted with the last (`contract`).  A smaller one is
-        built and summed at once; an unused binder, as the scalar sum of
-        |type| ones."""
+        binder is contracted with the last block by block (`_contract`).  A
+        smaller one is built and summed at once; an unused binder, as the
+        scalar sum of |type| ones."""
         spec, pending = self.spec, list(binders)
 
         def cells(b: str) -> int:  # of the product of the terms that have `b`
@@ -393,31 +401,21 @@ class Plan:
                 terms.append(((), np.asarray(spec.one if spec.idempotent_add else
                                              scope[name].size * spec.one, dtype=spec.dtype)))
             elif blocked:
-                terms.append(self.contract(self.fold(group[:-1], spec.mul, scope),
-                                           group[-1], name, scope))
+                (d1, a1), (d2, a2) = self.fold(group[:-1], spec.mul, scope), group[-1]
+                rest = tuple(d for d in scope if d != name and (d in d1 or d in d2))
+                v1, v2 = ((scope[name].size, *(scope[d].size if d in ds else 1 for d in rest))
+                          for ds in (d1, d2))
+                block = max(1, BLOCK_CELLS // math.prod(_shape(tuple(scope[d].size for d in rest))))
+                how = (v1, v2, d1.index(name), d2.index(name), block)
+                terms.append((rest, self.step(partial(_contract, spec, how=how), a1, a2)))
             else:
                 dims, arr = self.fold(group, spec.mul, scope)
-                rest, axis = tuple(d for d in dims if d != name), dims.index(name)
-                terms.append((rest, self.step(_SUM, arr, axis) if type(arr) is int
-                              else spec.add.reduce(arr, axis=axis)))
+                terms.append((tuple(d for d in dims if d != name),
+                              self.step(partial(spec.add.reduce, axis=dims.index(name)), arr)))
         return self.fold(terms, spec.mul, scope)
 
-    def contract(self, t1: Term, t2: Term, name: str, scope: dict[str, TypeExpr]) -> Term:
-        """Sum `name`, an axis of both terms, out of their product, a block
-        of at most `BLOCK_CELLS` product cells at a time (`_contract`)."""
-        (d1, a1), (d2, a2) = t1, t2
-        rest = tuple(d for d in scope if d != name and (d in d1 or d in d2))
-        result = math.prod(_shape(tuple(scope[d].size for d in rest)))
-        v1, v2 = ((scope[name].size, *(scope[d].size if d in ds else 1 for d in rest))
-                  for ds in (d1, d2))
-        how = (v1, v2, d1.index(name), d2.index(name), max(1, BLOCK_CELLS // result))
-        if type(a1) is int or type(a2) is int:
-            return rest, self.step(_CONTRACT, a1, a2, how)
-        return rest, _contract(self.spec, a1, a2, how)
 
-
-def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
-                     spec: SemiringSpec) -> Plan:
+def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: SemiringSpec) -> Plan:
     """Compile `rel`'s body for `spec`, against the parameters (not the
     cells) of the `tables` it calls.
 
@@ -447,7 +445,7 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
             done.append((dims, np.where(hit, spec.one, spec.zero).astype(spec.dtype, copy=False)))
         elif isinstance(g, Call) or isinstance(g, Fresh) and g.wrap is not None:
             dims, name, index = _gather(g, scope, tables)
-            done.append((dims, plan.step(_GATHER, name, index)))
+            done.append((dims, plan.step(partial(_take, index), name)))
         elif isinstance(g, (Conj, Disj)):
             parts = _flatten(g, type(g))
             facts = _fact_table(parts, scope, spec) if isinstance(g, Disj) else None
@@ -470,34 +468,22 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable],
             work += ((p, scope) for p in reversed(parts))
         else:
             raise TypeError(g)
-    dims, arr = done.pop()
-    plan.out = arr
-    plan.view = _view(dims, tuple(x for x, _ in rel.params), dict(rel.params))
+    dims, out = done.pop()
+    view = _view(dims, tuple(x for x, _ in rel.params), dict(rel.params))
+    plan.out = out if view is None else plan.step(partial(_lay_out, view, plan.shape), out)
     return plan
 
 
 def eval_relation(plan: Plan, tables: dict[str, RelTable], spec: SemiringSpec) -> RelTable:
-    """Tabulate one relation's body over its full argument grid by running
-    its plan against `tables`."""
+    """Tabulate one relation's body over its full argument grid by calling
+    each step of its plan for `spec` on its operands, read from `tables`
+    and popped from their slots, so each is freed once used; a constant
+    table is copied."""
     slots: dict[int, np.ndarray] = {}
-    for out, step in enumerate(plan.steps):
-        if step[0] == _GATHER:
-            _, name, index = step
-            slots[out] = np.asarray(tables[name].cells[index])
-        elif step[0] == _COMBINE:
-            _, op, a1, v1, a2, v2 = step
-            slots[out] = op(_apply(slots.pop(a1) if type(a1) is int else a1, v1),
-                            _apply(slots.pop(a2) if type(a2) is int else a2, v2))
-        elif step[0] == _SUM:
-            _, slot, axis = step
-            slots[out] = spec.add.reduce(slots.pop(slot), axis=axis)
-        else:
-            _, a1, a2, how = step
-            slots[out] = _contract(spec, slots.pop(a1) if type(a1) is int else a1,
-                                   slots.pop(a2) if type(a2) is int else a2, how)
-    cells = slots.pop(plan.out) if type(plan.out) is int else plan.out
-    if plan.view is not None or cells is plan.out:  # no table shares a constant
-        cells = np.broadcast_to(_apply(cells, plan.view), plan.shape).copy()
+    for out, (fn, operands) in enumerate(plan.steps):
+        slots[out] = fn(*[slots.pop(a) if type(a) is int else
+                          tables[a].cells if type(a) is str else a for a in operands])
+    cells = slots.pop(plan.out) if type(plan.out) is int else np.array(plan.out)
     return RelTable(plan.name, plan.params, cells)
 
 

@@ -46,6 +46,7 @@ idempotence reason.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import replace
 from functools import cached_property
@@ -214,6 +215,13 @@ class _Lowering:
         return Call(self.demand(g.rel, sigma_types), g.args, None)
 
 
+def instances_of(lowered: Program, source: Program, rel: str) -> list[str]:
+    """The instances of `rel` that lowering `source` built in `lowered`, by
+    `_Lowering.demand`'s names: `rel$sizes`, then `#k` on a collision."""
+    return [n for n in lowered.names() if n not in source.names()
+            and re.fullmatch(re.escape(rel) + r"\$[\d_]+(#\d+)?", n)]
+
+
 # ---------------------------------------------------------------------------
 # generic typing of call arguments
 
@@ -244,10 +252,12 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
     """Goal that holds exactly when the `vars1` and `vars2` variable
     families carry the same equality pattern over `delta_generic`: each
     variable equals its generic type's shell on its side, and the holes of
-    each type variable agree pairwise on equality.  `shell` builds a
-    type's shell on both sides at once; a sum's is a new variable per
-    side, typed under that side's substitution, bound by a disj of the
-    two injected shells of its parts.
+    each type variable agree pairwise on equality.  A type's shell is built
+    on both sides at once; a sum's is a new variable per side, typed under
+    that side's substitution, bound by a disj of the two injected shells of
+    its parts.  Shells are built from an explicit stack, each node's parts
+    left to right, then joined by the entry below them: sum variables are
+    bound in pre-order, their disjs conjoined in post-order.
     """
     delta_generic = tuple(delta_generic)
     sigmas = (sigma1, sigma2)
@@ -258,37 +268,41 @@ def enforce_eqpat_codegen(delta_generic, vars1: dict, vars2: dict,
     def after(base: dict[str, int], ty: TypeExpr) -> dict[str, int]:
         return {tv: i + ty.holes.get(tv, 0) for tv, i in base.items()}
 
-    def shell(ty: TypeExpr, base: dict[str, int], binders: list, goals: list) -> tuple:
-        """`ty`'s shell on each side, its holes from slot `base` on; the sum
-        variables it binds go to `binders`, and their disjs to `goals`."""
-        match ty:
-            case Unit():
-                return SOLE, SOLE
-            case TyVar(name):
-                return tuple(Var(side[base[name]]) for side in holes[name])
-            case Prod(a, b):
-                first = shell(a, base, binders, goals)
-                return tuple(map(Pair, first, shell(b, after(base, a), binders, goals)))
-            case Sum(a, b):
-                sums = tuple(Var(supply.fresh("s")) for _ in sigmas)
-                binders += ((s.name, apply_subst(sigma, ty)) for s, sigma in zip(sums, sigmas))
-                branches = []
-                for inj, part in ((Left, a), (Right, b)):  # both from the same slots
-                    own_binders, own_goals = [], []
-                    parts = shell(part, base, own_binders, own_goals)
-                    body = _conj(own_goals + [Unify(s, inj(p)) for s, p in zip(sums, parts)])
-                    branches.append(Fresh(tuple(own_binders), body) if own_binders else body)
-                goals.append(Disj(*branches))
-                return sums
-        raise TypeError(ty)
-
     binders = [(h, apply_subst(sigma, TyVar(tv))) for tv in tyvars
                for side, sigma in zip(holes[tv], sigmas) for h in side]
     goals: list[Goal] = []
     base = {tv: 0 for tv in tyvars}
     for x, ty in delta_generic:
-        shells = shell(ty, base, binders, goals)
-        goals += map(Unify, (Var(vars1[x]), Var(vars2[x])), shells)
+        # (type, its two images, hole slots, binders, goals) to build, or a join
+        stack = [(ty, tuple(apply_subst(sigma, ty) for sigma in sigmas), base, binders, goals)]
+        done: list = []
+        while stack:
+            match stack.pop():
+                case ("pair",):
+                    done[-2:] = [tuple(map(Pair, *done[-2:]))]
+                case ("disj", sums, into, *owns):  # each branch's binders and goals
+                    parts, branches = (done.pop(-2), done.pop()), []
+                    for inj, shells, (own_binders, own_goals) in zip((Left, Right), parts, owns):
+                        body = _conj(own_goals + [Unify(s, inj(p)) for s, p in zip(sums, shells)])
+                        branches.append(Fresh(tuple(own_binders), body) if own_binders else body)
+                    into.append(Disj(*branches))
+                    done.append(sums)
+                case (Unit(), *_):
+                    done.append((SOLE, SOLE))
+                case (TyVar(name), _, at, _, _):
+                    done.append(tuple(Var(side[at[name]]) for side in holes[name]))
+                case (Prod(a, b), images, at, bound, into):
+                    stack += (("pair",),
+                              (b, tuple(i.second for i in images), after(at, a), bound, into),
+                              (a, tuple(i.first for i in images), at, bound, into))
+                case (Sum(a, b), images, at, bound, into):
+                    sums = tuple(Var(supply.fresh("s")) for _ in sigmas)
+                    bound += ((s.name, image) for s, image in zip(sums, images))
+                    owns = ([], []), ([], [])  # both branches' holes from the same slots
+                    stack += (("disj", sums, into, *owns),
+                              (b, tuple(i.right for i in images), at, *owns[1]),
+                              (a, tuple(i.left for i in images), at, *owns[0]))
+        goals += map(Unify, (Var(vars1[x]), Var(vars2[x])), done[0])
         base = after(base, ty)
     for sides in holes.values():
         for i, j in combinations(range(len(sides[0])), 2):

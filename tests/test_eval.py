@@ -785,17 +785,69 @@ def test_overflowing_real_contraction_reaches_nan():
     assert _same(got, want, REAL)
 
 
-def test_constant_contraction_runs_at_compile_time():
+@pytest.mark.parametrize("body, want", [
     # z = x and z = y over 48 values: two constant masks, 48 ** 3 cells
+    (lambda t: Fresh((("z", t),), Conj(Unify(Var("z"), Var("x"), t),
+                                        Unify(Var("z"), Var("y"), t))), np.eye(48, dtype=bool)),
+    # x = y or x =/= y: one combine of two masks
+    (lambda t: Disj(Unify(Var("x"), Var("y"), t), Disunify(Var("x"), Var("y"), t)),
+     np.ones((48, 48), dtype=bool)),
+    # z = x at one z for each x: a sum of one term, laid out over (x, y)
+    (lambda t: Fresh((("z", t),), Unify(Var("z"), Var("x"), t)), np.ones((48, 48), dtype=bool)),
+], ids=["contraction", "combine", "one-term sum"])
+def test_constant_contraction_runs_at_compile_time(body, want):
     t = _sized(48)
-    rel = RelationDef("r", (), (("x", t), ("y", t)),
-                      Fresh((("z", t),), Conj(Unify(Var("z"), Var("x"), t),
-                                              Unify(Var("z"), Var("y"), t))))
+    rel = RelationDef("r", (), (("x", t), ("y", t)), body(t))
     for spec in _SPECS:
         plan = compile_relation(rel, {}, spec)
         assert plan.steps == []
         got = eval_relation(plan, {}, spec).cells
-        assert np.array_equal(got, np.where(np.eye(48, dtype=bool), spec.one, spec.zero))
+        assert np.array_equal(got, np.where(want, spec.one, spec.zero))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
+def test_every_plan_step_reads_a_table(monkeypatch, spec):
+    """An operation on constants alone runs as the plan is built, so every
+    step a plan keeps has a slot or a table's name among its operands: over
+    the corpus and 20 random programs, lowered each way `spec` allows."""
+    plans = []
+    original = skn_eval.compile_relation
+
+    def keeping(*args):
+        plans.append(original(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(skn_eval, "compile_relation", keeping)
+    sources = [load(name) for name in (IDEMPOTENT_CORPUS if spec is BOOLEAN else CORPUS)]
+    sources += [gen.random_program(seed) for seed in range(20)]
+    for src in sources:
+        program = check_program(parse_program(src))
+        for mode in ("monomorphize", "large-enough") if spec.idempotent_add else ("monomorphize",):
+            fixpoint(lower_program(program, mode, spec), spec, max_iters=300)
+    steps = [operands for plan in plans for _, operands in plan.steps]
+    assert len(plans) > 50 and len(steps) > 80
+    assert all(any(type(a) in (int, str) for a in operands) for operands in steps)
+
+
+def test_a_run_frees_each_slot_once_read():
+    # r is the conj of k calls of t: a run gathers k table-sized arrays and
+    # folds them pairwise, so with each slot freed once read at most k + 1
+    # are live at once; kept slots would make it 2k - 1
+    k, n = 6, 256
+    t = _sized(n)
+    tables = {"t": RelTable("t", (("a", t), ("b", t)),
+                            np.random.default_rng(0).random((n, n)))}
+    rel = RelationDef("r", (), (("x", t), ("y", t)),
+                      _chain(Conj, [Call("t", (Var("x"), Var("y")))] * k))
+    plan = compile_relation(rel, tables, REAL)
+    tracemalloc.start()
+    try:
+        cells = eval_relation(plan, tables, REAL).cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(cells, tables["t"].cells ** k, rtol=1e-12, atol=0)
+    assert peak < (k + 2) * cells.nbytes, peak / cells.nbytes
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)

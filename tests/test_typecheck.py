@@ -148,21 +148,45 @@ def test_deep_unify_checks_lowers_and_solves():
         assert result.tables["deep"].cells.nonzero()[0].tolist() == [depth - 1, depth]
 
 
+def _deep_generic(depth, at):
+    """p over `depth` sums around its type variable a, true at the rightmost
+    branch; q calls p at a = `at`."""
+    generic, ground = _sums(depth, TyVar("a")), _sums(depth, at)
+    p = RelationDef("p", ("a",), (("x", generic),),
+                    Fresh((("h", TyVar("a")),), Unify(Var("x"), _rights(depth, Var("h")))))
+    q = RelationDef("q", (), (("y", ground),), Call("p", (Var("y"),)))
+    return check_program(Program((p, q)))
+
+
 def test_deep_generic_parameter_checks_lowers_and_solves():
     # p's body checks a 3000-deep value along its generic parameter type, and
     # the call matches that type against the caller's; x is p's iff it is
     # the rightmost branch, so q holds at its last two values
     depth = 3000
     assert sys.getrecursionlimit() < depth
-    generic, ground = _sums(depth, TyVar("a")), _sums(depth, S2)
-    p = RelationDef("p", ("a",), (("x", generic),),
-                    Fresh((("h", TyVar("a")),), Unify(Var("x"), _rights(depth, Var("h")))))
-    q = RelationDef("q", (), (("y", ground),), Call("p", (Var("y"),)))
-    checked = check_program(Program((p, q)))
+    checked = _deep_generic(depth, S2)
     assert checked.relation("q").body.subst == (("a", S2),)
     result = fixpoint(lower_program(checked, "monomorphize", BOOLEAN), BOOLEAN)
     assert result.converged
     assert result.tables["q"].cells.nonzero()[0].tolist() == [depth, depth + 1]
+
+
+def test_deep_generic_call_lowers_large_enough_and_solves():
+    # p's large-enough size for a is 2, so a call at a three-value type is
+    # wrapped: its pattern code has a sum variable per side at each of the
+    # 1500 sums, and its gather reads a canonical copy along them
+    depth = 1500
+    assert sys.getrecursionlimit() < depth
+    checked = _deep_generic(depth, Sum(UNIT, S2))
+    tables, calls = {}, {}
+    for mode in ("monomorphize", "large-enough"):
+        lowered = lower_program(checked, mode, BOOLEAN)
+        result = fixpoint(lowered, BOOLEAN)
+        assert result.converged
+        tables[mode], calls[mode] = result.tables["q"].cells, lowered.relation("q").body
+    assert isinstance(calls["large-enough"], Fresh) and calls["large-enough"].wrap
+    assert np.array_equal(tables["large-enough"], tables["monomorphize"])
+    assert tables["monomorphize"].nonzero()[0].tolist() == [depth, depth + 1, depth + 2]
 
 
 def test_deep_value_checking_and_matching():
