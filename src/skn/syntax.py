@@ -20,7 +20,8 @@ The text is read in one pass: one regex splits it into tokens, and a
 recursive-descent reader builds the AST from them.  The reader renames
 apart any ``fresh`` binder that would shadow an enclosing variable as it
 goes, so later passes can treat variable names as unique within one
-relation body.
+relation body.  A bracketed value or type form that repeats is read once
+per file, except for a value form while a shadowing binder is renamed.
 
 Goals are walked by one iterative traversal, `walk_goal`, which yields
 each leaf once and each other node on entry and exit, with the ``fresh``
@@ -324,20 +325,30 @@ def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
     return out
 
 
-def map_goal(g: Goal, leaf: Callable[[Goal, Binders], Goal],
+def map_goal(g: Goal, leaf: Callable[[Goal, dict[str, TypeExpr]], Goal],
              ty: Callable[[TypeExpr], TypeExpr] = _keep) -> Goal:
-    """Rebuild `g`, replacing each leaf goal by `leaf(goal, binders)` and
-    each fresh binder's type by `ty(type)`, both called in pre-order.  A
-    fresh keeps its `wrap` record as it is."""
+    """Rebuild `g`, replacing each leaf goal by `leaf(goal, scope)` and
+    each fresh binder's type by `ty(type)`, both called in pre-order.
+    `scope` maps each fresh binder around the leaf to its type (the
+    outermost of a repeated name); it is one dict, updated on entering and
+    leaving each fresh, which `leaf` must not keep.  A fresh keeps its
+    `wrap` record as it is."""
     done: list[Goal] = []
     mapped: list[Binders] = []  # the binders of the open freshes, their types mapped
-    for h, binders, entering in walk_goal(g):
+    scope: dict[str, TypeExpr] = {}
+    sizes: list[int] = []  # the size of `scope` as each open fresh was entered
+    for h, _, entering in walk_goal(g):
         if isinstance(h, LEAF_GOALS):
-            done.append(leaf(h, binders))
+            done.append(leaf(h, scope))
         elif isinstance(h, Fresh) and entering:
             mapped.append(tuple((x, ty(t)) for x, t in h.binders))
+            sizes.append(len(scope))
+            for x, t in h.binders:
+                scope.setdefault(x, t)
         elif isinstance(h, Fresh):
             done.append(Fresh(mapped.pop(), done.pop(), h.wrap))
+            for _ in range(len(scope) - sizes.pop()):
+                scope.popitem()  # the last name added, which this fresh added
         elif not entering:  # a conj or disj, its two subgoals done
             done[-2:] = [type(h)(*done[-2:])]
     return done[0]
@@ -420,12 +431,32 @@ class _Reader:
     it got.  A position (`pos`, `off`, `at`) is an index into `toks`.
     Within a relation, `scope` holds the variables in scope and `env` maps
     each shadowing binder to its new name; the relation's name supply
-    avoids every token of the file."""
+    avoids every token of the file.  A value or type form read once is
+    kept under its tokens, "(" to ")", and a later form with the same
+    tokens is that node, except for a value form while `env` renames a
+    binder.  A form that fails is never kept, so errors are unchanged."""
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0
-        self.toks = [tok for tok in _TOKEN.findall(text) if tok] + [""]
+        self.toks = (*filter(None, _TOKEN.findall(text)), "")
         self.atoms = set(self.toks)
+        # each "(" `match` passed, at its ")" or None; the value and type forms read
+        self.close, self.values, self.types = {}, {}, {}
+
+    def match(self, off: int) -> Optional[int]:
+        """The index of the ")" that closes the "(" at `off`, or None.  One
+        scan from `off` to there records the same for each "(" it passes,
+        so the tokens of a value or type form are scanned once."""
+        toks, opens = self.toks, []
+        for i in range(off, len(toks)):
+            if toks[i] == "(":
+                opens.append(i)
+            elif toks[i] == ")":
+                self.close[opens.pop()] = i
+                if not opens:
+                    return i
+        self.close.update(dict.fromkeys(opens))
+        return None
 
     def fail(self, msg: str, at: int):
         """Raise `msg` at token `at`, unless a bracket is unmatched: then
@@ -468,16 +499,24 @@ class _Reader:
         return tok
 
     def head(self, off: int, what: str, empty: str) -> str:
-        if not self.more():
+        """The head token of the form whose "(" is at `off`; a form with none
+        fails with `empty`."""
+        tok = self.toks[self.pos]
+        if tok == ")":
             self.fail(empty, off)
-        tok, at = self.next()
-        if tok in _PUNCT:
-            self.fail(f"expected {what}", at)
+        if tok in _PUNCT:  # "" and "}" are unmatched brackets, which `fail` reports
+            self.fail("" if tok in ("}", "") else f"expected {what}", self.pos)
+        self.pos += 1
         return tok
 
     def type(self) -> TypeExpr:
         tok, off = self.next()
         if tok == "(":
+            close = self.close[off] if off in self.close else self.match(off)
+            key = None if close is None else self.toks[off:close + 1]
+            if (t := self.types.get(key)) is not None:
+                self.pos = close + 1
+                return t
             head = self.head(off, "a type constructor", "empty type form")
             if head not in ("Sum", "Prod", "Pair"):  # Pair is an alias for Prod
                 self.fail(f"unknown type constructor {head!r}", off)
@@ -486,7 +525,10 @@ class _Reader:
                 kids.append(self.type())
             if len(kids) != 2:
                 self.fail(f"{head} takes two types", off)
-            return Sum(*kids) if head == "Sum" else Prod(*kids)
+            t = Sum(*kids) if head == "Sum" else Prod(*kids)
+            if key is not None:
+                self.types[key] = t
+            return t
         if tok == "{":
             self.fail("unexpected annotation braces in type", off)
         if tok == "Unit":
@@ -505,6 +547,13 @@ class _Reader:
         if tok != "(":
             name = self.name("variable")
             return Var(self.env.get(name, name))
+        key = None  # a form read while no binder is renamed reads the same anywhere
+        if not self.env:
+            close = self.close[off] if off in self.close else self.match(off)
+            key = None if close is None else self.toks[off:close + 1]
+            if (v := self.values.get(key)) is not None:
+                self.pos = close + 1
+                return v
         self.pos += 1
         head = self.head(off, "a value constructor", "empty value form")
         if head not in ("left", "right", "pair"):
@@ -522,10 +571,14 @@ class _Reader:
         if head == "pair":
             if len(kids) != 2:
                 self.fail("pair takes two values", off)
-            return Pair(*kids)
-        if len(kids) != 1:
+            v = Pair(*kids)
+        elif len(kids) != 1:
             self.fail(f"{head} takes one value", off)
-        return Left(kids[0], *annots) if head == "left" else Right(kids[0], *annots)
+        else:
+            v = Left(kids[0], *annots) if head == "left" else Right(kids[0], *annots)
+        if key is not None:
+            self.values[key] = v
+        return v
 
     def goal(self) -> Goal:
         tok, off = self.next()

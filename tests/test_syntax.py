@@ -1,6 +1,7 @@
 import collections
 import copy
 import pickle
+import random
 import sys
 
 import pytest
@@ -171,6 +172,90 @@ def test_reader_shares_one_token_set_across_relations(monkeypatch):
     assert [rel.body.binders[0][0] for rel in p.relations] == ["x~2"] * 3
     assert len(supplies) == 3 and all(s.used is supplies[0].used for s in supplies)
     assert "x~1" in supplies[0].used and "x~2" not in supplies[0].used
+
+
+@pytest.mark.parametrize("form", ["(pair x (left x))", "(pair x (left {(Sum Unit Unit)} x))"])
+def test_repeated_value_form_reads_each_renaming(form):
+    # one form before a fresh that shadows x, inside it and after it: the
+    # inner copy reads the renamed binder, the outer two the parameter
+    p = parse_program(f"(defrel (r (x : Unit) (y : Unit))"
+                      f" (conj (== y {form}) (fresh ((x : Unit)) (== y {form})) (== y {form})))")
+    body = p.relations[0].body
+    before, inner, after = body.g1, body.g2.g1, body.g2.g2
+    assert [free_vars(g.v2) for g in (before, inner.body, after)] == [["x"], ["x~1"], ["x"]]
+    assert before.v2 == after.v2 and before.v2.second.annot == inner.body.v2.second.annot
+
+
+def _forms(text):
+    """The token tuple of each bracketed form of `text`, by a bracket
+    match of its own."""
+    toks, opens, forms = [tok for tok in syntax._TOKEN.findall(text) if tok], [], []
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            opens.append(i)
+        elif tok == ")":
+            start = opens.pop()
+            forms.append(tuple(toks[start:i + 1]))
+    return forms
+
+
+def test_each_repeated_value_form_is_one_node():
+    # chain-64 writes each node's value once or twice per edge; the
+    # reader builds one node per distinct form, and one per parse
+    text = chain_source(64)
+    program = parse_program(text)
+    nodes = {}
+    for rel in program.relations:
+        for g in syntax.subgoals(rel.body):
+            for v in (g.v1, g.v2) if isinstance(g, Unify) else getattr(g, "args", ()):
+                fold(v, lambda u: None,
+                     lambda u, *_: isinstance(u, (Left, Right)) and nodes.setdefault(id(u), u))
+    forms = [f for f in _forms(text) if f[1] in ("left", "right")]
+    assert len(forms) > 2 * len(set(forms))  # the text repeats its forms
+    assert len(nodes) == len(set(forms))
+    again = parse_program(text).relations[0].body.g1.g1.v2
+    assert again == program.relations[0].body.g1.g1.v2
+    assert again is not program.relations[0].body.g1.g1.v2
+
+
+def _outcome(text):
+    """The program `text` reads as, rendered, or its error's message and place."""
+    try:
+        return render_program(parse_program(text))
+    except ParseError as e:
+        return e.msg, e.line, e.col
+
+
+def _mutants(text, rng, n=8):
+    """`n` copies of `text`, each with one token deleted, doubled, swapped
+    with the next one or replaced by another token of the file."""
+    spans = [m.span(1) for m in syntax._TOKEN.finditer(text) if m[1]]
+    out = []
+    for _ in range(n):
+        i = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[i], spans[i + 1]
+        tok, other = text[a:b], text[slice(*rng.choice(spans))]
+        edit = rng.choice(["", f"{tok} {tok}", other, None])  # None: swap with the next
+        if edit is None:
+            out.append(text[:a] + text[c:d] + text[b:c] + tok + text[d:])
+        else:
+            out.append(text[:a] + edit + text[b:])
+    return out
+
+
+def test_memo_changes_no_outcome(monkeypatch):
+    # every source and mutant reads to the same text, or fails with the same
+    # message at the same place, as with the memo off (no bracket matched)
+    rng = random.Random(27)
+    sources = [load(name) for name in CORPUS] + [chain_source(12)]
+    sources += [gen.random_program(seed) for seed in range(100)]
+    sources += [m for s in list(sources) for m in _mutants(s, rng)]
+    memoized = [_outcome(s) for s in sources]
+    monkeypatch.setattr(syntax._Reader, "match", lambda self, off: None)
+    assert [_outcome(s) for s in sources] == memoized
+    errors = sum(isinstance(o, tuple) for o in memoized)
+    assert 0.3 * len(sources) < errors < 0.9 * len(sources)
+
 
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as e:

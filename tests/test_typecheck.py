@@ -10,6 +10,7 @@ from skn import (
     check_program, check_type_valid, fixpoint, generic_arg_env, lower_program,
     parse_program, render_type, type_of_value,
 )
+from skn import typecheck
 from skn.cli import RunConfig, run
 from skn.syntax import walk_goal
 from skn.typecheck import TypeCheckError, TypeEnv, UninferableValue, match_type
@@ -189,6 +190,33 @@ def test_deep_generic_call_lowers_large_enough_and_solves():
     assert tables["monomorphize"].nonzero()[0].tolist() == [depth, depth + 1, depth + 2]
 
 
+def _checker_lines(depth):
+    """The lines the checker runs while `_deep_generic(depth, ...)` lowers
+    large-enough: the re-check of its wrapper, one fresh per sum level."""
+    checked, lines = _deep_generic(depth, Sum(UNIT, S2)), 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == typecheck.__file__
+                 else None)
+    try:
+        lower_program(checked, "large-enough", BOOLEAN)
+    finally:
+        sys.settrace(old)
+    return lines
+
+
+def test_wrapper_recheck_is_linear_in_depth():
+    # each leaf of the wrapper looks its variables up in the one scope the
+    # walk keeps, without copying or scanning the binders around it; a scan
+    # from the outermost binder made twice the depth cost four times the lines
+    assert _checker_lines(2000) < 2.5 * _checker_lines(1000)
+
+
 def test_deep_value_checking_and_matching():
     depth = 5000
     assert sys.getrecursionlimit() < depth
@@ -305,6 +333,11 @@ def test_call_fault_messages(tmp_path, src, message):
 @pytest.mark.parametrize("src, message", [
     pytest.param("(defrel (r (x : Unit)) (== y sole))",
                  "r: unbound variable 'y'", id="unbound-variable"),
+    pytest.param("(defrel (r (x : Unit)) (conj (fresh ((z : Unit)) (== z x)) (== z sole)))",
+                 "r: unbound variable 'z'", id="binder-after-its-fresh"),
+    pytest.param("(defrel (r (x : Unit))"
+                 " (fresh ((a : Unit)) (conj (fresh ((b : Unit)) (== a b)) (== b a))))",
+                 "r: unbound variable 'b'", id="inner-binder-after-its-fresh"),
     pytest.param("(defrel (r (x : (Sum Unit Unit))) (== x sole))",
                  "r: sole has type Unit, expected (Sum Unit Unit)", id="sole-at-a-sum"),
     pytest.param("(defrel (r (x : (Sum Unit Unit)))"
