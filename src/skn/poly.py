@@ -95,9 +95,18 @@ def canonical_type(n: int) -> TypeExpr:
 
 def smallest_large_enough(rel: RelationDef) -> dict[str, int]:
     """Size per type variable at which one instance determines all larger
-    ones: the most holes of it in any value environment of the body, or 1."""
-    scopes = [rel.params + binders for _, binders, _ in walk_goal(rel.body)]
-    return {tv: max(1, *(count_env(tv, scope) for scope in scopes)) for tv in rel.tyvars}
+    ones: the most holes of it in any value environment of the body, or 1.
+    One walk keeps each variable's holes in the parameters and the open
+    freshes' binders, adding a fresh's on entering it and taking them away
+    on leaving, so no environment is built."""
+    holes = {tv: count_env(tv, rel.params) for tv in rel.tyvars}
+    most = {tv: max(1, n) for tv, n in holes.items()}
+    for h, entering in walk_goal(rel.body):
+        if isinstance(h, Fresh):
+            for tv in holes:
+                holes[tv] += count_env(tv, h.binders) * (1 if entering else -1)
+                most[tv] = max(most[tv], holes[tv])
+    return most
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ relation body.  A bracketed value or type form that repeats is read once
 per file, except for a value form while a shadowing binder is renamed.
 
 Goals are walked by one iterative traversal, `walk_goal`, which yields
-each leaf once and each other node on entry and exit, with the ``fresh``
-binders around it.  `subgoals`, `map_goal` and `render_goal` are built
-on it, and the type checker and the lowering walk goals only through
-these.  `nest` builds ``conj``/``disj`` chains.
+each leaf once and each other node on entry and exit.  `subgoals`,
+`map_goal` and `render_goal` are built on it, and the type checker and
+the lowering walk goals only through these.  `nest` builds ``conj``/``disj`` chains.
 Types and values are folded bottom-up, also without recursion, by one
 `fold`; the renderers, a type's ``repr``, `free_vars`, `map_value` and
 `typecheck.apply_subst` are built on it.  A value or a type is walked
@@ -300,20 +299,21 @@ LEAF_GOALS = (Unify, Disunify, Call, Factor)  # the goals without subgoals
 Binders = tuple[tuple[str, TypeExpr], ...]  # typed variables, such as fresh binders
 
 
-def walk_goal(g: Goal) -> Iterator[tuple[Goal, Binders, bool]]:
-    """``(node, binders, entering)`` for each goal node of `g`, left to
-    right: a leaf once, entering; any other node on entry, then for its
-    subgoals, then on exit.  `binders` are the ``(name, type)`` of the
-    freshes around it, outermost first.  Iterative, so depth is unbounded."""
-    stack: list[tuple[Goal, Binders, bool]] = [(g, (), True)]
+def walk_goal(g: Goal) -> Iterator[tuple[Goal, bool]]:
+    """``(node, entering)`` for each goal node of `g`, left to right: a
+    leaf once, entering; any other node on entry, then for its subgoals,
+    then on exit.  A caller that needs the binders around a node keeps them
+    from the freshes it enters and leaves.  Iterative, so depth is
+    unbounded."""
+    stack: list[tuple[Goal, bool]] = [(g, True)]
     while stack:
-        h, binders, entering = item = stack.pop()
+        h, entering = item = stack.pop()
         yield item
         if entering:
             if isinstance(h, (Conj, Disj)):
-                stack += ((h, binders, False), (h.g2, binders, True), (h.g1, binders, True))
+                stack += ((h, False), (h.g2, True), (h.g1, True))
             elif isinstance(h, Fresh):
-                stack += ((h, binders, False), (h.body, binders + h.binders, True))
+                stack += ((h, False), (h.body, True))
 
 
 def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
@@ -337,7 +337,7 @@ def map_goal(g: Goal, leaf: Callable[[Goal, dict[str, TypeExpr]], Goal],
     mapped: list[Binders] = []  # the binders of the open freshes, their types mapped
     scope: dict[str, TypeExpr] = {}
     sizes: list[int] = []  # the size of `scope` as each open fresh was entered
-    for h, _, entering in walk_goal(g):
+    for h, entering in walk_goal(g):
         if isinstance(h, LEAF_GOALS):
             done.append(leaf(h, scope))
         elif isinstance(h, Fresh) and entering:
@@ -356,7 +356,7 @@ def map_goal(g: Goal, leaf: Callable[[Goal, dict[str, TypeExpr]], Goal],
 
 def subgoals(g: Goal) -> Iterator[Goal]:
     """Every goal node of `g`, `g` first, in left-to-right pre-order."""
-    return (h for h, _, entering in walk_goal(g) if entering)
+    return (h for h, entering in walk_goal(g) if entering)
 
 
 @dataclass(frozen=True)
@@ -730,7 +730,7 @@ def render_value(v: ValueExpr) -> str:
 def render_goal(g: Goal, indent: int = 0) -> str:
     """One line per goal node, each nesting level indented two spaces."""
     lines: list[str] = []
-    for h, _, entering in walk_goal(g):
+    for h, entering in walk_goal(g):
         if not entering:
             lines[-1] += ")"
             indent -= 1

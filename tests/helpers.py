@@ -1,7 +1,9 @@
 """Shared plumbing for the test suite: corpus loading and one-call runs."""
 import os
 import random
+import threading
 from dataclasses import dataclass
+from typing import Optional
 
 from skn import parse_program, check_program, fixpoint, lower_program, type_size
 from skn.poly import _Lowering
@@ -55,6 +57,24 @@ def chain_source(n: int) -> str:
             f"(defrel (from0 (y : {t})) (connect {vals[0]} y))\n")
 
 
+def paths_source(seed: int, n: int = 128, weight: Optional[str] = None) -> str:
+    """A paths-shaped program over n nodes (a multiple of 8), each a pair of
+    an 8-valued and an n/8-valued right-nested sum: `edge` is a ring plus n
+    seeded chords, each weighted by its `weight` literal or, if None, by a
+    seeded integer from 1 to 9; `dist` joins it with itself by the
+    min-plus product of `paths`, `(conj (dist x z) (dist z y))`."""
+    (ta, va), (tb, vb) = right_nested_sum(8), right_nested_sum(n // 8)
+    t, vals = f"(Prod {ta} {tb})", [f"(pair {a} {b})" for a in va for b in vb]
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)] + \
+        [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    rows = "\n".join(f"    (conj (== x {vals[a]}) (== y {vals[b]}) "
+                     f"(factor {weight or rng.randint(1, 9)}))" for a, b in edges)
+    return (f"(defrel (edge (x : {t}) (y : {t}))\n  (disj\n{rows}))\n"
+            f"(defrel (dist (x : {t}) (y : {t}))\n  (disj (edge x y)\n"
+            f"    (fresh ((z : {t})) (conj (dist x z) (dist z y)))))\n")
+
+
 def walk_source(seed: int, n: int = 8, p: float = 0.99) -> str:
     """A random walk on n nodes that goes on with probability p: `step`
     holds row weights p·w/Σw, with each w drawn from a seeded generator,
@@ -70,6 +90,13 @@ def walk_source(seed: int, n: int = 8, p: float = 0.99) -> str:
     return (f"(defrel (step (x : {t}) (y : {t}))\n  (disj\n{steps}))\n"
             f"(defrel (hit (x : {t}) (y : {t}))\n  (disj (== x y)\n"
             f"    (fresh ((z : {t})) (conj (step x z) (hit z y)))))\n")
+
+
+def thread_starts(monkeypatch) -> list:
+    """The threads started from now on, each appended as it starts."""
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    return starts
 
 
 def checked(source: str):

@@ -17,7 +17,9 @@ from skn.eval import RelTable
 from skn.poly import canonical_type
 
 import oracle
-from helpers import CORPUS, IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load
+from helpers import (
+    CORPUS, IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load, paths_source, thread_starts,
+)
 
 
 def path(name):
@@ -385,6 +387,23 @@ def test_nan_at_last_allowed_round_is_named():
     assert status == 3
     assert err == ("warning: fixpoint stopped at round 13, which yielded nan; "
                    "tables are from the last round\n")
+
+
+def test_split_join_overflows_quietly(tmp_path, monkeypatch, capsys):
+    # edges of weight 1e308 make dist's min-plus join overflow to inf; the
+    # helper thread that sums half of the 128**3-cell join runs under the
+    # errstate of fixpoint, which ignores overflow, as the caller does
+    program = tmp_path / "far.skn"
+    program.write_text(paths_source(0, 128, "1e308"))
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
+    starts = thread_starts(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["run", str(program), "--semiring", "min-tropical", "--rel", "dist"])
+    captured = capsys.readouterr()
+    assert status == 0 and captured.err == "" and starts
+    assert "\tinf\n" in captured.out and "\t1e+308\n" in captured.out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("diff", [False, True])

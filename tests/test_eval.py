@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,8 +23,8 @@ import gen
 import oracle
 import props
 from helpers import (
-    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, right_nested_sum,
-    run_source, skewed_coins_source, walk_source,
+    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, paths_source, right_nested_sum,
+    run_source, skewed_coins_source, thread_starts, walk_source,
 )
 
 S2 = Sum(UNIT, UNIT)
@@ -856,21 +858,34 @@ def test_blocked_fixpoints_match_one_block(monkeypatch, spec):
     as a single product and sum: the same tables and rounds under boolean
     and min-tropical.  Under real the sums run in another order, so the
     tables agree to rounding, and a round may differ in its last bits and
-    end another round later (chain-64's connect)."""
+    end another round later (chain-64's connect).  With the split's gate
+    at zero and two usable CPUs, every blocked contraction under boolean
+    and min-tropical is summed in two halves on two threads, and gives the
+    blocked run's bits; real is never split, so it gives them too."""
     sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
         [gen.random_program(seed) for seed in range(10)] + [chain_source(64)]
+    monkeypatch.setattr(skn_eval, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(skn_eval, "SPLIT_CALL_BYTES", 0)
+    starts = thread_starts(monkeypatch)
     for src in sources:
         program = check_program(parse_program(src))
         lowered = lower_program(program, "monomorphize", spec)
         results = []
-        for cells in (1, 2 ** 62):
+        for cells, cpus in ((1, 1), (1, 2), (2 ** 62, 2)):
             monkeypatch.setattr(skn_eval, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
             results.append(fixpoint(lowered, spec, max_iters=300))
-        blocked, whole = results
+        blocked, split, whole = results
         assert (blocked.converged, blocked.stopped_on_nan) == (whole.converged, whole.stopped_on_nan)
         assert blocked.iterations == whole.iterations or spec is REAL
         for name, table in whole.tables.items():
             assert _same(blocked.tables[name].cells, table.cells, spec), name
+        assert (split.converged, split.stopped_on_nan, split.iterations) == \
+            (blocked.converged, blocked.stopped_on_nan, blocked.iterations)
+        for name, table in blocked.tables.items():
+            assert np.array_equal(split.tables[name].cells, table.cells,
+                                  equal_nan=spec is REAL), name
+    assert bool(starts) == spec.idempotent_add
 
 
 def test_cyclic_connect_under_real_stops_on_nan():
@@ -884,6 +899,101 @@ def test_cyclic_connect_under_real_stops_on_nan():
                    max_iters=1000)
     assert res.stopped_on_nan and not res.converged
     assert np.isnan(res.tables["connect"].cells).any()
+
+
+def _split_flags(monkeypatch, src, spec, cpus):
+    """(split, block) of each contraction of `src`'s plans under `spec`
+    with `cpus` usable CPUs."""
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
+    program = lower_program(checked(src), "monomorphize", spec)
+    tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
+    return [(fn.keywords["how"][5], fn.keywords["how"][4]) for rel in program.relations
+            for fn, _ in compile_relation(rel, tables, spec).steps
+            if getattr(fn, "func", None) is skn_eval._contract]
+
+
+@pytest.mark.parametrize("src, spec, cpus, want", [
+    # 128**3 cells of 8 bytes, two of 128**2 cells a call, and a thread for half
+    ("chain-128", MIN_TROPICAL, 2, [(True, 2)]),
+    ("chain-128", MIN_TROPICAL, 1, [(False, 4)]),
+    ("chain-128", REAL, 2, [(False, 4)]),  # real sums in one order
+    ("chain-128", BOOLEAN, 2, [(False, 4)]),  # 2**15 bytes a call trade the GIL too often
+    ("chain-64", MIN_TROPICAL, 2, [(False, 16)]),  # 2**18 cells, below SPLIT_CELLS
+    ("paths-384", BOOLEAN, 2, [(True, 1)]),  # 384**2 bytes a call
+    ("unit-binder", BOOLEAN, 2, [(False, 1)]),  # 2**20 cells, but one value has no halves
+], ids=lambda v: getattr(v, "name", v))
+def test_split_gate(monkeypatch, src, spec, cpus, want):
+    t32 = right_nested_sum(32)[0]
+    src = {"chain-128": chain_source(128), "chain-64": chain_source(64),
+           "paths-384": paths_source(0, 384, "1"),
+           "unit-binder": f"(defrel (e (x : (Prod {t32} {t32})) (z : Unit)) (== z sole))\n"
+                          f"(defrel (r (x : (Prod {t32} {t32})) (y : (Prod {t32} {t32})))\n"
+                          f"  (fresh ((z : Unit)) (conj (e x z) (e y z))))\n"}[src]
+    assert _split_flags(monkeypatch, src, spec, cpus) == want
+
+
+def _split_sources(spec):
+    """The corpus, 10 random programs, chain-128 and paths-shaped programs
+    whose joins `spec` splits: 128 nodes under min-tropical, 384 under
+    boolean."""
+    paths = [paths_source(seed) for seed in range(3)] if spec is MIN_TROPICAL else \
+        [paths_source(seed, 384, "1") for seed in range(2)]
+    return [load(name) for name in IDEMPOTENT_CORPUS] + \
+        [gen.random_program(seed) for seed in range(10)] + [chain_source(128)] + paths
+
+
+@pytest.mark.parametrize("spec", [BOOLEAN, MIN_TROPICAL], ids=lambda spec: spec.name)
+def test_split_contractions_match_serial(monkeypatch, spec):
+    """With two usable CPUs a large idempotent join is summed in two halves
+    on two threads, and with one in one loop: the same bits, rounds and
+    convergence."""
+    starts = thread_starts(monkeypatch)
+    for src in _split_sources(spec):
+        lowered = lower_program(checked(src), "monomorphize", spec)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
+            results.append(fixpoint(lowered, spec, max_iters=300))
+        serial, split = results
+        assert (split.iterations, split.converged) == (serial.iterations, serial.converged)
+        for name, table in serial.tables.items():
+            assert np.array_equal(split.tables[name].cells, table.cells), name
+    assert starts
+
+
+def test_split_helper_error_is_raised_after_the_join(monkeypatch):
+    """A MemoryError in the helper thread, here from its products, is
+    raised by `fixpoint` once the helper is joined, and no thread is left."""
+    def mul(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError
+        return np.add(*args, **kwargs)
+
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
+    threads, starts = threading.active_count(), thread_starts(monkeypatch)
+    with pytest.raises(MemoryError):
+        fixpoint(checked(chain_source(128)), dataclasses.replace(MIN_TROPICAL, mul=mul))
+    assert len(starts) == 1 and threading.active_count() == threads
+
+
+def test_split_without_a_thread_sums_both_halves(monkeypatch):
+    """If the helper thread cannot be started, the caller sums the whole
+    binder itself, and the tables are the serial ones."""
+    program = checked(paths_source(1))
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 1)
+    serial = fixpoint(program, MIN_TROPICAL)
+    refused = []
+
+    def start(self):
+        refused.append(self)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
+    split = fixpoint(program, MIN_TROPICAL)
+    assert refused and (split.iterations, split.converged) == (serial.iterations, serial.converged)
+    for name, table in serial.tables.items():
+        assert np.array_equal(split.tables[name].cells, table.cells), name
 
 
 @pytest.mark.parametrize("spec", [BOOLEAN, MIN_TROPICAL], ids=lambda spec: spec.name)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import sys
 
@@ -10,9 +11,9 @@ from skn import (
     check_program, check_type_valid, fixpoint, generic_arg_env, lower_program,
     parse_program, render_type, type_of_value,
 )
-from skn import typecheck
+from skn import poly, typecheck
 from skn.cli import RunConfig, run
-from skn.syntax import walk_goal
+from skn.syntax import map_goal
 from skn.typecheck import TypeCheckError, TypeEnv, UninferableValue, match_type
 
 from helpers import CORPUS, load
@@ -215,6 +216,27 @@ def test_wrapper_recheck_is_linear_in_depth():
     # walk keeps, without copying or scanning the binders around it; a scan
     # from the outermost binder made twice the depth cost four times the lines
     assert _checker_lines(2000) < 2.5 * _checker_lines(1000)
+
+
+def _hole_lookups(monkeypatch, depth):
+    """The binder types whose holes `smallest_large_enough` looks up in the
+    large-enough wrapper of `_deep_generic(depth, ...)`, one fresh per sum
+    level, read as the body of a relation generic in a."""
+    lowered = lower_program(_deep_generic(depth, Sum(UNIT, S2)), "large-enough", BOOLEAN)
+    rel = dataclasses.replace(lowered.relation("q"), tyvars=("a",))
+    lookups, count_env = [], poly.count_env
+    monkeypatch.setattr(poly, "count_env",
+                        lambda alpha, types: lookups.append(len(types)) or count_env(alpha, types))
+    assert poly.smallest_large_enough(rel) == {"a": 1}
+    return sum(lookups)
+
+
+def test_smallest_large_enough_is_linear_in_depth(monkeypatch):
+    # one walk keeps a running hole count, adding a fresh's binders on
+    # entering it and taking them away on leaving; building every node's
+    # environment from the parameters and all enclosing binders made twice
+    # the depth cost four times the lookups
+    assert _hole_lookups(monkeypatch, 2000) < 3 * _hole_lookups(monkeypatch, 1000)
 
 
 def test_deep_value_checking_and_matching():
@@ -452,9 +474,16 @@ def _checked_call(src, relname, callee):
     parameter types."""
     p = check_program(parse_program(src))
     rel = p.relation(relname)
-    call, binders = next((h, binders) for h, binders, _ in walk_goal(rel.body)
-                         if isinstance(h, Call) and h.rel == callee)
-    return call, rel.params + binders, tuple(ty for _, ty in p.relation(callee).params)
+    calls = []
+
+    def leaf(h, scope):
+        if isinstance(h, Call) and h.rel == callee:
+            calls.append((h, rel.params + tuple(scope.items())))
+        return h
+
+    map_goal(rel.body, leaf)
+    call, caller_env = calls[0]
+    return call, caller_env, tuple(ty for _, ty in p.relation(callee).params)
 
 
 def test_generic_env_sum_swap():
