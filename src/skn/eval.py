@@ -24,18 +24,13 @@ subgoals is summed out by FAQ's pairwise step, run as a semiring matrix
 product (Kepner et al., HPEC 2016): the product of all but the last is
 contracted with the last, `BLOCK_CELLS` product cells at a time, so their
 whole product is never built; a product that fits one block is built and
-summed at once.  When addition is idempotent (or, min), a sum may be
-split anywhere and give the same bits, so a large contraction is split in
-two over the binder when two CPUs are usable: a helper thread sums one
-half while the caller sums the other, each with half the block, and the
-two sums are added (`SPLIT_CELLS`).  The helper runs in a copy of the
-caller's context, so it keeps the numpy `errstate` that `fixpoint` set.
-Real sums stay in one thread, so their order, and their last bits, do not
-change.  A plan's steps are functions of their operands, and
-`Plan.step` runs one at once when its operands are all constants: the
-masks of == and =/=, the fact tables, the factors' weights and all that
-is built from them alone.  A round runs the rest against the current
-tables: gathers, semiring ufuncs, reductions and contractions.
+summed at once.  Under boolean and min-tropical a large one is summed
+in two halves on two threads (`SPLIT_CELLS`).  A plan's steps are
+functions of their operands, and `Plan.step` runs one at once when its
+operands are all constants: the masks of == and =/=, the fact tables, the
+factors' weights and all that is built from them alone.  A round runs the
+rest against the current tables: gathers, semiring ufuncs, reductions and
+contractions.
 
 A program's tables are the least fixed point of its relations, solved by
 `fixpoint` one call-graph component at a time, callees first; over a
@@ -46,7 +41,6 @@ brute-force cell-by-cell reference lives with the tests.
 """
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import sys
@@ -305,15 +299,20 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
 # evaluation plans
 
 Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; constant or slot
-BLOCK_CELLS = 2 ** 16  # the most product cells a contraction builds at once
-# An idempotent contraction of at least SPLIT_CELLS product cells is split
-# across two threads: on a 2-core Xeon, a serial 2**20-cell min-plus product
-# takes about 1 ms, a thread's start and join about 70 us.  Each numpy call
-# of a half must also build at least SPLIT_CALL_BYTES: the threads trade the
-# GIL around every call, which a shorter call does not repay (there, a
-# boolean join of 128**3 cells, 2**15 bytes a call, ran 2.5 times slower
-# split, and one of 363**3 cells, 2**17 bytes a call, 0.7 times as long).
-SPLIT_CELLS, SPLIT_CALL_BYTES = 2 ** 20, 2 ** 17
+BLOCK_CELLS = 2 ** 16  # the most product cells a contraction builds at once, or one row
+# Under an idempotent addition (or, min) a sum gives the same bits in any
+# order, so a contraction of at least SPLIT_CELLS product cells is split in
+# two over its binder when two CPUs are usable (`_contract`): a helper thread
+# sums the second half of the binder's values while the caller sums the
+# first, and the two sums are added.  numpy releases the GIL inside its
+# loops, so the halves run in parallel.  On a 2-core Xeon a serial 2**20-cell
+# min-plus product takes about 1 ms, a thread's start and join about 70 us.
+# Each half takes max(1, block // 2) values a block, so the two build at
+# most max(BLOCK_CELLS, 2 * row) cells at once, a row being the cells of one
+# binder value.  The helper runs under the caller's numpy errstate, which it
+# is given, since a thread starts with numpy's default.  Real sums stay in
+# one thread, in one order, so their last bits do not change.
+SPLIT_CELLS = 2 ** 20
 try:
     USABLE_CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # a platform without CPU affinity
@@ -349,14 +348,10 @@ def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) ->
     copied with that axis first and viewed over it and the result's axes
     (`v1`, `v2`); `block` values of it at a time are multiplied into one
     buffer, summed unless it holds one value, and added into the result.
-
-    With `split`, one helper thread sums the second half of the axis while
-    the caller sums the first, and the two sums are added: numpy releases
-    the GIL in its loops, so the halves run in parallel.  Only an idempotent
-    addition is split, since min and or give the same bits in any order.
-    The helper runs in a copy of the caller's context, so it keeps numpy's
-    `errstate`; what it raises is raised here after the join, and if no
-    thread can be started the caller sums both halves."""
+    With `split`, a helper thread sums the second half of the axis under
+    the caller's errstate (`SPLIT_CELLS`); what it raises is raised here
+    after the join, and if no thread can be started the caller sums both
+    halves."""
     v1, v2, axis1, axis2, block, split = how
     b1 = np.ascontiguousarray(np.moveaxis(a1, axis1, 0)).reshape(v1)
     b2 = np.ascontiguousarray(np.moveaxis(a2, axis2, 0)).reshape(v2)
@@ -374,15 +369,16 @@ def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) ->
 
     if not split:
         return run(0, len(b1))
-    mid, second = len(b1) // 2, []
+    mid, second, errstate = len(b1) // 2, [], np.geterr()
 
     def run_second() -> None:
         try:
-            second.append(run(mid, len(b1)))
+            with np.errstate(**errstate):
+                second.append(run(mid, len(b1)))
         except BaseException as e:  # raised in the caller
             second.append(e)
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
+    helper = threading.Thread(target=run_second)
     try:
         helper.start()
     except RuntimeError:  # no thread to be had
@@ -439,16 +435,8 @@ class Plan:
         never built: the product of all but the last term that has the
         binder is contracted with the last block by block (`_contract`).  A
         smaller one is built and summed at once; an unused binder, as the
-        scalar sum of |type| ones.
-
-        A contraction is split across two threads (`_contract`) when
-        addition is idempotent, two CPUs are usable, the product has at
-        least `SPLIT_CELLS` cells and each numpy call of a half builds at
-        least `SPLIT_CALL_BYTES`: the sums over the binder's two halves then
-        add to the same bits as the whole.  Each thread's blocks take half
-        the binder values, so the two together still build at most
-        `BLOCK_CELLS` cells at once.  Real addition is not idempotent, and
-        its sums stay in one thread, in one order."""
+        scalar sum of |type| ones.  Under an idempotent addition, a large
+        contraction is split across two threads (`SPLIT_CELLS`)."""
         spec, pending = self.spec, list(binders)
 
         def cells(b: str) -> int:  # of the product of the terms that have `b`
@@ -471,11 +459,10 @@ class Plan:
                           for ds in (d1, d2))
                 row = math.prod(_shape(tuple(scope[d].size for d in rest)))
                 block = max(1, BLOCK_CELLS // row)
-                half = max(1, block // 2)
                 split = (spec.idempotent_add and USABLE_CPUS > 1 and scope[name].size > 1
-                         and product >= SPLIT_CELLS
-                         and half * row * spec.dtype.itemsize >= SPLIT_CALL_BYTES)
-                how = (v1, v2, d1.index(name), d2.index(name), half if split else block, split)
+                         and product >= SPLIT_CELLS)
+                how = (v1, v2, d1.index(name), d2.index(name),
+                       max(1, block // 2) if split else block, split)
                 terms.append((rest, self.step(partial(_contract, spec, how=how), a1, a2)))
             else:
                 dims, arr = self.fold(group, spec.mul, scope)

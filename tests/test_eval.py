@@ -865,7 +865,6 @@ def test_blocked_fixpoints_match_one_block(monkeypatch, spec):
     sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
         [gen.random_program(seed) for seed in range(10)] + [chain_source(64)]
     monkeypatch.setattr(skn_eval, "SPLIT_CELLS", 0)
-    monkeypatch.setattr(skn_eval, "SPLIT_CALL_BYTES", 0)
     starts = thread_starts(monkeypatch)
     for src in sources:
         program = check_program(parse_program(src))
@@ -901,45 +900,66 @@ def test_cyclic_connect_under_real_stops_on_nan():
     assert np.isnan(res.tables["connect"].cells).any()
 
 
-def _split_flags(monkeypatch, src, spec, cpus):
-    """(split, block) of each contraction of `src`'s plans under `spec`
-    with `cpus` usable CPUs."""
+def _contractions(monkeypatch, src, spec, cpus):
+    """The contraction steps of `src`'s plans under `spec` with `cpus`
+    usable CPUs."""
     monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
     program = lower_program(checked(src), "monomorphize", spec)
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
-    return [(fn.keywords["how"][5], fn.keywords["how"][4]) for rel in program.relations
-            for fn, _ in compile_relation(rel, tables, spec).steps
+    return [fn for rel in program.relations for fn, _ in compile_relation(rel, tables, spec).steps
             if getattr(fn, "func", None) is skn_eval._contract]
 
 
 @pytest.mark.parametrize("src, spec, cpus, want", [
-    # 128**3 cells of 8 bytes, two of 128**2 cells a call, and a thread for half
+    # 128**3 cells and a thread for half, each with two of four values a block
     ("chain-128", MIN_TROPICAL, 2, [(True, 2)]),
+    ("chain-128", BOOLEAN, 2, [(True, 2)]),
     ("chain-128", MIN_TROPICAL, 1, [(False, 4)]),
     ("chain-128", REAL, 2, [(False, 4)]),  # real sums in one order
-    ("chain-128", BOOLEAN, 2, [(False, 4)]),  # 2**15 bytes a call trade the GIL too often
     ("chain-64", MIN_TROPICAL, 2, [(False, 16)]),  # 2**18 cells, below SPLIT_CELLS
-    ("paths-384", BOOLEAN, 2, [(True, 1)]),  # 384**2 bytes a call
     ("unit-binder", BOOLEAN, 2, [(False, 1)]),  # 2**20 cells, but one value has no halves
 ], ids=lambda v: getattr(v, "name", v))
 def test_split_gate(monkeypatch, src, spec, cpus, want):
     t32 = right_nested_sum(32)[0]
     src = {"chain-128": chain_source(128), "chain-64": chain_source(64),
-           "paths-384": paths_source(0, 384, "1"),
            "unit-binder": f"(defrel (e (x : (Prod {t32} {t32})) (z : Unit)) (== z sole))\n"
                           f"(defrel (r (x : (Prod {t32} {t32})) (y : (Prod {t32} {t32})))\n"
                           f"  (fresh ((z : Unit)) (conj (e x z) (e y z))))\n"}[src]
-    assert _split_flags(monkeypatch, src, spec, cpus) == want
+    got = [(fn.keywords["how"][5], fn.keywords["how"][4])
+           for fn in _contractions(monkeypatch, src, spec, cpus)]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [128, 300], ids=["four-rows-a-block", "row-above-block"])
+def test_split_contraction_memory(monkeypatch, n):
+    """chain-n's join, split on two threads, builds at most
+    max(BLOCK_CELLS, 2 * row) product cells at once, a row being n ** 2
+    cells: past the serial join's peak, the helper adds at most one row of
+    products, one row of sums and numpy's ufunc buffers (8192 cells an
+    operand), whether a block holds four rows (n = 128) or one row is above
+    BLOCK_CELLS (n = 300)."""
+    starts, rng = thread_starts(monkeypatch), np.random.default_rng(0)
+    a1, a2 = rng.random((n, n)), rng.random((n, n))
+    peaks = []
+    for cpus in (1, 2):
+        [contract] = _contractions(monkeypatch, chain_source(n), MIN_TROPICAL, cpus)
+        tracemalloc.start()
+        try:
+            contract(a1, a2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(starts) == 1
+    assert peaks[1] - peaks[0] < 2 * n * n * a1.itemsize + 2 ** 18, peaks
 
 
 def _split_sources(spec):
-    """The corpus, 10 random programs, chain-128 and paths-shaped programs
-    whose joins `spec` splits: 128 nodes under min-tropical, 384 under
-    boolean."""
-    paths = [paths_source(seed) for seed in range(3)] if spec is MIN_TROPICAL else \
-        [paths_source(seed, 384, "1") for seed in range(2)]
+    """The corpus, 10 random programs, chain-128 and paths-shaped programs,
+    whose 128**3-cell joins `spec` splits; boolean edges weigh 1."""
+    weight = "1" if spec is BOOLEAN else None
     return [load(name) for name in IDEMPOTENT_CORPUS] + \
-        [gen.random_program(seed) for seed in range(10)] + [chain_source(128)] + paths
+        [gen.random_program(seed) for seed in range(10)] + [chain_source(128)] + \
+        [paths_source(seed, 128, weight) for seed in range(3)]
 
 
 @pytest.mark.parametrize("spec", [BOOLEAN, MIN_TROPICAL], ids=lambda spec: spec.name)
