@@ -15,17 +15,19 @@ text, in index order, for emission.
 A goal under a set of in-scope variables denotes an array with one axis
 per variable it mentions: conj and disj combine arrays pointwise with the
 semiring operations, == and =/= are 0/1 arrays from index comparisons, a
-call gathers from the called relation's table, and fresh sums an axis
+call gathers from the called relation's table (or, if its arguments are
+distinct variables, is a transposed view of it), and fresh sums an axis
 away.  All but the called tables' cells depend only on the relation's
 types, so `fixpoint` compiles each relation once into a `Plan`, whose
 order of summing out binders is the variable-elimination order of a FAQ
 query (Abo Khamis, Ngo and Rudra, PODS 2016).  A binder in two or more
-subgoals is summed out by FAQ's pairwise step, run as a semiring matrix
-product (Kepner et al., HPEC 2016): the product of all but the last is
-contracted with the last, `BLOCK_CELLS` product cells at a time, so their
-whole product is never built; a product that fits one block is built and
-summed at once.  Under boolean and min-tropical a large one is summed
-in two halves on two threads (`SPLIT_CELLS`).  A plan's steps are
+subgoals is summed out by FAQ's pairwise step, run as a batched semiring
+matrix product (Kepner et al., HPEC 2016) of the product of all but the
+last and the last: by the spec's `matmul` kernel, or by a loop that
+builds `BLOCK_CELLS` product cells at a time, skips zero terms where zero
+annihilates exactly, and splits large products over two threads
+(`SPLIT_CELLS`), so their whole product is never built; a product that
+fits one block is built and summed at once.  A plan's steps are
 functions of their operands, and `Plan.step` runs one at once when its
 operands are all constants: the masks of == and =/=, the fact tables, the
 factors' weights and all that is built from them alone.  A round runs the
@@ -299,19 +301,23 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
 # evaluation plans
 
 Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; constant or slot
-BLOCK_CELLS = 2 ** 16  # the most product cells a contraction builds at once, or one row
-# Under an idempotent addition (or, min) a sum gives the same bits in any
-# order, so a contraction of at least SPLIT_CELLS product cells is split in
-# two over its binder when two CPUs are usable (`_contract`): a helper thread
-# sums the second half of the binder's values while the caller sums the
-# first, and the two sums are added.  numpy releases the GIL inside its
-# loops, so the halves run in parallel.  On a 2-core Xeon a serial 2**20-cell
-# min-plus product takes about 1 ms, a thread's start and join about 70 us.
-# Each half takes max(1, block // 2) values a block, so the two build at
-# most max(BLOCK_CELLS, 2 * row) cells at once, a row being the cells of one
-# binder value.  The helper runs under the caller's numpy errstate, which it
-# is given, since a thread starts with numpy's default.  Real sums stay in
-# one thread, in one order, so their last bits do not change.
+BLOCK_CELLS = 2 ** 16  # the most product cells a contraction's loop builds at once, or one row
+# A contraction under a spec without a `matmul` kernel runs in blocks of
+# output rows (`_loop_matmul`).  One of at least SPLIT_CELLS product cells is
+# split in two when two CPUs are usable: a helper thread computes the second
+# half of the output rows while the caller computes the first.  Each output
+# cell is summed by one thread, in the serial loop's order, so the split
+# gives the serial bits under any semiring.  numpy releases the GIL inside
+# its loops, so the halves run in parallel.  On a 2-core Xeon a serial
+# 2**20-cell min-plus product takes about 1 ms, a thread's start and join
+# about 70 us.  The gate is read twice.  `Plan.eliminate` reads it on the
+# dense product, and halves the block of a contraction it may split to
+# max(1, rows // 2) output rows, so the two threads build at most
+# max(BLOCK_CELLS, 2 * row) product cells at once, a row being the cells of
+# one output row.  `_loop_matmul` reads it on the cells that are left once
+# zero terms are skipped, so a round whose left operand is mostly zero stays
+# in one thread.  The helper runs under the caller's numpy errstate, which it
+# is given, since a thread starts with numpy's default.
 SPLIT_CELLS = 2 ** 20
 try:
     USABLE_CPUS = len(os.sched_getaffinity(0))
@@ -342,54 +348,92 @@ def _lay_out(view: tuple[int, ...], shape: tuple[int, ...], arr: np.ndarray) -> 
     return np.broadcast_to(arr.reshape(view), shape).copy()
 
 
-def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) -> np.ndarray:
-    """The sum over one axis of the product of two arrays, the axis at
-    `axis1` in `a1` and `axis2` in `a2` (`Plan.eliminate`).  Each operand is
-    copied with that axis first and viewed over it and the result's axes
-    (`v1`, `v2`); `block` values of it at a time are multiplied into one
-    buffer, summed unless it holds one value, and added into the result.
-    With `split`, a helper thread sums the second half of the axis under
-    the caller's errstate (`SPLIT_CELLS`); what it raises is raised here
-    after the join, and if no thread can be started the caller sums both
-    halves."""
-    v1, v2, axis1, axis2, block, split = how
-    b1 = np.ascontiguousarray(np.moveaxis(a1, axis1, 0)).reshape(v1)
-    b2 = np.ascontiguousarray(np.moveaxis(a2, axis2, 0)).reshape(v2)
-    shape = np.broadcast_shapes(v1[1:], v2[1:])
+def _loop_matmul(spec: SemiringSpec, rows: int, split: bool,
+                 m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The semiring product of stacks of matrices, m1 (b, l, k) and m2
+    (b, k, r), for a spec without a `matmul` kernel.  Its output rows, over
+    b and l, go `rows` a block: a block's rows of m1 are multiplied with m2
+    into one buffer, which one `add.reduce` over k sums into the block's
+    slice of the result.  Under an idempotent addition, whose carriers here
+    have a zero that annihilates exactly, a block multiplies only the values
+    of k at which one of its rows of m1 is not zero, and a block with none
+    is zero; real keeps every term, since 0 * inf is nan.  With `split`, and
+    enough cells left to multiply, a helper thread computes the second half
+    of the blocks (`_in_halves`)."""
+    b, l, k = m1.shape
+    r = m2.shape[2]
+    per, step = max(1, rows // l), min(rows, l)  # a block: `per` whole matrices or `step` rows of one
+    blocks = [(i, min(i + per, b), j, min(j + step, l))
+              for i in range(0, b, per) for j in range(0, l, step)]
+    sizes = np.array([(i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in blocks])
+    keep = np.logical_or.reduceat((m1 != spec.zero).reshape(b * l, k),
+                                  [i0 * l + j0 for i0, _, j0, _ in blocks]) \
+        if spec.idempotent_add else np.ones((len(blocks), k), bool)
+    kept = keep.sum(axis=1).tolist()
+    out = np.empty((b, l, r), spec.dtype)
 
-    def run(lo: int, hi: int) -> np.ndarray:
-        buf, acc = np.empty((block, *shape), spec.dtype), None
-        part = np.empty(shape, spec.dtype) if block > 1 else None
-        for i in range(lo, hi, block):
-            k = min(block, hi - i)
-            product = spec.mul(b1[i:i + k], b2[i:i + k], out=buf[:k])
-            summed = product[0] if k == 1 else spec.add.reduce(product, axis=0, out=part)
-            acc = summed.copy() if acc is None else spec.add(acc, summed, out=acc)
-        return acc
+    def run(lo: int, hi: int) -> None:
+        buf = np.empty(int(sizes.max()) * k * r, spec.dtype)
+        for n in range(lo, hi):
+            i0, i1, j0, j1 = blocks[n]
+            if not kept[n]:
+                out[i0:i1, j0:j1] = spec.zero
+                continue
+            x, y = m1[i0:i1, j0:j1], m2[i0:i1]
+            if kept[n] < k:
+                values = np.flatnonzero(keep[n])
+                x, y = x[:, :, values], y[:, values]
+            shape = (*x.shape, r)
+            product = spec.mul(x[..., None], y[:, None], out=buf[:math.prod(shape)].reshape(shape))
+            spec.add.reduce(product, axis=2, out=out[i0:i1, j0:j1])
 
-    if not split:
-        return run(0, len(b1))
-    mid, second, errstate = len(b1) // 2, [], np.geterr()
+    if split and r * int(np.dot(sizes, kept)) >= SPLIT_CELLS:
+        _in_halves(run, len(blocks))
+    else:
+        run(0, len(blocks))
+    return out
+
+
+def _in_halves(run: Callable[[int, int], None], n: int) -> None:
+    """`run(0, n)` as `run(0, n // 2)` here and `run(n // 2, n)` on a helper
+    thread, under the caller's numpy errstate (`SPLIT_CELLS`).  What the
+    helper raises is raised here after the join; if no thread can be
+    started, the caller runs both halves."""
+    mid, failed, errstate = n // 2, [], np.geterr()
 
     def run_second() -> None:
         try:
             with np.errstate(**errstate):
-                second.append(run(mid, len(b1)))
+                run(mid, n)
         except BaseException as e:  # raised in the caller
-            second.append(e)
+            failed.append(e)
 
     helper = threading.Thread(target=run_second)
     try:
         helper.start()
     except RuntimeError:  # no thread to be had
-        return run(0, len(b1))
+        run(0, n)
+        return
     try:
-        acc = run(0, mid)
+        run(0, mid)
     finally:
         helper.join()
-    if isinstance(second[0], BaseException):
-        raise second[0]
-    return spec.add(acc, second[0], out=acc)
+    if failed:
+        raise failed[0]
+
+
+def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) -> np.ndarray:
+    """The sum over one axis of the product of two arrays, as a semiring
+    matrix product (`Plan.eliminate`).  Each operand is transposed and
+    reshaped to a stack of matrices, `a1` to (batch, left, binder) and `a2`
+    to (batch, binder, right), where the batch axes are the result's axes
+    that both have and the left and right axes those that only one has.  The
+    spec's `matmul` kernel multiplies them, or `_loop_matmul` where it has
+    none, and the result is laid back out over its axes in scope order."""
+    axes1, axes2, (b, l, k, r), lay, axes, rows, split = how
+    m1, m2 = a1.transpose(axes1).reshape(b, l, k), a2.transpose(axes2).reshape(b, k, r)
+    out = _loop_matmul(spec, rows, split, m1, m2) if spec.matmul is None else spec.matmul(m1, m2)
+    return out.reshape(lay).transpose(axes)
 
 
 @dataclass
@@ -397,10 +441,10 @@ class Plan:
     """One relation's body compiled for one semiring by `compile_relation`.
 
     A step is a function and its operands, each a constant, an earlier
-    step's slot (an int) or a table's name (a str): a gather (`_take`), a
-    semiring ufunc under fixed views (`_combine`), a sum over one axis, a
-    contraction (`_contract`) or the body laid out over the parameters
-    (`_lay_out`).  A run fills one slot per step; the table is operand
+    step's slot (an int) or a table's name (a str): a gather (`_take`) or a
+    transposed view of a table, a semiring ufunc under fixed views
+    (`_combine`), a sum over one axis, a contraction (`_contract`), or the
+    body laid out over the parameters (`_lay_out`) or copied from a view.  A run fills one slot per step; the table is operand
     `out`.  A subgoal being compiled is a `Term`, whose axes follow scope
     order (`_grid`, `fold`, `eliminate` and `_fact_table` build them so),
     so a view is a reshape that only adds unit axes (`_view`).
@@ -433,10 +477,11 @@ class Plan:
         """Sum `binders` out of a product of terms, smallest product first,
         ties in binder order.  A product of more than `BLOCK_CELLS` cells is
         never built: the product of all but the last term that has the
-        binder is contracted with the last block by block (`_contract`).  A
-        smaller one is built and summed at once; an unused binder, as the
-        scalar sum of |type| ones.  Under an idempotent addition, a large
-        contraction is split across two threads (`SPLIT_CELLS`)."""
+        binder is contracted with the last as a semiring matrix product
+        (`_contract`), whose output rows the generic loop takes
+        `BLOCK_CELLS // row` at a time, and half as many where it may split
+        them across two threads (`SPLIT_CELLS`).  A smaller one is built and
+        summed at once; an unused binder, as the scalar sum of |type| ones."""
         spec, pending = self.spec, list(binders)
 
         def cells(b: str) -> int:  # of the product of the terms that have `b`
@@ -455,14 +500,18 @@ class Plan:
             elif blocked:
                 (d1, a1), (d2, a2) = self.fold(group[:-1], spec.mul, scope), group[-1]
                 rest = tuple(d for d in scope if d != name and (d in d1 or d in d2))
-                v1, v2 = ((scope[name].size, *(scope[d].size if d in ds else 1 for d in rest))
-                          for ds in (d1, d2))
-                row = math.prod(_shape(tuple(scope[d].size for d in rest)))
-                block = max(1, BLOCK_CELLS // row)
-                split = (spec.idempotent_add and USABLE_CPUS > 1 and scope[name].size > 1
+                _shape(tuple(scope[d].size for d in rest))  # numpy must be able to shape the result
+                batch = [d for d in rest if d in d1 and d in d2]
+                left, right = [d for d in rest if d not in d2], [d for d in rest if d not in d1]
+                b, l, k, r = (math.prod(scope[d].size for d in ds) for ds in (batch, left, [name], right))
+                rows = max(1, BLOCK_CELLS // (k * r))
+                split = (spec.matmul is None and USABLE_CPUS > 1 and b * l > 1
                          and product >= SPLIT_CELLS)
-                how = (v1, v2, d1.index(name), d2.index(name),
-                       max(1, block // 2) if split else block, split)
+                order = batch + left + right
+                how = ([d1.index(d) for d in batch + left + [name]],
+                       [d2.index(d) for d in batch + [name] + right], (b, l, k, r),
+                       tuple(scope[d].size for d in order), [order.index(d) for d in rest],
+                       max(1, rows // 2) if split else rows, split)
                 terms.append((rest, self.step(partial(_contract, spec, how=how), a1, a2)))
             else:
                 dims, arr = self.fold(group, spec.mul, scope)
@@ -479,9 +528,11 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: Semiri
     order of their right-nested nodes; a fresh, and any directly inside it,
     sums its binders out factor by factor (`Plan.eliminate`); a disjunction of
     ground facts is one scatter (`_fact_table`), and a call or a
-    large-enough wrapper one gather (`_gather`).  The goal is walked with
-    an explicit stack, so its nesting is not bounded by the recursion
-    limit."""
+    large-enough wrapper one gather (`_gather`), or, for a call of
+    distinct variables, one transposed view of its table; a body that is
+    just such a view is copied, so no table shares another's cells.  The
+    goal is walked with an explicit stack, so its nesting is not bounded by
+    the recursion limit."""
     plan = Plan(rel.name, rel.params, spec, tuple(type_size(ty) for _, ty in rel.params))
     done: list[Term] = []
     work: list[tuple] = [(rel.body, dict(rel.params))]
@@ -499,6 +550,11 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: Semiri
             i1, i2 = _index_factor(g.v1, g.ty, axes), _index_factor(g.v2, g.ty, axes)
             hit = np.broadcast_to((i1 == i2) if isinstance(g, Unify) else (i1 != i2), shape)
             done.append((dims, np.where(hit, spec.one, spec.zero).astype(spec.dtype, copy=False)))
+        elif isinstance(g, Call) and len({a.name for a in g.args if isinstance(a, Var)}) == len(g.args):
+            args = [a.name for a in g.args]  # distinct variables: a view of the table
+            dims = tuple(d for d in scope if d in args)
+            done.append((dims, plan.step(partial(np.transpose, axes=[args.index(d) for d in dims]),
+                                         g.rel)))
         elif isinstance(g, Call) or isinstance(g, Fresh) and g.wrap is not None:
             dims, name, index = _gather(g, scope, tables)
             done.append((dims, plan.step(partial(_take, index), name)))
@@ -526,7 +582,11 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: Semiri
             raise TypeError(g)
     dims, out = done.pop()
     view = _view(dims, tuple(x for x, _ in rel.params), dict(rel.params))
-    plan.out = out if view is None else plan.step(partial(_lay_out, view, plan.shape), out)
+    if view is not None:
+        out = plan.step(partial(_lay_out, view, plan.shape), out)
+    elif type(out) is int and plan.steps[out][0].func is np.transpose:  # another table's cells
+        out = plan.step(np.copy, out)
+    plan.out = out
     return plan
 
 

@@ -29,6 +29,9 @@ class SemiringSpec:
     one: Weight
     add: Callable  # commutative, associative; binary ufunc, reducible
     mul: Callable  # commutative, associative, distributes over add
+    # The product of stacks of matrices, (b, l, k) and (b, k, r), summed
+    # over k; None: eval's generic loop of `mul` and `add.reduce`.
+    matmul: Optional[Callable]
     idempotent_add: bool
     field: bool  # the carrier is a field: a recursive group may be solved linearly
     dtype: np.dtype
@@ -56,6 +59,13 @@ def _read_decimal(text: str) -> Optional[float]:
     return None
 
 
+def _boolean_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A sum of 0/1 terms is positive exactly when one term is 1, and float32
+    # rounding never takes a positive partial sum of them back to 0, so the
+    # test is exact at any size.
+    return np.matmul(a.astype(np.float32), b.astype(np.float32)) > 0
+
+
 def _render_float(w: Weight) -> str:
     w = float(w)
     return "inf" if w == math.inf else repr(w)
@@ -67,6 +77,7 @@ BOOLEAN = SemiringSpec(
     one=True,
     add=np.logical_or,
     mul=np.logical_and,
+    matmul=_boolean_matmul,
     idempotent_add=True,
     field=False,
     dtype=np.dtype(bool),
@@ -80,6 +91,7 @@ REAL = SemiringSpec(
     one=1.0,
     add=np.add,
     mul=np.multiply,
+    matmul=np.matmul,
     idempotent_add=False,
     field=True,
     dtype=np.dtype(np.float64),
@@ -95,6 +107,7 @@ MIN_TROPICAL = SemiringSpec(
     one=0.0,
     add=np.minimum,
     mul=np.add,
+    matmul=None,
     idempotent_add=True,
     field=False,
     dtype=np.dtype(np.float64),

@@ -390,11 +390,12 @@ def test_nan_at_last_allowed_round_is_named():
 
 
 def test_split_join_overflows_quietly(tmp_path, monkeypatch, capsys):
-    # edges of weight 1e308 make dist's min-plus join overflow to inf; the
-    # helper thread that sums half of the 128**3-cell join runs under the
-    # errstate of fixpoint, which ignores overflow, as the caller does
+    # edges of weight 1e308 in place of 9 make dist's min-plus join overflow
+    # to inf, while the rest make dist dense, so a round's join is split; the
+    # helper thread that computes half of its rows runs under the errstate of
+    # fixpoint, which ignores overflow, as the caller does
     program = tmp_path / "far.skn"
-    program.write_text(paths_source(0, 128, "1e308"))
+    program.write_text(paths_source(0, 128).replace("(factor 9)", "(factor 1e308)"))
     monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
     starts = thread_starts(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:

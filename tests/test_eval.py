@@ -773,18 +773,130 @@ def test_contraction_matches_broadcast_product(spec, name, seed):
     assert _same(got, want, spec)
 
 
+# boolean and real with their `matmul` kernels taken out: the generic loop
+BOOLEAN_LOOP, REAL_LOOP = (dataclasses.replace(spec, matmul=None) for spec in (BOOLEAN, REAL))
+
+
 def test_overflowing_real_contraction_reaches_nan():
     # column z = 5 of t0 is inf, and row 5 of t1 is 0 at y < 3: each such
-    # cell's sum has inf * 0 = nan, and every other cell's has inf
+    # cell's sum has inf * 0 = nan, and every other cell's has inf.  With
+    # the zeros in t0 and the infs in t1, 0 * inf is nan at y < 3 again: in
+    # real's kernel and in the generic loop, which skips no zero terms of
+    # its left operand under real
     sizes, binders, terms = _GROUPS["two terms, blocks"]
-    rel, tables = _group(sizes, binders, terms, REAL, np.random.default_rng(0))
-    tables["t0"].cells[:, 5] = math.inf
-    tables["t1"].cells[5, :3] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = eval_relation(compile_relation(rel, tables, REAL), tables, REAL).cells
-        want = _broadcast(sizes, binders, terms, tables, REAL)
-    assert np.isnan(got[:, :3]).all() and (got[:, 3:] == math.inf).all()
-    assert _same(got, want, REAL)
+    for zero_left in (False, True):
+        rel, tables = _group(sizes, binders, terms, REAL, np.random.default_rng(0))
+        tables["t0"].cells[:, 5] = 0.0 if zero_left else math.inf
+        tables["t1"].cells[5, :3] = math.inf if zero_left else 0.0
+        for spec in (REAL, REAL_LOOP):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = eval_relation(compile_relation(rel, tables, spec), tables, spec).cells
+                want = _broadcast(sizes, binders, terms, tables, spec)
+            assert np.isnan(got[:, :3]).all() and (zero_left or (got[:, 3:] == math.inf).all())
+            assert _same(got, want, REAL)
+
+
+@pytest.mark.parametrize("spec", [BOOLEAN, REAL], ids=lambda spec: spec.name)
+def test_kernels_match_the_generic_loop(spec):
+    """Each spec's `matmul` kernel against the generic loop of its `mul`
+    and `add.reduce`: the same convergence and nan stop, and the same
+    tables and rounds, bit for bit under boolean.  Under real, BLAS sums
+    each cell in another order; with the non-negative weights here a cell's
+    relative error is at most about binder size * 2**-53 (below 1e-13 at 128
+    values), so the tables must agree to 1e-12, nan and inf in the same
+    cells.  chain-128's connect counts bracketings of a path under real,
+    Catalan numbers up to about 1e72, so it converges only when a round
+    repeats the last one's bits, and the round that first does so depends
+    on the order of the sums (108 rounds in the loop, 107 with OpenBLAS on
+    a 2-core Xeon):
+    there the rounds may differ by one, as chain-64's may in
+    `test_blocked_fixpoints_match_one_block`."""
+    loop, chain = dataclasses.replace(spec, matmul=None), chain_source(128)
+    weight = "1" if spec is BOOLEAN else None
+    sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
+        [gen.random_program(seed) for seed in range(10)] + [chain] + \
+        [paths_source(seed, 128, weight) for seed in range(3)]
+    for src in sources:
+        lowered = lower_program(checked(src), "monomorphize", spec)
+        kernel, looped = fixpoint(lowered, spec, max_iters=300), fixpoint(lowered, loop, max_iters=300)
+        assert (kernel.converged, kernel.stopped_on_nan) == (looped.converged, looped.stopped_on_nan)
+        assert kernel.iterations == looped.iterations or \
+            spec is REAL and src is chain and abs(kernel.iterations - looped.iterations) <= 1
+        for name, table in looped.tables.items():
+            assert _same(kernel.tables[name].cells, table.cells, spec), name
+
+
+def test_boolean_join_starts_no_thread(monkeypatch):
+    """chain-128's boolean join, 2**21 product cells, is one call of
+    boolean's kernel, so no thread is started even with two usable CPUs."""
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
+    starts = thread_starts(monkeypatch)
+    res = fixpoint(checked(chain_source(128)), BOOLEAN)
+    assert res.converged and res.tables["from0"].cells[1:].all() and not starts
+
+
+def _counting(spec):
+    """`spec` whose `mul` also appends the size of each result to a list."""
+    sizes = []
+
+    def mul(*args, **kwargs):
+        out = spec.mul(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    return dataclasses.replace(spec, mul=mul), sizes
+
+
+def test_zero_terms_are_not_multiplied(monkeypatch):
+    """dist's join on a paths-shaped program multiplies only the binder
+    values at which a block of its left operand is not zero: none in round
+    1, where dist is all zero, and under 1/8 of the dense 128**3 cells a
+    round over rounds 1-3 (3.7% here, with two rows a block).  A round whose
+    left operand is that sparse stays in one thread; the first dense round,
+    the fifth, is split."""
+    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
+    starts = thread_starts(monkeypatch)
+    spec, sizes = _counting(MIN_TROPICAL)
+    rounds = []
+
+    def on_round(it, old, new):
+        if "dist" in new:
+            rounds.append((sum(sizes), len(starts)))
+        sizes.clear()
+
+    fixpoint(checked(paths_source(0, 128)), spec, on_round=on_round)
+    cells, threads = zip(*rounds)
+    assert cells[0] == 0 and sum(cells[:3]) < 3 * 128 ** 3 / 8, cells
+    assert threads[:4] == (0, 0, 0, 0) and threads[4] == 1, threads
+
+
+@pytest.mark.parametrize("spec", [MIN_TROPICAL, BOOLEAN_LOOP], ids=["min-tropical", "boolean-loop"])
+def test_join_of_a_zero_operand_builds_no_product(spec):
+    # every block of an all-zero left operand keeps no binder value
+    sizes, binders, terms = _GROUPS["two terms, blocks"]
+    rel, tables = _group(sizes, binders, terms, spec, np.random.default_rng(0))
+    tables["t0"].cells[...] = spec.zero
+    counting, built = _counting(spec)
+    got = eval_relation(compile_relation(rel, tables, counting), tables, counting).cells
+    assert built == [] and (got == spec.zero).all()
+
+
+def test_call_of_distinct_variables_is_a_view():
+    """A call whose arguments are distinct variables reads its table through
+    a transposed view, with no gather; a relation that is just such a call
+    still gets cells of its own."""
+    t, vals = right_nested_sum(4)
+    facts = "\n".join(f"    (conj (== x {a}) (== y {b}))" for a, b in zip(vals, vals[2:] + vals[:1]))
+    program = checked(f"(defrel (s (x : {t}) (y : {t}))\n  (disj\n{facts}))\n"
+                      f"(defrel (r (x : {t}) (y : {t})) (s y x))\n"
+                      f"(defrel (q (x : {t}) (y : {t})) (s x y))\n")
+    tables = fixpoint(program, BOOLEAN).tables
+    s = tables["s"].cells
+    assert s.any() and np.array_equal(tables["r"].cells, s.T) and np.array_equal(tables["q"].cells, s)
+    assert not np.shares_memory(tables["r"].cells, s) and not np.shares_memory(tables["q"].cells, s)
+    for rel in program.relations[1:]:
+        steps = compile_relation(rel, tables, BOOLEAN).steps
+        assert all(getattr(fn, "func", None) is not skn_eval._take for fn, _ in steps)
 
 
 @pytest.mark.parametrize("body, want", [
@@ -854,14 +966,16 @@ def test_a_run_frees_each_slot_once_read():
 
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
 def test_blocked_fixpoints_match_one_block(monkeypatch, spec):
-    """Every contraction in blocks of one binder value against every one
-    as a single product and sum: the same tables and rounds under boolean
-    and min-tropical.  Under real the sums run in another order, so the
-    tables agree to rounding, and a round may differ in its last bits and
-    end another round later (chain-64's connect).  With the split's gate
-    at zero and two usable CPUs, every blocked contraction under boolean
-    and min-tropical is summed in two halves on two threads, and gives the
-    blocked run's bits; real is never split, so it gives them too."""
+    """Every contraction as a matrix product, in blocks of one output row
+    where the spec has no `matmul` kernel, against every one as a single
+    product and sum: the same tables and rounds under boolean and
+    min-tropical.  Under real the sums run in another order, so the tables
+    agree to rounding, and a round may differ in its last bits and end
+    another round later (chain-64's connect).  With the split's gate at zero
+    and two usable CPUs, every contraction under min-tropical is computed in
+    two halves of its output rows on two threads, and gives the blocked
+    run's bits; boolean and real run their kernels in one call, so they
+    give them too."""
     sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
         [gen.random_program(seed) for seed in range(10)] + [chain_source(64)]
     monkeypatch.setattr(skn_eval, "SPLIT_CELLS", 0)
@@ -884,7 +998,7 @@ def test_blocked_fixpoints_match_one_block(monkeypatch, spec):
         for name, table in blocked.tables.items():
             assert np.array_equal(split.tables[name].cells, table.cells,
                                   equal_nan=spec is REAL), name
-    assert bool(starts) == spec.idempotent_add
+    assert bool(starts) == (spec.matmul is None)
 
 
 def test_cyclic_connect_under_real_stops_on_nan():
@@ -911,33 +1025,38 @@ def _contractions(monkeypatch, src, spec, cpus):
 
 
 @pytest.mark.parametrize("src, spec, cpus, want", [
-    # 128**3 cells and a thread for half, each with two of four values a block
+    # 128**3 cells and a thread for half the rows, each with two of four rows a block
     ("chain-128", MIN_TROPICAL, 2, [(True, 2)]),
-    ("chain-128", BOOLEAN, 2, [(True, 2)]),
+    ("chain-128", BOOLEAN, 2, [(False, 4)]),  # boolean's kernel is one call
     ("chain-128", MIN_TROPICAL, 1, [(False, 4)]),
-    ("chain-128", REAL, 2, [(False, 4)]),  # real sums in one order
+    ("chain-128", REAL, 2, [(False, 4)]),  # and so is real's
     ("chain-64", MIN_TROPICAL, 2, [(False, 16)]),  # 2**18 cells, below SPLIT_CELLS
-    ("unit-binder", BOOLEAN, 2, [(False, 1)]),  # 2**20 cells, but one value has no halves
+    ("unit-binder", BOOLEAN, 2, [(False, 64)]),  # 2**20 cells, in boolean's kernel
+    ("unit-binder", MIN_TROPICAL, 2, [(True, 32)]),  # a one-value binder, 1024 rows to halve
+    ("one-row", MIN_TROPICAL, 2, [(False, 1)]),  # 2**20 cells, but one row has no halves
 ], ids=lambda v: getattr(v, "name", v))
 def test_split_gate(monkeypatch, src, spec, cpus, want):
     t32 = right_nested_sum(32)[0]
+    t1024 = f"(Prod {t32} {t32})"
     src = {"chain-128": chain_source(128), "chain-64": chain_source(64),
-           "unit-binder": f"(defrel (e (x : (Prod {t32} {t32})) (z : Unit)) (== z sole))\n"
-                          f"(defrel (r (x : (Prod {t32} {t32})) (y : (Prod {t32} {t32})))\n"
-                          f"  (fresh ((z : Unit)) (conj (e x z) (e y z))))\n"}[src]
-    got = [(fn.keywords["how"][5], fn.keywords["how"][4])
-           for fn in _contractions(monkeypatch, src, spec, cpus)]
+           "unit-binder": f"(defrel (e (x : {t1024}) (z : Unit)) (== z sole))\n"
+                          f"(defrel (r (x : {t1024}) (y : {t1024}))\n"
+                          f"  (fresh ((z : Unit)) (conj (e x z) (e y z))))\n",
+           "one-row": f"(defrel (e (z : {t1024})) (== z z))\n"
+                      f"(defrel (f (z : {t1024}) (y : {t1024})) (== z y))\n"
+                      f"(defrel (r (y : {t1024})) (fresh ((z : {t1024})) (conj (e z) (f z y))))\n"}[src]
+    got = [fn.keywords["how"][-1:-3:-1] for fn in _contractions(monkeypatch, src, spec, cpus)]
     assert got == want
 
 
 @pytest.mark.parametrize("n", [128, 300], ids=["four-rows-a-block", "row-above-block"])
 def test_split_contraction_memory(monkeypatch, n):
     """chain-n's join, split on two threads, builds at most
-    max(BLOCK_CELLS, 2 * row) product cells at once, a row being n ** 2
-    cells: past the serial join's peak, the helper adds at most one row of
-    products, one row of sums and numpy's ufunc buffers (8192 cells an
-    operand), whether a block holds four rows (n = 128) or one row is above
-    BLOCK_CELLS (n = 300)."""
+    max(BLOCK_CELLS, 2 * row) product cells at once, a row being the n ** 2
+    cells of one output row: past the serial join's peak, the helper adds
+    at most one row of products and numpy's ufunc buffers (8192 cells an
+    operand), whether the serial join's block holds four rows (n = 128) or
+    one row is above BLOCK_CELLS (n = 300)."""
     starts, rng = thread_starts(monkeypatch), np.random.default_rng(0)
     a1, a2 = rng.random((n, n)), rng.random((n, n))
     peaks = []
@@ -956,17 +1075,17 @@ def test_split_contraction_memory(monkeypatch, n):
 def _split_sources(spec):
     """The corpus, 10 random programs, chain-128 and paths-shaped programs,
     whose 128**3-cell joins `spec` splits; boolean edges weigh 1."""
-    weight = "1" if spec is BOOLEAN else None
+    weight = "1" if spec.name == "boolean" else None
     return [load(name) for name in IDEMPOTENT_CORPUS] + \
         [gen.random_program(seed) for seed in range(10)] + [chain_source(128)] + \
         [paths_source(seed, 128, weight) for seed in range(3)]
 
 
-@pytest.mark.parametrize("spec", [BOOLEAN, MIN_TROPICAL], ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", [BOOLEAN_LOOP, MIN_TROPICAL, REAL_LOOP], ids=lambda spec: spec.name)
 def test_split_contractions_match_serial(monkeypatch, spec):
-    """With two usable CPUs a large idempotent join is summed in two halves
-    on two threads, and with one in one loop: the same bits, rounds and
-    convergence."""
+    """With two usable CPUs a large join in the generic loop is computed in
+    two halves of its output rows on two threads, and with one in one loop:
+    the same bits, rounds, convergence and nan stop, under any semiring."""
     starts = thread_starts(monkeypatch)
     for src in _split_sources(spec):
         lowered = lower_program(checked(src), "monomorphize", spec)
@@ -975,9 +1094,10 @@ def test_split_contractions_match_serial(monkeypatch, spec):
             monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
             results.append(fixpoint(lowered, spec, max_iters=300))
         serial, split = results
-        assert (split.iterations, split.converged) == (serial.iterations, serial.converged)
+        assert (split.iterations, split.converged, split.stopped_on_nan) == \
+            (serial.iterations, serial.converged, serial.stopped_on_nan)
         for name, table in serial.tables.items():
-            assert np.array_equal(split.tables[name].cells, table.cells), name
+            assert np.array_equal(split.tables[name].cells, table.cells, equal_nan=True), name
     assert starts
 
 
