@@ -73,10 +73,11 @@ class UnknownRelation(LookupError):
 
 
 def check_factor_literals(p: Program, spec: SemiringSpec) -> None:
-    for rel in p.relations:
-        for g in syntax.subgoals(rel.body):
-            if isinstance(g, Factor):
-                semiring.parse_weight_literal(g.literal, spec)
+    """Read each distinct factor literal of `p` once under `spec`, in
+    source order, so that the first bad one in the text is reported."""
+    for lit in dict.fromkeys(g.literal for rel in p.relations for g in syntax.subgoals(rel.body)
+                             if isinstance(g, Factor)):
+        semiring.parse_weight_literal(lit, spec)
 
 
 def _json_weight(w: np.generic, spec: SemiringSpec) -> object:
@@ -175,7 +176,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     spec = SEMIRINGS[cfg.semiring]
     try:
-        with open(cfg.source, encoding="utf-8") as fh:
+        with open(cfg.source, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
         if cfg.diff:
             return diff_modes(cfg, text, spec, out=out)

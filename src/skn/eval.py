@@ -269,8 +269,10 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
     of variables, each once, to ground values, and at most one factor; a
     fact's weight is its factor's, or one.  Duplicate facts combine by
     semiring addition, last to first, as the right-nested chain adds them.
+    Each distinct value node is indexed once at each type, and each
+    distinct literal read once.
     """
-    facts = []
+    facts, index = [], {}  # index: (id(value), type) -> its index; `disjuncts` keep each value
     for d in disjuncts:
         pins, lits = {}, []
         for g in _flatten(d, Conj):
@@ -278,10 +280,12 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
                 case Factor(lit):
                     lits.append(lit)
                 case Unify(Var(x), v, ty) | Unify(v, Var(x), ty) if x not in pins:
-                    try:
-                        pins[x] = _index_factor(v, ty, {})
-                    except KeyError:  # `v` has a variable
-                        return None
+                    if (i := index.get((id(v), ty))) is None:
+                        try:
+                            i = index[id(v), ty] = _index_factor(v, ty, {})
+                        except KeyError:  # `v` has a variable
+                            return None
+                    pins[x] = i
                 case _:
                     return None
         if len(lits) > 1 or not pins or (facts and pins.keys() != facts[0][0].keys()):
@@ -290,8 +294,9 @@ def _fact_table(disjuncts: list[Goal], scope: dict[str, TypeExpr], spec: Semirin
     facts.reverse()
     dims = tuple(d for d in scope if d in facts[0][0])
     cells = np.full(_shape(tuple(scope[d].size for d in dims)), spec.zero, dtype=spec.dtype)
-    weights = [parse_weight_literal(lits[0], spec) if lits else spec.one
-               for _, lits in facts]
+    read = {lit: parse_weight_literal(lit, spec)
+            for lit in dict.fromkeys(lits[0] for _, lits in facts if lits)}
+    weights = [read[lits[0]] if lits else spec.one for _, lits in facts]
     spec.add.at(cells, tuple(np.array([pins[d] for pins, _ in facts]) for d in dims),
                 np.array(weights, dtype=spec.dtype))
     return dims, cells

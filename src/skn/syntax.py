@@ -16,8 +16,10 @@ the binary AST forms; ``fresh`` may bind several variables, all in one
 ``(left {(Sum Unit Unit)} sole)``; when it is absent the type checker
 infers the sum type without writing it in.  Comments run from ``;`` to end of line.
 
-The text is read in one pass: one regex splits it into tokens, and a
-recursive-descent reader builds the AST from them.  The reader renames
+The text is split into tokens by `str.split`, once its comments are
+dropped, each bracket, brace and ``:`` is padded with spaces and each tab,
+CR and LF is made a space; a recursive-descent reader builds the AST
+from them.  Only an error's position needs a regex.  The reader renames
 apart any ``fresh`` binder that would shadow an enclosing variable as it
 goes, so later passes can treat variable names as unique within one
 relation body.  A bracketed value or type form that repeats is read once
@@ -39,6 +41,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -395,7 +398,14 @@ RESERVED = {
     "sole", "left", "right", "pair", "Unit", "Sum", "Prod", "Pair",
 }
 
+# A token is a bracket, a brace, a ":" or a run of other characters that
+# ends before one of those, a ";" (a comment, to the end of the line) or a
+# separator: a space, tab, CR or LF.  The reader finds the tokens with
+# `str.split`; `_TOKEN` is the same rule as one regex, which finds their
+# offsets for an error.
 _TOKEN = re.compile(r";[^\n]*|([(){}:]|[^(){};: \t\r\n]+)")
+_COMMENT = re.compile(r";[^\n]*")
+_SPACED, _BLANK = "(){}:", "\t\r\n"  # padded with spaces; made spaces
 _PUNCT = {"(", ")", "{", "}", ":", ""}  # "" ends the token list
 _CLOSER = {"(": ")", "{": "}"}
 
@@ -430,18 +440,30 @@ class _Reader:
     reads its children up to its own closing bracket, then checks how many
     it got.  A position (`pos`, `off`, `at`) is an index into `toks`.
     Within a relation, `scope` holds the variables in scope and `env` maps
-    each shadowing binder to its new name; the relation's name supply
-    avoids every token of the file.  A value or type form read once is
+    each shadowing binder to its new name; the relation's name supply,
+    made at its first rename, avoids every token of the file, a set built
+    at the file's first rename.  A value or type form read once is
     kept under its tokens, "(" to ")", and a later form with the same
     tokens is that node, except for a value form while `env` renames a
     binder.  A form that fails is never kept, so errors are unchanged."""
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0
-        self.toks = (*filter(None, _TOKEN.findall(text)), "")
-        self.atoms = set(self.toks)
+        if ";" in text:
+            text = _COMMENT.sub("", text)
+        for c in _SPACED:
+            text = text.replace(c, f" {c} ")
+        for c in _BLANK:
+            text = text.replace(c, " ")
+        self.toks = (*filter(None, text.split(" ")), "")
         # each "(" `match` passed, at its ")" or None; the value and type forms read
         self.close, self.values, self.types = {}, {}, {}
+
+    @cached_property
+    def atoms(self) -> set[str]:
+        """Every token of the file, which a renamed binder avoids; built
+        on the first rename, and shared by each relation's name supply."""
+        return set(self.toks)
 
     def match(self, off: int) -> Optional[int]:
         """The index of the ")" that closes the "(" at `off`, or None.  One
@@ -602,6 +624,7 @@ class _Reader:
                 while self.more():
                     x, ty = self.param()
                     if x in self.scope:
+                        self.supply = self.supply or _NameSupply(self.atoms)
                         self.env = {**self.env, x: self.supply.fresh(x)}
                     binders.append((self.env.get(x, x), ty))
                     self.scope.add(binders[-1][0])
@@ -683,7 +706,7 @@ class _Reader:
             tyvars = free_type_vars(*(ty for _, ty in params))
         if not self.more():
             self.fail(shape, off)
-        self.scope, self.env, self.supply = set(names), {}, _NameSupply(self.atoms)
+        self.scope, self.env, self.supply = set(names), {}, None
         body = self.goal()
         if self.more():
             self.fail(shape, off)

@@ -6,7 +6,11 @@ every relation call records its inferred type-variable substitution.
 One `syntax.map_goal` pass checks each leaf under the relation's
 parameters and the fresh binders around it, which the pass keeps in one
 dict as it enters and leaves each fresh: a leaf's scope costs no copy and
-a lookup no scan of the binders, however deep the freshes nest.
+a lookup no scan of the binders, however deep the freshes nest.  The
+reader makes a repeated value form one node, and an ``==``/``=/=``
+operand outside every fresh is checked once per node and type in a
+relation; under a fresh each occurrence is checked, as its binders may
+give one node's variables other types there.
 
 A call's substitution is one binding of the callee's type variables,
 built by one-way matching (not unification) of each declared parameter
@@ -181,16 +185,23 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
 
 
 def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
+    """`g` checked under `env`.  An ``==``/``=/=`` operand outside every
+    fresh is walked once per node and type; under a fresh, every time."""
+    checked: set[tuple[int, TypeExpr]] = set()  # (id(value), type); `g` keeps each value alive
+
     def leaf(h: Goal, fresh: dict[str, TypeExpr]) -> Goal:
         scope = TypeEnv(env.vars, env.tyvars, fresh) if fresh else env
         match h:
             case Unify(v1, v2, _) | Disunify(v1, v2, _):
                 try:
-                    ty = type_of_value(scope, v1, None)
-                    type_of_value(scope, v2, ty)
+                    ty, v = type_of_value(scope, v1, None), v2
                 except UninferableValue:
-                    ty = type_of_value(scope, v2, None)
-                    type_of_value(scope, v1, ty)
+                    ty, v = type_of_value(scope, v2, None), v1
+                if fresh:
+                    type_of_value(scope, v, ty)
+                elif (id(v), ty) not in checked:
+                    type_of_value(scope, v, ty)
+                    checked.add((id(v), ty))
                 return type(h)(v1, v2, ty)
             case Call():
                 return _check_call(relenv, scope, h)

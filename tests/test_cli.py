@@ -96,6 +96,24 @@ def test_weight_literal_error_is_load_time():
     assert "0.7" in err and "boolean" in err
 
 
+def test_first_bad_literal_in_source_order_is_reported(tmp_path):
+    # five distinct literals outside boolean's carrier, each written twice
+    lits = ["0.9", "0.25", "0.5", "0.75", "0.125"]
+    goals = " ".join(f"(factor {lit})" for lit in lits + lits[::-1])
+    src = tmp_path / "lits.skn"
+    src.write_text(f"(defrel (r (x : Unit)) (disj {goals}))\n")
+    status, out, err = run_capture(RunConfig(str(src), "boolean"))
+    assert status == 1 and out == ""
+    assert [lit for lit in lits if repr(lit) in err] == ["0.9"]
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    src = tmp_path / "bom.skn"
+    src.write_bytes(b"\xef\xbb\xbf" + Path(path("coins.skn")).read_bytes())
+    want = run_capture(RunConfig(path("coins.skn"), "real"))
+    assert want[0] == 0 and run_capture(RunConfig(str(src), "real")) == want
+
+
 @pytest.mark.parametrize("semiring", ["real", "min-tropical"])
 def test_non_finite_literal_exit_code(tmp_path, semiring):
     src = tmp_path / "big.skn"

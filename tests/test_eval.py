@@ -17,7 +17,9 @@ from skn import (
 from skn import eval as skn_eval
 from skn.eval import compile_relation, zero_table
 from skn.semiring import parse_weight_literal
-from skn.syntax import Call, Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify
+from skn.syntax import (
+    Call, Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify, subgoals,
+)
 
 import gen
 import oracle
@@ -619,6 +621,23 @@ def test_long_disjunction_folds_without_recursion(scatters):
     got = eval_relation(compile_relation(rel, {}, REAL), {}, REAL).cells
     assert np.array_equal(got, np.eye(4) * (n / 4))
     assert scatters == [False]
+
+
+def test_fact_table_indexes_and_reads_each_distinct_form_once(monkeypatch):
+    # paths' edge pins 512 ground values, over 128 distinct nodes, and
+    # weighs 256 facts with 9 distinct literals
+    edge = checked(paths_source(0, 128)).relation("edge")
+    calls = collections.Counter()
+    for name in ("_index_factor", "parse_weight_literal"):
+        original = getattr(skn_eval, name)
+        monkeypatch.setattr(skn_eval, name, lambda *a, name=name, original=original:
+                            calls.update([name]) or original(*a))
+    compile_relation(edge, {}, MIN_TROPICAL)
+    unifies = [g for g in subgoals(edge.body) if isinstance(g, Unify)]
+    literals = [g.literal for g in subgoals(edge.body) if isinstance(g, Factor)]
+    nodes = {(id(g.v2), g.ty) for g in unifies}
+    assert (len(unifies), len(nodes), len(literals), len(set(literals))) == (512, 128, 256, 9)
+    assert calls == {"_index_factor": len(nodes), "parse_weight_literal": len(set(literals))}
 
 
 def _nested_relation(depth: int) -> RelationDef:

@@ -257,6 +257,26 @@ def test_memo_changes_no_outcome(monkeypatch):
     assert 0.3 * len(sources) < errors < 0.9 * len(sources)
 
 
+# Characters that separate tokens, end them, or are whitespace to Python
+# but not to the reader (VT, FF, U+0085, U+00A0, U+2003).
+_TEXT_PARTS = [*"(){}:; \n\r\t\x0b\x0c\x85\xa0\u2003", "a", "b", "sole"]
+
+
+@given(st.lists(st.sampled_from(_TEXT_PARTS), max_size=40).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_reader_tokens_are_the_token_regex(text):
+    assert syntax._Reader(text).toks == (*filter(None, syntax._TOKEN.findall(text)), "")
+
+
+def test_token_set_is_built_at_the_first_rename():
+    reader = syntax._Reader("(defrel (r (x : Unit)) (fresh ((y : Unit)) (== x y)))")
+    reader.defrel()
+    assert "atoms" not in vars(reader) and reader.supply is None
+    reader = syntax._Reader("(defrel (r (x : Unit)) (fresh ((x : Unit)) (== x x)))")
+    reader.defrel()
+    assert reader.atoms == set(reader.toks) and reader.supply.used is reader.atoms
+
+
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as e:
         parse_program("(defrel (r (x : Unit))\n  (== x (badctor y)))")
@@ -340,6 +360,15 @@ _R = "(defrel (r (x : Unit)) "
                  "defrel needs a (name params...) header", 1, 1, id="atom-header"),
     pytest.param("(defrel () (== x x))",
                  "defrel needs a (name params...) header", 1, 1, id="empty-header"),
+    # the reader separates tokens by space, tab, CR and LF alone: a CRLF,
+    # tab-indented program errs on the line of its LF, space-indented twin,
+    # a tab counting one column; a form feed is a token
+    pytest.param("(defrel (r (x : Unit))\r\n\t(conj (== x sole)\r\n\t\t(== x (badctor sole))))",
+                 "unknown value constructor 'badctor'", 3, 9, id="crlf-tabs"),
+    pytest.param("(defrel (r (x : Unit))\n    (conj (== x sole)\n        (== x (badctor sole))))",
+                 "unknown value constructor 'badctor'", 3, 15, id="lf-spaces"),
+    pytest.param("(defrel (r) (conj (r) \x0c (r)))",
+                 "expected a goal, got '\\x0c'", 1, 23, id="form-feed-goal"),
 ])
 def test_single_fault_parse_errors(source, msg, line, col):
     with pytest.raises(ParseError) as e:

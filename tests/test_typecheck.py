@@ -13,10 +13,10 @@ from skn import (
 )
 from skn import poly, typecheck
 from skn.cli import RunConfig, run
-from skn.syntax import map_goal
+from skn.syntax import free_vars, map_goal, subgoals
 from skn.typecheck import TypeCheckError, TypeEnv, UninferableValue, match_type
 
-from helpers import CORPUS, load
+from helpers import CORPUS, chain_source, load
 
 
 S2 = Sum(UNIT, UNIT)
@@ -388,6 +388,47 @@ def test_unify_type_mismatch():
     with pytest.raises(TypeCheckError):
         check_program(parse_program(
             "(defrel (r (x : Unit) (y : (Sum Unit Unit))) (== x y))"))
+
+
+def test_each_ground_operand_outside_freshes_is_walked_once(monkeypatch):
+    # chain-64's graph writes 126 ground operands over 64 distinct nodes,
+    # all outside freshes, each at its parameter's type
+    program = parse_program(chain_source(64))
+    graph = program.relation("graph")
+    walks = []
+    original = typecheck.type_of_value
+
+    def spy(env, v, expected=None):
+        if not free_vars(v):
+            walks.append(v)
+        return original(env, v, expected)
+
+    monkeypatch.setattr(typecheck, "type_of_value", spy)
+    typecheck.check_relation({rel.name: rel for rel in program.relations}, graph)
+    types = dict(graph.params)
+    operands = [(g.v2, types[g.v1.name]) for g in subgoals(graph.body) if isinstance(g, Unify)]
+    pairs = {(id(v), t) for v, t in operands}
+    assert (len(operands), len(pairs)) == (126, 64)
+    assert len(walks) == len(pairs)
+
+
+@pytest.mark.parametrize("z2, y, ok", [
+    ("(Sum Unit Unit)", "(Sum (Sum Unit Unit) Unit)", True),
+    ("(Sum Unit Unit)", "(Sum Unit Unit)", False),  # (left z) at x's type again, z2 ill-typed
+])
+def test_shared_form_under_freshes_is_checked_at_each(z2, y, ok):
+    # one `(left z)` node under two freshes that bind z at different types:
+    # each occurrence is checked against its own binder
+    src = (f"(defrel (r (x : (Sum Unit Unit)) (y : {y}))"
+           f" (conj (fresh ((z : Unit)) (== x (left z)))"
+           f" (fresh ((z : {z2})) (== y (left z)))))")
+    body = parse_program(src).relations[0].body
+    assert body.g1.body.v2 is body.g2.body.v2
+    if ok:
+        check_program(parse_program(src))
+    else:
+        with pytest.raises(TypeCheckError, match="z has type"):
+            check_program(parse_program(src))
 
 
 def test_inconsistently_instantiated_call_rejected():
