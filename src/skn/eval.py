@@ -38,17 +38,24 @@ A program's tables are the least fixed point of its relations, solved by
 `fixpoint` one call-graph component at a time, callees first; over a
 field, a small group affine in its own tables is solved exactly, by the
 first step of Newton's method for program analysis (Esparza, Kiefer and
-Luttenberger, JACM 2010).  This is the package's only evaluator; the
-brute-force cell-by-cell reference lives with the tests.
+Luttenberger, JACM 2010).  Under an idempotent addition with no `matmul`
+kernel, a round that follows one that changed few cells is rebuilt from
+those changes by plans compiled with the changed calls reading them:
+semi-naive evaluation (Bancilhon and Ramakrishnan, SIGMOD 1986), exact
+over such semirings (Abo Khamis, Ngo, Pichler, Suciu and Wang, PODS
+2022), and here bit for bit the full round (`_delta_round`).  This is
+the package's only evaluator; the brute-force cell-by-cell reference
+lives with the tests.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -57,7 +64,7 @@ from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
     Binders, Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify,
-    ValueExpr, Var, free_type_vars, free_vars, subgoals,
+    ValueExpr, Var, free_type_vars, free_vars, map_goal, subgoals,
 )
 
 
@@ -316,13 +323,14 @@ BLOCK_CELLS = 2 ** 16  # the most product cells a contraction's loop builds at o
 # its loops, so the halves run in parallel.  On a 2-core Xeon a serial
 # 2**20-cell min-plus product takes about 1 ms, a thread's start and join
 # about 70 us.  The gate is read twice.  `Plan.eliminate` reads it on the
-# dense product, and halves the block of a contraction it may split to
-# max(1, rows // 2) output rows, so the two threads build at most
+# dense product, to mark the contractions that may split.  `_loop_matmul`
+# reads it at run time on the cells that are left once zero terms are
+# skipped, so a round whose left operand is mostly zero stays in one thread,
+# with whole blocks.  Only a contraction that does split halves its blocks,
+# to max(1, rows // 2) output rows, so the two threads build at most
 # max(BLOCK_CELLS, 2 * row) product cells at once, a row being the cells of
-# one output row.  `_loop_matmul` reads it on the cells that are left once
-# zero terms are skipped, so a round whose left operand is mostly zero stays
-# in one thread.  The helper runs under the caller's numpy errstate, which it
-# is given, since a thread starts with numpy's default.
+# one output row.  The helper runs under the caller's numpy errstate, which
+# it is given, since a thread starts with numpy's default.
 SPLIT_CELLS = 2 ** 20
 try:
     USABLE_CPUS = len(os.sched_getaffinity(0))
@@ -360,42 +368,58 @@ def _loop_matmul(spec: SemiringSpec, rows: int, split: bool,
     b and l, go `rows` a block: a block's rows of m1 are multiplied with m2
     into one buffer, which one `add.reduce` over k sums into the block's
     slice of the result.  Under an idempotent addition, whose carriers here
-    have a zero that annihilates exactly, a block multiplies only the values
-    of k at which one of its rows of m1 is not zero, and a block with none
-    is zero; real keeps every term, since 0 * inf is nan.  With `split`, and
-    enough cells left to multiply, a helper thread computes the second half
-    of the blocks (`_in_halves`)."""
+    have a zero that annihilates exactly, a block with no value of k at
+    which one of its rows of m1 is not zero is zero, and one with at most
+    half of k such values gathers and multiplies only those; past half,
+    gathering costs more than the zero terms it saves.  Real keeps every
+    term, since 0 * inf is nan.  With `split`, the blocks are halved to
+    max(1, rows // 2) rows, and if enough cells are left to multiply in
+    them a helper thread computes the second half of them (`_in_halves`);
+    if not, one thread runs blocks of `rows` rows."""
     b, l, k = m1.shape
     r = m2.shape[2]
-    per, step = max(1, rows // l), min(rows, l)  # a block: `per` whole matrices or `step` rows of one
-    blocks = [(i, min(i + per, b), j, min(j + step, l))
-              for i in range(0, b, per) for j in range(0, l, step)]
-    sizes = np.array([(i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in blocks])
-    keep = np.logical_or.reduceat((m1 != spec.zero).reshape(b * l, k),
-                                  [i0 * l + j0 for i0, _, j0, _ in blocks]) \
-        if spec.idempotent_add else np.ones((len(blocks), k), bool)
-    kept = keep.sum(axis=1).tolist()
-    out = np.empty((b, l, r), spec.dtype)
+    nonzero = m1 != spec.zero if spec.idempotent_add else None
+
+    def layout(rows: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+        """Blocks of `rows` output rows: `per` whole matrices or `step` rows
+        of one, and each block's rows, kept values of k and their count."""
+        per, step = max(1, rows // l), min(rows, l)
+        starts_b, starts_l = np.arange(0, b, per), np.arange(0, l, step)
+        sizes = np.outer(np.minimum(per, b - starts_b), np.minimum(step, l - starts_l)).ravel()
+        if nonzero is None:
+            keep = np.ones((sizes.size, k), bool)
+        else:  # padded with zero rows to whole blocks
+            padded = np.zeros((starts_b.size * per, starts_l.size * step, k), bool)
+            padded[:b, :l] = nonzero
+            keep = padded.reshape(starts_b.size, per, starts_l.size, step, k).any(axis=(1, 3))
+            keep = keep.reshape(sizes.size, k)
+        return per, step, sizes, keep, keep.sum(axis=1)
+
+    per, step, sizes, keep, kept = layout(max(1, rows // 2) if split else rows)
+    if split and r * int(np.dot(sizes, np.where(2 * kept > k, k, kept))) < SPLIT_CELLS:
+        split, (per, step, sizes, keep, kept) = False, layout(rows)
+    bounds = [(i, i + per, j, j + step) for i in range(0, b, per) for j in range(0, l, step)]
+    kept, out = kept.tolist(), np.empty((b, l, r), spec.dtype)
 
     def run(lo: int, hi: int) -> None:
         buf = np.empty(int(sizes.max()) * k * r, spec.dtype)
         for n in range(lo, hi):
-            i0, i1, j0, j1 = blocks[n]
+            i0, i1, j0, j1 = bounds[n]
             if not kept[n]:
                 out[i0:i1, j0:j1] = spec.zero
                 continue
             x, y = m1[i0:i1, j0:j1], m2[i0:i1]
-            if kept[n] < k:
+            if 2 * kept[n] <= k:
                 values = np.flatnonzero(keep[n])
                 x, y = x[:, :, values], y[:, values]
             shape = (*x.shape, r)
             product = spec.mul(x[..., None], y[:, None], out=buf[:math.prod(shape)].reshape(shape))
             spec.add.reduce(product, axis=2, out=out[i0:i1, j0:j1])
 
-    if split and r * int(np.dot(sizes, kept)) >= SPLIT_CELLS:
-        _in_halves(run, len(blocks))
+    if split:
+        _in_halves(run, len(bounds))
     else:
-        run(0, len(blocks))
+        run(0, len(bounds))
     return out
 
 
@@ -460,12 +484,16 @@ class Plan:
     shape: tuple[int, ...]
     steps: list[tuple[Callable, tuple]] = field(default_factory=list)
     out: Union[np.ndarray, int] = 0
+    sparse: set[int] = field(default_factory=set)  # the slots built from a Δ table
 
     def step(self, fn: Callable, *operands) -> Union[np.ndarray, int]:
         """`fn(*operands)` if every operand is a constant, else a new step's slot."""
         if {int, str}.isdisjoint(map(type, operands)):
             return fn(*operands)
         self.steps.append((fn, operands))
+        if any(a in self.sparse if type(a) is int else type(a) is str and a.startswith(DELTA)
+               for a in operands):
+            self.sparse.add(len(self.steps) - 1)
         return len(self.steps) - 1
 
     def fold(self, terms: list[Term], op, scope: dict[str, TypeExpr]) -> Term:
@@ -480,13 +508,16 @@ class Plan:
 
     def eliminate(self, terms: list[Term], binders: list[str], scope: dict[str, TypeExpr]) -> Term:
         """Sum `binders` out of a product of terms, smallest product first,
-        ties in binder order.  A product of more than `BLOCK_CELLS` cells is
-        never built: the product of all but the last term that has the
-        binder is contracted with the last as a semiring matrix product
-        (`_contract`), whose output rows the generic loop takes
-        `BLOCK_CELLS // row` at a time, and half as many where it may split
-        them across two threads (`SPLIT_CELLS`).  A smaller one is built and
-        summed at once; an unused binder, as the scalar sum of |type| ones."""
+        ties in binder order.  A product of more than `BLOCK_CELLS` cells, or
+        one with a term built from a Δ table, is not built: the product of
+        all but the last term that has the binder is contracted with the
+        last as a semiring matrix product (`_contract`), whose output rows
+        the generic loop takes `BLOCK_CELLS // row` at a time.  Of two
+        terms, one built from a Δ table goes first, where the loop's zero
+        skip reads it; `mul` commutes, but three or more keep their order,
+        since re-associating `mul` could move a cell's last bits.  A smaller
+        product is built and summed at once; an unused binder, as the scalar
+        sum of |type| ones."""
         spec, pending = self.spec, list(binders)
 
         def cells(b: str) -> int:  # of the product of the terms that have `b`
@@ -497,7 +528,10 @@ class Plan:
             name = min(pending, key=cells)
             pending.remove(name)
             group, product = [t for t in terms if name in t[0]], cells(name)
-            blocked = len(group) > 1 and product > BLOCK_CELLS
+            sparse = [type(a) is int and a in self.sparse for _, a in group]
+            blocked = len(group) > 1 and (product > BLOCK_CELLS or any(sparse))
+            if sparse == [False, True]:
+                group.reverse()
             terms = [t for t in terms if name not in t[0]]
             if not group:  # the sum of |type| ones: `one` if addition is idempotent
                 terms.append(((), np.asarray(spec.one if spec.idempotent_add else
@@ -516,7 +550,7 @@ class Plan:
                 how = ([d1.index(d) for d in batch + left + [name]],
                        [d2.index(d) for d in batch + [name] + right], (b, l, k, r),
                        tuple(scope[d].size for d in order), [order.index(d) for d in rest],
-                       max(1, rows // 2) if split else rows, split)
+                       rows, split)
                 terms.append((rest, self.step(partial(_contract, spec, how=how), a1, a2)))
             else:
                 dims, arr = self.fold(group, spec.mul, scope)
@@ -746,6 +780,98 @@ def _within_tolerance(old: dict[str, RelTable], new: dict[str, RelTable],
     return bool(rho < 1 and delta * rho / (1 - rho) <= tol / 2), delta
 
 
+# A Δ table is a group table's last changes, under its relation's name
+# after this prefix; a relation's name holds no space, so none is a Δ's.
+DELTA = "Δ "
+# A round of an idempotent group is run from the last round's changes
+# (`_delta_round`) when they are at most this fraction of the group's cells
+# that are not zero.  A block of a Δ plan's join multiplies the values of
+# the binder at which one of its rows of Δ is not zero, so changes
+# scattered over a few percent of the cells already reach most blocks.  On
+# `paths`' 128-node `dist` (2-core Xeon), with changes scattered at random
+# over its last table, a Δ round took 0.40-0.52 of a full round at 1/256
+# of the cells, 0.79-0.95 at 1/32 and 1.21-1.29 at 1/16.  (`paths` changes
+# 1-133 of 16,384 cells in its last round but one and thousands in each
+# round before it; `reach` over chain-n changes one cell a round.)
+DELTA_FRACTION = 1 / 32
+
+
+def _annihilates(spec: SemiringSpec, cells: np.ndarray) -> bool:
+    """Whether zero times each cell is zero: not for a value outside the
+    carrier, such as nan or the -inf of an overflowed min-tropical sum."""
+    return bool(spec.mul(spec.zero, spec.add.reduce(cells, axis=None)) == spec.zero)
+
+
+def _delta_plans(rels: list[RelationDef], tables: dict[str, RelTable],
+                 spec: SemiringSpec) -> dict[str, list[Plan]]:
+    """Each relation's Δ plans, compiled against `tables` with the Δ
+    tables: for each call into the group (in a large-enough wrapper too) in
+    a disjunct of the body's top `disj` chain, that disjunct with the call
+    reading its callee's Δ table.  A disjunct with no such call adds nothing
+    to a round that the round before has not added.  None are compiled if
+    zero does not annihilate every cell of a table they read."""
+    names = {rel.name for rel in rels}
+    plans: dict[str, list[Plan]] = {rel.name: [] for rel in rels}
+    for rel in rels:
+        for part in _flatten(rel.body, Disj):
+            calls = sum(isinstance(g, Call) and g.rel in names for g in subgoals(part))
+            plans[rel.name] += (compile_relation(RelationDef(rel.name, rel.tyvars, rel.params,
+                                                             _reading_delta(part, names, i)),
+                                                 tables, spec) for i in range(calls))
+    reads = {a for group in plans.values() for plan in group for _, operands in plan.steps
+             for a in operands if type(a) is str}
+    return plans if all(_annihilates(spec, tables[name].cells) for name in reads) else {}
+
+
+def _reading_delta(g: Goal, names: set[str], i: int) -> Goal:
+    """`g` with its `i`-th call into `names`, in pre-order, reading its
+    callee's Δ table."""
+    seen = itertools.count()
+    return map_goal(g, lambda h, _: Call(DELTA + h.rel, h.args, h.subst)
+                    if isinstance(h, Call) and h.rel in names and next(seen) == i else h)
+
+
+def _delta_round(plans: dict[str, list[Plan]], tables: dict[str, RelTable],
+                 deltas: dict[str, RelTable], spec: SemiringSpec
+                 ) -> Optional[dict[str, RelTable]]:
+    """One round of an idempotent group from the last round's changes: each
+    relation's table plus its Δ plans' (`_delta_plans`), run against the
+    tables and the Δ tables; None if a cell is nan.  Otherwise it gives the
+    full round's bits: each round's tables are the last round's plus more
+    terms, so a term the full round builds from unchanged cells is in them
+    already, and every other term is built by a Δ plan from the same
+    operands in the same order.  A nan can come from a zero of Δ, where the
+    full round reads a cell that is not zero, times a sum of other calls
+    that overflowed to -inf."""
+    reads = tables | deltas
+    new = {name: RelTable(name, tables[name].params,
+                          reduce(spec.add, (eval_relation(p, reads, spec).cells for p in group),
+                                 tables[name].cells))
+           for name, group in plans.items()}
+    return None if any(np.isnan(t.cells).any() for t in new.values()) else new
+
+
+def _deltas(old: dict[str, RelTable], new: dict[str, RelTable], spec: SemiringSpec
+            ) -> tuple[bool, Optional[dict[str, RelTable]]]:
+    """Whether a round of an idempotent group changed no cell, and, if it
+    changed at most `DELTA_FRACTION` of the cells that are not zero and zero
+    annihilates every cell, its Δ tables: each changed cell's new value,
+    and zero elsewhere."""
+    changed = {name: t.cells != old[name].cells for name, t in new.items()}
+    count = sum(map(np.count_nonzero, changed.values()))
+    if count == 0:
+        return True, None
+    cells = [t.cells for t in new.values()]
+    # the cells that are not zero are at most all cells: a cheap test first
+    if count > DELTA_FRACTION * sum(c.size for c in cells) \
+            or count > DELTA_FRACTION * sum(np.count_nonzero(c != spec.zero) for c in cells) \
+            or not all(_annihilates(spec, c) for c in cells):
+        return False, None
+    return False, {DELTA + name: RelTable(DELTA + name, t.params,
+                                          np.where(changed[name], t.cells, spec.zero))
+                   for name, t in new.items()}
+
+
 def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = None,
              max_iters: int = 10000,
              on_round: Optional[Callable] = None) -> FixpointResult:
@@ -760,19 +886,24 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     round and its callees' finished tables until it stabilizes: exact
     equality for discrete semirings, and over a field until the contraction
     bound puts the round within `epsilon` of the fixed point (`EPSILON` when
-    None; discrete semirings ignore it).  ``iterations`` is the most rounds
-    any component took.  A component that runs `max_iters` rounds without
-    stabilizing gives ``converged=False``, and later components are solved
-    against its last round.  A round that yields a nan cell (weights that
+    None; discrete semirings ignore it).  Under an idempotent addition with
+    no `matmul` kernel, a round that follows one that changed at most
+    `DELTA_FRACTION` of the group's non-zero cells is run from those
+    changes (`_delta_round`), with the full round's bits, while zero
+    annihilates every cell the group reads; one that yields nan is run
+    again in full.  ``iterations`` is the most rounds any component took,
+    each such round counted as one.  A component that runs `max_iters`
+    rounds without stabilizing gives ``converged=False``, and later
+    components are solved against its last round.  A round that yields a nan cell (weights that
     overflowed) stops solving: the tables so far are returned with
     ``converged=False``, ``stopped_on_nan=True`` and that component's round
     count, and later components keep all-zero tables.
 
     ``on_round(round, old, new)`` is called after every round of every
     component, before the round's tables are stored: `round` counts from
-    1 within the component, `new` holds only the component's new tables,
-    and `old` maps every relation to its table before the round (the dict
-    is then updated in place).
+    1 within the component, `new` holds only the component's new tables
+    (whole, in a round run from changes too), and `old` maps every relation
+    to its table before the round (the dict is then updated in place).
     """
     tol = EPSILON if epsilon is None else epsilon
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
@@ -784,10 +915,17 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                 if recursive and spec.field else None
             if solved is not None:  # its one round starts from the solution
                 tables.update(solved[0])
-            delta = math.nan
+            semi = recursive and spec.idempotent_add and spec.matmul is None
+            delta, deltas, delta_plans = math.nan, None, None
             for it in range(1, max_iters + 1 if recursive else 2):
-                new = solved[1] if solved is not None else \
-                    {plan.name: eval_relation(plan, tables, spec) for plan in plans}
+                new = None
+                if deltas is not None:  # a Δ round; one that yields nan is run in full
+                    if delta_plans is None:
+                        delta_plans = _delta_plans(rels, tables | deltas, spec)
+                    new = _delta_round(delta_plans, tables, deltas, spec) if delta_plans else None
+                if new is None:
+                    new = solved[1] if solved is not None else \
+                        {plan.name: eval_relation(plan, tables, spec) for plan in plans}
                 if on_round is not None:
                     on_round(it, tables, new)
                 if any(np.isnan(t.cells).any() for t in new.values()):
@@ -796,6 +934,8 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                     done = True
                 elif spec.field:
                     done, delta = _within_tolerance(tables, new, delta, tol)
+                elif semi:
+                    done, deltas = _deltas(tables, new, spec)
                 else:
                     done = all(np.array_equal(tables[n].cells, new[n].cells) for n in new)
                 tables.update(new)

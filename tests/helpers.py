@@ -46,15 +46,28 @@ def right_nested_sum(n: int) -> tuple[str, list[str]]:
     return t, vals
 
 
+def _chain_graph(n: int) -> tuple[str, list[str], str]:
+    """The type, values and `graph` relation of chain-n."""
+    t, vals = right_nested_sum(n)
+    edges = "\n".join(f"    (conj (== x {a}) (== y {b}))" for a, b in zip(vals, vals[1:]))
+    return t, vals, f"(defrel (graph (x : {t}) (y : {t}))\n  (disj\n{edges}))\n"
+
+
 def chain_source(n: int) -> str:
     """chain-n: an (n-1)-edge path over a right-nested sum of n Units, with
     its transitive closure `connect` and the one-row `from0`."""
-    t, vals = right_nested_sum(n)
-    edges = "\n".join(f"    (conj (== x {a}) (== y {b}))" for a, b in zip(vals, vals[1:]))
-    return (f"(defrel (graph (x : {t}) (y : {t}))\n  (disj\n{edges}))\n"
-            f"(defrel (connect (x : {t}) (y : {t}))\n  (disj (graph x y)\n"
+    t, vals, graph = _chain_graph(n)
+    return (f"{graph}(defrel (connect (x : {t}) (y : {t}))\n  (disj (graph x y)\n"
             f"    (fresh ((z : {t})) (conj (connect x z) (connect z y)))))\n"
             f"(defrel (from0 (y : {t})) (connect {vals[0]} y))\n")
+
+
+def reach_source(n: int) -> str:
+    """chain-n's `graph` with `reach`, the nodes one or more edges from the
+    first: a linear group whose every round but the last adds one node."""
+    t, vals, graph = _chain_graph(n)
+    return (f"{graph}(defrel (reach (y : {t}))\n  (disj (graph {vals[0]} y)\n"
+            f"    (fresh ((z : {t})) (conj (reach z) (graph z y)))))\n")
 
 
 def paths_source(seed: int, n: int = 128, weight: Optional[str] = None) -> str:

@@ -25,8 +25,8 @@ import gen
 import oracle
 import props
 from helpers import (
-    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, paths_source, right_nested_sum,
-    run_source, skewed_coins_source, thread_starts, walk_source,
+    CORPUS, IDEMPOTENT_CORPUS, chain_source, checked, load, paths_source, reach_source,
+    right_nested_sum, run_source, skewed_coins_source, thread_starts, walk_source,
 )
 
 S2 = Sum(UNIT, UNIT)
@@ -1043,15 +1043,18 @@ def _contractions(monkeypatch, src, spec, cpus):
             if getattr(fn, "func", None) is skn_eval._contract]
 
 
+# Each contraction's (split, rows): whether it may split across two
+# threads, and its block's output rows before a split halves them at run
+# time (`test_block_rows_and_gathered_values`).
 @pytest.mark.parametrize("src, spec, cpus, want", [
-    # 128**3 cells and a thread for half the rows, each with two of four rows a block
-    ("chain-128", MIN_TROPICAL, 2, [(True, 2)]),
+    # 128**3 cells and a thread for half the rows, with four rows a block
+    ("chain-128", MIN_TROPICAL, 2, [(True, 4)]),
     ("chain-128", BOOLEAN, 2, [(False, 4)]),  # boolean's kernel is one call
     ("chain-128", MIN_TROPICAL, 1, [(False, 4)]),
     ("chain-128", REAL, 2, [(False, 4)]),  # and so is real's
     ("chain-64", MIN_TROPICAL, 2, [(False, 16)]),  # 2**18 cells, below SPLIT_CELLS
     ("unit-binder", BOOLEAN, 2, [(False, 64)]),  # 2**20 cells, in boolean's kernel
-    ("unit-binder", MIN_TROPICAL, 2, [(True, 32)]),  # a one-value binder, 1024 rows to halve
+    ("unit-binder", MIN_TROPICAL, 2, [(True, 64)]),  # a one-value binder, 1024 rows to halve
     ("one-row", MIN_TROPICAL, 2, [(False, 1)]),  # 2**20 cells, but one row has no halves
 ], ids=lambda v: getattr(v, "name", v))
 def test_split_gate(monkeypatch, src, spec, cpus, want):
@@ -1066,6 +1069,32 @@ def test_split_gate(monkeypatch, src, spec, cpus, want):
                       f"(defrel (r (y : {t1024})) (fresh ((z : {t1024})) (conj (e z) (f z y))))\n"}[src]
     got = [fn.keywords["how"][-1:-3:-1] for fn in _contractions(monkeypatch, src, spec, cpus)]
     assert got == want
+
+
+@pytest.mark.parametrize("cpus, kept, rows, values", [
+    (2, 128, 2, 128),  # a dense split: blocks of max(1, 4 // 2) rows
+    (1, 128, 4, 128),  # one CPU: no split
+    (2, 1, 4, 1),  # 2**14 cells left to multiply, below SPLIT_CELLS: no split
+    (1, 64, 4, 64),  # half of the binder's values kept: those are gathered
+    (1, 65, 4, 128),  # more than half: none is gathered, and all are multiplied
+])
+def test_block_rows_and_gathered_values(monkeypatch, cpus, kept, rows, values):
+    """chain-128's join, whose blocks have four output rows, when the first
+    `kept` values of the binder z are not zero in connect(x, z): a run that
+    splits halves each block to max(1, 4 // 2) rows, and one that does not
+    keeps four; a block gathers its kept values of z when they are at most
+    half of z's 128, and otherwise multiplies all 128.  Each block's product
+    has rows * values * 128 cells, and the join is the min-plus product
+    (its operands are laid out over (x, z) and (y, z))."""
+    spec, sizes = _counting(MIN_TROPICAL)
+    [contract] = _contractions(monkeypatch, chain_source(128), spec, cpus)
+    rng = np.random.default_rng(0)
+    a1, a2 = rng.random((128, 128)), rng.random((128, 128))
+    a1[:, kept:] = math.inf
+    sizes.clear()
+    got = contract(a1, a2)
+    assert sorted(sizes) == [rows * values * 128] * (128 // rows)
+    assert np.array_equal(got, np.minimum.reduce(a1[:, None] + a2[None], axis=2))
 
 
 @pytest.mark.parametrize("n", [128, 300], ids=["four-rows-a-block", "row-above-block"])
@@ -1172,3 +1201,187 @@ def test_contraction_memory_is_quadratic(spec):
             tracemalloc.stop()
         assert res.converged
     assert peaks[1] < 5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# rounds from the last round's changes (Δ rounds)
+
+def _negative_chains() -> list[str]:
+    """chain-12 with one more edge weighted -1: a back edge from node 6 to
+    3 or 11 to 5, or a loop at node 0 or 10.  Its cycle's sums double each
+    round until one overflows to -inf and meets the inf of a pair with no
+    path, so min-tropical stops on nan at round 1026-1029."""
+    _, vals = right_nested_sum(12)
+    return [chain_source(12).replace(
+        "  (disj\n", f"  (disj\n    (conj (== x {vals[a]}) (== y {vals[b]}) (factor -1))\n", 1)
+        for a, b in ((6, 3), (11, 5), (0, 0), (10, 10))]
+
+
+def _idempotent_sources(spec) -> list[str]:
+    """The idempotent comparison set: the corpus, `gen` seeds 0-59 default
+    and with large calls, chain-40, chain-128 and reach over chain-60, and
+    under min-tropical also paths-shaped programs (seeds 0-3, and seed 0
+    with every edge -1 or 0.1) and the negative chains."""
+    sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
+        [gen.random_program(seed, large_calls=large)
+         for seed in range(60) for large in (False, True)] + \
+        [chain_source(40), chain_source(128), reach_source(60)]
+    if spec is MIN_TROPICAL:
+        sources += [paths_source(seed) for seed in range(4)] + \
+            [paths_source(0, 128, weight) for weight in ("-1", "0.1")] + _negative_chains()
+    return sources
+
+
+@pytest.mark.parametrize("spec", [MIN_TROPICAL, BOOLEAN_LOOP], ids=["min-tropical", "boolean-loop"])
+def test_delta_rounds_match_full_rounds(monkeypatch, spec):
+    """With every round after the first run from the last round's changes
+    (`DELTA_FRACTION` inf), against none (0): the same tables bit for bit,
+    the same rounds, convergence and nan stop, in both lowering modes (a
+    program without type variables lowers to itself in both, so it runs
+    once)."""
+    rounds = collections.Counter()
+    original = skn_eval._delta_round
+
+    def counting(*args):
+        rounds[spec.name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(skn_eval, "_delta_round", counting)
+    for src in _idempotent_sources(spec):
+        program = checked(src)
+        generic = any(rel.tyvars for rel in program.relations)
+        for mode in ("monomorphize", "large-enough") if generic else ("monomorphize",):
+            lowered = lower_program(program, mode, spec)
+            results = []
+            for fraction in (0, math.inf):
+                monkeypatch.setattr(skn_eval, "DELTA_FRACTION", fraction)
+                try:
+                    results.append(fixpoint(lowered, spec, max_iters=2000))
+                except MemoryError:  # an array too big: `gen` seed 0 with large calls
+                    results.append(MemoryError)
+            full, delta = results
+            if full is MemoryError or delta is MemoryError:
+                assert full is delta
+                continue
+            assert (delta.iterations, delta.converged, delta.stopped_on_nan) == \
+                (full.iterations, full.converged, full.stopped_on_nan)
+            for name, table in full.tables.items():
+                assert np.array_equal(delta.tables[name].cells, table.cells, equal_nan=True), name
+    assert rounds[spec.name] > 59  # reach over chain-60 alone takes 59
+
+
+def _three_call_source(n: int, loop: int) -> str:
+    """An n-node path of weight-1 edges and a loop of weight -1 at node
+    `loop`, closed by `g`, which joins three calls of itself."""
+    t, vals = right_nested_sum(n)
+    edges = [(a, a + 1, 1) for a in range(n - 1)] + [(loop, loop, -1)]
+    rows = "\n".join(f"    (conj (== x {vals[a]}) (== y {vals[b]}) (factor {w}))" for a, b, w in edges)
+    return (f"(defrel (e (x : {t}) (y : {t}))\n  (disj\n{rows}))\n"
+            f"(defrel (g (x : {t}) (y : {t}))\n  (disj (e x y)\n"
+            f"    (fresh ((z : {t}) (w : {t})) (conj (g x z) (g z w) (g w y)))))\n")
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_delta_round_that_yields_nan_runs_in_full(monkeypatch, n):
+    """The loop's sums triple each round until one overflows to -inf.  A
+    sum of two calls can overflow inside a three-call term whose third call
+    reads a zero cell of Δ, where the full round's reads a finite cell, and
+    inf + -inf is nan.  Such a round is run again in full, so with every
+    join in blocks of one row and every round after the first run from
+    changes, the tables, rounds and nan stop are the full rounds'."""
+    monkeypatch.setattr(skn_eval, "BLOCK_CELLS", 1)
+    program, results, yielded_nan = checked(_three_call_source(n, 2)), [], []
+    delta_round = skn_eval._delta_round
+
+    def watching(*args):
+        new = delta_round(*args)
+        yielded_nan.append(new is None)
+        return new
+
+    monkeypatch.setattr(skn_eval, "_delta_round", watching)
+    for fraction in (0, math.inf):
+        monkeypatch.setattr(skn_eval, "DELTA_FRACTION", fraction)
+        results.append(fixpoint(program, MIN_TROPICAL, max_iters=2000))
+    full, delta = results
+    assert full.stopped_on_nan and (delta.iterations, delta.stopped_on_nan) == (full.iterations, True)
+    assert np.array_equal(delta.tables["g"].cells, full.tables["g"].cells, equal_nan=True)
+    assert any(yielded_nan) and len(yielded_nan) > 600
+
+
+def test_no_delta_round_reads_a_cell_zero_does_not_annihilate(monkeypatch):
+    """chain-12 with a loop of weight -1 at node 0 doubles its sums each
+    round until one overflows to -inf.  Every round before that is run from
+    the last round's changes (`DELTA_FRACTION` inf), and none after: zero
+    times -inf is nan, not zero, so a Δ plan could skip a term that the full
+    round computes."""
+    _, vals = right_nested_sum(12)
+    program = checked(chain_source(12).replace(
+        "  (disj\n", f"  (disj\n    (conj (== x {vals[0]}) (== y {vals[0]}) (factor -1))\n", 1))
+    monkeypatch.setattr(skn_eval, "DELTA_FRACTION", math.inf)
+    read_neginf = []
+    delta_round = skn_eval._delta_round
+
+    def watching(plans, tables, deltas, spec):
+        read_neginf.append(any(np.isneginf(t.cells).any() for t in tables.values()))
+        return delta_round(plans, tables, deltas, spec)
+
+    monkeypatch.setattr(skn_eval, "_delta_round", watching)
+    overflowed = []
+    res = fixpoint(program, MIN_TROPICAL, max_iters=2000, on_round=lambda it, old, new:
+                   overflowed.append(np.isneginf(old["connect"].cells).any()))
+    assert res.stopped_on_nan and overflowed[-1]
+    assert len(read_neginf) > 1000 and not any(read_neginf)
+
+
+def test_last_round_multiplies_only_changes():
+    """dist's last round on a paths-shaped program changes no cell, and the
+    round before changes one, so it is run from that change.  Each of its
+    two Δ plans multiplies, for each changed cell, one binder value in one
+    block of four output rows: at most 8 * |Δ| * 128 product cells, where a
+    full round multiplies 128**3.  Products of one cell are not counted:
+    they are `_annihilates`' tests of zero, not products of the join."""
+    spec, sizes = _counting(MIN_TROPICAL)
+    rounds = []
+
+    def on_round(it, old, new):
+        if "dist" in new:
+            changed = np.count_nonzero(new["dist"].cells != old["dist"].cells)
+            rounds.append((sum(size for size in sizes if size > 1), changed))
+        sizes.clear()
+
+    res = fixpoint(checked(paths_source(0, 128)), spec, on_round=on_round)
+    (_, delta), (cells, last) = rounds[-2:]
+    assert res.converged and last == 0 and delta == 1
+    assert 0 < cells <= 8 * delta * 128 and rounds[-3][0] > 128 ** 3 / 2, rounds
+
+
+def test_linear_group_multiplies_quadratic_cells():
+    """reach over chain-n adds one node a round, in n rounds.  A full round
+    multiplies reach's n cells with graph's n**2, so n**3 cells in all; a
+    round run from the last one's change multiplies only the changed node's
+    row of graph, n cells.  Doubling n multiplies the cells by about 4, not
+    8."""
+    totals = []
+    for n in (100, 200):
+        spec, sizes = _counting(MIN_TROPICAL)
+        res = fixpoint(checked(reach_source(n)), spec)
+        assert res.converged and res.iterations == n
+        assert res.tables["reach"].cells[1:].max() == 0 and res.tables["reach"].cells[0] == math.inf
+        totals.append(sum(sizes))
+    assert totals[1] < 5 * totals[0] and totals[1] < 200 ** 3 / 4, totals
+
+
+def test_kernel_joins_compile_no_delta_plan(monkeypatch):
+    """reach over chain-64 under boolean, whose joins run on its kernel,
+    compiles one plan per relation.  Without the kernel, its rounds from the
+    last one's changes compile one Δ plan more, for reach's one call of
+    itself, with the same tables and rounds."""
+    compiled, original = [], skn_eval.compile_relation
+    monkeypatch.setattr(skn_eval, "compile_relation",
+                        lambda *args: compiled.append(args[0].name) or original(*args))
+    results = []
+    for spec, want in ((BOOLEAN, ["graph", "reach"]), (BOOLEAN_LOOP, ["graph", "reach", "reach"])):
+        compiled.clear()
+        results.append(fixpoint(checked(reach_source(64)), spec))
+        assert results[-1].converged and results[-1].iterations == 64 and compiled == want
+    assert np.array_equal(results[0].tables["reach"].cells, results[1].tables["reach"].cells)

@@ -7,11 +7,11 @@ import importlib
 
 import pytest
 
-from skn import BOOLEAN, REAL, fixpoint, lower_program
+from skn import BOOLEAN, MIN_TROPICAL, REAL, fixpoint, lower_program
 from skn import eval as skn_eval
 from skn import poly
 
-from helpers import CORPUS, chain_source, checked, load, run_source
+from helpers import CORPUS, chain_source, checked, load, reach_source, run_source
 
 PATCHED = [
     ("syntax", "parse_program"),
@@ -44,18 +44,24 @@ def test_inner_calls_go_through_module_attributes(monkeypatch):
     assert seen == {"check_program", "eval_relation", "parse_weight_literal"}
 
 
-@pytest.mark.parametrize("name", CORPUS + ["chain-6"])
-def test_on_round_contract(name):
+@pytest.mark.parametrize("name", CORPUS + ["chain-6", "reach-64"])
+def test_on_round_contract(monkeypatch, name):
     # the tracer and the monotonicity property read old[name] for every
-    # name in new, and expect to see every relation's table at least once
-    source = chain_source(6) if name == "chain-6" else load(name)
-    spec = REAL if name == "coins.skn" else BOOLEAN
+    # name in new, and expect to see every relation's table at least once;
+    # reach-64 under min-tropical runs most rounds from the last one's
+    # changes, and `new` still holds each relation's whole table
+    source = {"chain-6": chain_source(6), "reach-64": reach_source(64)}.get(name) or load(name)
+    spec = {"coins.skn": REAL, "reach-64": MIN_TROPICAL}.get(name, BOOLEAN)
     lowered = lower_program(checked(source), "monomorphize", spec)
-    seen = set()
+    seen, deltas = set(), []
+    delta_round = skn_eval._delta_round
+    monkeypatch.setattr(skn_eval, "_delta_round", lambda *a: deltas.append(a) or delta_round(*a))
 
     def watch(_round, old, new):
         assert new.keys() <= old.keys()
+        assert all(t.cells.shape == old[n].cells.shape for n, t in new.items())
         seen.update(new)
 
     fixpoint(lowered, spec, on_round=watch)
     assert seen == set(lowered.names())
+    assert bool(deltas) == (name == "reach-64")
