@@ -8,7 +8,7 @@ from .semiring import (
     WeightLiteralError, parse_weight_literal,
 )
 from .syntax import (
-    Call, Conj, Disj, Disunify, Factor, Fresh, Goal, Left, Pair, ParseError,
+    Call, Conj, Disj, Disunify, Factor, Facts, Fresh, Goal, Left, Pair, ParseError,
     Prod, Program, RelationDef, Right, SOLE, Sole, Sum, TyVar, TypeExpr,
     UNIT, Unify, Unit, ValueExpr, Var, free_type_vars, parse_program,
     render_program, render_type, render_value,

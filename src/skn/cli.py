@@ -27,7 +27,7 @@ import numpy as np
 from . import poly, semiring, syntax, typecheck
 from .eval import EPSILON, FixpointResult, RelTable, fixpoint, type_label, type_labels
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError
-from .syntax import Factor, ParseError, Program, render_program, render_type
+from .syntax import Factor, Facts, ParseError, Program, render_program, render_type
 
 EXIT_BAD_PROGRAM = 1
 EXIT_LOWERING = 2
@@ -74,9 +74,16 @@ class UnknownRelation(LookupError):
 
 def check_factor_literals(p: Program, spec: SemiringSpec) -> None:
     """Read each distinct factor literal of `p` once under `spec`, in
-    source order, so that the first bad one in the text is reported."""
-    for lit in dict.fromkeys(g.literal for rel in p.relations for g in syntax.subgoals(rel.body)
-                             if isinstance(g, Factor)):
+    source order, so that the first bad one in the text is reported.  A
+    fact table gives its rows' literals."""
+    literals = []
+    for rel in p.relations:
+        for g in syntax.subgoals(rel.body):
+            if isinstance(g, Factor):
+                literals.append(g.literal)
+            elif isinstance(g, Facts):
+                literals += (lit for _, lit in g.rows if lit is not None)
+    for lit in dict.fromkeys(literals):
         semiring.parse_weight_literal(lit, spec)
 
 

@@ -55,10 +55,10 @@ from typing import Optional
 
 from .semiring import SemiringSpec
 from .syntax import (
-    Binders, Call, Conj, Disj, Disunify, Fresh, Goal, Left, Pair, Prod,
+    Binders, Call, Conj, Disj, Disunify, Facts, Fresh, Goal, Left, Pair, Prod,
     Program, RelationDef, Right, SOLE, Sum, TyVar, TypeExpr, Unify, Unit,
-    ValueExpr, Var, _NameSupply, along, free_type_vars, map_goal, map_value,
-    nest, subgoals, walk_goal,
+    ValueExpr, Var, _NameSupply, along, as_facts, free_type_vars, map_goal,
+    map_value, nest, subgoals, walk_goal,
 )
 from .typecheck import apply_subst, check_program
 
@@ -161,18 +161,28 @@ class _Lowering:
 
     def lower(self, rel: RelationDef, sigma: dict[str, TypeExpr], name: str) -> RelationDef:
         """Lower `rel` as `name` in one pass, replacing its type variables by
-        `sigma` (empty for a monomorphic relation) and rewriting its calls."""
+        `sigma` (empty for a monomorphic relation) and rewriting its calls.
+        A fact table holds no type but its values' annotations, so only an
+        instance rebuilds it, to substitute those."""
         def sub(t: Optional[TypeExpr]) -> Optional[TypeExpr]:
             return None if t is None else apply_subst(sigma, t)
         params = tuple((x, sub(ty)) for x, ty in rel.params)
+
+        def values(g: Goal, _=None) -> Goal:
+            """An ``==``/``=/=`` with its annotations and type substituted.
+            `leaf` maps a fact table's disjunction with this, not itself: a
+            closure that calls itself is a reference cycle per relation."""
+            if not isinstance(g, (Unify, Disunify)):
+                return g
+            return type(g)(map_value(g.v1, annot=sub), map_value(g.v2, annot=sub), sub(g.ty))
 
         def leaf(g: Goal, _) -> Goal:
             if isinstance(g, Call):
                 return self.rewrite_call(Call(g.rel, tuple(map_value(a, annot=sub) for a in g.args),
                                               tuple((tv, sub(ty)) for tv, ty in g.subst)))
-            if isinstance(g, (Unify, Disunify)):
-                return type(g)(map_value(g.v1, annot=sub), map_value(g.v2, annot=sub), sub(g.ty))
-            return g
+            if isinstance(g, Facts) and sigma:  # its annotations may name type variables
+                return as_facts(map_goal(g.disj, values))
+            return values(g)
 
         return RelationDef(name, (), params, map_goal(rel.body, leaf, sub))
 

@@ -24,6 +24,9 @@ apart any ``fresh`` binder that would shadow an enclosing variable as it
 goes, so later passes can treat variable names as unique within one
 relation body.  A bracketed value or type form that repeats is read once
 per file, except for a value form while a shadowing binder is renamed.
+A ``disj`` whose every disjunct is a ground fact is read as one leaf goal,
+`Facts`, recognized once by `as_facts`: each later pass works on its rows,
+once per distinct form, and none walks the disjuncts again.
 
 Goals are walked by one iterative traversal, `walk_goal`, which yields
 each leaf once and each other node on entry and exit.  `subgoals`,
@@ -297,17 +300,101 @@ class Factor:
     literal: str  # raw token; read by the active semiring at load time
 
 
-Goal = Union[Conj, Disj, Fresh, Unify, Disunify, Call, Factor]
-LEAF_GOALS = (Unify, Disunify, Call, Factor)  # the goals without subgoals
+@dataclass(frozen=True)
+class Facts:
+    """A disjunction of ground facts, one leaf goal (`as_facts`).  `disj`
+    is the disjunction as read, which `render_goal` prints; no pass walks
+    it.  `rows` holds each fact in source order: its pins, each pinned
+    variable's name mapped to its ground value and its ``==``, in source
+    order, and its factor literal, or None.  It holds no type: each
+    ``==`` keeps ``ty`` None, and a column's type is its variable's in
+    scope, so a lowered instance takes it from its parameters."""
+    disj: Disj
+    rows: tuple[tuple[dict[str, tuple[ValueExpr, Unify]], Optional[str]], ...] = \
+        field(compare=False, repr=False)
+
+
+Goal = Union[Conj, Disj, Fresh, Unify, Disunify, Call, Factor, Facts]
+LEAF_GOALS = frozenset({Unify, Disunify, Call, Factor, Facts})  # the goals without subgoals
 Binders = tuple[tuple[str, TypeExpr], ...]  # typed variables, such as fresh binders
+
+
+def _ground(v: ValueExpr, known: set[int]) -> bool:
+    """Whether `v` holds no variable.  `known` holds the ids of nodes found
+    ground, which the caller keeps alive; a shared subtree is walked once."""
+    seen, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        if id(u) in known:
+            continue
+        if type(u) is Var:
+            return False
+        seen.append(id(u))
+        if type(u) is Pair:
+            stack += (u.first, u.second)
+        elif type(u) is not Sole:
+            stack.append(u.inner)
+    known.update(seen)
+    return True
+
+
+def as_facts(*disjuncts: Goal) -> Goal:
+    """``nest(Disj, disjuncts)`` as one `Facts` leaf if it is a disjunction
+    of ground facts, else as that chain of `Disj` nodes.  Each disjunct of
+    the chain must be a fact: one ``==``, or a conj of ``==``s and at most
+    one factor.  Each ``==`` pins a variable, on either side, to a ground
+    value, and every fact pins the same non-empty set of variables, each
+    once.  A disjunct that is a `Facts` gives its rows as they are, and
+    rejoins the chain as its disjunction, so a nested disjunction of facts
+    is read in time linear in its facts.  Iterative, so the number of
+    facts is not bounded by the recursion limit."""
+    g = nest(Disj, [d.disj if type(d) is Facts else d for d in disjuncts])
+    if type(g) is not Disj:
+        return g
+    rows: list = []
+    known: set[int] = set()
+    stack = list(reversed(disjuncts))
+    while stack:
+        d = stack.pop()
+        if type(d) is Disj:
+            stack += (d.g2, d.g1)
+            continue
+        if type(d) is Facts:
+            if rows and d.rows[0][0].keys() != rows[0][0].keys():
+                return g
+            rows += d.rows
+            continue
+        pins, lit, parts = {}, None, [d]
+        while parts:
+            h = parts.pop()
+            if type(h) is Conj:
+                parts += (h.g2, h.g1)
+            elif type(h) is Unify:
+                if type(h.v1) is Var:
+                    x, v = h.v1.name, h.v2
+                elif type(h.v2) is Var:
+                    x, v = h.v2.name, h.v1
+                else:
+                    return g
+                if x in pins or id(v) not in known and not _ground(v, known):
+                    return g
+                pins[x] = v, h
+            elif type(h) is Factor and lit is None:
+                lit = h.literal
+            else:  # a second factor, or another goal
+                return g
+        if not pins or rows and pins.keys() != rows[0][0].keys():
+            return g
+        rows.append((pins, lit))
+    return Facts(g, tuple(rows))
 
 
 def walk_goal(g: Goal) -> Iterator[tuple[Goal, bool]]:
     """``(node, entering)`` for each goal node of `g`, left to right: a
-    leaf once, entering; any other node on entry, then for its subgoals,
-    then on exit.  A caller that needs the binders around a node keeps them
-    from the freshes it enters and leaves.  Iterative, so depth is
-    unbounded."""
+    leaf, a fact table too, once, entering; any other node on entry, then
+    for its subgoals, then on exit.  A caller that needs the binders
+    around a node keeps them from the freshes it enters and leaves.
+    Iterative, so depth is unbounded."""
     stack: list[tuple[Goal, bool]] = [(g, True)]
     while stack:
         h, entering = item = stack.pop()
@@ -341,7 +428,7 @@ def map_goal(g: Goal, leaf: Callable[[Goal, dict[str, TypeExpr]], Goal],
     scope: dict[str, TypeExpr] = {}
     sizes: list[int] = []  # the size of `scope` as each open fresh was entered
     for h, entering in walk_goal(g):
-        if isinstance(h, LEAF_GOALS):
+        if type(h) in LEAF_GOALS:
             done.append(leaf(h, scope))
         elif isinstance(h, Fresh) and entering:
             mapped.append(tuple((x, ty(t)) for x, t in h.binders))
@@ -613,7 +700,7 @@ class _Reader:
                 goals.append(self.goal())
             if len(goals) < 2:
                 self.fail(f"{head} takes at least two subgoals", off)
-            return nest(Conj if head == "conj" else Disj, goals)
+            return nest(Conj, goals) if head == "conj" else as_facts(*goals)
         if head == "fresh":
             arity = "fresh takes a binder list and one body goal"
             if not self.more():
@@ -770,10 +857,13 @@ def render_goal(g: Goal, indent: int = 0) -> str:
                 text = f"({' '.join([rel, *map(render_value_expr, args)])})"
             case Factor(lit):
                 text = f"(factor {lit})"
+            case Facts(disj):  # printed as read, indented
+                lines.append(render_goal(disj, indent))
+                continue
             case _:
                 raise TypeError(h)
         lines.append("  " * indent + text)
-        indent += not isinstance(h, LEAF_GOALS)
+        indent += type(h) not in LEAF_GOALS
     return "\n".join(lines)
 
 

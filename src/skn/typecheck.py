@@ -10,7 +10,8 @@ a lookup no scan of the binders, however deep the freshes nest.  The
 reader makes a repeated value form one node, and an ``==``/``=/=``
 operand outside every fresh is checked once per node and type in a
 relation; under a fresh each occurrence is checked, as its binders may
-give one node's variables other types there.
+give one node's variables other types there.  A fact table is checked
+per distinct pin, as its ``==``s would be, and kept as read, untyped.
 
 A call's substitution is one binding of the callee's type variables,
 built by one-way matching (not unification) of each declared parameter
@@ -30,10 +31,10 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
-    Binders, Call, Disunify, Goal, Left, Pair, Prod, Program, RelationDef,
+    Binders, Call, Disunify, Facts, Goal, Left, Pair, Prod, Program, RelationDef,
     Right, Sole, Sum, TyVar, TypeExpr, Unify, UNIT, ValueExpr, Var, along,
     fold, free_type_vars, map_goal, render_type, render_value_expr,
 )
@@ -186,26 +187,43 @@ def _check_call(relenv: RelEnv, env: TypeEnv, g: Call) -> Call:
 
 def check_goal(relenv: RelEnv, env: TypeEnv, g: Goal) -> Goal:
     """`g` checked under `env`.  An ``==``/``=/=`` operand outside every
-    fresh is walked once per node and type; under a fresh, every time."""
+    fresh is walked once per node and type; under a fresh, every time.  A
+    fact table checks each distinct (variable, value node, side) of its
+    ``==``s once, in source order, as that ``==``'s leaf, and is kept as
+    read."""
     checked: set[tuple[int, TypeExpr]] = set()  # (id(value), type); `g` keeps each value alive
+
+    # `leaf` and a fact table's pins share `unify`; were `leaf` to call
+    # itself, each call of `check_goal` would leave a reference cycle for
+    # the garbage collector, which then runs far more often
+    def unify(h: Union[Unify, Disunify], scope: TypeEnv, fresh: dict) -> Goal:
+        v1, v2 = h.v1, h.v2
+        try:
+            ty, v = type_of_value(scope, v1, None), v2
+        except UninferableValue:
+            ty, v = type_of_value(scope, v2, None), v1
+        if fresh:
+            type_of_value(scope, v, ty)
+        elif (id(v), ty) not in checked:
+            type_of_value(scope, v, ty)
+            checked.add((id(v), ty))
+        return type(h)(v1, v2, ty)
 
     def leaf(h: Goal, fresh: dict[str, TypeExpr]) -> Goal:
         scope = TypeEnv(env.vars, env.tyvars, fresh) if fresh else env
         match h:
-            case Unify(v1, v2, _) | Disunify(v1, v2, _):
-                try:
-                    ty, v = type_of_value(scope, v1, None), v2
-                except UninferableValue:
-                    ty, v = type_of_value(scope, v2, None), v1
-                if fresh:
-                    type_of_value(scope, v, ty)
-                elif (id(v), ty) not in checked:
-                    type_of_value(scope, v, ty)
-                    checked.add((id(v), ty))
-                return type(h)(v1, v2, ty)
+            case Unify() | Disunify():
+                return unify(h, scope, fresh)
             case Call():
                 return _check_call(relenv, scope, h)
-        return h  # a factor
+            case Facts(rows=rows):
+                seen: set[tuple[str, int, bool]] = set()
+                for pins, _ in rows:
+                    for x, (v, u) in pins.items():
+                        if (x, id(v), v is u.v2) not in seen:
+                            seen.add((x, id(v), v is u.v2))
+                            unify(u, scope, fresh)
+        return h  # a factor or a fact table
 
     return map_goal(g, leaf, partial(check_type_valid, env))
 

@@ -11,7 +11,7 @@ import functools
 import math
 
 from skn.syntax import (
-    Call, Conj, Disj, Disunify, Factor, Fresh, Left, Pair, Prod, Right,
+    Call, Conj, Disj, Disunify, Factor, Facts, Fresh, Left, Pair, Prod, Right,
     Sole, Sum, Unify, Unit, Var,
 )
 
@@ -104,6 +104,8 @@ def goal_weight(goal, gamma, env, sr_name, param_types, weight_of_literal):
             return bool(w) if sr_name == "boolean" else float(w)
         if isinstance(g, Factor):
             return weight_of_literal(g.literal)
+        if isinstance(g, Facts):  # through its disjuncts, as read
+            return go(g.disj, env)
         raise TypeError(g)
 
     return go(goal, env)

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 from skn import (
     BOOLEAN, MIN_TROPICAL, REAL, Left, Pair, Prod, RelTable, Right, SOLE, Sum,
     TyVar, UNIT, Var, check_program, eval_relation, fixpoint, type_labels,
-    lower_program, parse_program, type_size,
+    lower_program, parse_program, render_program, render_value, type_size,
 )
 from skn import eval as skn_eval
 from skn.eval import compile_relation, zero_table
 from skn.semiring import parse_weight_literal
 from skn.syntax import (
-    Call, Conj, Disj, Disunify, Factor, Fresh, Program, RelationDef, Unify, subgoals,
+    Call, Conj, Disj, Disunify, Factor, Facts, Fresh, Program, RelationDef, Unify, as_facts,
+    subgoals,
 )
 
 import gen
@@ -58,6 +59,34 @@ def test_enumerate_unit():
 def test_enumerate_prod_first_major():
     assert type_labels(Prod(S2, UNIT)) == \
         ["(pair (left sole) sole)", "(pair (right sole) sole)"]
+
+
+def _balanced_sum(n: int):
+    return UNIT if n == 1 else Sum(_balanced_sum(n // 2), _balanced_sum(n - n // 2))
+
+
+@pytest.mark.parametrize("t, walked", [
+    (_balanced_sum(2 ** 8), [64]), (_balanced_sum(2 ** 10), [64]), (_balanced_sum(2 ** 12), [64]),
+    (_balanced_sum(100), [50]),  # two subtrees of 50 values: one node
+    (Prod(Sum(UNIT, S2), _balanced_sum(128)), [3, 64]),
+    (_balanced_sum(64), []),  # small enough to write directly, splicing nothing
+])
+def test_labels_walk_each_small_subtree_once(monkeypatch, t, walked):
+    # a balanced sum of 2**k Units has 2**k / 64 copies of one 64-value
+    # subtree: its labels are written by walking it once, then spliced
+    # between each prefix and suffix, so the labels walked stay 64
+    writes = []
+    original = skn_eval.type_labels
+
+    def spy(u):
+        labels = original(u)
+        writes.append(len(labels))
+        return labels
+
+    monkeypatch.setattr(skn_eval, "type_labels", spy)
+    labels = type_labels(t)
+    assert writes == walked
+    assert labels == [render_value(v) for v in oracle.type_values(t)]
 
 
 def test_type_labels_need_a_concrete_type():
@@ -433,8 +462,8 @@ def test_long_call_chain_solved_once_per_relation(evals):
 # ---------------------------------------------------------------------------
 # scalar reference evaluator vs the array engine
 
-def _compare_with_oracle(source, spec, atol=0.0):
-    lowered, res = run_source(source, spec)
+def _compare_with_oracle(source, spec, atol=0.0, mode="monomorphize"):
+    lowered, res = run_source(source, spec, mode)
     assert res.converged
     gamma = {n: t.cells for n, t in res.tables.items()}
     param_types = {r.name: [ty for _, ty in r.params] for r in lowered.relations}
@@ -469,17 +498,22 @@ def test_oracle_agreement_random_sample():
 
 @pytest.fixture
 def scatters(monkeypatch):
-    """Whether each disjunction chain evaluated was tabulated by scatter."""
+    """The variables of each fact table evaluated, as one scatter each."""
     seen = []
     original = skn_eval._fact_table
 
-    def spy(disjuncts, scope, spec):
-        table = original(disjuncts, scope, spec)
-        seen.append(table is not None)
+    def spy(g, scope, spec):
+        table = original(g, scope, spec)
+        seen.append(table[0])
         return table
 
     monkeypatch.setattr(skn_eval, "_fact_table", spy)
     return seen
+
+
+def _goal_kinds(source: str) -> set[type]:
+    """The classes of the goal nodes of `source`'s checked relations."""
+    return {type(g) for rel in checked(source).relations for g in subgoals(rel.body)}
 
 
 _T = "(Sum Unit (Sum Unit Unit))"
@@ -560,15 +594,63 @@ def _fact_source(template: str, spec) -> str:
 @pytest.mark.parametrize("case", sorted(_SCATTERED))
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
 def test_fact_scatter_against_oracle(spec, case, scatters):
-    _compare_with_oracle(_fact_source(_SCATTERED[case], spec), spec)
-    assert any(scatters)
+    source = _fact_source(_SCATTERED[case], spec)
+    _compare_with_oracle(source, spec)
+    assert Facts in _goal_kinds(source) and scatters
 
 
 @pytest.mark.parametrize("case", sorted(_FOLDED))
 @pytest.mark.parametrize("spec", _SPECS, ids=lambda spec: spec.name)
 def test_non_fact_disjunction_folds_against_oracle(spec, case, scatters):
-    _compare_with_oracle(_fact_source(_FOLDED[case], spec), spec)
-    assert scatters and not any(scatters)
+    source = _fact_source(_FOLDED[case], spec)
+    _compare_with_oracle(source, spec)
+    kinds = _goal_kinds(source)
+    assert Disj in kinds and Facts not in kinds and not scatters
+
+
+def test_duplicate_facts_add_last_to_first(scatters):
+    # 0.1 + (0.2 + 0.3) is 0.6 and (0.1 + 0.2) + 0.3 is 0.6000000000000001:
+    # the scatter adds duplicate facts as the right-nested chain does
+    source = """
+(defrel (f (x : (Sum Unit Unit)))
+  (disj (conj (== x (left sole)) (factor 0.1))
+        (conj (factor 0.2) (== x (left sole)))
+        (conj (== (left sole) x) (factor 0.3))))
+"""
+    _compare_with_oracle(source, REAL)
+    _, res = run_source(source, REAL)
+    assert res.tables["f"].cells[0] == 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3
+    assert set(scatters) == {("x",)}
+
+
+# facts at a type variable's sum: instances and the large-enough one
+# scatter them at their own types, with the annotations' `a` substituted
+_POLY_FACTS = """
+(defrel (pick (forall a) (x : (Sum Unit a)) (y : {T}))
+  (disj
+    (conj (== x (left sole)) (== y {B}) (factor {w1}))
+    (conj (== (left {{(Sum Unit a)}} sole) x) (== y {A}) (factor {w2}))
+    (conj (== y {B}) (== x (left {{(Sum Unit a)}} sole)) (factor {w3}))))
+(defrel (use (x : (Sum Unit {T})) (y : {T})) (pick x y))
+(defrel (use2 (x : (Sum Unit Unit)) (y : {T}))
+  (fresh ((z : {T})) (conj (pick x z) (pick (left {{(Sum Unit {T})}} sole) y))))
+"""
+
+
+@pytest.mark.parametrize("spec, mode", [
+    (spec, mode) for spec in _SPECS for mode in ("monomorphize", "large-enough")
+    if spec.idempotent_add or mode == "monomorphize"],  # large-enough needs idempotent addition
+    ids=lambda x: getattr(x, "name", x))
+def test_polymorphic_facts_against_oracle(spec, mode, scatters):
+    source = _fact_source(_POLY_FACTS, spec)
+    _compare_with_oracle(source, spec, mode=mode)
+    lowered = lower_program(checked(source), mode, spec)
+    instances = [rel for rel in lowered.relations if rel.name.startswith("pick$")]
+    assert instances and all(isinstance(rel.body, Facts) for rel in instances)
+    text = render_program(lowered)
+    assert "{(Sum Unit a)}" not in text and "{(Sum Unit Unit)}" in text
+    assert render_program(parse_program(text)) == text
+    assert len(scatters) == len(instances)
 
 
 def test_chains_fold_in_right_nested_order():
@@ -601,9 +683,10 @@ def test_long_fact_disjunction_without_recursion():
     values = oracle.type_values(S4)
     facts = [(i % 4, i // 4 % 4, i % 10) for i in range(n)]
     rel = _pairs_relation([
-        _chain(Conj, [Unify(Var("x"), values[a], S4), Unify(values[b], Var("y"), S4),
-                      Factor(str(w))])
+        _chain(Conj, [Unify(Var("x"), values[a]), Unify(values[b], Var("y")), Factor(str(w))])
         for a, b, w in facts])
+    rel = dataclasses.replace(rel, body=as_facts(rel.body))
+    assert isinstance(rel.body, Facts) and len(rel.body.rows) == n
     want = np.full((4, 4), math.inf)
     for a, b, w in facts:
         want[a, b] = min(want[a, b], w)
@@ -618,9 +701,10 @@ def test_long_disjunction_folds_without_recursion(scatters):
     rel = _pairs_relation([
         Conj(Unify(Var("x"), values[i % 4], S4), Unify(Var("y"), Var("x"), S4))
         for i in range(n)])
+    assert as_facts(rel.body) is rel.body  # `(== y x)` pins no ground value
     got = eval_relation(compile_relation(rel, {}, REAL), {}, REAL).cells
     assert np.array_equal(got, np.eye(4) * (n / 4))
-    assert scatters == [False]
+    assert scatters == []
 
 
 def test_fact_table_indexes_and_reads_each_distinct_form_once(monkeypatch):
@@ -633,11 +717,26 @@ def test_fact_table_indexes_and_reads_each_distinct_form_once(monkeypatch):
         monkeypatch.setattr(skn_eval, name, lambda *a, name=name, original=original:
                             calls.update([name]) or original(*a))
     compile_relation(edge, {}, MIN_TROPICAL)
-    unifies = [g for g in subgoals(edge.body) if isinstance(g, Unify)]
-    literals = [g.literal for g in subgoals(edge.body) if isinstance(g, Factor)]
-    nodes = {(id(g.v2), g.ty) for g in unifies}
-    assert (len(unifies), len(nodes), len(literals), len(set(literals))) == (512, 128, 256, 9)
+    types = dict(edge.params)
+    pins = [(x, v, u) for row, _ in edge.body.rows for x, (v, u) in row.items()]
+    literals = [lit for _, lit in edge.body.rows if lit is not None]
+    nodes = {(id(v), types[x]) for x, v, _ in pins}
+    assert (len(pins), len(nodes), len(literals), len(set(literals))) == (512, 128, 256, 9)
+    assert all(u.v1 == Var(x) and u.v2 is v and u.ty is None for x, v, u in pins)
     assert calls == {"_index_factor": len(nodes), "parse_weight_literal": len(set(literals))}
+
+
+def test_call_graph_walks_a_fact_table_as_one_node(monkeypatch):
+    # edge's 256 facts are one leaf, which no walk for calls enters
+    program = checked(paths_source(0))
+    edge = program.relation("edge")
+    assert [type(g) for g in subgoals(edge.body)] == [Facts]
+    walked = {}
+    original = skn_eval.subgoals
+    monkeypatch.setattr(skn_eval, "subgoals",
+                        lambda g: walked.setdefault(id(g), list(original(g))))
+    skn_eval._call_graph_sccs(program)
+    assert walked[id(edge.body)] == [edge.body]
 
 
 def _nested_relation(depth: int) -> RelationDef:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skn import (
-    SEMIRINGS, Conj, Disj, Factor, Fresh, Left, Pair, ParseError, Prod, Right,
-    SOLE, Sum, TyVar, TypeEnv, UNIT, Unify, Unit, Var, apply_subst,
+    SEMIRINGS, Conj, Disj, Factor, Facts, Fresh, Left, Pair, ParseError, Prod, Right,
+    SOLE, Sum, TyVar, TypeCheckError, TypeEnv, UNIT, Unify, Unit, Var, apply_subst,
     canonical_type, check_program, check_type_valid, free_type_vars,
     lower_program, parse_program, render_program, render_type, render_value,
     type_labels, type_size,
@@ -22,7 +22,7 @@ from skn.syntax import (
 
 import gen
 import oracle
-from helpers import CORPUS, chain_source, load
+from helpers import CORPUS, chain_source, load, paths_source
 
 
 def test_coin_flip_shape():
@@ -31,10 +31,13 @@ def test_coin_flip_shape():
     rel = p.relations[0]
     assert rel.tyvars == ()
     assert rel.params == (("coin", Sum(UNIT, UNIT)),)
-    assert rel.body == Disj(
+    assert isinstance(rel.body, Facts)
+    assert rel.body.disj == Disj(
         Unify(Var("coin"), Left(SOLE)),
         Unify(Var("coin"), Right(SOLE)),
     )
+    assert [({x: v for x, (v, _) in pins.items()}, lit) for pins, lit in rel.body.rows] == \
+        [({"coin": Left(SOLE)}, None), ({"coin": Right(SOLE)}, None)]
 
 
 def test_empty_program():
@@ -207,15 +210,19 @@ def test_each_repeated_value_form_is_one_node():
     nodes = {}
     for rel in program.relations:
         for g in syntax.subgoals(rel.body):
-            for v in (g.v1, g.v2) if isinstance(g, Unify) else getattr(g, "args", ()):
+            if isinstance(g, Facts):  # graph's edges, whose values are its pins'
+                values = [v for pins, _ in g.rows for v, _ in pins.values()]
+            else:
+                values = (g.v1, g.v2) if isinstance(g, Unify) else getattr(g, "args", ())
+            for v in values:
                 fold(v, lambda u: None,
                      lambda u, *_: isinstance(u, (Left, Right)) and nodes.setdefault(id(u), u))
     forms = [f for f in _forms(text) if f[1] in ("left", "right")]
     assert len(forms) > 2 * len(set(forms))  # the text repeats its forms
     assert len(nodes) == len(set(forms))
-    again = parse_program(text).relations[0].body.g1.g1.v2
-    assert again == program.relations[0].body.g1.g1.v2
-    assert again is not program.relations[0].body.g1.g1.v2
+    again = parse_program(text).relations[0].body.disj.g1.g1.v2
+    assert again == program.relations[0].body.disj.g1.g1.v2
+    assert again is not program.relations[0].body.disj.g1.g1.v2
 
 
 def _outcome(text):
@@ -616,6 +623,193 @@ def test_corpus_parses_and_round_trips():
     program = parse_program(source)
     assert program.relations[0].body.binders == (("y", UNIT), ("z", Sum(UNIT, UNIT)))
     assert render_program(program) == source
+
+
+# ---------------------------------------------------------------------------
+# fact tables: a disjunction of ground facts is read as one leaf goal
+
+# Each is written as `render_program` writes it.
+_FACTS = {
+    "factor-first": """(defrel (unfair-coin-flip (coin : (Sum Unit Unit)))
+  (disj
+    (conj
+      (factor 0.7)
+      (== coin (left sole)))
+    (conj
+      (factor 0.3)
+      (== coin (right sole)))))
+""",
+    "single-pin": """(defrel (coin-flip (coin : (Sum Unit Unit)))
+  (disj
+    (== coin (left sole))
+    (== coin (right sole))))
+""",
+    "value-first": """(defrel (r (x : (Sum Unit Unit)) (y : Unit))
+  (disj
+    (conj
+      (== (left sole) x)
+      (== sole y))
+    (conj
+      (== y sole)
+      (conj
+        (== (right {(Sum Unit Unit)} sole) x)
+        (factor 1)))))
+""",
+    "under-fresh": """(defrel (r (x : (Sum Unit Unit)))
+  (fresh ((z : (Sum Unit Unit)))
+    (conj
+      (disj
+        (conj
+          (== x (left sole))
+          (== z (right sole)))
+        (disj
+          (conj
+            (== z (left sole))
+            (== x (left sole)))
+          (conj
+            (== x (right sole))
+            (== z (right sole)))))
+      (== z x))))
+""",
+}
+_NEAR_MISSES = {
+    "repeated-pin": """(defrel (r (x : (Sum Unit Unit)))
+  (disj
+    (conj
+      (== x (left sole))
+      (== x (right sole)))
+    (== x (left sole))))
+""",
+    "variable-value": """(defrel (r (x : (Sum Unit Unit)) (y : (Sum Unit Unit)))
+  (disj
+    (conj
+      (== x (left sole))
+      (== y x))
+    (conj
+      (== x (right sole))
+      (== y (left sole)))))
+""",
+    "two-factors": """(defrel (r (x : (Sum Unit Unit)))
+  (disj
+    (conj
+      (== x (left sole))
+      (conj
+        (factor 1)
+        (factor 1)))
+    (== x (right sole))))
+""",
+    "mixed-pins": """(defrel (r (x : (Sum Unit Unit)) (y : (Sum Unit Unit)))
+  (disj
+    (disj
+      (== x (left sole))
+      (== x (right sole)))
+    (== y (left sole))))
+""",
+}
+
+# Each fact table's rows: each pin's variable and value, in source order,
+# and the row's literal.
+_ROWS = {
+    "factor-first": [({"coin": "(left sole)"}, "0.7"), ({"coin": "(right sole)"}, "0.3")],
+    "single-pin": [({"coin": "(left sole)"}, None), ({"coin": "(right sole)"}, None)],
+    "value-first": [({"x": "(left sole)", "y": "sole"}, None),
+                    ({"y": "sole", "x": "(right {(Sum Unit Unit)} sole)"}, "1")],
+    "under-fresh": [({"x": "(left sole)", "z": "(right sole)"}, None),
+                    ({"z": "(left sole)", "x": "(left sole)"}, None),
+                    ({"x": "(right sole)", "z": "(right sole)"}, None)],
+}
+
+
+def _facts_nodes(program):
+    return [g for rel in program.relations for g in syntax.subgoals(rel.body)
+            if isinstance(g, Facts)]
+
+
+@pytest.mark.parametrize("name", sorted(_FACTS))
+def test_fact_disjunction_is_one_leaf_printed_as_read(name):
+    program = parse_program(_FACTS[name])
+    assert render_program(program) == _FACTS[name]
+    kinds = [type(g) for g in syntax.subgoals(program.relations[0].body)]
+    assert kinds.count(Facts) == 1 and Disj not in kinds
+    [table] = _facts_nodes(program)
+    assert [({x: render_value_expr(v) for x, (v, _) in pins.items()}, lit)
+            for pins, lit in table.rows] == _ROWS[name]
+    assert all(u.ty is None and v in (u.v1, u.v2) and Var(x) in (u.v1, u.v2)
+               for pins, _ in table.rows for x, (v, u) in pins.items())
+    # the checker keeps the node as read, and its `==`s untyped
+    assert _facts_nodes(check_program(program)) == [table]
+    assert _facts_nodes(check_program(program))[0] is table
+    assert parse_program(render_program(program)) == program
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+def test_near_miss_stays_a_disjunction(name):
+    program = parse_program(_NEAR_MISSES[name])
+    assert render_program(program) == _NEAR_MISSES[name]
+    kinds = {type(g) for g in syntax.subgoals(program.relations[0].body)}
+    assert Disj in kinds and Facts not in kinds
+
+
+def test_nested_fact_disjunctions_are_one_table_kept_as_read():
+    program = parse_program(_FACTS["under-fresh"])
+    [table] = _facts_nodes(program)
+    assert isinstance(table.disj.g2, Disj) and len(table.rows) == 3
+    # a failed disjunction takes its inner fact table back as a disj
+    body = parse_program(_NEAR_MISSES["mixed-pins"]).relations[0].body
+    assert type(body) is Disj and type(body.g1) is Disj
+
+
+def test_printed_fact_table_is_read_back_once_per_fact(monkeypatch):
+    # `render_program` prints edge's 256 facts as 255 nested disjs; each
+    # level takes the table read inside it as it is, so each fact's two
+    # values are looked at once, not once per enclosing level
+    program = parse_program(paths_source(0))
+    grounds = []
+    original = syntax._ground
+    monkeypatch.setattr(syntax, "_ground", lambda v, known: grounds.append(v) or original(v, known))
+    again = parse_program(render_program(program))
+    assert again == program and len(again.relation("edge").body.rows) == 256
+    assert len(grounds) == 512
+
+
+# (input, text replaced, replacement, the error: a message, or a parse
+# error's message, line and column), each the error that reading every
+# fact disjunction as a tree of `Disj` nodes and checking each `==` gives
+_FACT_ERRORS = [
+    ("factor-first", "(left sole))", "sole)",
+     "unfair-coin-flip: sole has type Unit, expected (Sum Unit Unit)"),
+    ("factor-first", "coin (right", "coins (right", "unfair-coin-flip: unbound variable 'coins'"),
+    ("factor-first", "(right sole)", "(rite sole)", ("unknown value constructor 'rite'", 8, 16)),
+    ("single-pin", "(left sole))", "sole)", "coin-flip: sole has type Unit, expected (Sum Unit Unit)"),
+    ("single-pin", "coin (right", "coins (right", "coin-flip: unbound variable 'coins'"),
+    ("single-pin", "(left sole)", "(left sole sole)", ("left takes one value", 3, 14)),
+    ("value-first", "(== (left sole) x)", "(== (left {(Sum Unit Unit)} (left sole)) x)",
+     "r: left constructor needs a Sum type, got Unit"),
+    ("value-first", "(== sole y)", "(== sole)", ("== takes two values", 5, 7)),
+    ("under-fresh", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
+    ("under-fresh", "(== z (right sole))", "(== z (right (pair sole sole)))",
+     "r: pair value cannot have type Unit"),
+    ("under-fresh", "(== z (left sole))", "(== z (left {Unit Unit} sole))",
+     ("annotation braces hold exactly one type", 10, 19)),
+    ("repeated-pin", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
+    ("variable-value", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
+    ("two-factors", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
+    ("mixed-pins", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
+    ("mixed-pins", "(== y (left sole))", "(== y (left sole)))", ("unexpected ')'", 6, 25)),
+]
+
+
+@pytest.mark.parametrize("name, old, new, error", _FACT_ERRORS)
+def test_fact_disjunction_errors_as_the_disj_tree_gave_them(name, old, new, error):
+    text = {**_FACTS, **_NEAR_MISSES}[name].replace(old, new, 1)
+    if isinstance(error, tuple):
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        assert (info.value.msg, info.value.line, info.value.col) == error
+    else:
+        with pytest.raises(TypeCheckError) as info:
+            check_program(parse_program(text))
+        assert str(info.value) == error
 
 
 @st.composite

@@ -406,7 +406,7 @@ def test_each_ground_operand_outside_freshes_is_walked_once(monkeypatch):
     monkeypatch.setattr(typecheck, "type_of_value", spy)
     typecheck.check_relation({rel.name: rel for rel in program.relations}, graph)
     types = dict(graph.params)
-    operands = [(g.v2, types[g.v1.name]) for g in subgoals(graph.body) if isinstance(g, Unify)]
+    operands = [(v, types[x]) for pins, _ in graph.body.rows for x, (v, _) in pins.items()]
     pairs = {(id(v), t) for v, t in operands}
     assert (len(operands), len(pairs)) == (126, 64)
     assert len(walks) == len(pairs)
