@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import poly, semiring, syntax, typecheck
-from .eval import EPSILON, FixpointResult, RelTable, fixpoint, type_label, type_labels
+from .eval import EPSILON, MAX_ITERS, FixpointResult, RelTable, fixpoint, type_label, type_labels
 from .semiring import SEMIRINGS, SemiringSpec, WeightLiteralError
 from .syntax import Factor, Facts, ParseError, Program, render_program, render_type
 
@@ -42,7 +42,7 @@ class RunConfig:
     semiring: str
     poly_mode: str = "monomorphize"
     epsilon: Optional[float] = None  # None: eval.EPSILON
-    max_iters: int = 10000
+    max_iters: int = MAX_ITERS
     fmt: str = "tsv"
     relations: list = field(default_factory=list)
     diff: bool = False
@@ -239,7 +239,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     runp.add_argument("--epsilon", type=float,
                       help="real-semiring convergence tolerance, finite and "
                            f"non-negative (default {EPSILON:g})")
-    runp.add_argument("--max-iters", type=int, default=10000)
+    runp.add_argument("--max-iters", type=int, default=MAX_ITERS)
     runp.add_argument("--format", choices=FORMATS, default="tsv", dest="fmt")
     runp.add_argument("--emit-lowered", metavar="PATH",
                       help="write the lowered monomorphic program here")

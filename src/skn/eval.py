@@ -62,9 +62,9 @@ import numpy as np
 
 from .semiring import SemiringSpec, parse_weight_literal
 from .syntax import (
-    Binders, Call, Conj, Disj, Disunify, Factor, Facts, Fresh, Goal, Left, Pair, Prod,
-    Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, Unify, Unit,
-    ValueExpr, Var, free_type_vars, free_vars, map_goal, subgoals,
+    Binders, Call, Conj, Disj, Disunify, Factor, Facts, Fresh, Goal, LEAF_GOALS, Left, Pair,
+    Prod, Program, RelationDef, Right, Sole, Sum, TyVar, TypeExpr, UNIT, Unify, ValueExpr,
+    Var, chain, free_type_vars, free_vars, map_goal, subgoals, walk_goal,
 )
 
 
@@ -99,49 +99,30 @@ def type_labels(t: TypeExpr) -> list[str]:
     writes it.  Each is written top-down, its prefix, then `sole`, then its
     suffix; a sum's branches share the text around it, so a sum's labels
     take time linear in their text.  A product's second component is
-    written after each label of its first.  A type of more than
-    `SPLICED_VALUES` values is written by `_spliced_labels`.  Iterative, so
-    depth is unbounded."""
+    written after each label of its first.  In a type of more than
+    `SPLICED_VALUES` values, each subtree of at most that many, but a Unit,
+    has its labels written once, by a call of its own, and spliced between
+    each prefix and suffix, so a subtree shared by many branches, as in a
+    balanced sum, or a product's second component, is not walked at each;
+    in a smaller type the bound is 0, so none is.  Iterative, so depth is
+    unbounded."""
     if t.size is None:
         raise ValueError(f"type variable {free_type_vars(t)[0]} has no values")
-    if t.size > SPLICED_VALUES:
-        return _spliced_labels(t)
-    labels: list[str] = []
-    stack: list[tuple] = [(t, "", "", None)]  # (type, text before, text after, pending)
-    while stack:
-        u, before, after, pending = stack.pop()
-        if isinstance(u, Sum):
-            stack += ((u.right, before + "(right ", ")" + after, pending),
-                      (u.left, before + "(left ", ")" + after, pending))
-        elif isinstance(u, Prod):  # its second component waits, with its text after
-            stack.append((u.first, before + "(pair ", " ", (u.second, ")" + after, pending)))
-        elif pending is None:
-            labels.append(before + "sole" + after)
-        else:  # a first component is written: write the second after it
-            stack.append((pending[0], before + "sole" + after, *pending[1:]))
-    return labels
-
-
-def _spliced_labels(t: TypeExpr) -> list[str]:
-    """`type_labels(t)`, written top-down down to each subtree of at most
-    `SPLICED_VALUES` values.  Such a subtree's labels, but a Unit's, are
-    written once (`type_labels`) and spliced between each prefix and
-    suffix, so a subtree shared by many branches, as in a balanced sum, or
-    a product's second component, is not walked at each."""
+    bound = SPLICED_VALUES if t.size > SPLICED_VALUES else 0
     labels: list[str] = []
     spliced: dict[TypeExpr, list[str]] = {}  # each small subtree's labels
     stack: list[tuple] = [(t, "", "", None)]  # (type, text before, text after, pending)
     while stack:
         u, before, after, pending = stack.pop()
-        if u.size > SPLICED_VALUES:
+        if u is UNIT:
+            texts = (before + "sole" + after,)
+        elif u.size > bound:
             if isinstance(u, Sum):
                 stack += ((u.right, before + "(right ", ")" + after, pending),
                           (u.left, before + "(left ", ")" + after, pending))
             else:  # a product, whose second component waits, with its text after
                 stack.append((u.first, before + "(pair ", " ", (u.second, ")" + after, pending)))
             continue
-        if isinstance(u, Unit):
-            texts = [before + "sole" + after]
         else:
             if (inner := spliced.get(u)) is None:
                 inner = spliced[u] = type_labels(u)
@@ -279,36 +260,23 @@ def _canonical_index(t: TypeExpr, caller: TypeExpr, target: TypeExpr, idx: np.nd
 def _gather(g: Union[Call, Fresh], scope: dict[str, TypeExpr], tables: dict[str, RelTable]
             ) -> tuple[tuple[str, ...], str, tuple[np.ndarray, ...]]:
     """A call, or a large-enough wrapper (a fresh with a `wrap` record and
-    the target's call first in its body), as one gather: its variables, the
-    relation it reads, and the index arrays into that relation's table.
-    The wrapper sums the target's weight over every copy of the caller's
-    arguments with their equality pattern; the target has one weight at
-    all of them, and addition is idempotent on this path, so the sum is
-    the weight at one canonical copy (`_canonical_index`)."""
+    the target's call the first operand of its body's conj chain), as one
+    gather: its variables, the relation it reads, and the index arrays into
+    that relation's table.  The wrapper sums the target's weight over every
+    copy of the caller's arguments with their equality pattern; the target
+    has one weight at all of them, and addition is idempotent on this path,
+    so the sum is the weight at one canonical copy (`_canonical_index`)."""
     if isinstance(g, Call):
         call = g
         dims, index, shape = _grid(scope, [d for a in g.args for d in free_vars(a)])
     else:
-        call, generic = g.body.g1, dict(g.wrap)
+        call, generic = chain(g.body, Conj)[0], dict(g.wrap)
         dims, axes, shape = _grid(scope, generic)
         holes: dict = {}
         index = {x2: _canonical_index(generic[x], scope[x], target, axes[x], True, holes)
                  for (x, _), (x2, target) in zip(g.wrap, g.binders)}
     return dims, call.rel, tuple(np.broadcast_to(_index_factor(a, ty, index), shape)
                                  for a, (_, ty) in zip(call.args, tables[call.rel].params))
-
-
-def _flatten(g: Goal, kind: type) -> list[Goal]:
-    """The operands of the chain of `kind` (Conj or Disj) nodes at `g`, left
-    to right; iterative, so a chain's length is not bounded by recursion."""
-    out, stack = [], [g]
-    while stack:
-        h = stack.pop()
-        if isinstance(h, kind):
-            stack += (h.g2, h.g1)
-        else:
-            out.append(h)
-    return out
 
 
 def _fact_table(g: Facts, scope: dict[str, TypeExpr], spec: SemiringSpec
@@ -591,15 +559,15 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: Semiri
     """Compile `rel`'s body for `spec`, against the parameters (not the
     cells) of the `tables` it calls.
 
-    Conj and disj chains are flattened and folded last to first, in the
-    order of their right-nested nodes; a fresh, and any directly inside it,
-    sums its binders out factor by factor (`Plan.eliminate`); a fact table
-    (`syntax.Facts`) is one scatter (`_fact_table`), and a call or a
-    large-enough wrapper one gather (`_gather`), or, for a call of
-    distinct variables, one transposed view of its table; a body that is
-    just such a view is copied, so no table shares another's cells.  The
-    goal is walked with an explicit stack, so its nesting is not bounded by
-    the recursion limit."""
+    Conj and disj chains are taken apart by `syntax.chain` and folded last
+    to first, in the order of their right-nested nodes; a fresh, and any
+    directly inside it, sums its binders out factor by factor
+    (`Plan.eliminate`); a fact table (`syntax.Facts`) is one scatter
+    (`_fact_table`), and a call or a large-enough wrapper one gather
+    (`_gather`), or, for a call of distinct variables, one transposed view
+    of its table; a body that is just such a view is copied, so no table
+    shares another's cells.  The goal is walked with an explicit stack, so
+    its nesting is not bounded by the recursion limit."""
     plan = Plan(rel.name, rel.params, spec, tuple(type_size(ty) for _, ty in rel.params))
     done: list[Term] = []
     work: list[tuple] = [(rel.body, dict(rel.params))]
@@ -628,7 +596,7 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: Semiri
         elif isinstance(g, Facts):
             done.append(_fact_table(g, scope, spec))
         elif isinstance(g, (Conj, Disj)):
-            parts = _flatten(g, type(g))
+            parts = chain(g, type(g))
             # pushed first to last, so done and folded last to first
             work.append((plan.fold, (spec.mul if isinstance(g, Conj) else spec.add,
                                      len(parts), scope)))
@@ -640,7 +608,7 @@ def compile_relation(rel: RelationDef, tables: dict[str, RelTable], spec: Semiri
                 binders += (x for x, _ in g.binders)
                 scope.update(g.binders)
                 g = g.body
-            parts = _flatten(g, Conj)
+            parts = chain(g, Conj)
             work.append((plan.eliminate, (binders, len(parts), scope)))
             work += ((p, scope) for p in reversed(parts))
         else:
@@ -730,19 +698,27 @@ def _call_graph_sccs(program: Program) -> list[tuple[list[RelationDef], bool]]:
 # rounds contract fast converges sooner by iteration.
 MAX_SOLVE_CELLS = 64
 EPSILON = 1e-9  # convergence tolerance over a field, unless one is given
+MAX_ITERS = 10000  # the most rounds of one component, unless another bound is given
 
 
 def _affine(rels: list[RelationDef]) -> bool:
     """Whether the bodies of a group are affine in the group's own tables,
-    by syntax: no conj has a call into the group on both sides.  A call is
-    linear in its table, disj and fresh add, and conj then only scales."""
+    by syntax: no conj chain has two operands that call into the group, so
+    no body's degree in them is above one.  A call is linear in its table,
+    disj and fresh add, and conj then only scales.  One walk per body,
+    which counts each open node's subgoals that call into the group."""
     names = {rel.name for rel in rels}
-
-    def calls_group(g: Goal) -> bool:
-        return any(isinstance(h, Call) and h.rel in names for h in subgoals(g))
-
-    return not any(isinstance(g, Conj) and calls_group(g.g1) and calls_group(g.g2)
-                   for rel in rels for g in subgoals(rel.body))
+    for rel in rels:
+        open_: list[list] = [[None, 0]]  # each node entered and not left: [its type, that count]
+        for h, entering in walk_goal(rel.body):
+            if entering and type(h) not in LEAF_GOALS:
+                open_.append([type(h), 0])
+                continue
+            kind, calls = open_.pop() if not entering else (None, type(h) is Call and h.rel in names)
+            if kind is Conj and calls > 1:
+                return False
+            open_[-1][1] += calls > 0
+    return True
 
 
 def _solve_affine(rels: list[RelationDef], plans: list[Plan], tables: dict[str, RelTable],
@@ -839,7 +815,7 @@ def _delta_plans(rels: list[RelationDef], tables: dict[str, RelTable],
     names = {rel.name for rel in rels}
     plans: dict[str, list[Plan]] = {rel.name: [] for rel in rels}
     for rel in rels:
-        for part in _flatten(rel.body, Disj):
+        for part in chain(rel.body, Disj):
             calls = sum(isinstance(g, Call) and g.rel in names for g in subgoals(part))
             plans[rel.name] += (compile_relation(RelationDef(rel.name, rel.tyvars, rel.params,
                                                              _reading_delta(part, names, i)),
@@ -879,27 +855,27 @@ def _delta_round(plans: dict[str, list[Plan]], tables: dict[str, RelTable],
 
 def _deltas(old: dict[str, RelTable], new: dict[str, RelTable], spec: SemiringSpec
             ) -> tuple[bool, Optional[dict[str, RelTable]]]:
-    """Whether a round of an idempotent group changed no cell, and, if it
-    changed at most `DELTA_FRACTION` of the cells that are not zero and zero
-    annihilates every cell, its Δ tables: each changed cell's new value,
-    and zero elsewhere."""
+    """Whether a round changed no cell: the exact stop test of a discrete
+    semiring's rounds.  If it changed some, but at most `DELTA_FRACTION` of
+    the cells that are not zero, under an idempotent addition with no
+    `matmul` kernel, and zero annihilates every cell, also its Δ tables:
+    each changed cell's new value, and zero elsewhere."""
     changed = {name: t.cells != old[name].cells for name, t in new.items()}
     count = sum(map(np.count_nonzero, changed.values()))
-    if count == 0:
-        return True, None
     cells = [t.cells for t in new.values()]
     # the cells that are not zero are at most all cells: a cheap test first
-    if count > DELTA_FRACTION * sum(c.size for c in cells) \
+    if count == 0 or not spec.idempotent_add or spec.matmul is not None \
+            or count > DELTA_FRACTION * sum(c.size for c in cells) \
             or count > DELTA_FRACTION * sum(np.count_nonzero(c != spec.zero) for c in cells) \
             or not all(_annihilates(spec, c) for c in cells):
-        return False, None
+        return count == 0, None
     return False, {DELTA + name: RelTable(DELTA + name, t.params,
                                           np.where(changed[name], t.cells, spec.zero))
                    for name, t in new.items()}
 
 
 def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = None,
-             max_iters: int = 10000,
+             max_iters: int = MAX_ITERS,
              on_round: Optional[Callable] = None) -> FixpointResult:
     """Solve the relations from all-zero tables, one call-graph component
     at a time, callees first, running each relation's plan once a round.
@@ -909,21 +885,23 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
     its own tables is solved exactly (`_solve_affine`), then runs one round
     of the common loop from the solution: the round that verified it.  Any
     other recursive component is re-evaluated against its own previous
-    round and its callees' finished tables until it stabilizes: exact
-    equality for discrete semirings, and over a field until the contraction
-    bound puts the round within `epsilon` of the fixed point (`EPSILON` when
-    None; discrete semirings ignore it).  Under an idempotent addition with
-    no `matmul` kernel, a round that follows one that changed at most
+    round and its callees' finished tables until it stabilizes: for a
+    discrete semiring, until a round changes no cell (`_deltas`, the one
+    exact test), and over a field until the contraction bound puts the
+    round within `epsilon` of the fixed point (`EPSILON` when None;
+    discrete semirings ignore it).  Under an idempotent addition with no
+    `matmul` kernel, a round that follows one that changed at most
     `DELTA_FRACTION` of the group's non-zero cells is run from those
     changes (`_delta_round`), with the full round's bits, while zero
     annihilates every cell the group reads; one that yields nan is run
     again in full.  ``iterations`` is the most rounds any component took,
     each such round counted as one.  A component that runs `max_iters`
-    rounds without stabilizing gives ``converged=False``, and later
-    components are solved against its last round.  A round that yields a nan cell (weights that
-    overflowed) stops solving: the tables so far are returned with
-    ``converged=False``, ``stopped_on_nan=True`` and that component's round
-    count, and later components keep all-zero tables.
+    (`MAX_ITERS` by default) rounds without stabilizing gives
+    ``converged=False``, and later components are solved against its last
+    round.  A round that yields a nan cell (weights that overflowed) stops
+    solving: the tables so far are returned with ``converged=False``,
+    ``stopped_on_nan=True`` and that component's round count, and later
+    components keep all-zero tables.
 
     ``on_round(round, old, new)`` is called after every round of every
     component, before the round's tables are stored: `round` counts from
@@ -941,7 +919,6 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                 if recursive and spec.field else None
             if solved is not None:  # its one round starts from the solution
                 tables.update(solved[0])
-            semi = recursive and spec.idempotent_add and spec.matmul is None
             delta, deltas, delta_plans = math.nan, None, None
             for it in range(1, max_iters + 1 if recursive else 2):
                 new = None
@@ -960,10 +937,8 @@ def fixpoint(program: Program, spec: SemiringSpec, epsilon: Optional[float] = No
                     done = True
                 elif spec.field:
                     done, delta = _within_tolerance(tables, new, delta, tol)
-                elif semi:
-                    done, deltas = _deltas(tables, new, spec)
                 else:
-                    done = all(np.array_equal(tables[n].cells, new[n].cells) for n in new)
+                    done, deltas = _deltas(tables, new, spec)
                 tables.update(new)
                 if done:
                     break

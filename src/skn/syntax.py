@@ -31,7 +31,9 @@ once per distinct form, and none walks the disjuncts again.
 Goals are walked by one iterative traversal, `walk_goal`, which yields
 each leaf once and each other node on entry and exit.  `subgoals`,
 `map_goal` and `render_goal` are built on it, and the type checker and
-the lowering walk goals only through these.  `nest` builds ``conj``/``disj`` chains.
+the lowering walk goals only through these.  `nest` builds ``conj``/``disj``
+chains and `chain` alone takes one apart into its operands, for the fact
+reader here and for the evaluator, which reads no node's subgoals itself.
 Types and values are folded bottom-up, also without recursion, by one
 `fold`; the renderers, a type's ``repr``, `free_vars`, `map_value` and
 `typecheck.apply_subst` are built on it.  A value or a type is walked
@@ -353,39 +355,30 @@ def as_facts(*disjuncts: Goal) -> Goal:
         return g
     rows: list = []
     known: set[int] = set()
-    stack = list(reversed(disjuncts))
-    while stack:
-        d = stack.pop()
-        if type(d) is Disj:
-            stack += (d.g2, d.g1)
-            continue
+    for d in (part for disjunct in disjuncts for part in chain(disjunct, Disj)):
         if type(d) is Facts:
-            if rows and d.rows[0][0].keys() != rows[0][0].keys():
-                return g
-            rows += d.rows
-            continue
-        pins, lit, parts = {}, None, [d]
-        while parts:
-            h = parts.pop()
-            if type(h) is Conj:
-                parts += (h.g2, h.g1)
-            elif type(h) is Unify:
-                if type(h.v1) is Var:
-                    x, v = h.v1.name, h.v2
-                elif type(h.v2) is Var:
-                    x, v = h.v2.name, h.v1
-                else:
+            new = d.rows
+        else:
+            pins, lit = {}, None
+            for h in chain(d, Conj):
+                if type(h) is Unify:
+                    if type(h.v1) is Var:
+                        x, v = h.v1.name, h.v2
+                    elif type(h.v2) is Var:
+                        x, v = h.v2.name, h.v1
+                    else:
+                        return g
+                    if x in pins or id(v) not in known and not _ground(v, known):
+                        return g
+                    pins[x] = v, h
+                elif type(h) is Factor and lit is None:
+                    lit = h.literal
+                else:  # a second factor, or another goal
                     return g
-                if x in pins or id(v) not in known and not _ground(v, known):
-                    return g
-                pins[x] = v, h
-            elif type(h) is Factor and lit is None:
-                lit = h.literal
-            else:  # a second factor, or another goal
-                return g
-        if not pins or rows and pins.keys() != rows[0][0].keys():
+            new = ((pins, lit),)
+        if not new[0][0] or rows and new[0][0].keys() != rows[0][0].keys():
             return g
-        rows.append((pins, lit))
+        rows += new
     return Facts(g, tuple(rows))
 
 
@@ -404,6 +397,21 @@ def walk_goal(g: Goal) -> Iterator[tuple[Goal, bool]]:
                 stack += ((h, False), (h.g2, True), (h.g1, True))
             elif isinstance(h, Fresh):
                 stack += ((h, False), (h.body, True))
+
+
+def chain(g: Goal, kind: type) -> list[Goal]:
+    """The operands of the chain of `kind` (Conj or Disj) nodes at `g`, left
+    to right, a left-nested node's too; ``[g]`` if `g` is not one.  The one
+    walk outside `walk_goal` and the printer that takes a chain apart.
+    Iterative, so a chain's length is not bounded by recursion."""
+    out, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if type(h) is kind:
+            stack += (h.g2, h.g1)
+        else:
+            out.append(h)
+    return out
 
 
 def nest(node: Callable[[Goal, Goal], Goal], goals: list[Goal]) -> Goal:
