@@ -11,8 +11,9 @@ The ``(forall ...)`` group is optional; when omitted, type variables are
 collected from the parameter types in first-occurrence order.  Parameter
 lists may be written flat (as above) or wrapped in one extra pair of
 parens.  ``conj``/``disj`` take two or more subgoals and right-nest into
-the binary AST forms; ``fresh`` may bind several variables, all in one
-`Fresh`.  Sum constructors take an optional brace-wrapped annotation,
+the binary AST forms, which `render_goal` prints back as one flat form;
+``fresh`` may bind several variables, all in one `Fresh`.  Sum
+constructors take an optional brace-wrapped annotation,
 ``(left {(Sum Unit Unit)} sole)``; when it is absent the type checker
 infers the sum type without writing it in.  Comments run from ``;`` to end of line.
 
@@ -846,13 +847,23 @@ def render_value(v: ValueExpr) -> str:
 
 
 def render_goal(g: Goal, indent: int = 0) -> str:
-    """One line per goal node, each nesting level indented two spaces."""
+    """One line per goal form, each nesting level indented two spaces.  A
+    right-nested conj or disj chain is one form, ``(conj a b c)``, so the
+    text nests no deeper than the source; a left-nested operand is a form
+    of its own, so the text reads back to the same nodes."""
     lines: list[str] = []
+    opened: list[list] = []  # each node entered and not left: [its type, subgoals entered, form]
     for h, entering in walk_goal(g):
         if not entering:
-            lines[-1] += ")"
-            indent -= 1
+            if opened.pop()[2]:
+                lines[-1] += ")"
+                indent -= 1
             continue
+        if opened:
+            opened[-1][1] += 1
+            if opened[-1][1] == 2 and opened[-1][0] is type(h):  # a chain's next link
+                opened.append([type(h), 0, False])  # its subgoals join the open form
+                continue
         match h:
             case Conj() | Disj():
                 text = "(conj" if isinstance(h, Conj) else "(disj"
@@ -871,7 +882,9 @@ def render_goal(g: Goal, indent: int = 0) -> str:
             case _:
                 raise TypeError(h)
         lines.append("  " * indent + text)
-        indent += type(h) not in LEAF_GOALS
+        if type(h) not in LEAF_GOALS:
+            opened.append([type(h), 0, True])
+            indent += 1
     return "\n".join(lines)
 
 

@@ -494,6 +494,18 @@ def test_chain_500_runs_and_writes_lowered_text(tmp_path):
     assert lowered.stat().st_size > 0
 
 
+def test_chain_500_lowered_text_runs_back(tmp_path):
+    # conj and disj chains print flat, so the lowered text of chain-500's
+    # 499-fact `graph` nests no deeper than its source and runs back to the
+    # original run's rows
+    src, lowered = tmp_path / "chain-500.skn", tmp_path / "lowered.skn"
+    src.write_text(chain_source(500))
+    first = run_capture(RunConfig(str(src), "boolean", relations=["from0"],
+                                  emit_lowered=str(lowered)))
+    again = run_capture(RunConfig(str(lowered), "boolean", relations=["from0"]))
+    assert first[0] == 0 and again == first
+
+
 def test_deep_type_equality_within_recursion_limit(tmp_path):
     # checking chain-400 compares 399-deep sum types
     src = tmp_path / "chain-400.skn"

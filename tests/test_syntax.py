@@ -625,6 +625,29 @@ def test_corpus_parses_and_round_trips():
     assert render_program(program) == source
 
 
+def test_chains_print_flat_and_left_nested_operands_apart():
+    # a right-nested chain is one form; a left-nested conj, and a disj
+    # inside a conj, are forms of their own, so the text reads back to the
+    # same nodes
+    source = ("(defrel (r (x : Unit))\n"
+              "  (conj\n"
+              "    (conj\n"
+              "      (== x sole)\n"
+              "      (== sole x))\n"
+              "    (disj\n"
+              "      (== x x)\n"
+              "      (=/= x x)\n"
+              "      (== x sole))\n"
+              "    (== x x)\n"
+              "    (== sole sole)))\n")
+    program = parse_program(source)
+    body = program.relations[0].body
+    assert type(body) is Conj and type(body.g1) is Conj and type(body.g2) is Conj
+    assert type(body.g2.g1) is Disj and type(body.g2.g2) is Conj
+    assert render_program(program) == source
+    assert parse_program(render_program(program)) == program
+
+
 # ---------------------------------------------------------------------------
 # fact tables: a disjunction of ground facts is read as one leaf goal
 
@@ -651,9 +674,8 @@ _FACTS = {
       (== sole y))
     (conj
       (== y sole)
-      (conj
-        (== (right {(Sum Unit Unit)} sole) x)
-        (factor 1)))))
+      (== (right {(Sum Unit Unit)} sole) x)
+      (factor 1))))
 """,
     "under-fresh": """(defrel (r (x : (Sum Unit Unit)))
   (fresh ((z : (Sum Unit Unit)))
@@ -662,13 +684,12 @@ _FACTS = {
         (conj
           (== x (left sole))
           (== z (right sole)))
-        (disj
-          (conj
-            (== z (left sole))
-            (== x (left sole)))
-          (conj
-            (== x (right sole))
-            (== z (right sole)))))
+        (conj
+          (== z (left sole))
+          (== x (left sole)))
+        (conj
+          (== x (right sole))
+          (== z (right sole))))
       (== z x))))
 """,
 }
@@ -693,9 +714,8 @@ _NEAR_MISSES = {
   (disj
     (conj
       (== x (left sole))
-      (conj
-        (factor 1)
-        (factor 1)))
+      (factor 1)
+      (factor 1))
     (== x (right sole))))
 """,
     "mixed-pins": """(defrel (r (x : (Sum Unit Unit)) (y : (Sum Unit Unit)))
@@ -751,25 +771,62 @@ def test_near_miss_stays_a_disjunction(name):
 
 
 def test_nested_fact_disjunctions_are_one_table_kept_as_read():
-    program = parse_program(_FACTS["under-fresh"])
+    # "under-fresh" with its last two facts in a disj of their own: the
+    # inner table joins the outer one, rows and all, and the nodes are the
+    # flat form's, so it prints as that
+    program = parse_program("""(defrel (r (x : (Sum Unit Unit)))
+  (fresh ((z : (Sum Unit Unit)))
+    (conj
+      (disj
+        (conj (== x (left sole)) (== z (right sole)))
+        (disj
+          (conj (== z (left sole)) (== x (left sole)))
+          (conj (== x (right sole)) (== z (right sole)))))
+      (== z x))))
+""")
     [table] = _facts_nodes(program)
     assert isinstance(table.disj.g2, Disj) and len(table.rows) == 3
+    assert [({x: render_value_expr(v) for x, (v, _) in pins.items()}, lit)
+            for pins, lit in table.rows] == _ROWS["under-fresh"]
+    assert program == parse_program(_FACTS["under-fresh"])
+    assert render_program(program) == _FACTS["under-fresh"]
     # a failed disjunction takes its inner fact table back as a disj
     body = parse_program(_NEAR_MISSES["mixed-pins"]).relations[0].body
     assert type(body) is Disj and type(body.g1) is Disj
 
 
 def test_printed_fact_table_is_read_back_once_per_fact(monkeypatch):
-    # `render_program` prints edge's 256 facts as 255 nested disjs; each
-    # level takes the table read inside it as it is, so each fact's two
-    # values are looked at once, not once per enclosing level
+    # `render_program` prints edge's 256 facts as one flat disj, read as one
+    # table, so each of the 128 distinct values of their 512 pins is looked
+    # at once
     program = parse_program(paths_source(0))
     grounds = []
     original = syntax._ground
     monkeypatch.setattr(syntax, "_ground", lambda v, known: grounds.append(v) or original(v, known))
     again = parse_program(render_program(program))
     assert again == program and len(again.relation("edge").body.rows) == 256
-    assert len(grounds) == 512
+    assert len(grounds) == 128
+
+
+def test_long_fact_chain_prints_as_one_form_and_reads_back():
+    # chain-500's `graph` is 499 facts; printed as one flat disj, its text
+    # nests no deeper than the source's, so it reads back within the
+    # recursion limit
+    program = parse_program(chain_source(500))
+    again = parse_program(render_program(program))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * limit)  # `==` on dataclasses recurses down the 499-deep chain
+    try:
+        assert again == program
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_printed_fact_table_is_about_its_source_size():
+    # each fact is indented as deep as in the source, not one level deeper
+    # per fact before it
+    source = paths_source(0)
+    assert len(render_program(parse_program(source)).encode()) <= 1.1 * len(source.encode())
 
 
 # (input, text replaced, replacement, the error: a message, or a parse
@@ -790,7 +847,7 @@ _FACT_ERRORS = [
     ("under-fresh", "(== z (right sole))", "(== z (right (pair sole sole)))",
      "r: pair value cannot have type Unit"),
     ("under-fresh", "(== z (left sole))", "(== z (left {Unit Unit} sole))",
-     ("annotation braces hold exactly one type", 10, 19)),
+     ("annotation braces hold exactly one type", 9, 17)),
     ("repeated-pin", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
     ("variable-value", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
     ("two-factors", "(left sole))", "sole)", "r: sole has type Unit, expected (Sum Unit Unit)"),
