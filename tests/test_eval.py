@@ -275,6 +275,16 @@ def test_affinity_by_syntax():
     assert skn_eval._affine(_recursive_group(load("coins.skn")))
     # (conj (connect x z) (connect z y)) calls the group on both sides
     assert not skn_eval._affine(_recursive_group(load("connect.skn")))
+    # two operands of one conj chain that call the group, a left-nested
+    # conj's too, make a body not affine; calls in different disjuncts add
+    for body, affine in [("(conj (conj (== x x) (r x)) (r x))", False),
+                         ("(conj (disj (r x) (== x x)) (fresh ((y : Unit)) (r y)))", False),
+                         ("(conj (== x x) (conj (== x sole) (r x)) (r x))", False),
+                         ("(disj (conj (r x) (== x x)) (disj (r x) (fresh ((y : Unit)) (r y))))",
+                          True),
+                         ("(conj (== x x) (disj (r x) (r x)) (== x sole))", True)]:
+        [rel] = parse_program(f"(defrel (r (x : Unit)) {body})").relations
+        assert skn_eval._affine([rel]) is affine, body
 
 
 def test_negative_real_weights_solved():
