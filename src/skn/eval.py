@@ -24,10 +24,9 @@ query (Abo Khamis, Ngo and Rudra, PODS 2016).  A binder in two or more
 subgoals is summed out by FAQ's pairwise step, run as a batched semiring
 matrix product (Kepner et al., HPEC 2016) of the product of all but the
 last and the last: by the spec's `matmul` kernel, or by a loop that
-builds `BLOCK_CELLS` product cells at a time, skips zero terms where zero
-annihilates exactly, and splits large products over two threads
-(`SPLIT_CELLS`), so their whole product is never built; a product that
-fits one block is built and summed at once.  A plan's steps are
+builds `BLOCK_CELLS` product cells at a time and skips zero terms where
+zero annihilates exactly, so their whole product is never built; a
+product that fits one block is built and summed at once.  A plan's steps are
 functions of their operands, and `Plan.step` runs one at once when its
 operands are all constants: the masks of == and =/=, the fact tables, the
 factors' weights and all that is built from them alone.  A round runs the
@@ -51,9 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Callable, Optional, Union
@@ -114,19 +111,22 @@ def type_labels(t: TypeExpr) -> list[str]:
     stack: list[tuple] = [(t, "", "", None)]  # (type, text before, text after, pending)
     while stack:
         u, before, after, pending = stack.pop()
-        if u is UNIT:
-            texts = (before + "sole" + after,)
-        elif u.size > bound:
+        if u is UNIT:  # its one label, with no tuple to hold it
+            if pending is None:
+                labels.append(before + "sole" + after)
+            else:
+                stack.append((pending[0], before + "sole" + after, *pending[1:]))
+            continue
+        if u.size > bound:
             if isinstance(u, Sum):
                 stack += ((u.right, before + "(right ", ")" + after, pending),
                           (u.left, before + "(left ", ")" + after, pending))
             else:  # a product, whose second component waits, with its text after
                 stack.append((u.first, before + "(pair ", " ", (u.second, ")" + after, pending)))
             continue
-        else:
-            if (inner := spliced.get(u)) is None:
-                inner = spliced[u] = type_labels(u)
-            texts = [before + text + after for text in inner]
+        if (inner := spliced.get(u)) is None:
+            inner = spliced[u] = type_labels(u)
+        texts = [before + text + after for text in inner]
         if pending is None:
             labels += texts
         else:  # each is a first component: write the second after it
@@ -310,28 +310,6 @@ def _fact_table(g: Facts, scope: dict[str, TypeExpr], spec: SemiringSpec
 
 Term = tuple[tuple[str, ...], Union[np.ndarray, int]]  # axes' variables; constant or slot
 BLOCK_CELLS = 2 ** 16  # the most product cells a contraction's loop builds at once, or one row
-# A contraction under a spec without a `matmul` kernel runs in blocks of
-# output rows (`_loop_matmul`).  One of at least SPLIT_CELLS product cells is
-# split in two when two CPUs are usable: a helper thread computes the second
-# half of the output rows while the caller computes the first.  Each output
-# cell is summed by one thread, in the serial loop's order, so the split
-# gives the serial bits under any semiring.  numpy releases the GIL inside
-# its loops, so the halves run in parallel.  On a 2-core Xeon a serial
-# 2**20-cell min-plus product takes about 1 ms, a thread's start and join
-# about 70 us.  The gate is read twice.  `Plan.eliminate` reads it on the
-# dense product, to mark the contractions that may split.  `_loop_matmul`
-# reads it at run time on the cells that are left once zero terms are
-# skipped, so a round whose left operand is mostly zero stays in one thread,
-# with whole blocks.  Only a contraction that does split halves its blocks,
-# to max(1, rows // 2) output rows, so the two threads build at most
-# max(BLOCK_CELLS, 2 * row) product cells at once, a row being the cells of
-# one output row.  The helper runs under the caller's numpy errstate, which
-# it is given, since a thread starts with numpy's default.
-SPLIT_CELLS = 2 ** 20
-try:
-    USABLE_CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # a platform without CPU affinity
-    USABLE_CPUS = os.cpu_count() or 1
 
 
 def _view(dims: tuple[str, ...], dims_out: tuple[str, ...],
@@ -357,94 +335,44 @@ def _lay_out(view: tuple[int, ...], shape: tuple[int, ...], arr: np.ndarray) -> 
     return np.broadcast_to(arr.reshape(view), shape).copy()
 
 
-def _loop_matmul(spec: SemiringSpec, rows: int, split: bool,
-                 m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+def _loop_matmul(spec: SemiringSpec, rows: int, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """The semiring product of stacks of matrices, m1 (b, l, k) and m2
     (b, k, r), for a spec without a `matmul` kernel.  Its output rows, over
-    b and l, go `rows` a block: a block's rows of m1 are multiplied with m2
-    into one buffer, which one `add.reduce` over k sums into the block's
-    slice of the result.  Under an idempotent addition, whose carriers here
-    have a zero that annihilates exactly, a block with no value of k at
-    which one of its rows of m1 is not zero is zero, and one with at most
-    half of k such values gathers and multiplies only those; past half,
-    gathering costs more than the zero terms it saves.  Real keeps every
-    term, since 0 * inf is nan.  With `split`, the blocks are halved to
-    max(1, rows // 2) rows, and if enough cells are left to multiply in
-    them a helper thread computes the second half of them (`_in_halves`);
-    if not, one thread runs blocks of `rows` rows."""
+    b and l, go `rows` a block, `per` whole matrices or `step` rows of one:
+    a block's rows of m1 are multiplied with m2 into one buffer, which one
+    `add.reduce` over k sums into the block's slice of the result.  Under an
+    idempotent addition, whose carriers here have a zero that annihilates
+    exactly, a block with no value of k at which one of its rows of m1 is
+    not zero is zero, and one with at most half of k such values gathers
+    and multiplies only those; past half, gathering costs more than the
+    zero terms it saves.  Real keeps every term, since 0 * inf is nan."""
     b, l, k = m1.shape
     r = m2.shape[2]
-    nonzero = m1 != spec.zero if spec.idempotent_add else None
-
-    def layout(rows: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-        """Blocks of `rows` output rows: `per` whole matrices or `step` rows
-        of one, and each block's rows, kept values of k and their count."""
-        per, step = max(1, rows // l), min(rows, l)
-        starts_b, starts_l = np.arange(0, b, per), np.arange(0, l, step)
-        sizes = np.outer(np.minimum(per, b - starts_b), np.minimum(step, l - starts_l)).ravel()
-        if nonzero is None:
-            keep = np.ones((sizes.size, k), bool)
-        else:  # padded with zero rows to whole blocks
-            padded = np.zeros((starts_b.size * per, starts_l.size * step, k), bool)
-            padded[:b, :l] = nonzero
-            keep = padded.reshape(starts_b.size, per, starts_l.size, step, k).any(axis=(1, 3))
-            keep = keep.reshape(sizes.size, k)
-        return per, step, sizes, keep, keep.sum(axis=1)
-
-    per, step, sizes, keep, kept = layout(max(1, rows // 2) if split else rows)
-    if split and r * int(np.dot(sizes, np.where(2 * kept > k, k, kept))) < SPLIT_CELLS:
-        split, (per, step, sizes, keep, kept) = False, layout(rows)
-    bounds = [(i, i + per, j, j + step) for i in range(0, b, per) for j in range(0, l, step)]
-    kept, out = kept.tolist(), np.empty((b, l, r), spec.dtype)
-
-    def run(lo: int, hi: int) -> None:
-        buf = np.empty(int(sizes.max()) * k * r, spec.dtype)
-        for n in range(lo, hi):
-            i0, i1, j0, j1 = bounds[n]
-            if not kept[n]:
-                out[i0:i1, j0:j1] = spec.zero
-                continue
-            x, y = m1[i0:i1, j0:j1], m2[i0:i1]
-            if 2 * kept[n] <= k:
-                values = np.flatnonzero(keep[n])
-                x, y = x[:, :, values], y[:, values]
-            shape = (*x.shape, r)
-            product = spec.mul(x[..., None], y[:, None], out=buf[:math.prod(shape)].reshape(shape))
-            spec.add.reduce(product, axis=2, out=out[i0:i1, j0:j1])
-
-    if split:
-        _in_halves(run, len(bounds))
+    per, step = max(1, rows // l), min(rows, l)
+    starts_b, starts_l = np.arange(0, b, per), np.arange(0, l, step)
+    sizes = np.outer(np.minimum(per, b - starts_b), np.minimum(step, l - starts_l)).ravel()
+    if spec.idempotent_add:  # each block's kept values of k, padded with zero rows to whole blocks
+        padded = np.zeros((starts_b.size * per, starts_l.size * step, k), bool)
+        padded[:b, :l] = m1 != spec.zero
+        keep = padded.reshape(starts_b.size, per, starts_l.size, step, k).any(axis=(1, 3))
+        keep = keep.reshape(sizes.size, k)
     else:
-        run(0, len(bounds))
+        keep = np.ones((sizes.size, k), bool)
+    bounds = [(i, i + per, j, j + step) for i in range(0, b, per) for j in range(0, l, step)]
+    kept, out = keep.sum(axis=1).tolist(), np.empty((b, l, r), spec.dtype)
+    buf = np.empty(int(sizes.max()) * k * r, spec.dtype)
+    for n, (i0, i1, j0, j1) in enumerate(bounds):
+        if not kept[n]:
+            out[i0:i1, j0:j1] = spec.zero
+            continue
+        x, y = m1[i0:i1, j0:j1], m2[i0:i1]
+        if 2 * kept[n] <= k:
+            values = np.flatnonzero(keep[n])
+            x, y = x[:, :, values], y[:, values]
+        shape = (*x.shape, r)
+        product = spec.mul(x[..., None], y[:, None], out=buf[:math.prod(shape)].reshape(shape))
+        spec.add.reduce(product, axis=2, out=out[i0:i1, j0:j1])
     return out
-
-
-def _in_halves(run: Callable[[int, int], None], n: int) -> None:
-    """`run(0, n)` as `run(0, n // 2)` here and `run(n // 2, n)` on a helper
-    thread, under the caller's numpy errstate (`SPLIT_CELLS`).  What the
-    helper raises is raised here after the join; if no thread can be
-    started, the caller runs both halves."""
-    mid, failed, errstate = n // 2, [], np.geterr()
-
-    def run_second() -> None:
-        try:
-            with np.errstate(**errstate):
-                run(mid, n)
-        except BaseException as e:  # raised in the caller
-            failed.append(e)
-
-    helper = threading.Thread(target=run_second)
-    try:
-        helper.start()
-    except RuntimeError:  # no thread to be had
-        run(0, n)
-        return
-    try:
-        run(0, mid)
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
 
 
 def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) -> np.ndarray:
@@ -455,9 +383,9 @@ def _contract(spec: SemiringSpec, a1: np.ndarray, a2: np.ndarray, how: tuple) ->
     that both have and the left and right axes those that only one has.  The
     spec's `matmul` kernel multiplies them, or `_loop_matmul` where it has
     none, and the result is laid back out over its axes in scope order."""
-    axes1, axes2, (b, l, k, r), lay, axes, rows, split = how
+    axes1, axes2, (b, l, k, r), lay, axes, rows = how
     m1, m2 = a1.transpose(axes1).reshape(b, l, k), a2.transpose(axes2).reshape(b, k, r)
-    out = _loop_matmul(spec, rows, split, m1, m2) if spec.matmul is None else spec.matmul(m1, m2)
+    out = _loop_matmul(spec, rows, m1, m2) if spec.matmul is None else spec.matmul(m1, m2)
     return out.reshape(lay).transpose(axes)
 
 
@@ -508,12 +436,12 @@ class Plan:
         one with a term built from a Δ table, is not built: the product of
         all but the last term that has the binder is contracted with the
         last as a semiring matrix product (`_contract`), whose output rows
-        the generic loop takes `BLOCK_CELLS // row` at a time.  Of two
-        terms, one built from a Δ table goes first, where the loop's zero
-        skip reads it; `mul` commutes, but three or more keep their order,
-        since re-associating `mul` could move a cell's last bits.  A smaller
-        product is built and summed at once; an unused binder, as the scalar
-        sum of |type| ones."""
+        the generic loop takes `BLOCK_CELLS // row` at a time, one block
+        after another.  Of two terms, one built from a Δ table goes first,
+        where the loop's zero skip reads it; `mul` commutes, but three or
+        more keep their order, since re-associating `mul` could move a
+        cell's last bits.  A smaller product is built and summed at once; an
+        unused binder, as the scalar sum of |type| ones."""
         spec, pending = self.spec, list(binders)
 
         def cells(b: str) -> int:  # of the product of the terms that have `b`
@@ -539,14 +467,11 @@ class Plan:
                 batch = [d for d in rest if d in d1 and d in d2]
                 left, right = [d for d in rest if d not in d2], [d for d in rest if d not in d1]
                 b, l, k, r = (math.prod(scope[d].size for d in ds) for ds in (batch, left, [name], right))
-                rows = max(1, BLOCK_CELLS // (k * r))
-                split = (spec.matmul is None and USABLE_CPUS > 1 and b * l > 1
-                         and product >= SPLIT_CELLS)
                 order = batch + left + right
                 how = ([d1.index(d) for d in batch + left + [name]],
                        [d2.index(d) for d in batch + [name] + right], (b, l, k, r),
                        tuple(scope[d].size for d in order), [order.index(d) for d in rest],
-                       rows, split)
+                       max(1, BLOCK_CELLS // (k * r)))
                 terms.append((rest, self.step(partial(_contract, spec, how=how), a1, a2)))
             else:
                 dims, arr = self.fold(group, spec.mul, scope)

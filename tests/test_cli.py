@@ -17,9 +17,7 @@ from skn.eval import RelTable
 from skn.poly import canonical_type
 
 import oracle
-from helpers import (
-    CORPUS, IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load, paths_source, thread_starts,
-)
+from helpers import CORPUS, IDEMPOTENT_CORPUS, PROGRAM_DIR, chain_source, load, paths_source
 
 
 def path(name):
@@ -407,20 +405,17 @@ def test_nan_at_last_allowed_round_is_named():
                    "tables are from the last round\n")
 
 
-def test_split_join_overflows_quietly(tmp_path, monkeypatch, capsys):
+def test_min_plus_join_overflows_quietly(tmp_path, capsys):
     # edges of weight 1e308 in place of 9 make dist's min-plus join overflow
-    # to inf, while the rest make dist dense, so a round's join is split; the
-    # helper thread that computes half of its rows runs under the errstate of
-    # fixpoint, which ignores overflow, as the caller does
+    # to inf, while the rest make dist dense; the join runs under the
+    # errstate of fixpoint, which ignores overflow
     program = tmp_path / "far.skn"
     program.write_text(paths_source(0, 128).replace("(factor 9)", "(factor 1e308)"))
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
-    starts = thread_starts(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         status = main(["run", str(program), "--semiring", "min-tropical", "--rel", "dist"])
     captured = capsys.readouterr()
-    assert status == 0 and captured.err == "" and starts
+    assert status == 0 and captured.err == ""
     assert "\tinf\n" in captured.out and "\t1e+308\n" in captured.out
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

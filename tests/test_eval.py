@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import math
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -954,13 +953,17 @@ def test_kernels_match_the_generic_loop(spec):
             assert _same(kernel.tables[name].cells, table.cells, spec), name
 
 
-def test_boolean_join_starts_no_thread(monkeypatch):
-    """chain-128's boolean join, 2**21 product cells, is one call of
-    boolean's kernel, so no thread is started even with two usable CPUs."""
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
-    starts = thread_starts(monkeypatch)
-    res = fixpoint(checked(chain_source(128)), BOOLEAN)
-    assert res.converged and res.tables["from0"].cells[1:].all() and not starts
+def test_fixpoint_starts_no_thread(monkeypatch):
+    """`fixpoint` starts no thread under any semiring, on chain-128's and a
+    paths-shaped program's 128**3-cell joins: boolean's and real's kernels
+    are one call each, and min-tropical's loop runs its blocks one after
+    another.  Real's paths diverge, so that run is cut at 300 rounds."""
+    starts, chain = thread_starts(monkeypatch), checked(chain_source(128))
+    for spec in (BOOLEAN, MIN_TROPICAL, REAL):
+        res = fixpoint(chain, spec)
+        assert res.converged and (res.tables["from0"].cells[1:] != spec.zero).all()
+        fixpoint(checked(paths_source(0, 128, "1" if spec is BOOLEAN else None)), spec, max_iters=300)
+    assert not starts
 
 
 def _counting(spec):
@@ -975,27 +978,21 @@ def _counting(spec):
     return dataclasses.replace(spec, mul=mul), sizes
 
 
-def test_zero_terms_are_not_multiplied(monkeypatch):
+def test_zero_terms_are_not_multiplied():
     """dist's join on a paths-shaped program multiplies only the binder
     values at which a block of its left operand is not zero: none in round
     1, where dist is all zero, and under 1/8 of the dense 128**3 cells a
-    round over rounds 1-3 (3.7% here, with two rows a block).  A round whose
-    left operand is that sparse stays in one thread; the first dense round,
-    the fifth, is split."""
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
-    starts = thread_starts(monkeypatch)
+    round over rounds 1-3 (6.6% here, with four rows a block)."""
     spec, sizes = _counting(MIN_TROPICAL)
-    rounds = []
+    cells = []
 
     def on_round(it, old, new):
         if "dist" in new:
-            rounds.append((sum(sizes), len(starts)))
+            cells.append(sum(sizes))
         sizes.clear()
 
     fixpoint(checked(paths_source(0, 128)), spec, on_round=on_round)
-    cells, threads = zip(*rounds)
     assert cells[0] == 0 and sum(cells[:3]) < 3 * 128 ** 3 / 8, cells
-    assert threads[:4] == (0, 0, 0, 0) and threads[4] == 1, threads
 
 
 @pytest.mark.parametrize("spec", [MIN_TROPICAL, BOOLEAN_LOOP], ids=["min-tropical", "boolean-loop"])
@@ -1099,34 +1096,21 @@ def test_blocked_fixpoints_match_one_block(monkeypatch, spec):
     product and sum: the same tables and rounds under boolean and
     min-tropical.  Under real the sums run in another order, so the tables
     agree to rounding, and a round may differ in its last bits and end
-    another round later (chain-64's connect).  With the split's gate at zero
-    and two usable CPUs, every contraction under min-tropical is computed in
-    two halves of its output rows on two threads, and gives the blocked
-    run's bits; boolean and real run their kernels in one call, so they
-    give them too."""
+    another round later (chain-64's connect)."""
     sources = [load(name) for name in IDEMPOTENT_CORPUS] + \
         [gen.random_program(seed) for seed in range(10)] + [chain_source(64)]
-    monkeypatch.setattr(skn_eval, "SPLIT_CELLS", 0)
-    starts = thread_starts(monkeypatch)
     for src in sources:
         program = check_program(parse_program(src))
         lowered = lower_program(program, "monomorphize", spec)
         results = []
-        for cells, cpus in ((1, 1), (1, 2), (2 ** 62, 2)):
+        for cells in (1, 2 ** 62):
             monkeypatch.setattr(skn_eval, "BLOCK_CELLS", cells)
-            monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
             results.append(fixpoint(lowered, spec, max_iters=300))
-        blocked, split, whole = results
+        blocked, whole = results
         assert (blocked.converged, blocked.stopped_on_nan) == (whole.converged, whole.stopped_on_nan)
         assert blocked.iterations == whole.iterations or spec is REAL
         for name, table in whole.tables.items():
             assert _same(blocked.tables[name].cells, table.cells, spec), name
-        assert (split.converged, split.stopped_on_nan, split.iterations) == \
-            (blocked.converged, blocked.stopped_on_nan, blocked.iterations)
-        for name, table in blocked.tables.items():
-            assert np.array_equal(split.tables[name].cells, table.cells,
-                                  equal_nan=spec is REAL), name
-    assert bool(starts) == (spec.matmul is None)
 
 
 def test_cyclic_connect_under_real_stops_on_nan():
@@ -1142,155 +1126,58 @@ def test_cyclic_connect_under_real_stops_on_nan():
     assert np.isnan(res.tables["connect"].cells).any()
 
 
-def _contractions(monkeypatch, src, spec, cpus):
-    """The contraction steps of `src`'s plans under `spec` with `cpus`
-    usable CPUs."""
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
+def _contractions(src, spec):
+    """The contraction steps of `src`'s plans under `spec`."""
     program = lower_program(checked(src), "monomorphize", spec)
     tables = {rel.name: zero_table(rel, spec) for rel in program.relations}
     return [fn for rel in program.relations for fn, _ in compile_relation(rel, tables, spec).steps
             if getattr(fn, "func", None) is skn_eval._contract]
 
 
-# Each contraction's (split, rows): whether it may split across two
-# threads, and its block's output rows before a split halves them at run
-# time (`test_block_rows_and_gathered_values`).
-@pytest.mark.parametrize("src, spec, cpus, want", [
-    # 128**3 cells and a thread for half the rows, with four rows a block
-    ("chain-128", MIN_TROPICAL, 2, [(True, 4)]),
-    ("chain-128", BOOLEAN, 2, [(False, 4)]),  # boolean's kernel is one call
-    ("chain-128", MIN_TROPICAL, 1, [(False, 4)]),
-    ("chain-128", REAL, 2, [(False, 4)]),  # and so is real's
-    ("chain-64", MIN_TROPICAL, 2, [(False, 16)]),  # 2**18 cells, below SPLIT_CELLS
-    ("unit-binder", BOOLEAN, 2, [(False, 64)]),  # 2**20 cells, in boolean's kernel
-    ("unit-binder", MIN_TROPICAL, 2, [(True, 64)]),  # a one-value binder, 1024 rows to halve
-    ("one-row", MIN_TROPICAL, 2, [(False, 1)]),  # 2**20 cells, but one row has no halves
-], ids=lambda v: getattr(v, "name", v))
-def test_split_gate(monkeypatch, src, spec, cpus, want):
-    t32 = right_nested_sum(32)[0]
-    t1024 = f"(Prod {t32} {t32})"
-    src = {"chain-128": chain_source(128), "chain-64": chain_source(64),
-           "unit-binder": f"(defrel (e (x : {t1024}) (z : Unit)) (== z sole))\n"
-                          f"(defrel (r (x : {t1024}) (y : {t1024}))\n"
-                          f"  (fresh ((z : Unit)) (conj (e x z) (e y z))))\n",
-           "one-row": f"(defrel (e (z : {t1024})) (== z z))\n"
-                      f"(defrel (f (z : {t1024}) (y : {t1024})) (== z y))\n"
-                      f"(defrel (r (y : {t1024})) (fresh ((z : {t1024})) (conj (e z) (f z y))))\n"}[src]
-    got = [fn.keywords["how"][-1:-3:-1] for fn in _contractions(monkeypatch, src, spec, cpus)]
-    assert got == want
-
-
-@pytest.mark.parametrize("cpus, kept, rows, values", [
-    (2, 128, 2, 128),  # a dense split: blocks of max(1, 4 // 2) rows
-    (1, 128, 4, 128),  # one CPU: no split
-    (2, 1, 4, 1),  # 2**14 cells left to multiply, below SPLIT_CELLS: no split
-    (1, 64, 4, 64),  # half of the binder's values kept: those are gathered
-    (1, 65, 4, 128),  # more than half: none is gathered, and all are multiplied
-])
-def test_block_rows_and_gathered_values(monkeypatch, cpus, kept, rows, values):
+@pytest.mark.parametrize("kept, values", [
+    (128, 128),  # every value kept: none is gathered
+    (1, 1),
+    (64, 64),  # half of the binder's values kept: those are gathered
+    (65, 128),  # more than half: none is gathered, and all are multiplied
+], ids=["dense", "one-kept", "half-kept", "past-half"])
+def test_block_rows_and_gathered_values(kept, values):
     """chain-128's join, whose blocks have four output rows, when the first
-    `kept` values of the binder z are not zero in connect(x, z): a run that
-    splits halves each block to max(1, 4 // 2) rows, and one that does not
-    keeps four; a block gathers its kept values of z when they are at most
-    half of z's 128, and otherwise multiplies all 128.  Each block's product
-    has rows * values * 128 cells, and the join is the min-plus product
-    (its operands are laid out over (x, z) and (y, z))."""
+    `kept` values of the binder z are not zero in connect(x, z): a block
+    gathers its kept values of z when they are at most half of z's 128, and
+    otherwise multiplies all 128.  Each block's product has 4 * values *
+    128 cells, and the join is the min-plus product (its operands are laid
+    out over (x, z) and (y, z))."""
     spec, sizes = _counting(MIN_TROPICAL)
-    [contract] = _contractions(monkeypatch, chain_source(128), spec, cpus)
+    [contract] = _contractions(chain_source(128), spec)
+    assert contract.keywords["how"][-1] == 4
     rng = np.random.default_rng(0)
     a1, a2 = rng.random((128, 128)), rng.random((128, 128))
     a1[:, kept:] = math.inf
     sizes.clear()
     got = contract(a1, a2)
-    assert sorted(sizes) == [rows * values * 128] * (128 // rows)
+    assert sorted(sizes) == [4 * values * 128] * (128 // 4)
     assert np.array_equal(got, np.minimum.reduce(a1[:, None] + a2[None], axis=2))
 
 
 @pytest.mark.parametrize("n", [128, 300], ids=["four-rows-a-block", "row-above-block"])
-def test_split_contraction_memory(monkeypatch, n):
-    """chain-n's join, split on two threads, builds at most
-    max(BLOCK_CELLS, 2 * row) product cells at once, a row being the n ** 2
-    cells of one output row: past the serial join's peak, the helper adds
-    at most one row of products and numpy's ufunc buffers (8192 cells an
-    operand), whether the serial join's block holds four rows (n = 128) or
-    one row is above BLOCK_CELLS (n = 300)."""
-    starts, rng = thread_starts(monkeypatch), np.random.default_rng(0)
+def test_contraction_block_memory(n):
+    """chain-n's join builds at most max(BLOCK_CELLS, row) product cells at
+    once, a row being the n ** 2 cells of one output row: besides that one
+    block's products, it holds its n ** 2-cell result, the bool masks of the
+    zero skip (a byte a cell of its left operand, twice) and numpy's ufunc
+    buffers (8192 cells an operand), whether a block holds four rows (n =
+    128) or one row is above BLOCK_CELLS (n = 300)."""
+    rng = np.random.default_rng(0)
     a1, a2 = rng.random((n, n)), rng.random((n, n))
-    peaks = []
-    for cpus in (1, 2):
-        [contract] = _contractions(monkeypatch, chain_source(n), MIN_TROPICAL, cpus)
-        tracemalloc.start()
-        try:
-            contract(a1, a2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert len(starts) == 1
-    assert peaks[1] - peaks[0] < 2 * n * n * a1.itemsize + 2 ** 18, peaks
-
-
-def _split_sources(spec):
-    """The corpus, 10 random programs, chain-128 and paths-shaped programs,
-    whose 128**3-cell joins `spec` splits; boolean edges weigh 1."""
-    weight = "1" if spec.name == "boolean" else None
-    return [load(name) for name in IDEMPOTENT_CORPUS] + \
-        [gen.random_program(seed) for seed in range(10)] + [chain_source(128)] + \
-        [paths_source(seed, 128, weight) for seed in range(3)]
-
-
-@pytest.mark.parametrize("spec", [BOOLEAN_LOOP, MIN_TROPICAL, REAL_LOOP], ids=lambda spec: spec.name)
-def test_split_contractions_match_serial(monkeypatch, spec):
-    """With two usable CPUs a large join in the generic loop is computed in
-    two halves of its output rows on two threads, and with one in one loop:
-    the same bits, rounds, convergence and nan stop, under any semiring."""
-    starts = thread_starts(monkeypatch)
-    for src in _split_sources(spec):
-        lowered = lower_program(checked(src), "monomorphize", spec)
-        results = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(skn_eval, "USABLE_CPUS", cpus)
-            results.append(fixpoint(lowered, spec, max_iters=300))
-        serial, split = results
-        assert (split.iterations, split.converged, split.stopped_on_nan) == \
-            (serial.iterations, serial.converged, serial.stopped_on_nan)
-        for name, table in serial.tables.items():
-            assert np.array_equal(split.tables[name].cells, table.cells, equal_nan=True), name
-    assert starts
-
-
-def test_split_helper_error_is_raised_after_the_join(monkeypatch):
-    """A MemoryError in the helper thread, here from its products, is
-    raised by `fixpoint` once the helper is joined, and no thread is left."""
-    def mul(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError
-        return np.add(*args, **kwargs)
-
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
-    threads, starts = threading.active_count(), thread_starts(monkeypatch)
-    with pytest.raises(MemoryError):
-        fixpoint(checked(chain_source(128)), dataclasses.replace(MIN_TROPICAL, mul=mul))
-    assert len(starts) == 1 and threading.active_count() == threads
-
-
-def test_split_without_a_thread_sums_both_halves(monkeypatch):
-    """If the helper thread cannot be started, the caller sums the whole
-    binder itself, and the tables are the serial ones."""
-    program = checked(paths_source(1))
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 1)
-    serial = fixpoint(program, MIN_TROPICAL)
-    refused = []
-
-    def start(self):
-        refused.append(self)
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    monkeypatch.setattr(skn_eval, "USABLE_CPUS", 2)
-    split = fixpoint(program, MIN_TROPICAL)
-    assert refused and (split.iterations, split.converged) == (serial.iterations, serial.converged)
-    for name, table in serial.tables.items():
-        assert np.array_equal(split.tables[name].cells, table.cells), name
+    [contract] = _contractions(chain_source(n), MIN_TROPICAL)
+    tracemalloc.start()
+    try:
+        contract(a1, a2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = max(skn_eval.BLOCK_CELLS, n * n) * a1.itemsize
+    assert peak < block + n * n * (a1.itemsize + 2) + 2 ** 18, (peak, block)
 
 
 @pytest.mark.parametrize("spec", [BOOLEAN, MIN_TROPICAL], ids=lambda spec: spec.name)
