@@ -23,15 +23,15 @@ order of summing out binders is the variable-elimination order of a FAQ
 query (Abo Khamis, Ngo and Rudra, PODS 2016).  A binder in two or more
 subgoals is summed out by FAQ's pairwise step, run as a batched semiring
 matrix product (Kepner et al., HPEC 2016) of the product of all but the
-last and the last: by the spec's `matmul` kernel, or by a loop that
-builds `BLOCK_CELLS` product cells at a time and skips zero terms where
-zero annihilates exactly, so their whole product is never built; a
-product that fits one block is built and summed at once.  A plan's steps are
-functions of their operands, and `Plan.step` runs one at once when its
-operands are all constants: the masks of == and =/=, the fact tables, the
-factors' weights and all that is built from them alone.  A round runs the
-rest against the current tables: gathers, semiring ufuncs, reductions and
-contractions.
+last and the last: by the spec's `matmul` kernel, or by a loop over
+blocks of output rows that builds `BLOCK_CELLS` product cells at a time
+and skips zero terms where zero annihilates exactly, so the whole
+product is never built; a product that fits one block is built and
+summed at once.  A plan's steps are functions of their operands, and
+`Plan.step` runs one at once when its operands are all constants: the
+masks of == and =/=, the fact tables, the factors' weights and all that
+is built from them alone.  A round runs the rest against the current
+tables: gathers, semiring ufuncs, reductions and contractions.
 
 A program's tables are the least fixed point of its relations, solved by
 `fixpoint` one call-graph component at a time, callees first; over a

@@ -1170,6 +1170,7 @@ def test_contraction_block_memory(n):
     rng = np.random.default_rng(0)
     a1, a2 = rng.random((n, n)), rng.random((n, n))
     [contract] = _contractions(chain_source(n), MIN_TROPICAL)
+    assert contract.keywords["how"][-1] == {128: 4, 300: 1}[n]
     tracemalloc.start()
     try:
         contract(a1, a2)
